@@ -1,14 +1,17 @@
 // Microbenchmarks (google-benchmark) for the hot data-path primitives:
-// journal append/peek/trim, CRC32C, WAL record codec, MiniDb commit,
-// event-queue churn, COW write path, and JSON (de)serialization. These
-// are wall-clock benchmarks of the library code itself, complementing
-// the simulated-time experiment benches E1-E7.
+// journal append/peek/trim, CRC32C, the block codec, WAL record codec,
+// MiniDb commit, event-queue churn, COW write path, and JSON
+// (de)serialization. These are wall-clock benchmarks of the library code
+// itself, complementing the simulated-time experiment benches E1-E7.
 #include <benchmark/benchmark.h>
+
+#include <thread>
 
 #include "block/mem_volume.h"
 #include "common/compress.h"
 #include "common/crc32c.h"
 #include "common/histogram.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/value.h"
 #include "db/format.h"
@@ -84,18 +87,43 @@ void BM_Crc32cCombineOp(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32cCombineOp)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 
-// A transfer batch's worth of database pages, as the wire compressor sees
-// them. Arg selects the payload shape: 0 = structured KV/WAL-like rows
-// (the representative case), 1 = random bytes (the stored-escape case).
-std::string MakeBatchPayload(size_t bytes, bool random) {
+// A transfer batch's worth of payload, as the wire compressor sees it.
+enum PayloadShape : int64_t {
+  // Structured order rows with shared field names (WAL-like, ~10:1).
+  kJsonRows = 0,
+  // 4 KiB blocks of 64-byte segments, each fresh random bytes or a copy of
+  // an earlier segment of its block (~2:1, the end-to-end payload shape).
+  kSegments = 1,
+  // Random bytes: the stored-escape case.
+  kRandom = 2,
+};
+
+std::string MakeBatchPayload(size_t bytes, PayloadShape shape) {
   std::string out;
   out.reserve(bytes);
   Rng rng(42);
-  if (random) {
-    while (out.size() < bytes) {
-      out.push_back(static_cast<char>(rng.Uniform(256)));
-    }
-    return out;
+  switch (shape) {
+    case kRandom:
+      while (out.size() < bytes) {
+        out.push_back(static_cast<char>(rng.Uniform(256)));
+      }
+      return out;
+    case kSegments:
+      while (out.size() < bytes) {
+        const size_t block = out.size() / 4096 * 4096;
+        const size_t seg = (out.size() - block) / 64;
+        if (seg > 0 && rng.Bernoulli(0.5)) {
+          out.append(out, block + rng.Uniform(seg) * 64, 64);
+        } else {
+          for (int i = 0; i < 64; ++i) {
+            out.push_back(static_cast<char>(rng.Uniform(256)));
+          }
+        }
+      }
+      out.resize(bytes);
+      return out;
+    case kJsonRows:
+      break;
   }
   uint64_t row = 0;
   while (out.size() < bytes) {
@@ -109,23 +137,49 @@ std::string MakeBatchPayload(size_t bytes, bool random) {
   return out;
 }
 
-void BM_CompressBatch(benchmark::State& state) {
-  constexpr size_t kBatchBytes = 64 << 10;  // One transfer cycle's payload.
-  const std::string raw = MakeBatchPayload(kBatchBytes, state.range(0) == 1);
-  std::string compressed;
+// One transfer chunk's payload (the wire codec's unit), in the shape given
+// by Arg: 0 = JSON rows, 1 = 64-byte-segment blocks, 2 = random bytes.
+constexpr size_t kCodecBytes = 64 << 10;
+
+void SetCodecCounters(benchmark::State& state, size_t raw, size_t frame) {
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(raw));
+  state.counters["ratio"] =
+      static_cast<double>(raw) / static_cast<double>(frame);
+  state.counters["hardware_lanes"] =
+      static_cast<double>(std::thread::hardware_concurrency());
+}
+
+void BM_Compress(benchmark::State& state) {
+  const std::string raw = MakeBatchPayload(
+      kCodecBytes, static_cast<PayloadShape>(state.range(0)));
+  std::string frame;
+  for (auto _ : state) {
+    frame.clear();
+    Compress(raw, &frame);
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+  }
+  SetCodecCounters(state, raw.size(), frame.size());
+}
+BENCHMARK(BM_Compress)->Arg(kJsonRows)->Arg(kSegments)->Arg(kRandom);
+
+void BM_Decompress(benchmark::State& state) {
+  const std::string raw = MakeBatchPayload(
+      kCodecBytes, static_cast<PayloadShape>(state.range(0)));
+  std::string frame;
+  Compress(raw, &frame);
   std::string back;
   for (auto _ : state) {
-    compressed.clear();
-    Compress(raw, &compressed);
     back.clear();
-    benchmark::DoNotOptimize(Decompress(compressed, &back));
+    benchmark::DoNotOptimize(Decompress(frame, &back));
+    benchmark::DoNotOptimize(back.data());
+    benchmark::ClobberMemory();
   }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kBatchBytes));
-  state.counters["ratio"] =
-      static_cast<double>(raw.size()) / static_cast<double>(compressed.size());
+  ZB_CHECK(back == raw);
+  SetCodecCounters(state, raw.size(), frame.size());
 }
-BENCHMARK(BM_CompressBatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_Decompress)->Arg(kJsonRows)->Arg(kSegments)->Arg(kRandom);
 
 // Full wire round trip of one shipped batch: encode (headers + payload
 // concat + optional compression + CRC) then verify + decode back into
@@ -134,7 +188,7 @@ BENCHMARK(BM_CompressBatch)->Arg(0)->Arg(1);
 void BM_WireEncodeDecode(benchmark::State& state) {
   constexpr int kRecords = 16;
   constexpr size_t kBlock = 4096;
-  const std::string rows = MakeBatchPayload(kRecords * kBlock, false);
+  const std::string rows = MakeBatchPayload(kRecords * kBlock, kJsonRows);
   std::vector<journal::JournalRecord> batch;
   for (int i = 0; i < kRecords; ++i) {
     journal::JournalRecord rec;

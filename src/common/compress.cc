@@ -1,5 +1,6 @@
 #include "common/compress.h"
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 
@@ -18,13 +19,30 @@ constexpr size_t kMinLzInput = 16;
 // Decoder refuses raw sizes beyond this, so corrupt headers cannot ask
 // for arbitrarily large allocations. Far above any transfer batch.
 constexpr size_t kMaxRawSize = size_t{1} << 30;
+// No LZ body decodes to more than this many bytes per body byte: literals
+// are 1:1, a token and its two offset bytes yield at most 19 match bytes,
+// and each length-extension byte adds at most 255. The decoder rejects a
+// header claiming more before it sizes the output.
+constexpr size_t kMaxExpansion = 255;
 
 constexpr int kHashBits = 13;
 constexpr size_t kHashSize = size_t{1} << kHashBits;
 
-inline uint32_t Load32(const char* p) {
+inline uint16_t Load16(const uint8_t* p) {
+  uint16_t v;
+  std::memcpy(&v, p, 2);
+  return v;
+}
+
+inline uint32_t Load32(const uint8_t* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);
+  return v;
+}
+
+inline uint64_t Load64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
   return v;
 }
 
@@ -32,60 +50,92 @@ inline uint32_t Hash(uint32_t v) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-// Emits a nibble-with-extensions length as in LZ4: `nibble` already holds
-// min(len, 15); the remainder follows as 0xff runs plus a final byte.
-void PutLengthExtension(std::string* out, size_t len) {
-  if (len < 15) return;
-  size_t rest = len - 15;
-  while (rest >= 255) {
-    out->push_back(static_cast<char>(0xff));
-    rest -= 255;
+// Length of the common prefix of `a` and `b`, reading `b` no further than
+// `b_end`. `a` must precede `b` in the same buffer, so it stays in bounds
+// too. Compares a word at a time; the first differing byte is the lowest
+// set byte of the XOR on little-endian hosts, the highest on big-endian.
+inline size_t CommonPrefix(const uint8_t* a, const uint8_t* b,
+                           const uint8_t* b_end) {
+  const uint8_t* const b_start = b;
+  while (b_end - b >= 8) {
+    const uint64_t diff = Load64(a) ^ Load64(b);
+    if (diff != 0) {
+      const int bits = std::endian::native == std::endian::little
+                           ? std::countr_zero(diff)
+                           : std::countl_zero(diff);
+      return static_cast<size_t>(b - b_start) + static_cast<size_t>(bits / 8);
+    }
+    a += 8;
+    b += 8;
   }
-  out->push_back(static_cast<char>(rest));
+  if (b_end - b >= 4 && Load32(a) == Load32(b)) {
+    a += 4;
+    b += 4;
+  }
+  if (b_end - b >= 2 && Load16(a) == Load16(b)) {
+    a += 2;
+    b += 2;
+  }
+  if (b < b_end && *a == *b) ++b;
+  return static_cast<size_t>(b - b_start);
 }
 
-// Reads the extension of a length nibble. Returns false on truncation.
-bool GetLengthExtension(std::string_view* in, size_t nibble, size_t* len) {
-  *len = nibble;
-  if (nibble < 15) return true;
+// Emits the extension of a length nibble as in LZ4: the nibble already
+// holds min(len, 15); the remainder follows as 0xff bytes plus a final
+// byte below 0xff.
+inline uint8_t* PutLengthExtension(uint8_t* op, size_t len) {
+  if (len < 15) return op;
+  const size_t rest = len - 15;
+  std::memset(op, 0xff, rest / 255);
+  op += rest / 255;
+  *op++ = static_cast<uint8_t>(rest % 255);
+  return op;
+}
+
+// Reads the extension of a length nibble that was 15. Returns false on
+// truncation or an implausibly long run of 0xff bytes.
+inline bool GetLengthExtension(const uint8_t** ip, const uint8_t* iend,
+                               size_t* len) {
+  const uint8_t* p = *ip;
   while (true) {
-    if (in->empty()) return false;
-    const uint8_t byte = static_cast<uint8_t>(in->front());
-    in->remove_prefix(1);
+    if (p == iend) return false;
+    const uint8_t byte = *p++;
     *len += byte;
-    if (*len > kMaxRawSize) return false;  // Corrupt run of 0xff bytes.
-    if (byte != 0xff) return true;
+    if (*len > kMaxRawSize) return false;
+    if (byte != 0xff) break;
   }
+  *ip = p;
+  return true;
 }
 
-void EmitSequence(std::string* out, const char* lit, size_t lit_len,
-                  size_t match_len, size_t offset) {
+inline uint8_t* EmitSequence(uint8_t* op, const uint8_t* lit, size_t lit_len,
+                             size_t match_len, size_t offset) {
   const size_t lit_nibble = lit_len < 15 ? lit_len : 15;
   const size_t match_code = match_len == 0 ? 0 : match_len - kMinMatch;
   const size_t match_nibble = match_code < 15 ? match_code : 15;
-  out->push_back(static_cast<char>((lit_nibble << 4) | match_nibble));
-  PutLengthExtension(out, lit_len);
-  out->append(lit, lit_len);
-  if (match_len == 0) return;  // Final literals-only sequence.
-  out->push_back(static_cast<char>(offset & 0xff));
-  out->push_back(static_cast<char>(offset >> 8));
-  PutLengthExtension(out, match_code);
+  *op++ = static_cast<uint8_t>((lit_nibble << 4) | match_nibble);
+  op = PutLengthExtension(op, lit_len);
+  std::memcpy(op, lit, lit_len);
+  op += lit_len;
+  if (match_len == 0) return op;  // Final literals-only sequence.
+  *op++ = static_cast<uint8_t>(offset & 0xff);
+  *op++ = static_cast<uint8_t>(offset >> 8);
+  return PutLengthExtension(op, match_code);
 }
 
-// Greedy LZ pass. Appends sequences to `*out` and returns true, or
-// returns false (leaving `*out` untouched) when the input is too small
-// to bother.
-bool CompressLz(std::string_view input, std::string* out) {
-  const size_t n = input.size();
-  if (n < kMinLzInput) return false;
-  const char* base = input.data();
-
+// Greedy LZ pass over `n >= kMinLzInput` bytes: step-1 scan, 13-bit hash
+// of the next 4 bytes, first candidate only. Writes sequences at `op` and
+// returns the end. The output never exceeds n + n/255 + 16 bytes: a match
+// sequence costs no more than the bytes it covers plus its literal run's
+// extension bytes, one per 255 literals.
+uint8_t* CompressLz(const uint8_t* base, size_t n, uint8_t* op) {
   uint32_t table[kHashSize];
   std::memset(table, 0xff, sizeof(table));  // 0xffffffff = empty slot.
 
+  const uint8_t* const end = base + n;
   size_t anchor = 0;
   size_t i = 0;
-  // Leave room so Load32 and match extension never read past the end.
+  // Leave room so Load32 never reads past the end.
   const size_t limit = n - kMinMatch;
   while (i <= limit) {
     const uint32_t v = Load32(base + i);
@@ -97,130 +147,208 @@ bool CompressLz(std::string_view input, std::string* out) {
       ++i;
       continue;
     }
-    // Extend the match forwards.
-    size_t len = kMinMatch;
-    while (i + len < n && base[cand + len] == base[i + len]) ++len;
-    EmitSequence(out, base + anchor, i - anchor, len, i - cand);
+    const size_t len =
+        kMinMatch +
+        CommonPrefix(base + cand + kMinMatch, base + i + kMinMatch, end);
+    op = EmitSequence(op, base + anchor, i - anchor, len, i - cand);
     i += len;
     anchor = i;
   }
-  if (anchor < n) {
-    EmitSequence(out, base + anchor, n - anchor, 0, 0);
-  }
-  return true;
+  if (anchor < n) op = EmitSequence(op, base + anchor, n - anchor, 0, 0);
+  return op;
 }
 
-}  // namespace
-
-void Compress(std::string_view input, std::string* out) {
-  const size_t header_at = out->size();
-  out->push_back(static_cast<char>(kMethodLz));
-  PutVarint64(out, input.size());
-  const size_t body_at = out->size();
-  if (!CompressLz(input, out) ||
-      out->size() - body_at >= input.size()) {
-    // Incompressible (or too small): rewrite as a stored frame.
-    out->resize(header_at);
-    out->push_back(static_cast<char>(kMethodStored));
-    PutVarint64(out, input.size());
-    out->append(input.data(), input.size());
-  }
-}
-
-Status Decompress(std::string_view input, std::string* out) {
-  if (input.empty()) return DataLossError("compress: empty frame");
-  const uint8_t method = static_cast<uint8_t>(input.front());
-  input.remove_prefix(1);
-  uint64_t raw_size = 0;
-  if (!GetVarint64(&input, &raw_size)) {
-    return DataLossError("compress: truncated frame header");
-  }
-  if (raw_size > kMaxRawSize) {
-    return DataLossError("compress: implausible raw size");
-  }
-
-  if (method == kMethodStored) {
-    if (input.size() != raw_size) {
-      return DataLossError("compress: stored frame length mismatch");
+// Copies a `len`-byte match from `offset` bytes back. The source may
+// overlap the destination. Writes may run up to 7 bytes past op + len
+// when the output has room — the next sequence overwrites them — but
+// never reach `oend`.
+inline void CopyMatch(uint8_t* op, size_t offset, size_t len,
+                      const uint8_t* oend) {
+  const uint8_t* src = op - offset;
+  uint8_t* const end = op + len;
+  if (offset >= 8) {
+    // Each word reads bytes at least 8 behind where it writes, so every
+    // byte it reads is already final.
+    if (oend - end >= 8) {
+      do {
+        std::memcpy(op, src, 8);
+        op += 8;
+        src += 8;
+      } while (op < end);
+      return;
     }
-    out->append(input.data(), input.size());
-    return OkStatus();
+    for (; end - op >= 8; op += 8, src += 8) std::memcpy(op, src, 8);
+    // Fewer than 8 bytes remain and offset >= 8: source and tail are
+    // disjoint.
+    std::memcpy(op, src, static_cast<size_t>(end - op));
+    return;
   }
-  if (method != kMethodLz) {
-    return DataLossError("compress: unknown method byte");
+  // Short offset: the match repeats one `offset`-byte period. Expand the
+  // period into an 8-byte pattern and lay it down in steps of whole
+  // periods, so every store starts at pattern phase 0.
+  uint8_t pattern[16];
+  std::memcpy(pattern, src, offset);
+  for (size_t have = offset; have < 8; have *= 2) {
+    std::memcpy(pattern + have, pattern, have);
   }
+  const size_t step = 8 - 8 % offset;
+  for (; end - op >= 8; op += step) std::memcpy(op, pattern, 8);
+  std::memcpy(op, pattern, static_cast<size_t>(end - op));
+}
 
-  const size_t out_base = out->size();
-  out->reserve(out_base + raw_size);
-  size_t produced = 0;
-  while (!input.empty()) {
-    const uint8_t token = static_cast<uint8_t>(input.front());
-    input.remove_prefix(1);
+// Decodes an LZ body into exactly `raw_size` bytes at `out`, with the
+// technique of the LZ4 block decoder; the block format is public at
+//   https://github.com/lz4/lz4/blob/dev/doc/lz4_Block_format.md
+// The output is sized once by the caller and written through a pointer,
+// short literal runs are copied as one 16-byte word when both buffers
+// have the slack, matches are copied a word at a time, and every length
+// is checked against the remaining input and output first.
+Status DecodeLz(std::string_view body, char* out, size_t raw_size) {
+  const auto* ip = reinterpret_cast<const uint8_t*>(body.data());
+  const uint8_t* const iend = ip + body.size();
+  auto* const dst = reinterpret_cast<uint8_t*>(out);
+  uint8_t* const oend = dst + raw_size;
+  uint8_t* op = dst;
+  while (ip < iend) {
+    const unsigned token = *ip++;
 
-    size_t lit_len = 0;
-    if (!GetLengthExtension(&input, token >> 4, &lit_len)) {
+    size_t lit_len = token >> 4;
+    if (lit_len == 15 && !GetLengthExtension(&ip, iend, &lit_len)) {
       return DataLossError("compress: truncated literal length");
     }
-    if (lit_len > input.size()) {
+    if (lit_len > static_cast<size_t>(iend - ip)) {
       return DataLossError("compress: literal run past end of frame");
     }
-    if (produced + lit_len > raw_size) {
+    if (lit_len > static_cast<size_t>(oend - op)) {
       return DataLossError("compress: output overruns raw size");
     }
-    out->append(input.data(), lit_len);
-    input.remove_prefix(lit_len);
-    produced += lit_len;
+    if (lit_len <= 16 && iend - ip >= 16 && oend - op >= 16) {
+      std::memcpy(op, ip, 16);
+    } else {
+      std::memcpy(op, ip, lit_len);
+    }
+    op += lit_len;
+    ip += lit_len;
 
-    if (input.empty()) break;  // Final literals-only sequence.
+    if (ip == iend) break;  // Final literals-only sequence.
 
-    if (input.size() < 2) {
+    if (iend - ip < 2) {
       return DataLossError("compress: truncated match offset");
     }
-    const size_t offset = static_cast<uint8_t>(input[0]) |
-                          (static_cast<size_t>(static_cast<uint8_t>(input[1]))
-                           << 8);
-    input.remove_prefix(2);
-    if (offset == 0 || offset > produced) {
+    const size_t offset = ip[0] | (static_cast<size_t>(ip[1]) << 8);
+    ip += 2;
+    if (offset == 0 || offset > static_cast<size_t>(op - dst)) {
       return DataLossError("compress: match offset out of range");
     }
 
-    size_t match_code = 0;
-    if (!GetLengthExtension(&input, token & 0x0f, &match_code)) {
+    size_t match_len = token & 0x0f;
+    if (match_len == 15 && !GetLengthExtension(&ip, iend, &match_len)) {
       return DataLossError("compress: truncated match length");
     }
-    const size_t match_len = match_code + kMinMatch;
-    if (produced + match_len > raw_size) {
+    match_len += kMinMatch;
+    if (match_len > static_cast<size_t>(oend - op)) {
       return DataLossError("compress: match overruns raw size");
     }
-    // Byte-wise copy: matches may overlap their own output (RLE-style).
-    for (size_t k = 0; k < match_len; ++k) {
-      out->push_back((*out)[out_base + produced - offset + k]);
-    }
-    produced += match_len;
+    CopyMatch(op, offset, match_len, oend);
+    op += match_len;
   }
-
-  if (produced != raw_size) {
-    out->resize(out_base);
+  if (op != oend) {
     return DataLossError("compress: frame shorter than raw size");
   }
   return OkStatus();
 }
 
-StatusOr<size_t> DecompressedSize(std::string_view input) {
-  if (input.empty()) return DataLossError("compress: empty frame");
-  const uint8_t method = static_cast<uint8_t>(input.front());
-  if (method != kMethodStored && method != kMethodLz) {
+// Parses a frame header, leaving `*input` at the body. Every check that
+// needs no decoding happens here, so a bad header fails before any output
+// is sized.
+Status ParseHeader(std::string_view* input, uint8_t* method,
+                   size_t* raw_size) {
+  if (input->empty()) return DataLossError("compress: empty frame");
+  *method = static_cast<uint8_t>(input->front());
+  if (*method != kMethodStored && *method != kMethodLz) {
     return DataLossError("compress: unknown method byte");
   }
-  input.remove_prefix(1);
-  uint64_t raw_size = 0;
-  if (!GetVarint64(&input, &raw_size)) {
+  input->remove_prefix(1);
+  uint64_t raw = 0;
+  if (!GetVarint64(input, &raw)) {
     return DataLossError("compress: truncated frame header");
   }
-  if (raw_size > kMaxRawSize) {
+  if (raw > kMaxRawSize) {
     return DataLossError("compress: implausible raw size");
   }
-  return static_cast<size_t>(raw_size);
+  if (*method == kMethodStored && input->size() != raw) {
+    return DataLossError("compress: stored frame length mismatch");
+  }
+  if (*method == kMethodLz && raw > kMaxExpansion * input->size()) {
+    return DataLossError("compress: raw size exceeds what the body encodes");
+  }
+  *raw_size = static_cast<size_t>(raw);
+  return OkStatus();
+}
+
+}  // namespace
+
+void Compress(std::string_view input, std::string* out) {
+  const size_t n = input.size();
+  const size_t header_at = out->size();
+  out->push_back(static_cast<char>(kMethodLz));
+  PutVarint64(out, n);
+  const size_t body_at = out->size();
+  if (n >= kMinLzInput) {
+    out->resize(header_at + CompressBound(n));
+    auto* body = reinterpret_cast<uint8_t*>(out->data() + body_at);
+    const size_t body_len = static_cast<size_t>(
+        CompressLz(reinterpret_cast<const uint8_t*>(input.data()), n, body) -
+        body);
+    if (body_len < n) {
+      out->resize(body_at + body_len);
+      return;
+    }
+  }
+  // Incompressible (or too small): a stored frame. The header differs
+  // from the LZ one only in the method byte.
+  (*out)[header_at] = static_cast<char>(kMethodStored);
+  out->resize(body_at);
+  out->append(input.data(), n);
+}
+
+Status Decompress(std::string_view input, std::string* out) {
+  uint8_t method = 0;
+  size_t raw_size = 0;
+  Status s = ParseHeader(&input, &method, &raw_size);
+  if (!s.ok()) return s;
+  if (method == kMethodStored) {
+    out->append(input.data(), raw_size);
+    return OkStatus();
+  }
+  const size_t out_base = out->size();
+  out->resize(out_base + raw_size);
+  s = DecodeLz(input, out->data() + out_base, raw_size);
+  if (!s.ok()) out->resize(out_base);
+  return s;
+}
+
+Status DecompressInto(std::string_view input, char* dst, size_t dst_size) {
+  uint8_t method = 0;
+  size_t raw_size = 0;
+  Status s = ParseHeader(&input, &method, &raw_size);
+  if (!s.ok()) return s;
+  if (raw_size != dst_size) {
+    return DataLossError("compress: raw size does not match destination");
+  }
+  if (method == kMethodStored) {
+    if (raw_size > 0) std::memcpy(dst, input.data(), raw_size);
+    return OkStatus();
+  }
+  return DecodeLz(input, dst, raw_size);
+}
+
+StatusOr<size_t> DecompressedSize(std::string_view input) {
+  uint8_t method = 0;
+  size_t raw_size = 0;
+  Status s = ParseHeader(&input, &method, &raw_size);
+  if (!s.ok()) return s;
+  return raw_size;
 }
 
 }  // namespace zerobak

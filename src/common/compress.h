@@ -15,6 +15,8 @@ namespace zerobak {
 // byte and the varint raw size, so the decoder can validate lengths and
 // incompressible input falls back to a "stored" escape — compression
 // therefore never expands a block by more than the small frame header.
+// Frame bytes are part of the wire format (their sizes drive simulated
+// link time), so tests/common/compress_golden_test.cc pins them.
 //
 // Frame layout:
 //   [method u8]  0 = stored, 1 = LZ
@@ -25,9 +27,12 @@ namespace zerobak {
 //            literals-only. Token = (lit_len << 4) | (match_len - 4),
 //            nibble value 15 extended with 0xff runs as in LZ4.
 
-// Upper bound on the encoded size of `n` input bytes (stored escape +
-// frame header). Callers may reserve this much before Compress.
-inline size_t CompressBound(size_t n) { return n + 16; }
+// Room Compress needs past the end of `*out` for `n` input bytes: the
+// frame header (at most 11 bytes) plus the greedy pass's worst case,
+// n + n/255 + 16. Reserving this much before Compress means it never
+// reallocates. The finished frame is never longer than n + 11 bytes,
+// because input the LZ pass cannot shrink is stored.
+inline size_t CompressBound(size_t n) { return n + n / 255 + 27; }
 
 // Compresses `input` and appends the frame to `*out`. Never fails: when
 // the LZ encoding would not shrink the block the frame stores the input
@@ -36,9 +41,15 @@ void Compress(std::string_view input, std::string* out);
 
 // Decompresses one frame produced by Compress, appending the raw bytes to
 // `*out`. Returns DataLoss on any malformed input — truncated frames,
-// out-of-range match offsets, length mismatches — and never reads or
-// writes out of bounds regardless of how corrupt the input is.
+// out-of-range match offsets, length mismatches, a raw size the body could
+// not encode — and never reads or writes out of bounds regardless of how
+// corrupt the input is. On failure `*out` keeps its prior length.
 Status Decompress(std::string_view input, std::string* out);
+
+// Decompresses one frame into exactly `dst_size` bytes at `dst`, which
+// must be the frame's raw size (DataLoss otherwise). Writes nothing
+// outside [dst, dst + dst_size); on failure that range holds garbage.
+Status DecompressInto(std::string_view input, char* dst, size_t dst_size);
 
 // Returns the raw size recorded in a frame header without decompressing,
 // or an error if the header is malformed.

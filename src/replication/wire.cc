@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <utility>
 
 #include "common/coding.h"
@@ -83,80 +82,84 @@ EncodedBatch EncodeBatch(const std::vector<journal::JournalRecord>& records,
                          bool compress, exec::ThreadPool* pool) {
   EncodedBatch out;
 
-  std::string body;
-  PutVarint64(&body, records.size());
+  // The frame is built in place: the plain body follows room for the
+  // header, which is filled in once the stored body is final, so the body
+  // is never copied into a frame afterwards.
+  std::string& frame = out.frame;
+  frame.resize(kFrameHeaderSize);
+  PutVarint64(&frame, records.size());
   uint64_t payload_total = 0;
   journal::SequenceNumber prev_seq = 0;
   SimTime prev_ack = 0;
   for (const journal::JournalRecord& rec : records) {
     out.logical_bytes += rec.EncodedSize();
     payload_total += rec.payload.size();
-    PutVarint64(&body, rec.sequence - prev_seq);
-    PutVarint64(&body, rec.volume_id);
-    PutVarint64(&body, rec.lba);
-    PutVarint64(&body, rec.block_count);
-    PutVarint64(&body, rec.folded ? kFlagFolded : 0);
-    PutVarint64(&body, rec.payload.size());
-    PutVarint64(&body, ZigZag(rec.ack_time - prev_ack));
-    PutVarint64(&body, ZigZag(static_cast<int64_t>(rec.atomic_through) -
-                              static_cast<int64_t>(rec.sequence)));
+    PutVarint64(&frame, rec.sequence - prev_seq);
+    PutVarint64(&frame, rec.volume_id);
+    PutVarint64(&frame, rec.lba);
+    PutVarint64(&frame, rec.block_count);
+    PutVarint64(&frame, rec.folded ? kFlagFolded : 0);
+    PutVarint64(&frame, rec.payload.size());
+    PutVarint64(&frame, ZigZag(rec.ack_time - prev_ack));
+    PutVarint64(&frame, ZigZag(static_cast<int64_t>(rec.atomic_through) -
+                               static_cast<int64_t>(rec.sequence)));
     prev_seq = rec.sequence;
     prev_ack = rec.ack_time;
   }
-  body.reserve(body.size() + payload_total);
+  frame.reserve(frame.size() + payload_total);
   for (const journal::JournalRecord& rec : records) {
     const std::string_view payload = rec.payload.view();
-    body.append(payload.data(), payload.size());
+    frame.append(payload.data(), payload.size());
   }
 
   uint8_t flags = 0;
   if (compress) {
     // The single-chunk/chunked split depends only on the plain body size —
     // never on the pool — so the shipped frame is byte-identical at any
-    // lane count.
+    // lane count. Either form is built behind its own header room and
+    // replaces the plain frame only if it is smaller.
+    const std::string_view body =
+        std::string_view(frame).substr(kFrameHeaderSize);
+    std::string packed(kFrameHeaderSize, '\0');
+    uint8_t packed_flag = kFlagCompressed;
     if (body.size() <= kChunkBytes) {
-      std::string packed;
-      packed.reserve(CompressBound(body.size()));
+      packed.reserve(kFrameHeaderSize + CompressBound(body.size()));
       Compress(body, &packed);
-      if (packed.size() < body.size()) {
-        body = std::move(packed);
-        flags |= kFlagCompressed;
-        out.compressed = true;
-      }
     } else {
       const size_t chunks = (body.size() + kChunkBytes - 1) / kChunkBytes;
-      std::vector<std::string> packed(chunks);
+      std::vector<std::string> chunk_frames(chunks);
       ForEachChunk(pool, chunks, [&](size_t begin, size_t end) {
         for (size_t c = begin; c < end; ++c) {
           const size_t off = c * kChunkBytes;
           const size_t len = std::min(kChunkBytes, body.size() - off);
-          packed[c].reserve(CompressBound(len));
-          Compress(std::string_view(body).substr(off, len), &packed[c]);
+          chunk_frames[c].reserve(CompressBound(len));
+          Compress(body.substr(off, len), &chunk_frames[c]);
         }
       });
-      std::string chunked;
-      PutVarint64(&chunked, chunks);
+      PutVarint64(&packed, chunks);
       size_t frames_total = 0;
-      for (const std::string& p : packed) {
-        PutVarint64(&chunked, p.size());
+      for (const std::string& p : chunk_frames) {
+        PutVarint64(&packed, p.size());
         frames_total += p.size();
       }
-      chunked.reserve(chunked.size() + frames_total);
-      for (const std::string& p : packed) chunked += p;
-      if (chunked.size() < body.size()) {
-        body = std::move(chunked);
-        flags |= kFlagChunked;
-        out.compressed = true;
-      }
+      packed.reserve(packed.size() + frames_total);
+      for (const std::string& p : chunk_frames) packed += p;
+      packed_flag = kFlagChunked;
+    }
+    if (packed.size() < frame.size()) {
+      frame = std::move(packed);
+      flags = packed_flag;
+      out.compressed = true;
     }
   }
 
-  out.frame.reserve(kFrameHeaderSize + body.size());
-  PutFixed32(&out.frame, kMagic);
-  out.frame.push_back(static_cast<char>(flags));
-  PutFixed32(&out.frame, Crc32cMask(ParallelCrc32c(body, pool)));
-  PutFixed32(&out.frame, static_cast<uint32_t>(body.size()));
-  out.frame += body;
+  const std::string_view body =
+      std::string_view(frame).substr(kFrameHeaderSize);
+  char* header = frame.data();
+  EncodeFixed32(header, kMagic);
+  header[4] = static_cast<char>(flags);
+  EncodeFixed32(header + 5, Crc32cMask(ParallelCrc32c(body, pool)));
+  EncodeFixed32(header + 9, static_cast<uint32_t>(body.size()));
   return out;
 }
 
@@ -216,15 +219,11 @@ Status DecodeChunkedBody(std::string_view in, exec::ThreadPool* pool,
       const size_t raw_off = c * kChunkBytes;
       const size_t want =
           (c == chunks - 1) ? raw_total - raw_off : kChunkBytes;
-      // Decompress appends to a scratch string, then the bytes land in
-      // this chunk's disjoint [raw_off, raw_off + want) slot.
-      std::string scratch;
-      scratch.reserve(want);
-      if (!Decompress(frames[c], &scratch).ok() || scratch.size() != want) {
+      // Each chunk decodes straight into its disjoint
+      // [raw_off, raw_off + want) slot of the shared body.
+      if (!DecompressInto(frames[c], out->data() + raw_off, want).ok()) {
         ok.store(false, std::memory_order_relaxed);
-        continue;
       }
-      std::memcpy(out->data() + raw_off, scratch.data(), want);
     }
   });
   if (!ok.load(std::memory_order_relaxed)) {

@@ -1,10 +1,12 @@
 #include "common/compress.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "common/rng.h"
 
 namespace zerobak {
@@ -167,6 +169,284 @@ TEST(CompressFuzzTest, ImplausibleRawSizeRejected) {
   frame += "xxxx";
   std::string out;
   EXPECT_FALSE(Decompress(frame, &out).ok());
+}
+
+TEST(CompressFuzzTest, FailedDecompressLeavesOutputUnchanged) {
+  std::string input;
+  for (int i = 0; i < 64; ++i) {
+    input += "row-" + std::to_string(i % 9) + "-xxxxxxxxxxxxxxxx ";
+  }
+  std::string frame;
+  Compress(input, &frame);
+  ASSERT_EQ(frame[0], 1) << "corpus must take the LZ path";
+  size_t failures = 0;
+  auto check = [&](std::string_view corrupt) {
+    std::string out = "hello ";
+    if (!Decompress(corrupt, &out).ok()) {
+      ++failures;
+      EXPECT_EQ(out, "hello ");
+    }
+  };
+  // Truncations hit the truncated-length, truncated-offset and
+  // short-frame errors; flips hit bad offsets and overruns.
+  for (size_t cut = 0; cut < frame.size(); ++cut) {
+    check(std::string_view(frame).substr(0, cut));
+  }
+  for (size_t i = 0; i < frame.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutated = frame;
+      mutated[i] ^= static_cast<char>(1 << bit);
+      check(mutated);
+    }
+  }
+  EXPECT_GT(failures, frame.size());
+}
+
+TEST(CompressFuzzTest, RawSizeBeyondBodyCapacityRejectedBeforeSizing) {
+  // method=LZ, raw_size = 1 GiB (within the absolute cap), 100-byte body:
+  // no body that short can decode to that much, so the header is rejected
+  // without growing the output.
+  std::string frame(1, 1);
+  PutVarint64(&frame, uint64_t{1} << 30);
+  frame.append(100, '\x0f');
+  EXPECT_FALSE(DecompressedSize(frame).ok());
+  std::string out = "hello ";
+  out.shrink_to_fit();
+  const size_t capacity = out.capacity();
+  EXPECT_FALSE(Decompress(frame, &out).ok());
+  EXPECT_EQ(out, "hello ");
+  EXPECT_EQ(out.capacity(), capacity);
+
+  // The densest frame the encoder makes (one byte repeated) stays inside
+  // the bound.
+  const std::string run(1 << 20, 'q');
+  std::string dense;
+  Compress(run, &dense);
+  std::string back;
+  ASSERT_TRUE(Decompress(dense, &back).ok());
+  EXPECT_EQ(back, run);
+}
+
+TEST(CompressTest, DecompressIntoWritesExactlyTheRawSize) {
+  const std::string input(5000, 'r');
+  std::string frame;
+  Compress(input, &frame);
+  std::string dst(input.size() + 2, '#');
+  ASSERT_TRUE(DecompressInto(frame, dst.data() + 1, input.size()).ok());
+  EXPECT_EQ(dst.front(), '#');
+  EXPECT_EQ(dst.back(), '#');
+  EXPECT_EQ(dst.substr(1, input.size()), input);
+  EXPECT_FALSE(DecompressInto(frame, dst.data(), input.size() + 1).ok());
+  EXPECT_FALSE(DecompressInto(frame, dst.data(), input.size() - 1).ok());
+}
+
+// ----- Decoder edge cases against a byte-at-a-time reference decoder -----
+
+// The frame format decoded the simplest possible way: one byte per step,
+// a push_back per output byte. Returns false wherever the real decoder
+// must return DataLoss.
+bool ReferenceDecode(std::string_view in, std::string* out) {
+  if (in.empty()) return false;
+  const uint8_t method = static_cast<uint8_t>(in.front());
+  in.remove_prefix(1);
+  uint64_t raw = 0;
+  if (!GetVarint64(&in, &raw) || raw > (uint64_t{1} << 30)) return false;
+  if (method == 0) {
+    if (in.size() != raw) return false;
+    out->assign(in.data(), in.size());
+    return true;
+  }
+  if (method != 1) return false;
+  auto take_length = [&](size_t nibble, size_t* len) {
+    *len = nibble;
+    if (nibble < 15) return true;
+    while (true) {
+      if (in.empty()) return false;
+      const uint8_t b = static_cast<uint8_t>(in.front());
+      in.remove_prefix(1);
+      *len += b;
+      if (b != 0xff) return true;
+    }
+  };
+  std::string o;
+  while (!in.empty()) {
+    const uint8_t token = static_cast<uint8_t>(in.front());
+    in.remove_prefix(1);
+    size_t lit = 0;
+    if (!take_length(token >> 4, &lit) || lit > in.size()) return false;
+    for (size_t k = 0; k < lit; ++k) o.push_back(in[k]);
+    in.remove_prefix(lit);
+    if (o.size() > raw) return false;
+    if (in.empty()) break;
+    if (in.size() < 2) return false;
+    const size_t offset = static_cast<uint8_t>(in[0]) |
+                          (static_cast<size_t>(static_cast<uint8_t>(in[1]))
+                           << 8);
+    in.remove_prefix(2);
+    if (offset == 0 || offset > o.size()) return false;
+    size_t match = 0;
+    if (!take_length(token & 0x0f, &match)) return false;
+    match += 4;
+    if (o.size() + match > raw) return false;
+    for (size_t k = 0; k < match; ++k) o.push_back(o[o.size() - offset]);
+  }
+  if (o.size() != raw) return false;
+  *out = std::move(o);
+  return true;
+}
+
+// One LZ sequence; match_len == 0 marks the final literals-only one.
+struct Seq {
+  std::string literals;
+  size_t offset = 0;
+  size_t match_len = 0;
+};
+
+void PutNibbleExtension(std::string* out, size_t len) {
+  if (len < 15) return;
+  size_t rest = len - 15;
+  for (; rest >= 255; rest -= 255) out->push_back(static_cast<char>(0xff));
+  out->push_back(static_cast<char>(rest));
+}
+
+// Hand-assembles an LZ frame, so tests can place exact offsets, lengths
+// and end positions that the greedy encoder would only hit by chance.
+std::string BuildFrame(const std::vector<Seq>& seqs) {
+  size_t raw = 0;
+  for (const Seq& s : seqs) raw += s.literals.size() + s.match_len;
+  std::string frame(1, 1);
+  PutVarint64(&frame, raw);
+  for (const Seq& s : seqs) {
+    const size_t lit = s.literals.size();
+    const size_t code = s.match_len == 0 ? 0 : s.match_len - 4;
+    frame.push_back(static_cast<char>(((lit < 15 ? lit : 15) << 4) |
+                                      (code < 15 ? code : 15)));
+    PutNibbleExtension(&frame, lit);
+    frame += s.literals;
+    if (s.match_len == 0) continue;
+    frame.push_back(static_cast<char>(s.offset & 0xff));
+    frame.push_back(static_cast<char>(s.offset >> 8));
+    PutNibbleExtension(&frame, code);
+  }
+  return frame;
+}
+
+std::string RandomBytes(Rng* rng, size_t n) {
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng->Uniform(256));
+  return out;
+}
+
+// Decodes `frame` with both decoders, onto a non-empty prefix, and checks
+// they agree on success and on every output byte.
+void ExpectMatchesReference(std::string_view frame) {
+  std::string want;
+  const bool want_ok = ReferenceDecode(frame, &want);
+  std::string got = "prefix";
+  const bool got_ok = Decompress(frame, &got).ok();
+  ASSERT_EQ(got_ok, want_ok);
+  EXPECT_EQ(got, want_ok ? "prefix" + want : "prefix");
+}
+
+// Frames exercising every short-offset pattern width, matches ending
+// exactly at raw_size and 1-16 bytes before it, and length extensions at
+// the 15 / 270 / 525 boundaries.
+std::vector<std::string> EdgeFrames() {
+  Rng rng(77);
+  std::vector<std::string> frames;
+  for (size_t offset = 1; offset <= 16; ++offset) {
+    for (size_t match : {4, 5, 7, 8, 9, 15, 16, 17, 19, 33, 64, 274}) {
+      for (size_t tail = 0; tail <= 16; ++tail) {
+        std::vector<Seq> seqs;
+        seqs.push_back({RandomBytes(&rng, offset), offset, match});
+        if (tail > 0) seqs.push_back({RandomBytes(&rng, tail), 0, 0});
+        frames.push_back(BuildFrame(seqs));
+      }
+    }
+  }
+  for (size_t len : {14, 15, 16, 269, 270, 271, 524, 525, 526}) {
+    // Literal run with an extension, then as the final sequence.
+    frames.push_back(BuildFrame({{RandomBytes(&rng, len), 0, 0}}));
+    frames.push_back(BuildFrame(
+        {{RandomBytes(&rng, len), 3, 4}, {RandomBytes(&rng, 5), 0, 0}}));
+    // Match length code at the same boundaries.
+    frames.push_back(BuildFrame({{RandomBytes(&rng, 9), 9, len + 4}}));
+    frames.push_back(BuildFrame(
+        {{RandomBytes(&rng, 20), 20, len + 4}, {RandomBytes(&rng, 1), 0, 0}}));
+  }
+  // Long literal runs ending exactly at raw_size and 1-16 bytes short,
+  // after matches that leave no slack for a wild copy.
+  for (size_t lit = 1; lit <= 48; ++lit) {
+    for (size_t tail = 0; tail <= 16; tail += 4) {
+      std::vector<Seq> seqs;
+      seqs.push_back({RandomBytes(&rng, 8), 8, 12});
+      seqs.push_back({RandomBytes(&rng, lit), 5, 4 + tail});
+      frames.push_back(BuildFrame(seqs));
+    }
+  }
+  return frames;
+}
+
+TEST(CompressEdgeTest, HandBuiltFramesMatchReferenceDecoder) {
+  for (const std::string& frame : EdgeFrames()) {
+    std::string want;
+    ASSERT_TRUE(ReferenceDecode(frame, &want));
+    ExpectMatchesReference(frame);
+  }
+}
+
+TEST(CompressEdgeTest, SingleByteMutationsMatchReferenceDecoder) {
+  Rng rng(88);
+  const std::vector<std::string> frames = EdgeFrames();
+  for (size_t f = 0; f < frames.size(); f += 7) {
+    const std::string& frame = frames[f];
+    for (size_t i = 0; i < frame.size(); ++i) {
+      std::string mutated = frame;
+      mutated[i] ^= static_cast<char>(1 + rng.Uniform(255));
+      ExpectMatchesReference(mutated);
+    }
+  }
+}
+
+TEST(CompressEdgeTest, OverlappingMatchesRoundTrip) {
+  Rng rng(99);
+  for (size_t period = 1; period <= 16; ++period) {
+    const std::string seed = RandomBytes(&rng, period);
+    for (size_t len : {16, 17, 31, 64, 300, 4096}) {
+      for (size_t tail = 0; tail <= 16; ++tail) {
+        std::string input = RandomBytes(&rng, 5);
+        while (input.size() < 5 + len) input += seed;
+        input.resize(5 + len);
+        input += RandomBytes(&rng, tail);
+        std::string frame;
+        Compress(input, &frame);
+        std::string out;
+        ASSERT_TRUE(Decompress(frame, &out).ok());
+        ASSERT_EQ(out, input) << "period " << period << " len " << len;
+        ExpectMatchesReference(frame);
+      }
+    }
+  }
+}
+
+TEST(CompressEdgeTest, MatchesEndingAtOrNearInputEndRoundTrip) {
+  // A block, then a copy of its prefix cut 0-16 bytes short of the full
+  // block: the encoder's word-at-a-time extension must stop exactly at the
+  // input end or at the first differing byte.
+  Rng rng(111);
+  const std::string block = RandomBytes(&rng, 64);
+  for (size_t copy = 4; copy <= 64; ++copy) {
+    for (size_t diff = 0; diff <= 1; ++diff) {
+      std::string input = block + block.substr(0, copy);
+      if (diff == 1) input.back() ^= 0x5a;
+      std::string frame;
+      Compress(input, &frame);
+      std::string out;
+      ASSERT_TRUE(Decompress(frame, &out).ok());
+      ASSERT_EQ(out, input) << "copy " << copy << " diff " << diff;
+      ExpectMatchesReference(frame);
+    }
+  }
 }
 
 }  // namespace

@@ -33,6 +33,11 @@ struct CodeNameCase {
   const char* name;
 };
 
+// Without this, gtest prints the raw bytes of the case (padding and heap
+// pointers included), and gtest_discover_tests names each test after that
+// print, so the test names would change from one build to the next.
+void PrintTo(const CodeNameCase& c, std::ostream* os) { *os << c.name; }
+
 class StatusCodeNameTest : public ::testing::TestWithParam<CodeNameCase> {};
 
 TEST_P(StatusCodeNameTest, EveryConstructorMapsToItsCode) {

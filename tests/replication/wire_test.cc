@@ -269,6 +269,62 @@ TEST(WireChunkedTest, TruncatedChunkedFramesAreRejected) {
   }
 }
 
+// A batch whose plain body spans exactly three kChunkBytes chunks: 4 KiB
+// payloads cycling through 64-byte-segment blocks, noise and a one-byte
+// run, plus a folded tombstone.
+std::vector<JournalRecord> MakeThreeChunkBatch() {
+  Rng rng(2024);
+  std::vector<JournalRecord> batch;
+  for (int i = 0; i < 36; ++i) {
+    JournalRecord rec;
+    rec.sequence = 500 + i;
+    rec.volume_id = 1 + (i % 2);
+    rec.lba = i * 8;
+    rec.block_count = 1;
+    rec.ack_time = 9000000 + i * 97;
+    rec.atomic_through = 535;
+    std::string payload(4096, '\0');
+    if (i % 3 == 0) {
+      for (size_t s = 0; s < payload.size(); s += 64) {
+        if (s > 0 && rng.Bernoulli(0.5)) {
+          payload.replace(s, 64, payload, rng.Uniform(s / 64) * 64, 64);
+        } else {
+          for (size_t k = s; k < s + 64; ++k) {
+            payload[k] = static_cast<char>(rng.Uniform(256));
+          }
+        }
+      }
+    } else if (i % 3 == 1) {
+      for (char& c : payload) c = static_cast<char>(rng.Uniform(256));
+    } else {
+      payload.assign(4096, static_cast<char>('k' + i % 7));
+    }
+    rec.payload = PayloadBuffer::Copy(payload);
+    batch.push_back(std::move(rec));
+  }
+  batch[7].folded = true;
+  batch[7].payload = PayloadBuffer();
+  return batch;
+}
+
+// Pinned frame size and CRC32C of the chunked encoding. Frame bytes drive
+// simulated link timing, so a codec change that moves them must fail here.
+TEST(WireChunkedTest, GoldenFrameAtOneAndFourLanes) {
+  const auto batch = MakeThreeChunkBatch();
+  for (unsigned lanes : {1u, 4u}) {
+    exec::ThreadPool pool(lanes);
+    const EncodedBatch enc = EncodeBatch(batch, /*compress=*/true, &pool);
+    EXPECT_GT(enc.logical_bytes, 2 * kChunkBytes);
+    EXPECT_LE(enc.logical_bytes, 3 * kChunkBytes);
+    EXPECT_EQ(enc.frame.size(), 72938u) << "lanes=" << lanes;
+    EXPECT_EQ(Crc32c(enc.frame.data(), enc.frame.size()), 0x9fab7e8eu)
+        << "lanes=" << lanes;
+    auto decoded = DecodeBatch(enc.frame, &pool);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    ExpectBatchEquals(*decoded, batch);
+  }
+}
+
 TEST(WireTest, GarbageNeverCrashes) {
   Rng rng(4242);
   for (int trial = 0; trial < 300; ++trial) {
