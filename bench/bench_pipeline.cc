@@ -6,21 +6,17 @@
 //        writes): bytes shipped (journal-logical and framed wire), fold
 //        ratio, steady-state journal depth and apply throughput with
 //        write-folding on vs off, at the same host write rate.
-//   E10b Resync of a 25%-dirty volume: extent-merged transfer vs the
-//        per-block transfer the old unordered-set engine performed (one
-//        record, one heap string and one secondary write per block, in
-//        hash-table iteration order). Volumes use 512 B sectors — the
-//        granularity storage arrays address LBAs at — so per-record
-//        overhead is visible next to the memcpy, which is exactly the
-//        cost extent merging amortizes. The dirty set is 16-sector runs
-//        scattered across a 1 GiB volume — the shape a suspended OLTP
-//        workload leaves behind — so the baseline's random single-block
-//        access also pays its locality cost while runs still merge into
-//        extents. Extent capture is zero-copy (slab views under
-//        pre-overwrite COW protection), so the pipeline moves each byte
-//        once where the old loop moved it twice with per-record overhead
-//        on top. Reported in host CPU time — the simulated wire carries
-//        almost the same bytes either way.
+//   E10b Resync of a 25%-dirty volume through extent-merged transfer.
+//        Volumes use 512 B sectors — the granularity storage arrays
+//        address LBAs at — so per-record overhead is visible next to the
+//        memcpy, which is exactly the cost extent merging amortizes. The
+//        dirty set is 16-sector runs scattered across a 1 GiB volume —
+//        the shape a suspended OLTP workload leaves behind. Extent capture
+//        is zero-copy (slab views under pre-overwrite COW protection).
+//        Reported in host CPU time, simulated time, extents and wire
+//        bytes. The per-block and unordered-set baselines in the committed
+//        BENCH_pipeline.json were measured before those paths were
+//        removed.
 //
 //   E11  Wire-format shipping under a bandwidth-constrained (100 Mbit/s)
 //        inter-site link, driven by real database workloads (the
@@ -38,7 +34,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -175,7 +170,7 @@ FoldResult RunFoldScenario(bool folding, bool quick) {
   return res;
 }
 
-// ---- E10b: extent resync vs the per-block (unordered-set era) transfer -----
+// ---- E10b: extent resync -------------------------------------------------
 
 struct ResyncResult {
   double host_seconds = 0;     // CPU time for capture + apply, all iters.
@@ -190,8 +185,7 @@ struct ResyncResult {
 constexpr uint32_t kSectorBytes = 512;
 
 // Dirty 25% of the volume as 16-sector runs with 48-sector gaps, spread
-// across the whole address space. Both engine modes and the legacy
-// baseline use the same pattern.
+// across the whole address space.
 constexpr uint64_t kDirtyRunBlocks = 16;
 constexpr uint64_t kDirtyStride = 64;
 
@@ -205,10 +199,9 @@ void WriteDirtyPattern(uint64_t blocks, WriteFn&& write) {
   }
 }
 
-ResyncResult RunResyncScenario(bool extents, bool quick) {
-  // 1 GiB in the full run: the dirty quarter of source+destination has
-  // to overflow the (large) last-level cache, or the baseline's random
-  // access order costs nothing.
+ResyncResult RunResyncScenario(bool quick) {
+  // 1 GiB in the full run: the dirty quarter of source+destination
+  // overflows the (large) last-level cache.
   const uint64_t kBlocks = quick ? 16384 : 2097152;
   const int iters = quick ? 2 : 10;
 
@@ -219,7 +212,6 @@ ResyncResult RunResyncScenario(bool extents, bool quick) {
   replication::ConsistencyGroupConfig cg;
   cg.name = "resync";
   cg.journal_capacity_bytes = 256ull << 20;
-  cg.enable_extent_resync = extents;
   auto group = rig.engine->CreateConsistencyGroup(cg);
   ZB_CHECK(group.ok());
   replication::PairConfig pc;
@@ -236,7 +228,7 @@ ResyncResult RunResyncScenario(bool extents, bool quick) {
   uint64_t wire_before = rig.fwd->bytes_sent();
   // Iteration 0 is an untimed warmup: it pays the first-touch page faults
   // of both volumes' backing chunks, which would otherwise be billed to
-  // whichever mode runs first.
+  // the first measured iteration.
   for (int it = 0; it <= iters; ++it) {
     ZB_CHECK(rig.engine->SuspendGroup(*group).ok());
     const std::string payload(kSectorBytes, static_cast<char>('a' + it));
@@ -276,66 +268,6 @@ ResyncResult RunResyncScenario(bool extents, bool quick) {
   ZB_CHECK(stats.ok());
   res.extents = stats->resync_extents - res.extents;
   res.blocks = stats->resync_blocks - res.blocks;
-  return res;
-}
-
-// The engine before the coalescing pipeline tracked dirty blocks in a
-// std::unordered_set<Lba> and resynced with one record, one heap string
-// and one single-block secondary write per block, applied in hash-table
-// iteration order. That code is gone; this reproduces its capture/apply
-// loop verbatim against real volumes so the speedup is measured, not
-// remembered. (No simulated link: the legacy loop gets the CPU-only
-// benefit of the doubt.)
-ResyncResult RunLegacyResyncBaseline(bool quick) {
-  const uint64_t kBlocks = quick ? 16384 : 2097152;
-  const int iters = quick ? 2 : 10;
-
-  Rig rig = MakeRig(1.25e9);
-  auto p = rig.main->CreateVolume("p", kBlocks, kSectorBytes);
-  auto s = rig.backup->CreateVolume("s", kBlocks, kSectorBytes);
-  ZB_CHECK(p.ok() && s.ok());
-  storage::Volume* pvol = rig.main->GetVolume(*p);
-  storage::Volume* svol = rig.backup->GetVolume(*s);
-
-  struct LegacyBlock {
-    uint64_t lba;
-    std::string data;
-  };
-  ResyncResult res;
-  for (int it = 0; it <= iters; ++it) {
-    const std::string payload(kSectorBytes, static_cast<char>('a' + it));
-    std::unordered_set<uint64_t> dirty;
-    WriteDirtyPattern(kBlocks, [&](uint64_t lba) {
-      ZB_CHECK(pvol->Write(lba, 1, payload).ok());
-      dirty.insert(lba);
-    });
-    const auto t0 = std::chrono::steady_clock::now();
-    // Capture, exactly as the old ResyncGroup did: per-block 4 KiB
-    // string reads, in hash order.
-    std::vector<LegacyBlock> blocks;
-    uint64_t bytes = 0;
-    for (uint64_t lba : dirty) {
-      blocks.push_back(LegacyBlock{lba, pvol->store().ReadBlock(lba)});
-      bytes += pvol->block_size() + journal::JournalRecord::kHeaderSize;
-    }
-    // Delivery: per-block erase, per-block volume lookup (the old loop
-    // called FindPair + GetVolume for every record) and a single-block
-    // secondary write.
-    for (const auto& blk : blocks) {
-      dirty.erase(blk.lba);
-      storage::Volume* sv = rig.backup->GetVolume(*s);
-      if (sv == nullptr) continue;
-      ZB_CHECK(sv->Write(blk.lba, 1, blk.data).ok());
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    ZB_CHECK(dirty.empty());
-    if (it == 0) continue;
-    res.host_seconds += std::chrono::duration<double>(t1 - t0).count();
-    res.wire_bytes += bytes;
-    res.extents += blocks.size();
-    res.blocks += blocks.size();
-  }
-  ZB_CHECK(pvol->ContentEquals(*svol));
   return res;
 }
 
@@ -486,8 +418,7 @@ std::vector<WireCell> RunWireAblation(bool quick) {
 
 void WriteJson(const std::string& path, bool quick, bool wire_only,
                const FoldResult& on, const FoldResult& off,
-               const ResyncResult& ext, const ResyncResult& blk,
-               const ResyncResult& legacy,
+               const ResyncResult& ext,
                const std::vector<WireCell>& wire) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   ZB_CHECK(f != nullptr);
@@ -503,8 +434,6 @@ void WriteJson(const std::string& path, bool quick, bool wire_only,
         on.mean_journal_depth > 0
             ? off.mean_journal_depth / on.mean_journal_depth
             : 0;
-    const double resync_speedup =
-        ext.host_seconds > 0 ? legacy.host_seconds / ext.host_seconds : 0;
     std::fprintf(f, "  \"fold\": {\n");
     auto fold_obj = [&](const char* key, const FoldResult& r,
                         const char* tail) {
@@ -529,22 +458,14 @@ void WriteJson(const std::string& path, bool quick, bool wire_only,
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"resync\": {\n");
     std::fprintf(f, "    \"sector_bytes\": %u,\n", kSectorBytes);
-    auto resync_obj = [&](const char* key, const ResyncResult& r,
-                          const char* tail) {
-      std::fprintf(f,
-                   "    \"%s\": {\"host_seconds\": %.6f, \"sim_seconds\": "
-                   "%.6f, \"wire_bytes\": %llu, \"extents\": %llu, "
-                   "\"blocks\": %llu}%s\n",
-                   key, r.host_seconds, r.sim_seconds,
-                   (unsigned long long)r.wire_bytes,
-                   (unsigned long long)r.extents,
-                   (unsigned long long)r.blocks, tail);
-    };
-    resync_obj("extent", ext, ",");
-    resync_obj("per_block", blk, ",");
-    resync_obj("legacy_unordered_set", legacy, ",");
-    std::fprintf(f, "    \"host_time_speedup_vs_legacy\": %.3f\n",
-                 resync_speedup);
+    std::fprintf(f,
+                 "    \"extent\": {\"host_seconds\": %.6f, \"sim_seconds\": "
+                 "%.6f, \"wire_bytes\": %llu, \"extents\": %llu, "
+                 "\"blocks\": %llu}\n",
+                 ext.host_seconds, ext.sim_seconds,
+                 (unsigned long long)ext.wire_bytes,
+                 (unsigned long long)ext.extents,
+                 (unsigned long long)ext.blocks);
     std::fprintf(f, "  },\n");
   }
   std::fprintf(f, "  \"wire\": [\n");
@@ -571,7 +492,7 @@ void WriteJson(const std::string& path, bool quick, bool wire_only,
 
 int Run(bool quick, bool wire_only, const std::string& out_path) {
   FoldResult on, off;
-  ResyncResult ext, blk, legacy;
+  ResyncResult ext;
   if (!wire_only) {
     PrintTitle("E10a: write-folding on the hot-10% overwrite workload "
                "(20k writes/s, 16 ms cycle, 1 Gbit/s link)");
@@ -603,27 +524,15 @@ int Run(bool quick, bool wire_only, const std::string& out_path) {
               fold_reduction, depth_ratio);
 
     PrintTitle("E10b: 25%-dirty 1 GiB volume resync (512 B sectors) — "
-               "merged extents vs the per-block transfer of the "
-               "unordered-set engine");
-    PrintLine("%12s %14s %14s %14s %14s", "mode", "host_ms", "sim_ms",
-              "extents", "wire_MB");
+               "merged extents");
+    PrintLine("%14s %14s %14s %14s %14s", "host_ms", "sim_ms", "extents",
+              "blocks", "wire_MB");
     PrintRule();
-    ext = RunResyncScenario(true, quick);
-    blk = RunResyncScenario(false, quick);
-    legacy = RunLegacyResyncBaseline(quick);
-    for (const auto& [label, r] :
-         {std::pair<const char*, const ResyncResult&>{"extent", ext},
-          {"per_block", blk},
-          {"legacy_set", legacy}}) {
-      PrintLine("%12s %14.2f %14.2f %14llu %14.1f", label,
-                r.host_seconds * 1e3, r.sim_seconds * 1e3,
-                (unsigned long long)r.extents, double(r.wire_bytes) / 1e6);
-    }
+    ext = RunResyncScenario(quick);
+    PrintLine("%14.2f %14.2f %14llu %14llu %14.1f", ext.host_seconds * 1e3,
+              ext.sim_seconds * 1e3, (unsigned long long)ext.extents,
+              (unsigned long long)ext.blocks, double(ext.wire_bytes) / 1e6);
     PrintRule();
-    const double resync_speedup =
-        ext.host_seconds > 0 ? legacy.host_seconds / ext.host_seconds : 0;
-    PrintLine("resync host-time speedup vs unordered-set engine: %.2fx",
-              resync_speedup);
   }
 
   PrintTitle("E11: wire-format shipping on a 100 Mbit/s link — "
@@ -643,7 +552,7 @@ int Run(bool quick, bool wire_only, const std::string& out_path) {
   }
   PrintRule();
 
-  WriteJson(out_path, quick, wire_only, on, off, ext, blk, legacy, wire);
+  WriteJson(out_path, quick, wire_only, on, off, ext, wire);
   PrintLine("wrote %s", out_path.c_str());
   return 0;
 }

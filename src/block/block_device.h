@@ -28,9 +28,9 @@ struct BlockRun {
   std::string_view data;
 };
 
-// Synchronous block-device interface. The functional layers (mini-DB,
-// recovery, invariant checkers) use this; the timing-sensitive paths go
-// through AsyncBlockDevice which adds a latency model on top.
+// Synchronous block-device interface. Every store implements it; the
+// array's host IO path adds simulated media latency (DeviceLatencyModel)
+// on top.
 class BlockDevice {
  public:
   virtual ~BlockDevice() = default;
@@ -60,23 +60,14 @@ class BlockDevice {
   Status CheckRange(Lba lba, uint32_t count) const;
 };
 
-// A single async IO request. `data` carries the payload for writes and
-// receives the payload for reads. The callback fires exactly once, at the
-// simulated completion ("ack") time.
+// Completion of one asynchronous host IO. The callback fires exactly
+// once, at the simulated completion ("ack") time.
 struct IoResult {
   Status status;
   std::string data;  // Read payload; empty for writes.
 };
 
 using IoCallback = std::function<void(IoResult)>;
-
-struct IoRequest {
-  IoType type = IoType::kRead;
-  Lba lba = 0;
-  uint32_t block_count = 1;
-  std::string data;  // Write payload.
-  IoCallback callback;
-};
 
 }  // namespace zerobak::block
 

@@ -32,9 +32,7 @@ struct DemoSystemConfig {
   // Continuous RPO sampling cadence; 0 leaves the tracker stopped (the
   // instruments stay attached either way).
   SimDuration rpo_sample_interval = Milliseconds(10);
-  // Passed through to the replication engine (event-driven scheduler on
-  // by default; flip off only for A/B comparisons against the legacy
-  // per-group timers).
+  // Passed through to the replication engine (compute lane count).
   replication::EngineOptions engine;
   // Background at-rest integrity scrubbing (DESIGN.md §4c). Off by
   // default: scrub is a robustness feature the demos opt into, and

@@ -103,16 +103,13 @@ std::string DescribeReplication(replication::ReplicationEngine* engine) {
   std::string out;
   AppendLine(&out, "replication: %zu groups, %zu pairs",
              engine->ListGroups().size(), engine->ListPairs().size());
-  if (engine->event_driven()) {
-    const auto sched = engine->scheduler_stats();
-    AppendLine(&out,
-               "  scheduler: %" PRIu64 "/%" PRIu64 " armed, arms=%" PRIu64
-               " dispatches=%" PRIu64 " heartbeat_rescues=%" PRIu64
-               " starved_turns=%" PRIu64,
-               sched.armed_groups, sched.registered_groups, sched.arms,
-               sched.dispatches, sched.heartbeat_rescues,
-               sched.starved_turns);
-  }
+  const auto& sched = engine->scheduler_stats();
+  AppendLine(&out,
+             "  scheduler: %" PRIu64 "/%" PRIu64 " armed, arms=%" PRIu64
+             " dispatches=%" PRIu64 " heartbeat_rescues=%" PRIu64
+             " starved_turns=%" PRIu64,
+             sched.armed_groups, sched.registered_groups, sched.arms,
+             sched.dispatches, sched.heartbeat_rescues, sched.starved_turns);
   for (replication::GroupId gid : engine->ListGroups()) {
     auto stats = engine->GetGroupStats(gid);
     auto name = engine->GetGroupName(gid);

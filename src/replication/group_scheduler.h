@@ -48,18 +48,17 @@ struct SchedulerStats {
   uint64_t registered_groups = 0;
 };
 
-// Demand-driven replacement for the per-group transfer timers.
+// Demand-driven transfer scheduler for every consistency group.
 //
 // Every consistency group registers once; *edges* — a journal append, an
 // apply-ack, a link reconnect, a resync completion — arm it, and a single
 // dispatch loop pumps the armed set. An idle group costs zero simulation
 // events: nothing fires until an edge arms it again.
 //
-// Arming preserves the batching window of the old periodic engine: a
-// group armed at time t is due at the next multiple of its
-// transfer_interval (counted from registration), so same-window writes
-// still coalesce and fold exactly as they did under the timer. A pumped
-// group with remaining backlog is rescheduled at
+// Arming keeps a periodic batching window: a group armed at time t is
+// due at the next multiple of its transfer_interval (counted from
+// registration), so same-window writes coalesce and fold into one
+// batch. A pumped group with remaining backlog is rescheduled at
 // min(next tick, wire drain): on an idle wire it drains the journal
 // immediately instead of waiting out the interval, while a saturated wire
 // falls back to tick cadence — which is what keeps the adaptive batch

@@ -11,6 +11,14 @@
 
 namespace zerobak::replication {
 
+namespace {
+
+// Cadence of the scheduler's single slow heartbeat: the rescue scan for
+// groups with backlog but no pending arm edge.
+constexpr SimDuration kSchedulerHeartbeat = Milliseconds(50);
+
+}  // namespace
+
 const char* PairStateName(PairState state) {
   switch (state) {
     case PairState::kCopy:
@@ -70,7 +78,6 @@ ConsistencyGroupConfig ConsistencyGroupConfig::Normalized() const {
         std::clamp(out.transfer_batch_bytes, out.transfer_batch_min_bytes,
                    out.transfer_batch_max_bytes);
   }
-  if (out.resync_max_extent_blocks == 0) out.resync_max_extent_blocks = 1;
   return out;
 }
 
@@ -83,9 +90,6 @@ Status ConsistencyGroupConfig::Validate() const {
   }
   if (transfer_batch_bytes == 0) {
     return InvalidArgumentError("transfer_batch_bytes must be nonzero");
-  }
-  if (resync_max_extent_blocks == 0) {
-    return InvalidArgumentError("resync_max_extent_blocks must be nonzero");
   }
   if (ack_timeout < 0) {
     return InvalidArgumentError("ack_timeout must be >= 0 (0 disables)");
@@ -211,39 +215,35 @@ ReplicationEngine::ReplicationEngine(sim::SimEnvironment* env,
       secondary_(secondary),
       to_secondary_(to_secondary),
       to_primary_(to_primary),
-      options_(options) {
+      scheduler_(
+          env_, to_secondary_, kSchedulerHeartbeat,
+          [this](GroupSchedulerId id, uint64_t max_bytes) {
+            if (id >= kScrubSchedBase) {
+              return scrubber_ != nullptr ? scrubber_->PumpStep(max_bytes)
+                                          : PumpOutcome{};
+            }
+            Group* group = FindGroup(static_cast<GroupId>(id));
+            if (group == nullptr) return PumpOutcome{};
+            return PumpGroup(group, max_bytes);
+          },
+          [this] { return HeartbeatScan(); }) {
   // compute_threads: 0 = auto (one lane per hardware thread), 1 = inline.
   // A 1-lane pool would behave identically but still construct machinery,
   // so inline mode simply has no pool and every call site passes nullptr.
-  const unsigned lanes = options_.compute_threads == 0
+  const unsigned lanes = options.compute_threads == 0
                              ? exec::ThreadPool::HardwareLanes()
-                             : options_.compute_threads;
+                             : options.compute_threads;
   if (lanes > 1) {
     compute_pool_ = std::make_unique<exec::ThreadPool>(lanes);
   }
-  if (options_.event_driven_scheduler) {
-    scheduler_ = std::make_unique<GroupScheduler>(
-        env_, to_secondary_, options_.scheduler_heartbeat,
-        [this](GroupSchedulerId id, uint64_t max_bytes) {
-          if (id >= kScrubSchedBase) {
-            return scrubber_ != nullptr ? scrubber_->PumpStep(max_bytes)
-                                        : PumpOutcome{};
-          }
-          Group* group = FindGroup(static_cast<GroupId>(id));
-          if (group == nullptr) return PumpOutcome{};
-          return PumpGroup(group, max_bytes);
-        },
-        [this] { return HeartbeatScan(); });
-    // Link reconnect is an arm edge: groups with backlog resume without
-    // waiting for the heartbeat.
-    to_secondary_->SetReadyCallback([this] { OnLinkReady(); });
-  }
+  // Link reconnect is an arm edge: groups with backlog resume without
+  // waiting for the heartbeat.
+  to_secondary_->SetReadyCallback([this] { OnLinkReady(); });
 }
 
 ReplicationEngine::~ReplicationEngine() {
-  if (scheduler_ != nullptr) to_secondary_->SetReadyCallback({});
+  to_secondary_->SetReadyCallback({});
   for (auto& [id, group] : groups_) {
-    if (group->transfer_task) group->transfer_task->Stop();
     CancelResyncRetry(group.get());
     UnprotectInflightResync(group.get());
     // The arrays (and their journals) may outlive the engine; detach the
@@ -278,21 +278,13 @@ StatusOr<GroupId> ReplicationEngine::CreateConsistencyGroup(
   group->secondary_journal = *sj_or;
   group->batch_bytes_now = group->config.transfer_batch_bytes;
   Group* raw = group.get();
-  if (scheduler_ != nullptr) {
-    // Event-driven transfer: the group idles until a journal append (the
-    // hook below), an apply-ack, a link reconnect or a resync completion
-    // arms it.
-    scheduler_->Register(id, raw->config.transfer_interval,
-                         raw->batch_bytes_now);
-    auto* pjv = primary_->GetJournal(pj);
-    ZB_CHECK(pjv != nullptr);
-    pjv->SetAppendCallback(
-        [this, id](journal::SequenceNumber) { OnPrimaryJournalAppend(id); });
-  } else {
-    group->transfer_task = std::make_unique<sim::PeriodicTask>(
-        env_, raw->config.transfer_interval, [this, raw] { PumpGroup(raw); });
-    group->transfer_task->Start();
-  }
+  // The group idles until a journal append (the hook below), an
+  // apply-ack, a link reconnect or a resync completion arms it.
+  scheduler_.Register(id, raw->config.transfer_interval, raw->batch_bytes_now);
+  auto* pjv = primary_->GetJournal(pj);
+  ZB_CHECK(pjv != nullptr);
+  pjv->SetAppendCallback(
+      [this, id](journal::SequenceNumber) { OnPrimaryJournalAppend(id); });
   groups_.emplace(id, std::move(group));
   if (registry_ != nullptr) InstrumentGroupJournals(raw);
   return id;
@@ -304,12 +296,9 @@ Status ReplicationEngine::DeleteConsistencyGroup(GroupId id) {
   if (!group->pairs.empty()) {
     return FailedPreconditionError("group still has pairs");
   }
-  if (group->transfer_task) group->transfer_task->Stop();
-  if (scheduler_ != nullptr) {
-    scheduler_->Unregister(id);
-    auto* pjv = primary_->GetJournal(group->primary_journal);
-    if (pjv != nullptr) pjv->SetAppendCallback({});
-  }
+  scheduler_.Unregister(id);
+  auto* pjv = primary_->GetJournal(group->primary_journal);
+  if (pjv != nullptr) pjv->SetAppendCallback({});
   CancelResyncRetry(group);
   (void)primary_->DeleteJournal(group->primary_journal);
   (void)secondary_->DeleteJournal(group->secondary_journal);
@@ -411,9 +400,7 @@ void ReplicationEngine::AttachObservability(obs::MetricRegistry* registry,
   if (scrubber_ != nullptr) scrubber_->AttachObservability(registry, trace);
   if (registry == nullptr) {
     ins_ = EngineInstruments{};
-    if (scheduler_ != nullptr) {
-      scheduler_->AttachObservability(GroupScheduler::Instruments{}, trace);
-    }
+    scheduler_.AttachObservability(GroupScheduler::Instruments{}, trace);
     return;
   }
   ins_.batches_shipped = registry->GetCounter("replication.batches_shipped");
@@ -443,16 +430,14 @@ void ReplicationEngine::AttachObservability(obs::MetricRegistry* registry,
     // sections that ran while detached.
     exec_synced_ = compute_pool_->stats();
   }
-  if (scheduler_ != nullptr) {
-    GroupScheduler::Instruments sins;
-    sins.arms = registry->GetCounter("sched.arms");
-    sins.wakeups = registry->GetCounter("sched.wakeups");
-    sins.dispatches = registry->GetCounter("sched.dispatches");
-    sins.heartbeats = registry->GetCounter("sched.heartbeats");
-    sins.starved_turns = registry->GetCounter("sched.starved_turns");
-    sins.armed_groups = registry->GetGauge("sched.armed_groups");
-    scheduler_->AttachObservability(sins, trace);
-  }
+  GroupScheduler::Instruments sins;
+  sins.arms = registry->GetCounter("sched.arms");
+  sins.wakeups = registry->GetCounter("sched.wakeups");
+  sins.dispatches = registry->GetCounter("sched.dispatches");
+  sins.heartbeats = registry->GetCounter("sched.heartbeats");
+  sins.starved_turns = registry->GetCounter("sched.starved_turns");
+  sins.armed_groups = registry->GetGauge("sched.armed_groups");
+  scheduler_.AttachObservability(sins, trace);
   for (auto& [id, group] : groups_) InstrumentGroupJournals(group.get());
 }
 
@@ -935,19 +920,16 @@ PumpOutcome ReplicationEngine::PumpGroup(Group* group, uint64_t max_bytes) {
 }
 
 void ReplicationEngine::OnPrimaryJournalAppend(GroupId id) {
-  if (scheduler_ == nullptr) return;
   Group* group = FindGroup(id);
   if (group == nullptr || group->suspended || group->failed_over) return;
-  scheduler_->Arm(id);
+  scheduler_.Arm(id);
 }
 
 void ReplicationEngine::OnLinkReady() {
-  if (scheduler_ == nullptr) return;
   for (const auto& [id, group] : groups_) ArmIfPending(id);
 }
 
 void ReplicationEngine::ArmIfPending(GroupId id) {
-  if (scheduler_ == nullptr) return;
   Group* group = FindGroup(id);
   if (group == nullptr || group->suspended || group->failed_over) return;
   auto* jnl = primary_->GetJournal(group->primary_journal);
@@ -955,7 +937,7 @@ void ReplicationEngine::ArmIfPending(GroupId id) {
   if (jnl->shipped() < jnl->written() ||
       (group->config.enable_adaptive_batching &&
        jnl->acked() < jnl->written())) {
-    scheduler_->Arm(id);
+    scheduler_.Arm(id);
   }
 }
 
@@ -967,11 +949,11 @@ uint64_t ReplicationEngine::HeartbeatScan() {
   uint64_t rescued = 0;
   for (const auto& [id, group] : groups_) {
     if (group->suspended || group->failed_over) continue;
-    if (scheduler_->armed(id)) continue;
+    if (scheduler_.armed(id)) continue;
     auto* jnl = primary_->GetJournal(group->primary_journal);
     if (jnl == nullptr) continue;
     if (jnl->shipped() < jnl->written()) {
-      scheduler_->Arm(id);
+      scheduler_.Arm(id);
       ++rescued;
     }
   }
@@ -1174,7 +1156,7 @@ void ReplicationEngine::ApplyBatch(Group* group,
     if (pair == nullptr) continue;
     storage::Volume* svol = secondary_->GetVolume(pair->config_.secondary);
     if (svol == nullptr) continue;
-    bool sorted_ok = group->config.enable_sorted_apply && recs.size() > 1;
+    bool sorted_ok = recs.size() > 1;
     if (sorted_ok) {
       // Scan order is sequence order, so the stable sort keeps same-LBA
       // records in write order — but any overlap (folding only removes
@@ -1395,7 +1377,7 @@ void ReplicationEngine::UnprotectInflightResync(Group* group) {
 void ReplicationEngine::MarkGroupSuspended(Group* group) {
   group->suspended = true;
   // A suspended group ships nothing; it re-arms on resync completion.
-  if (scheduler_ != nullptr) scheduler_->Disarm(group->id);
+  scheduler_.Disarm(group->id);
   // A suspension supersedes any resync in flight: its batch can no longer
   // be trusted to land, so put the captured blocks back into the dirty
   // bitmaps and invalidate its delivery/deadline by bumping the epoch.
@@ -1527,9 +1509,6 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
   std::vector<const block::MemVolume*> read_src;
   uint64_t bytes = 0;
   uint64_t total_blocks = 0;
-  const uint64_t max_len = group->config.enable_extent_resync
-                               ? group->config.resync_max_extent_blocks
-                               : 1;
   for (PairId pid : group->pairs) {
     Pair* pair = FindPair(pid);
     if (pair == nullptr || pair->state_ == PairState::kSwapped) continue;
@@ -1558,7 +1537,7 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
           extents->push_back(std::move(ext));
           read_src.push_back(src);
         },
-        max_len);
+        kResyncMaxExtentBlocks);
   }
   // Fill the copy-fallback buffers and compute every extent's capture
   // checksum off the serial path: each extent is a disjoint output slot
@@ -1721,7 +1700,7 @@ Status ReplicationEngine::ResyncSyncPair(PairId id) {
         bytes += ext.data.size() + journal::JournalRecord::kHeaderSize;
         extents->push_back(std::move(ext));
       },
-      kSyncResyncMaxExtentBlocks);
+      kResyncMaxExtentBlocks);
   const PairId pair_id = id;
   Status sent = to_secondary_->SendOnChannel(
       SyncChannel(pair_id), std::max<uint64_t>(bytes, kAckMessageBytes),
@@ -1753,8 +1732,7 @@ StatusOr<FailoverReport> ReplicationEngine::FailoverGroup(GroupId id) {
     return FailedPreconditionError("group already failed over");
   }
   group->failed_over = true;
-  if (group->transfer_task) group->transfer_task->Stop();
-  if (scheduler_ != nullptr) scheduler_->Disarm(id);
+  scheduler_.Disarm(id);
   // Recovery machinery stands down: no auto-resync on a failed-over group,
   // and a resync batch still in flight is moot (its target volumes are
   // about to be promoted).
@@ -1862,7 +1840,7 @@ StatusOr<FailbackReport> ReplicationEngine::FailbackGroup(GroupId id,
           extents->push_back(std::move(ext));
           read_src.push_back(&svol->store());
         },
-        kSyncResyncMaxExtentBlocks);
+        kResyncMaxExtentBlocks);
   }
   // Fill the captured buffers in parallel before anything below mutates
   // the S-VOLs: ReadInto is const and each extent is a disjoint slot, so
@@ -1919,10 +1897,9 @@ StatusOr<FailbackReport> ReplicationEngine::FailbackGroup(GroupId id,
   // Giveback writes are dirty-marked AND journaled forward, so the dirty
   // bits do not represent unsynced data; the journal bound covers them.
   group->oldest_unsynced_time = -1;
-  // Scheduler mode needs no explicit restart: the journals were Reset in
-  // place, so the append hook survives and the next P-VOL write (or the
-  // giveback's forward-journaled blocks) arms the group.
-  if (group->transfer_task) group->transfer_task->Start();
+  // No explicit scheduler restart: the journals were Reset in place, so
+  // the append hook survives and the next P-VOL write (or the giveback's
+  // forward-journaled blocks) arms the group.
 
   const GroupId group_id = id;
   Status sent = to_primary_->SendOnChannel(

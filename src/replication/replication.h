@@ -94,14 +94,6 @@ struct ConsistencyGroupConfig {
   // and the batch applies atomically so every recovery point is still a
   // write-order prefix.
   bool enable_write_folding = true;
-  // Within an atomically-applied batch, group records by volume and apply
-  // them in LBA order through the WriteRun API (sequential store access).
-  bool enable_sorted_apply = true;
-  // Ship resync deltas as sorted extent runs (adjacent dirty blocks merged
-  // into one multi-block record) instead of single blocks.
-  bool enable_extent_resync = true;
-  // Longest extent (in blocks) a single resync record may carry.
-  uint32_t resync_max_extent_blocks = 256;
   // Compress shipped batches inside the wire frame. The frame (and its
   // CRC integrity check) is always on; this knob only controls whether
   // the body is run through the block compressor. Incompressible batches
@@ -110,10 +102,10 @@ struct ConsistencyGroupConfig {
 
   // Returns a copy with the batch-sizing knobs forced into a sane shape:
   // min >= one default-sized record, max >= min, batch clamped into
-  // [min, max], extent length >= 1. The engine uses this only for
-  // RUNTIME adjustments (adaptive resizing never leaves sane bounds);
-  // configs submitted to CreateConsistencyGroup must pass Validate()
-  // as-is — bad knobs are an error, not a silent rewrite.
+  // [min, max]. The engine uses this only for RUNTIME adjustments
+  // (adaptive resizing never leaves sane bounds); configs submitted to
+  // CreateConsistencyGroup must pass Validate() as-is — bad knobs are an
+  // error, not a silent rewrite.
   ConsistencyGroupConfig Normalized() const;
 
   // Checks the knobs a user could plausibly get wrong: zero/negative
@@ -149,14 +141,6 @@ struct PairConfig {
 
 // Engine-wide tunables, fixed at construction.
 struct EngineOptions {
-  // Drive journal transfer with the event-driven GroupScheduler (armed by
-  // appends/acks/link edges; idle groups cost zero simulation events).
-  // When false, each group runs the legacy per-group PeriodicTask — kept
-  // as the A/B baseline for the scale benchmark.
-  bool event_driven_scheduler = true;
-  // Housekeeping cadence of the scheduler's single slow heartbeat (the
-  // rescue scan for groups with backlog but no pending edge).
-  SimDuration scheduler_heartbeat = Milliseconds(50);
   // Compute lanes (including the simulator thread) for the engine's
   // parallel sections: per-chunk wire compression and CRC, chunked
   // decode, sorted batch apply and resync capture. 0 = one lane per
@@ -407,21 +391,12 @@ class ReplicationEngine {
     fault_options_ = options;
   }
   const FaultOptions& fault_options() const { return fault_options_; }
-  [[deprecated("use SetFaultOptions(FaultOptions)")]]
-  void set_wire_corrupt_probability(double p) {
-    fault_options_.wire_corrupt_probability = p;
-  }
   // Frames actually corrupted by the injector so far.
   uint64_t wire_frames_corrupted() const { return wire_frames_corrupted_; }
 
   // --- Scheduler introspection ----------------------------------------------
-  // True when journal transfer runs on the event-driven GroupScheduler
-  // (EngineOptions::event_driven_scheduler).
-  bool event_driven() const { return scheduler_ != nullptr; }
-  // Scheduler counters; zeros in legacy per-group-timer mode.
-  SchedulerStats scheduler_stats() const {
-    return scheduler_ != nullptr ? scheduler_->stats() : SchedulerStats{};
-  }
+  // Counters of the GroupScheduler that drives journal transfer.
+  const SchedulerStats& scheduler_stats() const { return scheduler_.stats(); }
 
   // --- Compute pool introspection -------------------------------------------
   // The engine's parallel-section pool; null when compute_threads
@@ -433,9 +408,8 @@ class ReplicationEngine {
   // Starts the background scrubber (see replication/scrubber.h): a
   // low-priority walk over every consistency-group volume that verifies
   // block checksums, compares primary/secondary fingerprints and
-  // self-heals what it finds. Scheduled through the GroupScheduler in
-  // event-driven mode (pseudo-id >= kScrubSchedBase), a periodic task
-  // otherwise. Fails if already enabled.
+  // self-heals what it finds. Scheduled through the GroupScheduler under
+  // the pseudo-id kScrubSchedBase. Fails if already enabled.
   Status EnableScrubbing(const ScrubConfig& config);
   Scrubber* scrubber() { return scrubber_.get(); }
   const Scrubber* scrubber() const { return scrubber_.get(); }
@@ -445,12 +419,12 @@ class ReplicationEngine {
   friend class internal::AdcInterceptor;
   friend class internal::SyncInterceptor;
 
-  // One dirty extent (a run of adjacent blocks) captured for a resync
-  // batch. With extent resync disabled every extent has count == 1.
-  // Group resyncs capture zero-copy when the run sits inside one slab
-  // chunk: `view` borrows the primary's current content, and a
-  // pre-overwrite hook materializes it into `data` the moment the host
-  // writes into the captured range while the batch is on the wire.
+  // One dirty extent (a run of at most kResyncMaxExtentBlocks adjacent
+  // blocks) captured for a resync batch. Group resyncs capture zero-copy
+  // when the run sits inside one slab chunk: `view` borrows the primary's
+  // current content, and a pre-overwrite hook materializes it into `data`
+  // the moment the host writes into the captured range while the batch
+  // is on the wire.
   struct ResyncExtent {
     PairId pair = 0;
     uint64_t lba = 0;
@@ -475,7 +449,6 @@ class ReplicationEngine {
     std::vector<PairId> pairs;
     // P-VOL id -> pair, for the applier.
     std::unordered_map<storage::VolumeId, PairId> by_primary;
-    std::unique_ptr<sim::PeriodicTask> transfer_task;
     bool suspended = false;
     SuspendReason suspend_reason = SuspendReason::kNone;
     bool failed_over = false;
@@ -542,14 +515,14 @@ class ReplicationEngine {
   // Transfer engine: ships one batch (capped at `max_bytes`, though the
   // journal's one-record progress guarantee may overshoot) from the
   // group's primary journal. The outcome feeds the scheduler's DRR and
-  // re-arm decisions; the legacy timer path ignores it.
-  PumpOutcome PumpGroup(Group* group, uint64_t max_bytes = UINT64_MAX);
+  // re-arm decisions.
+  PumpOutcome PumpGroup(Group* group, uint64_t max_bytes);
   // Scheduler glue: arm edges and the slow-heartbeat rescue scan.
   void OnPrimaryJournalAppend(GroupId id);
   void OnLinkReady();
   uint64_t HeartbeatScan();
   // Arms `id` if the group exists, is healthy and has unshipped backlog
-  // (or demands a keep-alive tick). No-op in legacy mode.
+  // (or demands a keep-alive tick).
   void ArmIfPending(GroupId id);
   // Applies contiguous received records to the S-VOLs.
   void ApplyPending(Group* group);
@@ -611,9 +584,9 @@ class ReplicationEngine {
   storage::StorageArray* secondary_;
   sim::NetworkLink* to_secondary_;
   sim::NetworkLink* to_primary_;
-  EngineOptions options_;
-  // Event-driven transfer scheduler; null in legacy per-group-timer mode.
-  std::unique_ptr<GroupScheduler> scheduler_;
+  // Event-driven transfer scheduler: arm edges plus DRR dispatch drive
+  // every group's journal transfer and the scrubber's steps.
+  GroupScheduler scheduler_;
   // Background integrity scrubber; null until EnableScrubbing.
   std::unique_ptr<Scrubber> scrubber_;
   // Parallel-section pool (see EngineOptions::compute_threads); null when
@@ -686,8 +659,9 @@ class ReplicationEngine {
   static constexpr size_t kCompressionWindowBatches = 64;
 
   static constexpr uint64_t kAckMessageBytes = 64;
-  // Extent cap for standalone sync-pair resyncs (groups use their config).
-  static constexpr uint64_t kSyncResyncMaxExtentBlocks = 256;
+  // Longest extent (in blocks) a single resync record may carry, for
+  // group and standalone sync-pair resyncs alike.
+  static constexpr uint64_t kResyncMaxExtentBlocks = 256;
 
   // Channel scheme on the inter-site links: a consistency group's traffic
   // uses channel == its group id (one ordered stream per group — the

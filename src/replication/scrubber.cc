@@ -28,28 +28,17 @@ Scrubber::Scrubber(ReplicationEngine* engine, ScrubConfig config)
 
 Scrubber::~Scrubber() {
   if (restart_pending_) engine_->env_->Cancel(restart_event_);
-  if (engine_->scheduler_ != nullptr) {
-    engine_->scheduler_->Unregister(ReplicationEngine::kScrubSchedBase);
-  }
+  engine_->scheduler_.Unregister(ReplicationEngine::kScrubSchedBase);
 }
 
 void Scrubber::Start() {
-  if (engine_->scheduler_ != nullptr) {
-    // One scheduler slot for the whole scrubber: ticks at step_interval,
-    // ships zero wire bytes, so it can never crowd a group's DRR turn.
-    engine_->scheduler_->Register(ReplicationEngine::kScrubSchedBase,
-                                  config_.step_interval, /*quantum=*/1);
-    StartCycle();
-    if (cycle_active_) {
-      engine_->scheduler_->Arm(ReplicationEngine::kScrubSchedBase);
-    }
-  } else {
-    tick_task_ = std::make_unique<sim::PeriodicTask>(
-        engine_->env_, config_.step_interval, [this] {
-          if (cycle_active_) PumpStep(UINT64_MAX);
-        });
-    tick_task_->Start();
-    StartCycle();
+  // One scheduler slot for the whole scrubber: ticks at step_interval,
+  // ships zero wire bytes, so it can never crowd a group's DRR turn.
+  engine_->scheduler_.Register(ReplicationEngine::kScrubSchedBase,
+                               config_.step_interval, /*quantum=*/1);
+  StartCycle();
+  if (cycle_active_) {
+    engine_->scheduler_.Arm(ReplicationEngine::kScrubSchedBase);
   }
 }
 
@@ -117,8 +106,8 @@ void Scrubber::ScheduleRestart() {
       engine_->env_->now() + config_.cycle_interval, [this] {
         restart_pending_ = false;
         StartCycle();
-        if (cycle_active_ && engine_->scheduler_ != nullptr) {
-          engine_->scheduler_->Arm(ReplicationEngine::kScrubSchedBase);
+        if (cycle_active_) {
+          engine_->scheduler_.Arm(ReplicationEngine::kScrubSchedBase);
         }
       });
 }

@@ -2,7 +2,6 @@
 #define ZEROBAK_REPLICATION_SCRUBBER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,11 +68,10 @@ struct ScrubStats {
 //     primary restore (deferred while un-replicated writes exist, so a
 //     restore can never clobber newer data);
 //   * both bad -> counted unrecoverable, left alone.
-// Scheduling: in event-driven mode the scrubber occupies one
-// GroupScheduler slot (pseudo-id kScrubSchedBase) armed at step_interval
-// ticks; in legacy mode a PeriodicTask provides the same cadence. Either
-// way each tick scans at most max_extents_per_step extents, which is what
-// keeps scrub overhead invisible next to replication traffic.
+// Scheduling: the scrubber occupies one GroupScheduler slot (pseudo-id
+// kScrubSchedBase) armed at step_interval ticks. Each tick scans at most
+// max_extents_per_step extents, which is what keeps scrub overhead
+// invisible next to replication traffic.
 class Scrubber {
  public:
   Scrubber(ReplicationEngine* engine, ScrubConfig config);
@@ -130,9 +128,7 @@ class Scrubber {
   uint64_t extents_this_cycle_ = 0;
   uint64_t repairs_this_cycle_ = 0;
 
-  // Legacy-mode driver; null when the engine runs the event scheduler.
-  std::unique_ptr<sim::PeriodicTask> tick_task_;
-  // Pending inter-cycle restart event (event-driven mode).
+  // Pending inter-cycle restart event.
   sim::EventId restart_event_{};
   bool restart_pending_ = false;
 

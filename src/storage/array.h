@@ -10,7 +10,7 @@
 #include <string_view>
 #include <vector>
 
-#include "block/async_device.h"
+#include "block/latency_model.h"
 #include "block/block_device.h"
 #include "common/histogram.h"
 #include "common/rng.h"

@@ -60,10 +60,9 @@ struct WriteEvent {
 
 class ChaosRun {
  public:
-  // `coalesce` toggles the whole transfer-pipeline optimization bundle
-  // (write-folding, sorted apply, extent resync, adaptive batching, wire
-  // compression): the prefix invariant must hold identically with it on
-  // and off.
+  // `coalesce` toggles the transfer-pipeline optimization bundle
+  // (write-folding, adaptive batching, wire compression): the prefix
+  // invariant must hold identically with it on and off.
   // `scrub` turns on the background at-rest integrity scrubber (the
   // repair arm of the media-fault drill).
   explicit ChaosRun(uint64_t seed, bool coalesce = true, bool scrub = false)
@@ -82,8 +81,6 @@ class ChaosRun {
     cfg.resync_backoff_initial = Milliseconds(2);
     cfg.resync_backoff_max = Milliseconds(20);
     cfg.enable_write_folding = coalesce;
-    cfg.enable_sorted_apply = coalesce;
-    cfg.enable_extent_resync = coalesce;
     cfg.enable_adaptive_batching = coalesce;
     cfg.compress_transfers = coalesce;
     auto g = engine_.CreateConsistencyGroup(cfg);

@@ -324,23 +324,23 @@ TEST_F(CoalesceTest, ResyncOrderIsStableAcrossRuns) {
   EXPECT_EQ(first, second);
 }
 
-TEST_F(CoalesceTest, PerBlockResyncWhenExtentsDisabled) {
-  auto [p, s] = MakeVolumes("v");
-  ConsistencyGroupConfig cfg;
-  cfg.enable_extent_resync = false;
-  GroupId g = MakeGroup(cfg);
+TEST_F(CoalesceTest, ResyncSplitsLongRunsAtTheExtentCap) {
+  // 300 contiguous dirty blocks exceed the 256-block extent cap: the
+  // resync ships them as two extents (256 + 44) carrying all 300 blocks.
+  auto [p, s] = MakeVolumes("v", 512);
+  GroupId g = MakeGroup();
   MakeAsyncPair(p, s, g);
   env_.RunFor(Milliseconds(20));
 
   ASSERT_TRUE(engine_.SuspendGroup(g).ok());
-  for (uint64_t lba : {10u, 11u, 12u}) {
-    ASSERT_TRUE(main_.WriteSync(p, lba, BlockOf('e')).ok());
-  }
+  ASSERT_TRUE(
+      main_.WriteSync(p, 100, std::string(300 * block::kDefaultBlockSize, 'e'))
+          .ok());
   ASSERT_TRUE(engine_.ResyncGroup(g).ok());
   env_.RunFor(Milliseconds(40));
   GroupStats st = Stats(g);
-  EXPECT_EQ(st.resync_extents, 3u);  // One single-block extent each.
-  EXPECT_EQ(st.resync_blocks, 3u);
+  EXPECT_EQ(st.resync_extents, 2u);
+  EXPECT_EQ(st.resync_blocks, 300u);
   EXPECT_TRUE(Converged(p, s));
 }
 
@@ -477,14 +477,12 @@ TEST(ConsistencyGroupConfigTest, NormalizedBoundsTheBatchKnobs) {
   cfg.transfer_batch_bytes = 0;
   cfg.transfer_batch_min_bytes = 0;
   cfg.transfer_batch_max_bytes = 0;
-  cfg.resync_max_extent_blocks = 0;
   ConsistencyGroupConfig n = cfg.Normalized();
   EXPECT_GT(n.transfer_batch_bytes, 0u);
   EXPECT_GT(n.transfer_batch_min_bytes, 0u);
   EXPECT_GE(n.transfer_batch_max_bytes, n.transfer_batch_min_bytes);
   EXPECT_GE(n.transfer_batch_bytes, n.transfer_batch_min_bytes);
   EXPECT_LE(n.transfer_batch_bytes, n.transfer_batch_max_bytes);
-  EXPECT_EQ(n.resync_max_extent_blocks, 1u);
 
   // Inverted bounds: max is lifted to min, and the starting batch size is
   // clamped inside.

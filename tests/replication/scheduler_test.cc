@@ -2,9 +2,7 @@
 // group costs (almost) no simulator events — journal appends, apply
 // acks, link recovery and resync completions arm a group, one dispatch
 // loop pumps the armed set, and deficit-round-robin keeps groups sharing
-// a link within a fair share of the wire. The legacy per-group timers
-// stay available behind EngineOptions for A/B comparison and must
-// produce the same replicated bytes.
+// a link within a fair share of the wire.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -177,12 +175,12 @@ TEST_F(SchedulerUnitTest, UnregisterForgetsTheGroup) {
 
 class SchedulerEngineTest : public ::testing::Test {
  protected:
-  explicit SchedulerEngineTest(EngineOptions options = {})
+  SchedulerEngineTest()
       : main_(&env_, ZeroLatency("MAIN")),
         backup_(&env_, ZeroLatency("BKUP")),
         to_backup_(&env_, QuietLink(1), "fwd"),
         to_main_(&env_, QuietLink(2), "rev"),
-        engine_(&env_, &main_, &backup_, &to_backup_, &to_main_, options) {}
+        engine_(&env_, &main_, &backup_, &to_backup_, &to_main_) {}
 
   GroupId MakeGroupWithPair(const std::string& name) {
     auto g = engine_.CreateConsistencyGroup({.name = name});
@@ -224,10 +222,9 @@ TEST_F(SchedulerEngineTest, IdleGroupsCostNoPerGroupEvents) {
   const uint64_t before = env_.executed_events();
   env_.RunFor(Seconds(1));
   const uint64_t idle_events = env_.executed_events() - before;
-  // Event-driven: only the 50 ms heartbeat ticks — far below the
-  // 32 groups x 500 timer fires/s the legacy engine would burn.
+  // Only the 50 ms heartbeat ticks — far below the 32 groups x 500
+  // fires/s a per-group 2 ms transfer timer would burn.
   EXPECT_LE(idle_events, 30u);
-  EXPECT_TRUE(engine_.event_driven());
   EXPECT_EQ(engine_.scheduler_stats().registered_groups, 32u);
   EXPECT_EQ(engine_.scheduler_stats().armed_groups, 0u);
 }
@@ -256,36 +253,6 @@ TEST_F(SchedulerEngineTest, LinkRecoveryRearmsPendingGroups) {
   auto gstats = engine_.GetGroupStats(1);
   ASSERT_TRUE(gstats.ok());
   EXPECT_EQ(gstats->applied, gstats->written);
-}
-
-class LegacySchedulerEngineTest : public SchedulerEngineTest {
- protected:
-  LegacySchedulerEngineTest()
-      : SchedulerEngineTest(EngineOptions{.event_driven_scheduler = false}) {}
-};
-
-TEST_F(LegacySchedulerEngineTest, LegacyTimersStillReplicate) {
-  MakeGroupWithPair("g");
-  env_.RunFor(Milliseconds(20));
-  EXPECT_FALSE(engine_.event_driven());
-  EXPECT_EQ(engine_.scheduler_stats().registered_groups, 0u);
-  ASSERT_TRUE(main_.WriteSync(pvols_[0], 3, BlockOf('x')).ok());
-  env_.RunFor(Milliseconds(50));
-  EXPECT_TRUE(Converged(0));
-}
-
-TEST_F(LegacySchedulerEngineTest, LegacyModeBurnsIdleTimerEvents) {
-  // The A/B motivation pinned as a test: the legacy engine polls every
-  // group every transfer_interval even with nothing to ship.
-  for (int i = 0; i < 8; ++i) {
-    MakeGroupWithPair("g" + std::to_string(i));
-  }
-  env_.RunFor(Milliseconds(20));
-  const uint64_t before = env_.executed_events();
-  env_.RunFor(Seconds(1));
-  const uint64_t idle_events = env_.executed_events() - before;
-  // 8 groups / 2 ms interval = ~4000 fires; leave slack either way.
-  EXPECT_GE(idle_events, 3000u);
 }
 
 }  // namespace
