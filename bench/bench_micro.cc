@@ -5,7 +5,10 @@
 // itself, complementing the simulated-time experiment benches E1-E7.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "block/mem_volume.h"
 #include "common/compress.h"
@@ -96,7 +99,29 @@ enum PayloadShape : int64_t {
   kSegments = 1,
   // Random bytes: the stored-escape case.
   kRandom = 2,
+  // The end-to-end benchmark's write stream: 4 KiB blocks drawn at random
+  // from a pool of 64 segment-shaped blocks, each stamped in its first 16
+  // bytes with a write id and address, so repeats cross block boundaries.
+  kStampedPool = 3,
 };
+
+// 4 KiB of 64-byte segments, each fresh random bytes or, with probability
+// 1/2, a copy of an earlier segment of the same block.
+std::string SegmentBlock(Rng* rng) {
+  std::string blk;
+  blk.reserve(4096);
+  while (blk.size() < 4096) {
+    const size_t seg = blk.size() / 64;
+    if (seg > 0 && rng->Bernoulli(0.5)) {
+      blk.append(blk, rng->Uniform(seg) * 64, 64);
+    } else {
+      for (int i = 0; i < 64; ++i) {
+        blk.push_back(static_cast<char>(rng->Uniform(256)));
+      }
+    }
+  }
+  return blk;
+}
 
 std::string MakeBatchPayload(size_t bytes, PayloadShape shape) {
   std::string out;
@@ -109,19 +134,22 @@ std::string MakeBatchPayload(size_t bytes, PayloadShape shape) {
       }
       return out;
     case kSegments:
-      while (out.size() < bytes) {
-        const size_t block = out.size() / 4096 * 4096;
-        const size_t seg = (out.size() - block) / 64;
-        if (seg > 0 && rng.Bernoulli(0.5)) {
-          out.append(out, block + rng.Uniform(seg) * 64, 64);
-        } else {
-          for (int i = 0; i < 64; ++i) {
-            out.push_back(static_cast<char>(rng.Uniform(256)));
-          }
-        }
+      while (out.size() < bytes) out += SegmentBlock(&rng);
+      out.resize(bytes);
+      return out;
+    case kStampedPool: {
+      std::vector<std::string> pool;
+      for (int b = 0; b < 64; ++b) pool.push_back(SegmentBlock(&rng));
+      for (uint64_t write_id = 1; out.size() < bytes; ++write_id) {
+        std::string blk = pool[rng.Uniform(pool.size())];
+        const uint64_t addr = rng.Uniform(1 << 20);
+        std::memcpy(blk.data(), &write_id, 8);
+        std::memcpy(blk.data() + 8, &addr, 8);
+        out += blk;
       }
       out.resize(bytes);
       return out;
+    }
     case kJsonRows:
       break;
   }
@@ -138,7 +166,8 @@ std::string MakeBatchPayload(size_t bytes, PayloadShape shape) {
 }
 
 // One transfer chunk's payload (the wire codec's unit), in the shape given
-// by Arg: 0 = JSON rows, 1 = 64-byte-segment blocks, 2 = random bytes.
+// by Arg: 0 = JSON rows, 1 = 64-byte-segment blocks, 2 = random bytes,
+// 3 = stamped pool blocks.
 constexpr size_t kCodecBytes = 64 << 10;
 
 void SetCodecCounters(benchmark::State& state, size_t raw, size_t frame) {
@@ -162,7 +191,11 @@ void BM_Compress(benchmark::State& state) {
   }
   SetCodecCounters(state, raw.size(), frame.size());
 }
-BENCHMARK(BM_Compress)->Arg(kJsonRows)->Arg(kSegments)->Arg(kRandom);
+BENCHMARK(BM_Compress)
+    ->Arg(kJsonRows)
+    ->Arg(kSegments)
+    ->Arg(kRandom)
+    ->Arg(kStampedPool);
 
 void BM_Decompress(benchmark::State& state) {
   const std::string raw = MakeBatchPayload(

@@ -18,6 +18,7 @@ cmake --build --preset bench -j "$(nproc)" \
            bench_parallel bench_scrub
 
 ./build-bench/bench/bench_micro \
+  --benchmark_context=hardware_lanes="$(nproc)" \
   --benchmark_out="${repo_root}/BENCH_micro.json" \
   --benchmark_out_format=json
 ./build-bench/bench/bench_pipeline --out "${repo_root}/BENCH_pipeline.json"

@@ -27,6 +27,9 @@ constexpr size_t kMaxExpansion = 255;
 
 constexpr int kHashBits = 13;
 constexpr size_t kHashSize = size_t{1} << kHashBits;
+// Skip acceleration: the parse's probe step grows by one byte after every
+// 2^kSkipShift consecutive misses.
+constexpr int kSkipShift = 3;
 
 inline uint16_t Load16(const uint8_t* p) {
   uint16_t v;
@@ -85,10 +88,13 @@ inline size_t CommonPrefix(const uint8_t* a, const uint8_t* b,
 // byte below 0xff.
 inline uint8_t* PutLengthExtension(uint8_t* op, size_t len) {
   if (len < 15) return op;
-  const size_t rest = len - 15;
-  std::memset(op, 0xff, rest / 255);
-  op += rest / 255;
-  *op++ = static_cast<uint8_t>(rest % 255);
+  size_t rest = len - 15;
+  if (rest >= 255) {  // Rare; spares the common case a memset call.
+    std::memset(op, 0xff, rest / 255);
+    op += rest / 255;
+    rest %= 255;
+  }
+  *op++ = static_cast<uint8_t>(rest);
   return op;
 }
 
@@ -108,14 +114,26 @@ inline bool GetLengthExtension(const uint8_t** ip, const uint8_t* iend,
   return true;
 }
 
+// Emits one sequence at `op`; match_len == 0 marks the final literals-only
+// one. A literal run of up to 16 bytes is copied as one 16-byte word when
+// the input, which ends at `in_end`, has that many bytes left; what follows
+// overwrites the excess. The output has room for the word too: where the
+// run starts, at input offset a <= n - 16, at most a + a/255 + 2 bytes are
+// written, so the word ends inside the n + n/255 + 16 bytes CompressLz may
+// write.
 inline uint8_t* EmitSequence(uint8_t* op, const uint8_t* lit, size_t lit_len,
-                             size_t match_len, size_t offset) {
+                             size_t match_len, size_t offset,
+                             const uint8_t* in_end) {
   const size_t lit_nibble = lit_len < 15 ? lit_len : 15;
   const size_t match_code = match_len == 0 ? 0 : match_len - kMinMatch;
   const size_t match_nibble = match_code < 15 ? match_code : 15;
   *op++ = static_cast<uint8_t>((lit_nibble << 4) | match_nibble);
   op = PutLengthExtension(op, lit_len);
-  std::memcpy(op, lit, lit_len);
+  if (lit_len <= 16 && in_end - lit >= 16) {
+    std::memcpy(op, lit, 16);
+  } else {
+    std::memcpy(op, lit, lit_len);
+  }
   op += lit_len;
   if (match_len == 0) return op;  // Final literals-only sequence.
   *op++ = static_cast<uint8_t>(offset & 0xff);
@@ -123,14 +141,36 @@ inline uint8_t* EmitSequence(uint8_t* op, const uint8_t* lit, size_t lit_len,
   return PutLengthExtension(op, match_code);
 }
 
-// Greedy LZ pass over `n >= kMinLzInput` bytes: step-1 scan, 13-bit hash
-// of the next 4 bytes, first candidate only. Writes sequences at `op` and
-// returns the end. The output never exceeds n + n/255 + 16 bytes: a match
-// sequence costs no more than the bytes it covers plus its literal run's
-// extension bytes, one per 255 literals.
+// LZ pass over `n >= kMinLzInput` bytes with the LZ4 fast loop's parse.
+// Writes sequences at `op`, which must have n + n/255 + 16 bytes of room,
+// and returns the end.
+//
+//   - Forward hashing: the next probe position's bytes are loaded and
+//     hashed before the candidate at the current one is compared, so that
+//     work overlaps the compare.
+//   - Skip acceleration: the probe advances by attempts >> kSkipShift
+//     bytes, so every 2^kSkipShift misses in a row widen the step by one
+//     byte. A match resets the step to 1. Incompressible input is thus
+//     probed sparsely instead of at every byte.
+//   - Backward catch-up: a found match is extended backwards over the
+//     literal run while the bytes before both positions agree, recovering
+//     the match start a wide step jumped over. It never crosses `anchor`
+//     (the end of the previous match) nor the start of the input.
+//   - End-of-match insert: the position two bytes before a match's end is
+//     hashed, so a repeat starting inside the match can still be found.
+//
+// The output never exceeds n + n/255 + 16 bytes: a match sequence costs no
+// more than the bytes it covers plus its literal run's extension bytes,
+// one per 255 literals. Catch-up only moves bytes from the literal run
+// into the match, which stays at least kMinMatch long, so a caught-up
+// match still covers its own cost.
 uint8_t* CompressLz(const uint8_t* base, size_t n, uint8_t* op) {
+  // Slots start at position 0, not at an "empty" marker: an unwritten
+  // slot is just a candidate whose bytes rarely match. A marker test would
+  // branch on whether a slot was ever written, which the skipped probes
+  // leave unpredictable.
   uint32_t table[kHashSize];
-  std::memset(table, 0xff, sizeof(table));  // 0xffffffff = empty slot.
+  std::memset(table, 0, sizeof(table));
 
   const uint8_t* const end = base + n;
   size_t anchor = 0;
@@ -138,23 +178,44 @@ uint8_t* CompressLz(const uint8_t* base, size_t n, uint8_t* op) {
   // Leave room so Load32 never reads past the end.
   const size_t limit = n - kMinMatch;
   while (i <= limit) {
-    const uint32_t v = Load32(base + i);
-    const uint32_t h = Hash(v);
-    const uint32_t cand = table[h];
-    table[h] = static_cast<uint32_t>(i);
-    if (cand == 0xffffffffu || i - cand > kMaxOffset ||
-        Load32(base + cand) != v) {
-      ++i;
-      continue;
+    // Search for a match starting at or after i.
+    uint32_t h = Hash(Load32(base + i));
+    size_t attempts = size_t{1} << kSkipShift;
+    size_t cand = 0;
+    while (true) {
+      cand = table[h];
+      table[h] = static_cast<uint32_t>(i);
+      const size_t next = i + (attempts++ >> kSkipShift);
+      const bool more = next <= limit;
+      const uint32_t next_h = more ? Hash(Load32(base + next)) : 0;
+      // cand is a position at or before i, so both tests are safe to
+      // evaluate unconditionally; the offset test also rejects cand == i,
+      // which only the first probe at 0 can see.
+      if ((i - cand - 1 < kMaxOffset) &
+          (Load32(base + cand) == Load32(base + i))) {
+        break;
+      }
+      if (!more) return EmitSequence(op, base + anchor, n - anchor, 0, 0, end);
+      i = next;
+      h = next_h;
     }
-    const size_t len =
-        kMinMatch +
-        CommonPrefix(base + cand + kMinMatch, base + i + kMinMatch, end);
-    op = EmitSequence(op, base + anchor, i - anchor, len, i - cand);
-    i += len;
+    const size_t offset = i - cand;
+    // Catch up backwards, then extend forwards.
+    size_t start = i;
+    while (start > anchor && start > offset &&
+           base[start - 1] == base[start - 1 - offset]) {
+      --start;
+    }
+    i += kMinMatch +
+         CommonPrefix(base + cand + kMinMatch, base + i + kMinMatch, end);
+    op = EmitSequence(op, base + anchor, start - anchor, i - start, offset,
+                      end);
     anchor = i;
+    if (i - 2 <= limit) {
+      table[Hash(Load32(base + i - 2))] = static_cast<uint32_t>(i - 2);
+    }
   }
-  if (anchor < n) op = EmitSequence(op, base + anchor, n - anchor, 0, 0);
+  if (anchor < n) op = EmitSequence(op, base + anchor, n - anchor, 0, 0, end);
   return op;
 }
 

@@ -10,13 +10,18 @@
 namespace zerobak {
 
 // Self-contained LZ-style block compressor used by the replication wire
-// format. Greedy 4-byte hash matching with literal runs, LZ4-like token
-// encoding, no external dependencies. Every frame starts with a method
-// byte and the varint raw size, so the decoder can validate lengths and
-// incompressible input falls back to a "stored" escape — compression
-// therefore never expands a block by more than the small frame header.
-// Frame bytes are part of the wire format (their sizes drive simulated
-// link time), so tests/common/compress_golden_test.cc pins them.
+// format, with no external dependencies. The block format is LZ4's token
+// encoding; the parse is the LZ4 fast loop's: 4-byte matches from a
+// 13-bit hash table, probed with forward hashing and a step that widens
+// after runs of misses (skip acceleration), each found match extended
+// backwards over the pending literals (catch-up) and forwards, and the
+// position just before its end hashed for the next search. Every frame
+// starts with a method byte and the varint raw size, so the decoder can
+// validate lengths, and input the LZ pass cannot shrink falls back to a
+// "stored" escape — compression therefore never expands a block by more
+// than the small frame header. Frame bytes are part of the wire format
+// (their sizes drive simulated link time), so
+// tests/common/compress_golden_test.cc pins them.
 //
 // Frame layout:
 //   [method u8]  0 = stored, 1 = LZ
@@ -28,8 +33,10 @@ namespace zerobak {
 //            nibble value 15 extended with 0xff runs as in LZ4.
 
 // Room Compress needs past the end of `*out` for `n` input bytes: the
-// frame header (at most 11 bytes) plus the greedy pass's worst case,
-// n + n/255 + 16. Reserving this much before Compress means it never
+// frame header (at most 11 bytes) plus the LZ pass's worst case,
+// n + n/255 + 16. Every match, caught up or not, is at least 4 bytes and
+// pays for its own token and offset, so only literal-length extensions
+// add to n. Reserving this much before Compress means it never
 // reallocates. The finished frame is never longer than n + 11 bytes,
 // because input the LZ pass cannot shrink is stored.
 inline size_t CompressBound(size_t n) { return n + n / 255 + 27; }

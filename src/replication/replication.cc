@@ -757,6 +757,9 @@ PumpOutcome ReplicationEngine::PumpGroup(Group* group, uint64_t max_bytes) {
     return group->config.enable_adaptive_batching &&
            jnl->acked() < jnl->written();
   };
+  // A dead link would refuse the send: skip the peek and the encode, and
+  // report what a failed send reports (see the end of this function).
+  if (!to_secondary_->connected()) return out;
   const uint64_t cap = std::min(group->batch_bytes_now, max_bytes);
   std::vector<const journal::JournalRecord*> views;
   if (jnl->PeekViews(jnl->shipped(), cap, &views) == 0) {
@@ -911,11 +914,12 @@ PumpOutcome ReplicationEngine::PumpGroup(Group* group, uint64_t max_bytes) {
     out.backlog = jnl->shipped() < jnl->written();
     out.keep_alive = adaptive_keep_alive();
   }
-  // On failure (link down) the records stay unshipped and the outcome
-  // reports neither progress nor keep-alive, so the scheduler disarms the
-  // group instead of hot-retrying a dead link; the heartbeat or the
-  // link-ready edge re-arms it. The journal absorbs the backlog until it
-  // overflows and the group suspends.
+  // With the link down (caught by the up-front check; a refused send ends
+  // the same way) the records stay unshipped and the outcome reports
+  // neither progress nor keep-alive, so the scheduler disarms the group
+  // instead of hot-retrying a dead link; the heartbeat or the link-ready
+  // edge re-arms it. The journal absorbs the backlog until it overflows
+  // and the group suspends.
   return out;
 }
 

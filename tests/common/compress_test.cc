@@ -1,6 +1,9 @@
 #include "common/compress.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -447,6 +450,119 @@ TEST(CompressEdgeTest, MatchesEndingAtOrNearInputEndRoundTrip) {
       ExpectMatchesReference(frame);
     }
   }
+}
+
+// ----- The encoder's parse: skip steps, catch-up and the size bound -----
+
+// Compresses `input` read from a heap buffer of exactly its size, so the
+// sanitizers catch any read before its first or past its last byte, and
+// checks the frame against the bound and both decoders. Compress sizes an
+// empty frame string to CompressBound(n) before the LZ pass, so an LZ body
+// that overran the bound would be caught by the sanitizers too.
+void ExpectParseRoundTrip(const std::string& input) {
+  const size_t n = input.size();
+  auto exact = std::make_unique<char[]>(n == 0 ? 1 : n);
+  if (n > 0) std::memcpy(exact.get(), input.data(), n);
+  std::string frame;
+  Compress(std::string_view(exact.get(), n), &frame);
+  EXPECT_LE(frame.size(), CompressBound(n));
+  std::string out;
+  ASSERT_TRUE(Decompress(frame, &out).ok());
+  ASSERT_EQ(out, input);
+  ExpectMatchesReference(frame);
+}
+
+TEST(CompressParseTest, RepeatAfterLongNoiseEndsAtLimitOrEnd) {
+  // A long noise run widens the probe step to dozens of bytes. A repeat of
+  // earlier bytes follows and ends exactly at the last probe position
+  // (n - 4), one byte either side of it, or at the input end.
+  Rng rng(123);
+  const std::string noise = RandomBytes(&rng, 8192);
+  for (size_t repeat : {16, 64, 8192}) {
+    for (size_t tail : {0, 3, 4, 5}) {
+      const std::string input =
+          noise + noise.substr(0, repeat) + RandomBytes(&rng, tail);
+      ExpectParseRoundTrip(input);
+      if (repeat == 8192) {
+        // The probe lands inside the repeat; catch-up recovers its start.
+        std::string frame;
+        Compress(input, &frame);
+        EXPECT_LT(frame.size(), noise.size() + 128 + tail) << "tail " << tail;
+      }
+    }
+  }
+}
+
+TEST(CompressParseTest, CatchUpStopsAtInputStart) {
+  // Repeats whose source starts at input offset 0-3: catch-up walks the
+  // match back toward the source and must stop at the first input byte.
+  Rng rng(124);
+  for (size_t lead = 0; lead <= 3; ++lead) {
+    for (size_t len : {4, 5, 8, 32, 100}) {
+      const std::string head = RandomBytes(&rng, lead);
+      const std::string body = RandomBytes(&rng, len);
+      std::string input = head + body + body + body;
+      if (input.size() < 16) input += RandomBytes(&rng, 16);
+      ExpectParseRoundTrip(input);
+      // Periodic input: the only match source is offset 0.
+      ExpectParseRoundTrip(std::string(16 + len, static_cast<char>(lead)));
+    }
+  }
+}
+
+TEST(CompressParseTest, CatchUpStopsAtPreviousMatchEnd) {
+  // P, Q, then a region that repeats P's head and Q's tail, where Q's
+  // tail is preceded by bytes P shares: a match at Q's offset agrees
+  // backwards past the end of the match at P's offset, and catch-up must
+  // not reclaim bytes that match already covered.
+  Rng rng(125);
+  for (size_t split = 4; split <= 36; ++split) {
+    const std::string p = RandomBytes(&rng, 40);
+    std::string q = RandomBytes(&rng, 40);
+    q.replace(0, split, p, 0, split);
+    const std::string input = p + q + p.substr(0, split) + q.substr(split);
+    ExpectParseRoundTrip(input);
+  }
+  // Random copy-and-mutate inputs: runs copied from random earlier
+  // offsets, with single-byte edits that end one match mid-repeat and
+  // start the next right after it.
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string input = RandomBytes(&rng, 8 + rng.Uniform(64));
+    const size_t target = 64 + rng.Uniform(4096);
+    while (input.size() < target) {
+      const size_t from = rng.Uniform(input.size());
+      const size_t len =
+          1 + rng.Uniform(std::min<size_t>(input.size() - from, 96));
+      input += input.substr(from, len);
+      if (rng.Bernoulli(0.5)) input.back() ^= 0x21;
+    }
+    ExpectParseRoundTrip(input);
+  }
+}
+
+TEST(CompressParseTest, AdversarialInputsStayWithinBound) {
+  // Literal runs at the nibble-extension widths, each followed by a bare
+  // 4-byte repeat: every sequence costs about what it covers, so the LZ
+  // body sits at the bound's edge.
+  Rng rng(126);
+  for (size_t lit : {1, 14, 15, 16, 254, 255, 269, 270, 271, 524, 525}) {
+    std::string input = RandomBytes(&rng, 4);
+    while (input.size() < 16384) {
+      input += RandomBytes(&rng, lit);
+      input += input.substr(rng.Uniform(input.size() - 3), 4);
+    }
+    ExpectParseRoundTrip(input);
+  }
+  // Noise with 4-byte repeats at random offsets; then repeats just past
+  // the 64 KiB offset window, which must stay literals.
+  std::string sparse = RandomBytes(&rng, 70000);
+  for (size_t at = 5; at + 4 < sparse.size(); at += 5 + rng.Uniform(20)) {
+    sparse.replace(at, 4, sparse, rng.Uniform(at - 4), 4);
+  }
+  ExpectParseRoundTrip(sparse);
+  std::string far = RandomBytes(&rng, 65536);
+  far += far.substr(0, 4096) + RandomBytes(&rng, 32) + far.substr(1, 4096);
+  ExpectParseRoundTrip(far);
 }
 
 }  // namespace

@@ -339,5 +339,40 @@ TEST_F(FaultRecoveryTest, CorruptBatchIsRejectedNeverAppliedAndResent) {
   EXPECT_TRUE(Converged(p, s));
 }
 
+// A pump on a dead link neither encodes nor sends: the link refuses
+// nothing because nothing is offered, and no batch counts as shipped.
+// Once the link heals, the ready edge ships the backlog.
+TEST_F(FaultRecoveryTest, DeadLinkShipsNothingUntilHealed) {
+  auto [p, s] = MakeVolumes("v");
+  GroupId g = MakeGroup();
+  PairId pair = MakeAsyncPair(p, s, g);
+  env_.RunFor(Milliseconds(4));  // Empty initial copy settles.
+
+  to_backup_.SetConnected(false);
+  const uint64_t heartbeats = engine_.scheduler_stats().heartbeats;
+  for (uint64_t lba = 0; lba < 6; ++lba) {
+    ASSERT_TRUE(main_.WriteSync(p, lba, BlockOf('a' + lba)).ok());
+    env_.RunFor(Milliseconds(7));
+  }
+  env_.RunFor(Milliseconds(300));
+  EXPECT_GE(engine_.scheduler_stats().heartbeats, heartbeats + 5);
+  EXPECT_EQ(to_backup_.send_failures(), 0u);
+  auto stats = engine_.GetGroupStats(g);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->written, 6u);
+  EXPECT_EQ(stats->shipped, 0u);
+  EXPECT_EQ(stats->wire_bytes_shipped, 0u);
+  EXPECT_FALSE(stats->suspended);
+
+  to_backup_.SetConnected(true);
+  env_.RunFor(Milliseconds(100));
+  stats = engine_.GetGroupStats(g);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->acked, 6u);
+  EXPECT_EQ(to_backup_.send_failures(), 0u);
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+  EXPECT_TRUE(Converged(p, s));
+}
+
 }  // namespace
 }  // namespace zerobak::replication

@@ -316,8 +316,8 @@ TEST(WireChunkedTest, GoldenFrameAtOneAndFourLanes) {
     const EncodedBatch enc = EncodeBatch(batch, /*compress=*/true, &pool);
     EXPECT_GT(enc.logical_bytes, 2 * kChunkBytes);
     EXPECT_LE(enc.logical_bytes, 3 * kChunkBytes);
-    EXPECT_EQ(enc.frame.size(), 72938u) << "lanes=" << lanes;
-    EXPECT_EQ(Crc32c(enc.frame.data(), enc.frame.size()), 0x9fab7e8eu)
+    EXPECT_EQ(enc.frame.size(), 73382u) << "lanes=" << lanes;
+    EXPECT_EQ(Crc32c(enc.frame.data(), enc.frame.size()), 0xae2b42f0u)
         << "lanes=" << lanes;
     auto decoded = DecodeBatch(enc.frame, &pool);
     ASSERT_TRUE(decoded.ok()) << decoded.status();
