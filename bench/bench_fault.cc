@@ -1,9 +1,11 @@
 // E9 — Failure detection and automatic recovery (fault model).
 //
 // Two tables. (1) Time to reconverge after a clean partition of length L:
-// the ack-deadline detector suspends the group, auto-resync with backoff
-// brings it back once the link heals; an undersized journal overflows
-// during the outage and recovers through the same path. (2) Behaviour
+// the ack-deadline detector suspends the group, and auto-resync brings it
+// back at the instant the link heals (the link's ready edge); an
+// undersized journal overflows during the outage and recovers through the
+// same path. A failure first seen after the heal retries on the capped
+// backoff instead. (2) Behaviour
 // under sustained chaos (seeded FaultSchedule link flaps + random drops)
 // at increasing flap intensity: host writes never fail, and the recovery
 // machinery converges on its own after the faults clear.
@@ -174,9 +176,11 @@ void PartitionTable() {
     }
     PrintRule();
   }
-  PrintLine("Expected shape: detection adds ~one ack timeout; reconverge "
-            "time grows with the outage (backlog or full resync after an "
-            "overflow) but never needs an operator.");
+  PrintLine("Expected shape: a group suspended during the outage resyncs "
+            "on the heal edge, so reconverge time stays near one round "
+            "trip whatever the outage length; an outage shorter than the "
+            "ack timeout is detected after the heal and pays the timeout "
+            "plus one backoff. No operator action in any row.");
 }
 
 void ChaosTable() {

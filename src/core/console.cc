@@ -316,6 +316,8 @@ Status Console::PrintStatus(const std::string& ns) {
     if (stats->journal_overflows > 0) {
       *out_ << " OVERFLOWS=" << stats->journal_overflows;
     }
+    const std::string recovery = DescribeRecovery(*stats);
+    if (!recovery.empty()) *out_ << " [" << recovery << "]";
     *out_ << "\n";
     for (replication::PairId pid :
          system_->replication()->ListGroupPairs(gid)) {

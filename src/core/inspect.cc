@@ -99,6 +99,34 @@ std::string DescribeSite(Site* site) {
   return out;
 }
 
+std::string DescribeRecovery(const replication::GroupStats& stats) {
+  std::string out;
+  switch (stats.recovery_wait) {
+    case replication::RecoveryWait::kNone:
+      break;
+    case replication::RecoveryWait::kLink:
+      out = "recovery: waiting for link for " +
+            FormatDuration(stats.recovery_age);
+      break;
+    case replication::RecoveryWait::kBackoff:
+      out = "recovery: backoff fires in " +
+            FormatDuration(stats.recovery_due_in);
+      break;
+    case replication::RecoveryWait::kResyncInFlight:
+      out = "recovery: resync in flight for " +
+            FormatDuration(stats.recovery_age) +
+            (stats.recovery_due_in >= 0
+                 ? ", deadline in " + FormatDuration(stats.recovery_due_in)
+                 : std::string(", no deadline"));
+      break;
+  }
+  if (stats.giveback_in_flight) {
+    if (!out.empty()) out += "; ";
+    out += "giveback in flight for " + FormatDuration(stats.giveback_age);
+  }
+  return out;
+}
+
 std::string DescribeReplication(replication::ReplicationEngine* engine) {
   std::string out;
   AppendLine(&out, "replication: %zu groups, %zu pairs",
@@ -122,6 +150,8 @@ std::string DescribeReplication(replication::ReplicationEngine* engine) {
                stats->shipped, stats->applied,
                FormatDuration(stats->apply_lag).c_str(),
                stats->compression_ratio, stats->compression_ratio_window);
+    const std::string recovery = DescribeRecovery(*stats);
+    if (!recovery.empty()) AppendLine(&out, "    %s", recovery.c_str());
     for (replication::PairId pid : engine->ListGroupPairs(gid)) {
       const replication::Pair* pair = engine->GetPair(pid);
       if (pair == nullptr) continue;

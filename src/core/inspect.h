@@ -17,6 +17,13 @@ std::string DescribeSystem(DemoSystem* system);
 std::string DescribeSite(Site* site);
 std::string DescribeReplication(replication::ReplicationEngine* engine);
 
+// A group's pending recovery work, or "" when there is none: what a
+// suspended group waits for (the link and for how long, the backoff timer
+// and when it fires, or a resync batch in flight with its age and loss
+// deadline) and a failback giveback that has not landed, with its age.
+// Stuck work shows as an age that keeps growing.
+std::string DescribeRecovery(const replication::GroupStats& stats);
+
 // Observability: the metric registry as an aligned table, the RPO/RTO
 // tracker summary and the tail of the trace ring — the `metrics` and
 // `trace` console commands.

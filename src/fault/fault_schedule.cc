@@ -73,20 +73,6 @@ void FaultSchedule::AddMediaTarget(block::MemVolume* volume) {
   media_targets_.push_back(std::move(target));
 }
 
-void FaultSchedule::AddMediaTarget(block::FileVolume* volume) {
-  ZB_CHECK(!armed_) << "AddMediaTarget after Arm()";
-  MediaTarget target;
-  target.set_error = [volume](double p, uint64_t seed) {
-    volume->SetMediaError(p, seed);
-  };
-  target.flip = [volume](uint64_t lba, uint32_t bit) {
-    return volume->FlipBit(lba, bit);
-  };
-  target.block_count = volume->block_count();
-  target.block_bits = volume->block_size() * 8;
-  media_targets_.push_back(std::move(target));
-}
-
 void FaultSchedule::AddMediaTarget(journal::JournalVolume* journal) {
   ZB_CHECK(!armed_) << "AddMediaTarget after Arm()";
   MediaTarget target;

@@ -5,7 +5,6 @@
 #include <functional>
 #include <vector>
 
-#include "block/file_volume.h"
 #include "block/mem_volume.h"
 #include "common/rng.h"
 #include "common/time.h"
@@ -130,7 +129,6 @@ class FaultSchedule {
   // media-error episodes (kMediaErrorStart/End) and, when
   // mean_rot_interval is set, silent bit flips (kBitRot).
   void AddMediaTarget(block::MemVolume* volume);
-  void AddMediaTarget(block::FileVolume* volume);
   // Journal flavor: episodes toggle JournalVolume::SetMediaError, making
   // appends fail with kDataLoss for the duration. No bit rot (journal
   // payloads are CRC-protected end to end by the wire format).
@@ -151,8 +149,8 @@ class FaultSchedule {
   uint64_t faults_fired() const { return fired_; }
 
  private:
-  // One registered media target, type-erased over MemVolume / FileVolume /
-  // JournalVolume. `flip` is null for journals (no bit rot lane).
+  // One registered media target, type-erased over MemVolume / JournalVolume.
+  // `flip` is null for journals (no bit rot lane).
   struct MediaTarget {
     std::function<void(double, uint64_t)> set_error;
     std::function<bool(uint64_t, uint32_t)> flip;

@@ -17,7 +17,18 @@ namespace {
 // groups with backlog but no pending arm edge.
 constexpr SimDuration kSchedulerHeartbeat = Milliseconds(50);
 
+// Grace for a synchronous write's remote ack, past the latest possible
+// arrival of the write and one unloaded reverse trip: the default group
+// ack_timeout. A miss suspends the pair and acks the host locally.
+constexpr SimDuration kSyncAckTimeout = Milliseconds(50);
+
 }  // namespace
+
+struct ReplicationEngine::SyncWrite {
+  storage::WriteInterceptor::AckFn ack;
+  sim::EventId deadline{};
+  bool done = false;
+};
 
 const char* PairStateName(PairState state) {
   switch (state) {
@@ -236,13 +247,18 @@ ReplicationEngine::ReplicationEngine(sim::SimEnvironment* env,
   if (lanes > 1) {
     compute_pool_ = std::make_unique<exec::ThreadPool>(lanes);
   }
-  // Link reconnect is an arm edge: groups with backlog resume without
-  // waiting for the heartbeat.
-  to_secondary_->SetReadyCallback([this] { OnLinkReady(); });
+  // Link reconnects are recovery edges: the forward one resyncs suspended
+  // groups and re-arms groups with backlog without waiting for a timer,
+  // the reverse one re-sends lost givebacks.
+  to_secondary_->SetReadyCallback(
+      [this] { env_->Schedule(0, [this] { OnForwardLinkUp(); }); });
+  to_primary_->SetReadyCallback(
+      [this] { env_->Schedule(0, [this] { OnReverseLinkUp(); }); });
 }
 
 ReplicationEngine::~ReplicationEngine() {
   to_secondary_->SetReadyCallback({});
+  to_primary_->SetReadyCallback({});
   for (auto& [id, group] : groups_) {
     CancelResyncRetry(group.get());
     UnprotectInflightResync(group.get());
@@ -359,6 +375,24 @@ StatusOr<GroupStats> ReplicationEngine::GetGroupStats(GroupId id) const {
           : static_cast<double>(group->window_logical_bytes) /
                 static_cast<double>(group->window_wire_bytes);
   stats.compression_window_batches = group->recent_batches.size();
+  const SimTime now = env_->now();
+  if (group->inflight_resync != nullptr) {
+    stats.recovery_wait = RecoveryWait::kResyncInFlight;
+    stats.recovery_age = now - group->resync_sent_at;
+    if (group->resync_deadline >= 0) {
+      stats.recovery_due_in = group->resync_deadline - now;
+    }
+  } else if (group->link_wait_since >= 0) {
+    stats.recovery_wait = RecoveryWait::kLink;
+    stats.recovery_age = now - group->link_wait_since;
+  } else if (group->resync_retry_pending) {
+    stats.recovery_wait = RecoveryWait::kBackoff;
+    stats.recovery_due_in = group->resync_retry_at - now;
+  }
+  if (group->giveback != nullptr) {
+    stats.giveback_in_flight = true;
+    stats.giveback_age = now - group->giveback_since;
+  }
   return stats;
 }
 
@@ -622,16 +656,16 @@ void ReplicationEngine::OnAsyncHostWrite(
     ack(OkStatus());
     return;
   }
+  if (group->giveback != nullptr) {
+    // The main site rewrote blocks the giveback still owes it: this write
+    // is newer and must win, so the giveback no longer ships them.
+    pair->reverse_dirty_.ClearRange(lba, count);
+  }
   if (group->suspended) {
     pair->dirty_.SetRange(lba, count);
     NoteUnsynced(group, env_->now());
     ack(OkStatus());
     return;
-  }
-  if (group->giveback_in_flight) {
-    // Remember what the main site rewrites while the giveback batch is on
-    // the wire; those blocks are newer than the batch and must win.
-    pair->dirty_.SetRange(lba, count);
   }
   journal::JournalRecord record;
   record.volume_id = volume->id();
@@ -690,25 +724,40 @@ void ReplicationEngine::OnSyncHostWrite(
   // refcount instead of re-copying the bytes at each hop.
   journal::PayloadBuffer payload = journal::PayloadBuffer::Copy(data);
   const PairId pair_id = pair->id_;
-  ++pair->inflight_;
+  // The host ack fires once: from the remote ack, or locally when the pair
+  // gives up on the remote site (fence level "never": suspend, dirty-mark
+  // the blocks for the next resync, keep serving the host).
+  auto op = std::make_shared<SyncWrite>();
+  op->ack = std::move(ack);
+  auto write_locally = [this, pair_id, lba, count, op] {
+    if (op->done) return;
+    Pair* p = FindPair(pair_id);
+    if (p != nullptr && p->state_ != PairState::kSwapped) {
+      p->state_ = PairState::kSuspended;
+      p->dirty_.SetRange(lba, count);
+    }
+    CompleteSyncWrite(op.get());
+  };
   Status sent = to_secondary_->SendOnChannel(
       SyncChannel(pair_id), bytes,
-      [this, pair_id, lba, count, payload = std::move(payload),
-              ack]() mutable {
+      [this, pair_id, lba, count, payload = std::move(payload), op,
+       write_locally]() mutable {
+        if (op->done) return;  // The deadline already acked it locally.
         Pair* p = FindPair(pair_id);
         if (p == nullptr || p->state_ == PairState::kSwapped) {
-          ack(OkStatus());
+          CompleteSyncWrite(op.get());
           return;
         }
-        --p->inflight_;
         // Remote persist: model the backup array's media write cost.
         const SimDuration cost = secondary_->config().media.Cost(
             block::IoType::kWrite, count, nullptr);
         env_->Schedule(cost, [this, pair_id, lba, count,
-                              payload = std::move(payload), ack]() mutable {
+                              payload = std::move(payload), op,
+                              write_locally]() mutable {
+          if (op->done) return;
           Pair* p2 = FindPair(pair_id);
           if (p2 == nullptr || p2->state_ == PairState::kSwapped) {
-            ack(OkStatus());
+            CompleteSyncWrite(op.get());
             return;
           }
           storage::Volume* svol =
@@ -722,22 +771,32 @@ void ReplicationEngine::OnSyncHostWrite(
           // Remote ack travels back over the reverse link.
           Status back = to_primary_->SendOnChannel(
               SyncChannel(pair_id), kAckMessageBytes,
-              [ack]() mutable { ack(OkStatus()); });
-          if (!back.ok()) {
-            // Reverse link is down: the pair suspends; the host write is
-            // acknowledged locally (fence level "never").
-            p2->state_ = PairState::kSuspended;
-            p2->dirty_.SetRange(lba, count);
-            ack(OkStatus());
-          }
+              [this, op] { CompleteSyncWrite(op.get()); });
+          if (!back.ok()) write_locally();
         });
       });
   if (!sent.ok()) {
-    --pair->inflight_;
-    pair->state_ = PairState::kSuspended;
-    pair->dirty_.SetRange(lba, count);
-    ack(OkStatus());
+    write_locally();
+    return;
   }
+  // The write or its ack can die in a partition: past the latest possible
+  // arrival plus one reverse trip and the grace, stop waiting.
+  const sim::NetworkLinkConfig& rev = to_primary_->config();
+  op->deadline = env_->ScheduleAt(
+      to_secondary_->EstimateArrival(0, SyncChannel(pair_id)) +
+          rev.base_latency + rev.jitter + kSyncAckTimeout,
+      [pair_id, write_locally] {
+        ZB_LOG(Warning) << "sync pair " << pair_id
+                        << " missed its remote ack; suspending";
+        write_locally();
+      });
+}
+
+void ReplicationEngine::CompleteSyncWrite(SyncWrite* op) {
+  if (op->done) return;
+  op->done = true;
+  env_->Cancel(op->deadline);
+  op->ack(OkStatus());
 }
 
 PumpOutcome ReplicationEngine::PumpGroup(Group* group, uint64_t max_bytes) {
@@ -929,8 +988,25 @@ void ReplicationEngine::OnPrimaryJournalAppend(GroupId id) {
   scheduler_.Arm(id);
 }
 
-void ReplicationEngine::OnLinkReady() {
-  for (const auto& [id, group] : groups_) ArmIfPending(id);
+void ReplicationEngine::OnForwardLinkUp() {
+  if (!to_secondary_->connected()) return;  // Flapped down again.
+  for (const auto& [id, group] : groups_) {
+    // Every failure suspension resyncs now: one parked for the link, and
+    // one waiting out a backoff it no longer needs. A media error still
+    // waits for the hardware (TryAutoResync keeps it on its backoff).
+    if (group->suspended && !group->failed_over &&
+        group->suspend_reason != SuspendReason::kOperator) {
+      TryAutoResync(group.get());
+    }
+    ArmIfPending(id);
+  }
+}
+
+void ReplicationEngine::OnReverseLinkUp() {
+  if (!to_primary_->connected()) return;
+  for (const auto& [id, group] : groups_) {
+    if (group->giveback != nullptr) SendGiveback(group.get());
+  }
 }
 
 void ReplicationEngine::ArmIfPending(GroupId id) {
@@ -1012,9 +1088,11 @@ void ReplicationEngine::ArmAckDeadline(Group* group,
 }
 
 void ReplicationEngine::ArmResyncDeadline(Group* group, uint64_t resync_id) {
+  group->resync_deadline = -1;
   if (group->config.ack_timeout == 0) return;
   const SimTime deadline =
       to_secondary_->EstimateArrival(0, group->id) + group->config.ack_timeout;
+  group->resync_deadline = deadline;
   const GroupId group_id = group->id;
   env_->ScheduleAt(deadline, [this, group_id, resync_id] {
     Group* g = FindGroup(group_id);
@@ -1036,53 +1114,71 @@ void ReplicationEngine::SuspendOnFailure(Group* group, SuspendReason reason) {
     trace_->Record(env_->now(), obs::TraceEvent::kSuspend, group->id,
                    static_cast<uint64_t>(reason));
   }
+  if (!group->config.auto_resync) return;
+  if (!to_secondary_->connected()) {
+    // No timer can help while the link is down: wait for its ready edge.
+    group->link_wait_since = env_->now();
+    return;
+  }
   ScheduleResyncRetry(group, /*reset_backoff=*/true);
 }
 
 void ReplicationEngine::ScheduleResyncRetry(Group* group, bool reset_backoff) {
-  if (!group->config.auto_resync || group->failed_over) return;
-  if (reset_backoff) {
-    group->resync_backoff = group->config.resync_backoff_initial;
-  } else {
-    group->resync_backoff = std::min(group->resync_backoff * 2,
-                                     group->config.resync_backoff_max);
-  }
+  // Doubling starts from the initial backoff: a group parked for the link
+  // reaches its first media-error backoff with none armed yet.
+  const ConsistencyGroupConfig& cfg = group->config;
+  group->resync_backoff =
+      reset_backoff ? cfg.resync_backoff_initial
+                    : std::clamp(group->resync_backoff * 2,
+                                 cfg.resync_backoff_initial,
+                                 cfg.resync_backoff_max);
   CancelResyncRetry(group);
   const GroupId group_id = group->id;
   group->resync_retry_pending = true;
-  group->resync_retry_event = env_->Schedule(
-      group->resync_backoff, [this, group_id] { TryAutoResync(group_id); });
+  group->resync_retry_at = env_->now() + group->resync_backoff;
+  group->resync_retry_event =
+      env_->Schedule(group->resync_backoff, [this, group_id] {
+        Group* g = FindGroup(group_id);
+        if (g == nullptr) return;
+        g->resync_retry_pending = false;
+        TryAutoResync(g);
+      });
 }
 
 void ReplicationEngine::CancelResyncRetry(Group* group) {
+  group->link_wait_since = -1;
   if (group->resync_retry_pending) {
     env_->Cancel(group->resync_retry_event);
     group->resync_retry_pending = false;
   }
 }
 
-void ReplicationEngine::TryAutoResync(GroupId id) {
-  Group* group = FindGroup(id);
-  if (group == nullptr) return;
-  group->resync_retry_pending = false;
-  if (!group->suspended || group->failed_over) return;
-  if (group->suspend_reason == SuspendReason::kOperator) return;
+void ReplicationEngine::TryAutoResync(Group* group) {
+  if (!group->config.auto_resync || !group->suspended ||
+      group->failed_over || group->suspend_reason == SuspendReason::kOperator) {
+    return;
+  }
   if (group->suspend_reason == SuspendReason::kMediaError) {
     // A resync would succeed (it bypasses the journal), but the next host
     // write hits the broken journal LDEV and re-suspends immediately.
-    // Stay suspended and keep backing off until the hardware heals.
+    // Stay suspended and keep backing off until the hardware heals; a
+    // link edge leaves a pending backoff alone.
     auto* jnl = primary_->GetJournal(group->primary_journal);
     if (jnl != nullptr && jnl->media_failed()) {
-      ScheduleResyncRetry(group, /*reset_backoff=*/false);
+      if (!group->resync_retry_pending) {
+        ScheduleResyncRetry(group, /*reset_backoff=*/false);
+      }
       return;
     }
   }
-  ++group->auto_resync_attempts;
-  Status rs = ResyncGroup(id);
-  if (!rs.ok()) {
-    // Typically the link is still down; retry with doubled backoff.
-    ScheduleResyncRetry(group, /*reset_backoff=*/false);
+  if (!to_secondary_->connected()) {
+    // Park until the ready edge; no timer polls a dead link.
+    group->link_wait_since = env_->now();
+    return;
   }
+  ++group->auto_resync_attempts;
+  // The link is up, so the send (and with it the resync) cannot fail.
+  ZB_CHECK(ResyncGroup(group->id).ok());
 }
 
 void ReplicationEngine::ApplyPending(Group* group) {
@@ -1665,6 +1761,7 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
   }
   group->suspended = false;
   group->inflight_resync = extents;
+  group->resync_sent_at = env_->now();
   ProtectInflightResync(group);
   group->resync_extents += extents->size();
   group->resync_blocks += total_blocks;
@@ -1745,6 +1842,10 @@ StatusOr<FailoverReport> ReplicationEngine::FailoverGroup(GroupId id) {
   UnprotectInflightResync(group);
   group->inflight_resync.reset();
   group->suspend_reason = SuspendReason::kNone;
+  // A giveback still in flight can no longer land; its blocks stay in
+  // reverse_dirty_ and ship with the next failback.
+  ++group->giveback_epoch;
+  group->giveback.reset();
 
   // Apply everything that reached the backup site (Section I: "DR systems
   // recover the backup site under the condition of data consistency").
@@ -1782,7 +1883,6 @@ StatusOr<FailoverReport> ReplicationEngine::FailoverGroup(GroupId id) {
     }
     pair->state_ = PairState::kSwapped;
     pair->dirty_.ClearAll();
-    pair->reverse_dirty_.ClearAll();
   }
   return report;
 }
@@ -1820,18 +1920,17 @@ StatusOr<FailbackReport> ReplicationEngine::FailbackGroup(GroupId id,
 
   // Capture the giveback delta NOW: all blocks the backup business wrote,
   // plus (under force) the main-side diverged blocks, at their current
-  // backup-site content, merged into sorted extents.
+  // backup-site content, merged into sorted extents. Those blocks stay in
+  // reverse_dirty_ until the giveback lands.
   auto extents = std::make_shared<std::vector<ResyncExtent>>();
   std::vector<const block::MemVolume*> read_src;
-  uint64_t bytes = 0;
   for (PairId pid : group->pairs) {
     Pair* pair = FindPair(pid);
     if (pair == nullptr) continue;
     storage::Volume* svol = secondary_->GetVolume(pair->config_.secondary);
     if (svol == nullptr) continue;
-    DirtyBitmap to_ship = pair->reverse_dirty_;
-    if (force) to_ship.UnionWith(pair->dirty_);
-    to_ship.ForEachRun(
+    if (force) pair->reverse_dirty_.UnionWith(pair->dirty_);
+    pair->reverse_dirty_.ForEachRun(
         [&](DirtyBitmap::Run run) {
           ResyncExtent ext;
           ext.pair = pid;
@@ -1839,7 +1938,6 @@ StatusOr<FailbackReport> ReplicationEngine::FailbackGroup(GroupId id,
           ext.count = static_cast<uint32_t>(run.count);
           ext.data.resize(static_cast<size_t>(ext.count) *
                           svol->store().block_size());
-          bytes += ext.data.size() + journal::JournalRecord::kHeaderSize;
           report.blocks_shipped += run.count;
           extents->push_back(std::move(ext));
           read_src.push_back(&svol->store());
@@ -1867,9 +1965,9 @@ StatusOr<FailbackReport> ReplicationEngine::FailbackGroup(GroupId id,
   }
 
   // Resume the forward direction immediately: re-protect the S-VOLs,
-  // clear the dirty state, reset both journals (a fresh sequence space)
-  // and restart the transfer engine. Host writes to the P-VOLs from this
-  // instant are journaled again; the giveback batch skips any block the
+  // clear the divergence state, reset both journals (a fresh sequence
+  // space) and restart the transfer engine. Host writes to the P-VOLs from
+  // this instant are journaled again; the giveback skips any block the
   // main site rewrites in the meantime, so newer data always wins.
   for (PairId pid : group->pairs) {
     Pair* pair = FindPair(pid);
@@ -1884,7 +1982,6 @@ StatusOr<FailbackReport> ReplicationEngine::FailbackGroup(GroupId id,
     }
     pair->state_ = PairState::kPaired;
     pair->dirty_.ClearAll();
-    pair->reverse_dirty_.ClearAll();
   }
   auto* pj = primary_->GetJournal(group->primary_journal);
   auto* sj = secondary_->GetJournal(group->secondary_journal);
@@ -1896,38 +1993,57 @@ StatusOr<FailbackReport> ReplicationEngine::FailbackGroup(GroupId id,
   // The journals restart their sequence space: ack deadlines armed against
   // the old space would misread the fresh acked watermark as a loss.
   ++group->ship_epoch;
-  group->giveback_in_flight = true;
   group->last_applied_ack_time = env_->now();
-  // Giveback writes are dirty-marked AND journaled forward, so the dirty
-  // bits do not represent unsynced data; the journal bound covers them.
+  // The giveback's blocks already live on the S-VOLs, so nothing is
+  // unsynced towards the backup site; the journal bound covers new writes.
   group->oldest_unsynced_time = -1;
   // No explicit scheduler restart: the journals were Reset in place, so
-  // the append hook survives and the next P-VOL write (or the giveback's
-  // forward-journaled blocks) arms the group.
+  // the append hook survives and the next P-VOL write arms the group.
 
-  const GroupId group_id = id;
+  group->giveback = std::move(extents);
+  group->giveback_since = env_->now();
+  SendGiveback(group);
+  if (ins_.failbacks != nullptr) ins_.failbacks->Increment();
+  if (trace_ != nullptr) {
+    trace_->Record(env_->now(), obs::TraceEvent::kFailback, id,
+                   report.blocks_shipped, report.conflicts_overwritten);
+  }
+  return report;
+}
+
+void ReplicationEngine::SendGiveback(Group* group) {
+  const uint64_t epoch = ++group->giveback_epoch;
+  const GroupId group_id = group->id;
+  auto extents = group->giveback;
+  uint64_t bytes = 0;
+  for (const ResyncExtent& ext : *extents) {
+    bytes += ext.data.size() + journal::JournalRecord::kHeaderSize;
+  }
   Status sent = to_primary_->SendOnChannel(
       group_id, std::max<uint64_t>(bytes, kAckMessageBytes),
-      [this, group_id, extents] {
+      [this, group_id, extents, epoch] {
         Group* g = FindGroup(group_id);
-        if (g == nullptr) return;
+        // A re-send superseded this copy, or a failover cancelled it.
+        if (g == nullptr || g->giveback_epoch != epoch) return;
         for (const auto& ext : *extents) {
           Pair* pair = FindPair(ext.pair);
           if (pair == nullptr) continue;
           storage::Volume* pvol = primary_->GetVolume(pair->config_.primary);
           if (pvol == nullptr) continue;
           const uint32_t bs = pvol->block_size();
-          // A block the main site rewrote after failback started is newer
-          // than the giveback copy: skip it (it is journaled forward).
-          // Surviving blocks are applied as contiguous sub-runs.
+          // Only blocks still owed land: one the main site rewrote after
+          // failback is newer than the giveback copy (and is journaled
+          // forward). Owed blocks are applied as contiguous sub-runs.
           uint32_t i = 0;
           while (i < ext.count) {
-            if (pair->dirty_.Test(ext.lba + i)) {
+            if (!pair->reverse_dirty_.Test(ext.lba + i)) {
               ++i;
               continue;
             }
             uint32_t j = i + 1;
-            while (j < ext.count && !pair->dirty_.Test(ext.lba + j)) ++j;
+            while (j < ext.count && pair->reverse_dirty_.Test(ext.lba + j)) {
+              ++j;
+            }
             const std::string_view slice(
                 ext.data.data() + static_cast<size_t>(i) * bs,
                 static_cast<size_t>(j - i) * bs);
@@ -1935,23 +2051,26 @@ StatusOr<FailbackReport> ReplicationEngine::FailbackGroup(GroupId id,
             if (!ws.ok()) ZB_LOG(Warning) << "failback apply failed: " << ws;
             i = j;
           }
+          pair->reverse_dirty_.ClearRange(ext.lba, ext.count);
         }
-        g->giveback_in_flight = false;
-        for (PairId pid : g->pairs) {
-          Pair* pair = FindPair(pid);
-          if (pair != nullptr) pair->dirty_.ClearAll();
-        }
+        g->giveback.reset();
       });
-  if (!sent.ok()) {
-    group->giveback_in_flight = false;
-    return sent;
-  }
-  if (ins_.failbacks != nullptr) ins_.failbacks->Increment();
-  if (trace_ != nullptr) {
-    trace_->Record(env_->now(), obs::TraceEvent::kFailback, id,
-                   report.blocks_shipped, report.conflicts_overwritten);
-  }
-  return report;
+  // A refused send waits for the reverse link's ready edge.
+  if (!sent.ok() || group->config.ack_timeout == 0) return;
+  // The giveback can die in a partition: re-send it if it has not landed
+  // by its latest possible arrival plus the ack grace (the resync rule).
+  env_->ScheduleAt(
+      to_primary_->EstimateArrival(0, group_id) + group->config.ack_timeout,
+      [this, group_id, epoch] {
+        Group* g = FindGroup(group_id);
+        if (g == nullptr || g->giveback == nullptr ||
+            g->giveback_epoch != epoch) {
+          return;
+        }
+        ZB_LOG(Warning) << "group " << group_id
+                        << " giveback lost in flight; re-sending";
+        if (to_primary_->connected()) SendGiveback(g);
+      });
 }
 
 bool ReplicationEngine::GroupInitialCopyDone(GroupId id) const {

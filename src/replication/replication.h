@@ -57,6 +57,18 @@ enum class SuspendReason {
                      // and suspended for a targeted resync.
 };
 
+// What a suspended group's recovery is waiting for. Each failure cause has
+// one trigger: a failure seen with the forward link down waits for the
+// link's ready edge; a failure seen with the link up (lost resync batch,
+// wire reject, scrub repair) and a journal media error wait for the capped
+// backoff timer.
+enum class RecoveryWait {
+  kNone,
+  kLink,            // Parked until the forward link comes back.
+  kBackoff,         // The auto-resync backoff timer is pending.
+  kResyncInFlight,  // A resync batch is on the wire.
+};
+
 const char* PairStateName(PairState state);
 const char* ReplicationModeName(ReplicationMode mode);
 const char* SuspendReasonName(SuspendReason reason);
@@ -121,9 +133,12 @@ struct ConsistencyGroupConfig {
   // lost (a real partition drops in-flight traffic) and the group suspends
   // rather than silently stalling its watermarks. 0 disables detection.
   SimDuration ack_timeout = Milliseconds(50);
-  // Automatically retry ResyncGroup after a *failure* suspension (overflow
-  // or timeout — never an operator suspend), with capped exponential
-  // backoff, until the link heals and the resync lands.
+  // Automatically run ResyncGroup after a *failure* suspension (overflow,
+  // timeout, wire reject, scrub repair, media error — never an operator
+  // suspend). A failure seen while the forward link is down resyncs at the
+  // instant the link comes back; any other failure retries with capped
+  // exponential backoff (a media error keeps backing off until the journal
+  // hardware heals).
   bool auto_resync = true;
   SimDuration resync_backoff_initial = Milliseconds(10);
   SimDuration resync_backoff_max = Milliseconds(100);
@@ -214,6 +229,19 @@ struct GroupStats {
   // Batches the backup site rejected on checksum mismatch (each one
   // nacks, suspends the group and reships via auto-resync).
   uint64_t checksum_rejects = 0;
+  // --- Recovery progress (stuck work shows as an age that keeps growing) ---
+  RecoveryWait recovery_wait = RecoveryWait::kNone;
+  // kLink: how long the group has waited for the link; kResyncInFlight:
+  // how long the batch has been on the wire. 0 otherwise.
+  SimDuration recovery_age = 0;
+  // kBackoff: time until the retry timer fires; kResyncInFlight: time
+  // until the batch's loss deadline. -1 otherwise (or when ack_timeout
+  // disables loss detection).
+  SimDuration recovery_due_in = -1;
+  // A failback giveback that has not landed on the main site yet, and how
+  // long ago FailbackGroup captured it.
+  bool giveback_in_flight = false;
+  SimDuration giveback_age = 0;
 };
 
 // Result of a failover (disaster recovery takeover) on a group.
@@ -257,7 +285,8 @@ class Pair {
   // Blocks written while suspended (or, after a failover, on the P-VOL);
   // shipped again on resync / reconciled on failback.
   size_t dirty_blocks() const { return dirty_.count(); }
-  // Blocks the business wrote on the S-VOL after a failover.
+  // Blocks the business wrote on the S-VOL after a failover that the main
+  // site has not received yet (kept until the failback giveback lands).
   size_t reverse_dirty_blocks() const { return reverse_dirty_.count(); }
 
  private:
@@ -275,8 +304,6 @@ class Pair {
   // resync walks them as sorted extent runs instead of hash-ordered blocks.
   DirtyBitmap dirty_;
   DirtyBitmap reverse_dirty_;
-  // Sync-mode bookkeeping: writes in flight to the remote site.
-  uint64_t inflight_ = 0;
 };
 
 // The remote-copy feature of a main/backup array pair: creates and drives
@@ -452,9 +479,15 @@ class ReplicationEngine {
     bool suspended = false;
     SuspendReason suspend_reason = SuspendReason::kNone;
     bool failed_over = false;
-    // A failback giveback batch is on the wire: P-VOL writes are recorded
-    // so stale giveback blocks do not overwrite newer data.
-    bool giveback_in_flight = false;
+    // The failback giveback, captured at FailbackGroup and kept until it
+    // lands on the main site: re-sent on its loss deadline or on the
+    // reverse link's ready edge. The blocks it still owes the main site
+    // are the pairs' reverse_dirty_ bits; a P-VOL write clears its bits,
+    // so a stale giveback block never overwrites newer data.
+    std::shared_ptr<std::vector<ResyncExtent>> giveback;
+    // Bumped on every (re-)send; a delivery from an older send is dropped.
+    uint64_t giveback_epoch = 0;
+    SimTime giveback_since = 0;
     // Apply-side: ack_time of the newest applied record.
     SimTime last_applied_ack_time = 0;
     // Host-ack time of the oldest write living only in dirty bitmaps
@@ -476,10 +509,16 @@ class ReplicationEngine {
     // Pre-overwrite hooks guarding the view-captured extents of that
     // batch: (primary volume id, hook token).
     std::vector<std::pair<storage::VolumeId, uint64_t>> resync_cow_hooks;
-    // Auto-resync backoff bookkeeping.
+    // Send instant and loss deadline (-1: none) of that batch.
+    SimTime resync_sent_at = 0;
+    SimTime resync_deadline = -1;
+    // Auto-resync triggers: parked for the forward link's ready edge since
+    // `link_wait_since` (-1 = not parked), or the backoff timer.
+    SimTime link_wait_since = -1;
     SimDuration resync_backoff = 0;
     sim::EventId resync_retry_event{};
     bool resync_retry_pending = false;
+    SimTime resync_retry_at = 0;
     // Counters surfaced in GroupStats.
     uint64_t ack_timeouts = 0;
     uint64_t resync_timeouts = 0;
@@ -519,8 +558,14 @@ class ReplicationEngine {
   PumpOutcome PumpGroup(Group* group, uint64_t max_bytes);
   // Scheduler glue: arm edges and the slow-heartbeat rescue scan.
   void OnPrimaryJournalAppend(GroupId id);
-  void OnLinkReady();
   uint64_t HeartbeatScan();
+  // Link ready edges. Each is posted as one event (never run inside
+  // NetworkLink::SetConnected): the forward edge starts the resync of
+  // every failure-suspended group and arms every group with backlog, the
+  // reverse edge re-sends every giveback still in flight, both in
+  // group-id order.
+  void OnForwardLinkUp();
+  void OnReverseLinkUp();
   // Arms `id` if the group exists, is healthy and has unshipped backlog
   // (or demands a keep-alive tick).
   void ArmIfPending(GroupId id);
@@ -559,8 +604,22 @@ class ReplicationEngine {
   void SuspendOnFailure(Group* group, SuspendReason reason);
   // Arms (or re-arms, doubling the backoff) the auto-resync retry timer.
   void ScheduleResyncRetry(Group* group, bool reset_backoff);
+  // Stands auto-resync down: cancels the backoff timer and the wait for
+  // the link.
   void CancelResyncRetry(Group* group);
-  void TryAutoResync(GroupId id);
+  // Starts a failure-suspended group's resync now if it can: a journal
+  // whose media is still failed backs off again, a dead link parks the
+  // group until the ready edge.
+  void TryAutoResync(Group* group);
+
+  // Sends (or re-sends) the group's giveback on the reverse link under a
+  // fresh epoch and arms its loss deadline.
+  void SendGiveback(Group* group);
+
+  // A synchronous host write whose remote ack is outstanding.
+  struct SyncWrite;
+  // Acks `op`'s host write unless it was already acked.
+  void CompleteSyncWrite(SyncWrite* op);
 
   // Folds the age of the primary journal's oldest unacked record with the
   // group's dirty-bitmap backlog into the RPO reported by GroupStats.

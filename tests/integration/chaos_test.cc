@@ -212,25 +212,40 @@ class ChaosRun {
     return bad;
   }
 
-  void WriteTagged() {
+  // One tagged host write on the main site, or (after a failover) on the
+  // backup site, where the business then runs.
+  void WriteTagged(bool on_backup = false) {
     const int vol = static_cast<int>(rng_.Uniform(kVolumes));
     const uint64_t lba = rng_.Zipf(kBlocks, 0.8);  // Hot blocks rewrite.
     const uint64_t tag = ++next_tag_;
     std::string data(block::kDefaultBlockSize,
                      static_cast<char>('A' + vol));
     EncodeFixed64(data.data(), tag);
-    ASSERT_TRUE(main_.WriteSync(pvols_[static_cast<size_t>(vol)], lba, data)
+    storage::StorageArray& array = on_backup ? backup_ : main_;
+    const auto& vols = on_backup ? svols_ : pvols_;
+    ASSERT_TRUE(array.WriteSync(vols[static_cast<size_t>(vol)], lba, data)
                     .ok())
         << "host writes must never fail, tag " << tag;
     history_.push_back(WriteEvent{vol, lba, tag});
   }
 
-  void RunWrites(int n) {
+  void RunWrites(int n, bool on_backup = false) {
     for (int i = 0; i < n; ++i) {
-      WriteTagged();
+      WriteTagged(on_backup);
       env_.RunFor(static_cast<SimDuration>(
           rng_.Uniform(Microseconds(300)) + Microseconds(50)));
     }
+  }
+
+  void SetLinks(bool connected) {
+    to_backup_.SetConnected(connected);
+    to_main_.SetConnected(connected);
+  }
+
+  GroupStats Stats() {
+    auto stats = engine_.GetGroupStats(group_);
+    EXPECT_TRUE(stats.ok()) << stats.status();
+    return stats.ok() ? *stats : GroupStats{};
   }
 
   // After HealChaos: the recovery machinery alone (no operator resync!)
@@ -268,11 +283,18 @@ class ChaosRun {
     return report.ok() ? *report : FailoverReport{};
   }
 
-  // Mechanical prefix check: there must exist a single cut 0 <= k <=
-  // history.size() such that every backup block equals the content after
-  // exactly the first k writes. Each block's tag constrains k to an
-  // interval; the intersection must be non-empty.
   ::testing::AssertionResult BackupIsWriteOrderPrefix() {
+    return IsWriteOrderPrefix(backup_, svols_, /*require_all=*/false);
+  }
+
+  // Mechanical prefix check: there must exist a single cut 0 <= k <=
+  // history.size() such that every block of `vols` equals the content
+  // after exactly the first k writes (k == history.size() when
+  // `require_all`). Each block's tag constrains k to an interval; the
+  // intersection must be non-empty.
+  ::testing::AssertionResult IsWriteOrderPrefix(
+      storage::StorageArray& array, const std::vector<storage::VolumeId>& vols,
+      bool require_all) {
     std::map<std::pair<int, uint64_t>,
              std::vector<std::pair<uint64_t, size_t>>>
         per_block;  // (vol, lba) -> [(tag, history index)] in order.
@@ -285,7 +307,7 @@ class ChaosRun {
     for (int v = 0; v < kVolumes; ++v) {
       for (uint64_t lba = 0; lba < kBlocks; ++lba) {
         const std::string blk =
-            backup_.GetVolume(svols_[static_cast<size_t>(v)])
+            array.GetVolume(vols[static_cast<size_t>(v)])
                 ->store()
                 .ReadBlock(lba);
         const uint64_t tag = DecodeFixed64(blk.data());
@@ -325,7 +347,12 @@ class ChaosRun {
     if (lo >= hi) {
       return ::testing::AssertionFailure()
              << "no single cut satisfies all blocks (lo " << lo << " >= hi "
-             << hi << "): the backup mixes two instants — collapsed";
+             << hi << "): the image mixes two instants — collapsed";
+    }
+    if (require_all && hi <= history_.size()) {
+      return ::testing::AssertionFailure()
+             << "the image misses writes from " << hi - 1 << " of "
+             << history_.size() << " on";
     }
     return ::testing::AssertionSuccess();
   }
@@ -401,6 +428,119 @@ ScenarioResult RunScenario(uint64_t seed, bool coalesce = true) {
   EXPECT_TRUE(run.BackupIsWriteOrderPrefix()) << "seed " << seed;
   result.fingerprint = run.BackupFingerprint();
   return result;
+}
+
+// Result of a recovery-edge lane: how often the lane hit the window it
+// targets, and the final backup image for the replay comparison.
+struct EdgeLaneResult {
+  uint64_t hits = 0;
+  std::vector<uint64_t> fingerprint;
+};
+
+// Edge lane: partitions long enough to suspend the group, each healed and
+// cut again 0-1.2 ms later — often while the resync the link's ready edge
+// started is still on the wire (one trip is 1-1.3 ms). The backup must be
+// a write-order prefix at every cut, and the group must reconverge once
+// the link stays up.
+EdgeLaneResult RunEdgeRepartitionLane(uint64_t seed) {
+  ChaosRun run(seed);
+  EdgeLaneResult result;
+  run.RunWrites(60);
+  for (int cycle = 0; cycle < 6; ++cycle) {
+    run.SetLinks(false);
+    run.RunWrites(100);  // ~20 ms: past the 10 ms ack deadline.
+    EXPECT_TRUE(run.Stats().suspended) << "seed " << seed;
+    run.SetLinks(true);
+    run.env_.RunFor(
+        static_cast<SimDuration>(run.rng_.Uniform(4)) * Microseconds(400));
+    if (run.Stats().recovery_wait == RecoveryWait::kResyncInFlight) {
+      ++result.hits;
+    }
+    run.SetLinks(false);
+    EXPECT_TRUE(run.BackupIsWriteOrderPrefix())
+        << "seed " << seed << " cycle " << cycle;
+  }
+  run.SetLinks(true);
+  run.RunWrites(40);
+  EXPECT_TRUE(run.DrainToConverged()) << "seed " << seed;
+  EXPECT_TRUE(run.IsWriteOrderPrefix(run.backup_, run.svols_,
+                                     /*require_all=*/true))
+      << "seed " << seed;
+  result.fingerprint = run.BackupFingerprint();
+  return result;
+}
+
+// Failback lane: the business runs on the backup site after a failover,
+// then fails back while the reverse link partitions 0-1 ms after the
+// giveback left (one trip is 1-1.3 ms) and keeps flapping under seeded
+// faults. The giveback must land exactly once, so both sites end up
+// holding the whole cross-site history.
+EdgeLaneResult RunFailbackPartitionLane(uint64_t seed) {
+  ChaosRun run(seed);
+  EdgeLaneResult result;
+  run.RunWrites(80);
+  EXPECT_TRUE(run.DrainToConverged()) << "seed " << seed;
+  run.Failover();
+  EXPECT_TRUE(run.BackupIsWriteOrderPrefix()) << "seed " << seed;
+  run.RunWrites(40, /*on_backup=*/true);
+
+  run.main_.SetFailed(false);
+  run.SetLinks(true);
+  run.env_.RunFor(0);  // The heal's ready edges.
+  EXPECT_TRUE(run.engine_.FailbackGroup(run.group_).ok()) << "seed " << seed;
+  run.env_.RunFor(
+      static_cast<SimDuration>(run.rng_.Uniform(3)) * Microseconds(500));
+  run.to_main_.SetConnected(false);
+  run.RunWrites(40);
+  if (run.Stats().giveback_in_flight) ++result.hits;
+  run.to_main_.SetConnected(true);
+
+  fault::FaultScheduleConfig fcfg;
+  fcfg.seed = seed * 101 + 3;
+  fcfg.horizon = Milliseconds(60);
+  fcfg.mean_flap_interval = Milliseconds(8);
+  fcfg.min_outage = Milliseconds(1);
+  fcfg.max_outage = Milliseconds(6);
+  fault::FaultSchedule flaps(&run.env_, fcfg);
+  flaps.AddLink(&run.to_main_);
+  flaps.Arm();
+  run.RunWrites(300);
+  flaps.Heal();
+
+  EXPECT_TRUE(run.DrainToConverged()) << "seed " << seed;
+  EXPECT_FALSE(run.Stats().giveback_in_flight) << "seed " << seed;
+  EXPECT_TRUE(run.IsWriteOrderPrefix(run.main_, run.pvols_,
+                                     /*require_all=*/true))
+      << "seed " << seed << ": the main site lost writes";
+  EXPECT_TRUE(run.IsWriteOrderPrefix(run.backup_, run.svols_,
+                                     /*require_all=*/true))
+      << "seed " << seed;
+  result.fingerprint = run.BackupFingerprint();
+  return result;
+}
+
+TEST(ChaosTest, RepartitionDuringEdgeResyncAcrossSeeds) {
+  uint64_t hits = 0;
+  for (uint64_t seed : {11, 12, 13, 14, 15, 16, 17, 18}) {
+    EdgeLaneResult a = RunEdgeRepartitionLane(seed);
+    EdgeLaneResult b = RunEdgeRepartitionLane(seed);
+    EXPECT_EQ(a.fingerprint, b.fingerprint) << "seed " << seed;
+    EXPECT_EQ(a.hits, b.hits) << "seed " << seed;
+    hits += a.hits;
+  }
+  EXPECT_GT(hits, 0u) << "no cut landed on a resync in flight";
+}
+
+TEST(ChaosTest, FailbackUnderReversePartitionAcrossSeeds) {
+  uint64_t hits = 0;
+  for (uint64_t seed : {11, 12, 13, 14, 15, 16, 17, 18}) {
+    EdgeLaneResult a = RunFailbackPartitionLane(seed);
+    EdgeLaneResult b = RunFailbackPartitionLane(seed);
+    EXPECT_EQ(a.fingerprint, b.fingerprint) << "seed " << seed;
+    EXPECT_EQ(a.hits, b.hits) << "seed " << seed;
+    hits += a.hits;
+  }
+  EXPECT_GT(hits, 0u) << "no partition caught a giveback on the wire";
 }
 
 // Media-lane scenario: journal media episodes + silent S-VOL bit rot

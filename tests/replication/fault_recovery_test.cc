@@ -75,6 +75,46 @@ class FaultRecoveryTest : public ::testing::Test {
     return id.ok() ? *id : 0;
   }
 
+  PairId MakeSyncPair(storage::VolumeId p, storage::VolumeId s) {
+    PairConfig cfg;
+    cfg.name = "sync";
+    cfg.primary = p;
+    cfg.secondary = s;
+    cfg.mode = ReplicationMode::kSynchronous;
+    auto id = engine_.CreatePair(cfg);
+    EXPECT_TRUE(id.ok()) << id.status();
+    return id.ok() ? *id : 0;
+  }
+
+  void Partition() {
+    to_backup_.SetConnected(false);
+    to_main_.SetConnected(false);
+  }
+
+  void Heal() {
+    to_backup_.SetConnected(true);
+    to_main_.SetConnected(true);
+  }
+
+  // Ships one write, partitions both links while its batch is on the wire
+  // and keeps writing for `outage`: the ack deadline suspends the group
+  // while the link is down.
+  void FailWhileLinkDown(storage::VolumeId p, SimDuration outage) {
+    ASSERT_TRUE(main_.WriteSync(p, 0, BlockOf('0')).ok());
+    env_.RunFor(Milliseconds(3));  // Batch shipped, in flight.
+    Partition();
+    for (uint64_t lba = 1; lba <= 8; ++lba) {
+      ASSERT_TRUE(main_.WriteSync(p, lba, BlockOf('a' + lba)).ok());
+      env_.RunFor(outage / 8);
+    }
+  }
+
+  GroupStats Stats(GroupId g) {
+    auto stats = engine_.GetGroupStats(g);
+    EXPECT_TRUE(stats.ok());
+    return stats.ok() ? *stats : GroupStats{};
+  }
+
   bool Converged(storage::VolumeId p, storage::VolumeId s) {
     return main_.GetVolume(p)->ContentEquals(*backup_.GetVolume(s));
   }
@@ -372,6 +412,309 @@ TEST_F(FaultRecoveryTest, DeadLinkShipsNothingUntilHealed) {
   EXPECT_EQ(to_backup_.send_failures(), 0u);
   EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
   EXPECT_TRUE(Converged(p, s));
+}
+
+// Recovery is edge-triggered: a failure seen while the link is down parks
+// the group, and its resync goes out at the instant the link heals — not
+// when a backoff timer (long since at its 50 ms cap after a 300 ms outage)
+// next fires. With no bandwidth limit the batch lands one propagation
+// delay (5 ms) after the heal.
+TEST_F(FaultRecoveryTest, ResyncStartsOnLinkUpEdge) {
+  auto [p, s] = MakeVolumes("v");
+  GroupId g = MakeGroup();
+  PairId pair = MakeAsyncPair(p, s, g);
+  env_.RunFor(Milliseconds(4));
+  FailWhileLinkDown(p, Milliseconds(300));
+  ASSERT_TRUE(Stats(g).suspended);
+
+  Heal();
+  const SimTime healed = env_.now();
+  env_.RunFor(0);  // The posted ready-edge event.
+  GroupStats stats = Stats(g);
+  EXPECT_FALSE(stats.suspended);
+  EXPECT_EQ(stats.recovery_wait, RecoveryWait::kResyncInFlight);
+  EXPECT_EQ(stats.recovery_age, 0);
+  EXPECT_EQ(stats.recovery_due_in, Milliseconds(5) + Milliseconds(20));
+
+  while (!Converged(p, s) && env_.now() - healed < Milliseconds(200)) {
+    env_.RunFor(Microseconds(100));
+  }
+  EXPECT_LE(env_.now() - healed, Milliseconds(5) + Microseconds(100))
+      << "resync did not start at the heal instant";
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+  EXPECT_EQ(Stats(g).auto_resync_attempts, 1u);
+  EXPECT_EQ(Stats(g).recovery_wait, RecoveryWait::kNone);
+}
+
+// No timer polls a dead link: the suspended group parks, visible as a
+// "link" wait whose age keeps growing, and makes exactly one attempt once
+// the link is back.
+TEST_F(FaultRecoveryTest, NoAutoResyncAttemptsWhileLinkDown) {
+  auto [p, s] = MakeVolumes("v");
+  GroupId g = MakeGroup();
+  MakeAsyncPair(p, s, g);
+  env_.RunFor(Milliseconds(4));
+  FailWhileLinkDown(p, Milliseconds(300));
+
+  GroupStats stats = Stats(g);
+  ASSERT_TRUE(stats.suspended);
+  EXPECT_EQ(stats.suspend_reason, SuspendReason::kAckTimeout);
+  EXPECT_EQ(stats.auto_resync_attempts, 0u);
+  EXPECT_EQ(stats.recovery_wait, RecoveryWait::kLink);
+  // The ack deadline (arrival bound + 20 ms) fired about 25 ms into the
+  // 300 ms outage: parked ever since.
+  EXPECT_GE(stats.recovery_age, Milliseconds(270));
+  env_.RunFor(Milliseconds(100));
+  EXPECT_EQ(Stats(g).recovery_age, stats.recovery_age + Milliseconds(100));
+  EXPECT_EQ(Stats(g).auto_resync_attempts, 0u);
+
+  Heal();
+  env_.RunFor(Milliseconds(50));
+  stats = Stats(g);
+  EXPECT_EQ(stats.auto_resync_attempts, 1u);
+  EXPECT_FALSE(stats.suspended);
+  EXPECT_TRUE(Converged(p, s));
+}
+
+// An operator suspension is never undone by a link edge, including one
+// that took over a group parked for the link.
+TEST_F(FaultRecoveryTest, OperatorSuspendSurvivesLinkFlap) {
+  auto [p, s] = MakeVolumes("v");
+  GroupId g = MakeGroup();
+  PairId pair = MakeAsyncPair(p, s, g);
+  env_.RunFor(Milliseconds(4));
+  FailWhileLinkDown(p, Milliseconds(100));
+  ASSERT_EQ(Stats(g).recovery_wait, RecoveryWait::kLink);
+  ASSERT_TRUE(engine_.SuspendGroup(g).ok());
+  EXPECT_EQ(Stats(g).recovery_wait, RecoveryWait::kNone);
+
+  Heal();
+  env_.RunFor(Milliseconds(20));
+  Partition();
+  env_.RunFor(Milliseconds(5));
+  Heal();
+  env_.RunFor(Milliseconds(200));
+  GroupStats stats = Stats(g);
+  EXPECT_TRUE(stats.suspended);
+  EXPECT_EQ(stats.suspend_reason, SuspendReason::kOperator);
+  EXPECT_EQ(stats.auto_resync_attempts, 0u);
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kSuspended);
+
+  ASSERT_TRUE(engine_.ResyncGroup(g).ok());
+  env_.RunFor(Milliseconds(50));
+  EXPECT_TRUE(Converged(p, s));
+}
+
+// A journal media error is waiting for hardware, not for the link: the
+// link edge leaves it on its backoff, and it resyncs once the media heals.
+TEST_F(FaultRecoveryTest, MediaErrorStillWaitsForHardwareAfterLinkEdge) {
+  auto [p, s] = MakeVolumes("v");
+  GroupId g = MakeGroup();
+  MakeAsyncPair(p, s, g);
+  env_.RunFor(Milliseconds(4));
+  Partition();
+  engine_.primary_journal(g)->SetMediaError(true);
+  ASSERT_TRUE(main_.WriteSync(p, 1, BlockOf('m')).ok());
+  GroupStats stats = Stats(g);
+  ASSERT_TRUE(stats.suspended);
+  ASSERT_EQ(stats.suspend_reason, SuspendReason::kMediaError);
+  EXPECT_EQ(stats.recovery_wait, RecoveryWait::kLink);
+
+  Heal();
+  env_.RunFor(0);
+  stats = Stats(g);
+  EXPECT_EQ(stats.recovery_wait, RecoveryWait::kBackoff);
+  env_.RunFor(Milliseconds(200));
+  stats = Stats(g);
+  EXPECT_TRUE(stats.suspended);
+  EXPECT_EQ(stats.suspend_reason, SuspendReason::kMediaError);
+  EXPECT_EQ(stats.recovery_wait, RecoveryWait::kBackoff);
+  EXPECT_EQ(stats.auto_resync_attempts, 0u);
+
+  engine_.primary_journal(g)->SetMediaError(false);
+  // At most one capped backoff (50 ms) plus the 5 ms trip.
+  env_.RunFor(Milliseconds(60));
+  stats = Stats(g);
+  EXPECT_FALSE(stats.suspended);
+  EXPECT_EQ(stats.auto_resync_attempts, 1u);
+  EXPECT_TRUE(Converged(p, s));
+}
+
+// Failback regression: a giveback killed by a reverse-link partition used
+// to be gone for good (the giveback flag stuck, the backup-site writes
+// never reached the main site). The group keeps the captured extents
+// until they land and re-sends them on the reverse link's ready edge.
+TEST_F(FaultRecoveryTest, GivebackLostInFlightIsResent) {
+  auto [p, s] = MakeVolumes("v");
+  GroupId g = MakeGroup();
+  PairId pair = MakeAsyncPair(p, s, g);
+  ASSERT_TRUE(main_.WriteSync(p, 0, BlockOf('a')).ok());
+  env_.RunFor(Milliseconds(50));
+  main_.SetFailed(true);
+  Partition();
+  ASSERT_TRUE(engine_.FailoverGroup(g).ok());
+  ASSERT_TRUE(backup_.WriteSync(s, 1, BlockOf('b')).ok());
+  ASSERT_TRUE(backup_.WriteSync(s, 2, BlockOf('c')).ok());
+  main_.SetFailed(false);
+  Heal();
+  env_.RunFor(0);  // The heal's ready edges.
+  ASSERT_TRUE(engine_.FailbackGroup(g).ok());
+
+  env_.RunFor(Milliseconds(1));
+  to_main_.SetConnected(false);  // The giveback dies on the wire.
+  env_.RunFor(Milliseconds(40));  // Past its loss deadline: nothing to do.
+  GroupStats stats = Stats(g);
+  EXPECT_TRUE(stats.giveback_in_flight);
+  EXPECT_EQ(stats.giveback_age, Milliseconds(41));
+  EXPECT_EQ(engine_.GetPair(pair)->reverse_dirty_blocks(), 2u);
+
+  to_main_.SetConnected(true);
+  env_.RunFor(Milliseconds(10));
+  EXPECT_EQ(main_.GetVolume(p)->store().ReadBlock(1), BlockOf('b'));
+  EXPECT_EQ(main_.GetVolume(p)->store().ReadBlock(2), BlockOf('c'));
+  EXPECT_FALSE(Stats(g).giveback_in_flight);
+  EXPECT_EQ(engine_.GetPair(pair)->reverse_dirty_blocks(), 0u);
+
+  // Main-site writes no longer leave dirty blocks behind.
+  ASSERT_TRUE(main_.WriteSync(p, 3, BlockOf('n')).ok());
+  env_.RunFor(Milliseconds(50));
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 0u);
+  EXPECT_TRUE(Converged(p, s));
+}
+
+// A giveback dropped on a link that never went down is re-sent when its
+// loss deadline (latest arrival + ack_timeout) passes; a main-site write
+// made meanwhile still wins over the giveback copy.
+TEST_F(FaultRecoveryTest, GivebackDroppedOnHealthyLinkIsResentAtDeadline) {
+  auto [p, s] = MakeVolumes("v");
+  GroupId g = MakeGroup();
+  MakeAsyncPair(p, s, g);
+  env_.RunFor(Milliseconds(50));
+  main_.SetFailed(true);
+  Partition();
+  ASSERT_TRUE(engine_.FailoverGroup(g).ok());
+  ASSERT_TRUE(backup_.WriteSync(s, 4, BlockOf('b')).ok());
+  ASSERT_TRUE(backup_.WriteSync(s, 5, BlockOf('c')).ok());
+  main_.SetFailed(false);
+  Heal();
+  env_.RunFor(0);  // The heal's ready edges.
+  to_main_.set_drop_probability(1.0);
+  ASSERT_TRUE(engine_.FailbackGroup(g).ok());
+  to_main_.set_drop_probability(0.0);
+  ASSERT_TRUE(main_.WriteSync(p, 5, BlockOf('N')).ok());
+
+  env_.RunFor(Milliseconds(24));  // Deadline at 5 + 20 ms.
+  EXPECT_TRUE(Stats(g).giveback_in_flight);
+  env_.RunFor(Milliseconds(10));  // Re-sent at 25 ms, lands at 30 ms.
+  EXPECT_FALSE(Stats(g).giveback_in_flight);
+  EXPECT_EQ(main_.GetVolume(p)->store().ReadBlock(4), BlockOf('b'));
+  EXPECT_EQ(main_.GetVolume(p)->store().ReadBlock(5), BlockOf('N'));
+  env_.RunFor(Milliseconds(50));
+  EXPECT_TRUE(Converged(p, s));
+}
+
+// The giveback epoch: behind a buffering hop (kDelayInFlight) a giveback
+// can outlive its failback. After the group failed over and back again,
+// that old copy must not land over the blocks the newer giveback owes.
+TEST(GivebackEpochTest, StaleGivebackOfEarlierFailbackIsDropped) {
+  sim::SimEnvironment env;
+  storage::StorageArray main(&env, ZeroLatency("MAIN"));
+  storage::StorageArray backup(&env, ZeroLatency("BKUP"));
+  sim::NetworkLinkConfig link;
+  link.base_latency = Milliseconds(5);
+  link.bandwidth_bytes_per_sec = 0;
+  sim::NetworkLink fwd(&env, link, "fwd");
+  link.partition_policy = sim::PartitionPolicy::kDelayInFlight;
+  sim::NetworkLink rev(&env, link, "rev");
+  ReplicationEngine engine(&env, &main, &backup, &fwd, &rev);
+  auto p = main.CreateVolume("v", 16);
+  auto s = backup.CreateVolume("r-v", 16);
+  ASSERT_TRUE(p.ok() && s.ok());
+  auto g = engine.CreateConsistencyGroup({.name = "cg"});
+  ASSERT_TRUE(g.ok());
+  PairConfig pc;
+  pc.primary = *p;
+  pc.secondary = *s;
+  pc.group = *g;
+  ASSERT_TRUE(engine.CreatePair(pc).ok());
+  env.RunFor(Milliseconds(10));
+  auto set_links = [&](bool up) {
+    fwd.SetConnected(up);
+    rev.SetConnected(up);
+    env.RunFor(0);  // The ready edges.
+  };
+
+  set_links(false);
+  ASSERT_TRUE(engine.FailoverGroup(*g).ok());
+  ASSERT_TRUE(backup.WriteSync(*s, 1, BlockOf('x')).ok());
+  set_links(true);
+  ASSERT_TRUE(engine.FailbackGroup(*g).ok());
+  env.RunFor(Milliseconds(1));
+  set_links(false);  // The first giveback ('x') is held at the hop.
+
+  env.RunFor(Milliseconds(10));
+  ASSERT_TRUE(engine.FailoverGroup(*g).ok());
+  ASSERT_TRUE(backup.WriteSync(*s, 1, BlockOf('y')).ok());
+  set_links(true);  // Releases the held copy: it arrives in 5 ms.
+  ASSERT_TRUE(engine.FailbackGroup(*g).ok());
+  env.RunFor(Milliseconds(20));
+  EXPECT_EQ(main.GetVolume(*p)->store().ReadBlock(1), BlockOf('y'));
+  EXPECT_TRUE(main.GetVolume(*p)->ContentEquals(*backup.GetVolume(*s)));
+}
+
+// SDC regression: a synchronous write in flight when the forward link
+// partitions used to hang the host forever. Its deadline suspends the
+// pair, dirty-marks the block and acks locally (fence level "never").
+TEST_F(FaultRecoveryTest, SyncWriteInFlightAtPartitionAcksLocally) {
+  auto [p, s] = MakeVolumes("v");
+  PairId pair = MakeSyncPair(p, s);
+  env_.RunFor(Milliseconds(20));
+  int acks = 0;
+  Status acked = InternalError("no ack");
+  main_.SubmitHostWrite(p, 6, BlockOf('w'), [&](block::IoResult r) {
+    ++acks;
+    acked = r.status;
+  });
+  env_.RunFor(Milliseconds(1));
+  to_backup_.SetConnected(false);  // The write dies on the wire.
+  // Arrival bound 5 ms + reverse trip 5 ms + 50 ms grace.
+  env_.RunFor(Milliseconds(65));
+  EXPECT_EQ(acks, 1) << "a host write never hangs";
+  EXPECT_TRUE(acked.ok()) << acked;
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kSuspended);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 1u);
+
+  to_backup_.SetConnected(true);
+  ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+  env_.RunFor(Milliseconds(20));
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+  EXPECT_TRUE(Converged(p, s));
+}
+
+// The once-guard: a remote ack that arrives after the deadline already
+// acked the write locally does not complete it a second time.
+TEST_F(FaultRecoveryTest, LateSyncAckDoesNotCompleteTheWriteTwice) {
+  auto [p, s] = MakeVolumes("v");
+  PairId pair = MakeSyncPair(p, s);
+  env_.RunFor(Milliseconds(20));
+  const uint64_t writes = main_.host_writes();
+  int acks = 0;
+  main_.SubmitHostWrite(p, 7, BlockOf('l'),
+                        [&](block::IoResult r) {
+                          EXPECT_TRUE(r.status.ok());
+                          ++acks;
+                        });
+  // The reverse link slows down after the deadline was armed: the ack
+  // leaves at 5 ms and arrives at 205 ms, the deadline fires at 60 ms.
+  to_main_.set_base_latency(Milliseconds(200));
+  env_.RunFor(Milliseconds(100));
+  EXPECT_EQ(acks, 1);
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kSuspended);
+  env_.RunFor(Milliseconds(200));
+  EXPECT_EQ(acks, 1);
+  // A second completion would count the write, and release its IO slot,
+  // twice.
+  EXPECT_EQ(main_.host_writes(), writes + 1);
 }
 
 }  // namespace
