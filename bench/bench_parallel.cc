@@ -1,8 +1,9 @@
 // E14 — Parallel compute layer: host-side throughput of the three hot
 // stages the ThreadPool offloads (wire encode, wire decode, batch apply)
-// plus the resync extent capture, swept over compute lane counts. Every
-// stage's output is cross-checked against the single-lane run first:
-// the speedup is only worth reporting if the bytes are bit-identical.
+// plus the bulk-frame encode of resyncs and givebacks, swept over compute
+// lane counts. Every stage's output is cross-checked against the
+// single-lane run first: the speedup is only worth reporting if the bytes
+// are bit-identical.
 //
 // Acceptance (checked only when the host has >= 4 hardware lanes, since
 // a 1-core container can only measure oversubscription): wire encode at
@@ -192,56 +193,52 @@ void BenchApply(const std::vector<unsigned>& lane_counts, int runs_per_batch,
   out->push_back(std::move(apply));
 }
 
-// ---- Stage 4: resync extent capture -----------------------------------
+// ---- Stage 4: bulk-frame encode ---------------------------------------
 
-void BenchResync(const std::vector<unsigned>& lane_counts, int extents,
-                 int reps, std::vector<StageResult>* out) {
+// The engine's resync and giveback capture: wire::EncodeExtents reads the
+// dirty extents straight into one frame body and seals it (compress, CRC,
+// header) across the lanes.
+void BenchBulkEncode(const std::vector<unsigned>& lane_counts, int extents,
+                     int reps, std::vector<StageResult>* out) {
   const uint32_t extent_blocks = 16;
   const uint64_t volume_blocks =
       static_cast<uint64_t>(extents) * extent_blocks * 2;
   block::MemVolume volume(volume_blocks, kBlockSize);
   Rng rng(4242);
   std::string data(static_cast<size_t>(extent_blocks) * kBlockSize, '\0');
-  std::vector<uint64_t> lbas;
+  std::vector<wire::Extent> dirty;
   for (int i = 0; i < extents; ++i) {
-    // Every other extent-sized slot dirty: scattered like a real delta.
+    // Every other extent-sized slot dirty: scattered like a real delta,
+    // with the DB-like page mix of MakeBatch.
     const uint64_t lba = static_cast<uint64_t>(i) * extent_blocks * 2;
-    for (char& c : data) c = static_cast<char>(rng.Uniform(256));
+    for (size_t off = 0; off < data.size(); ++off) {
+      data[off] = i % 3 == 0 ? static_cast<char>(rng.Uniform(256))
+                             : static_cast<char>('a' + (off % 97) % 26);
+    }
     ZB_CHECK(volume.Write(lba, extent_blocks, data).ok());
-    lbas.push_back(lba);
+    dirty.push_back(wire::Extent{1, lba, extent_blocks, &volume});
   }
   const uint64_t capture_bytes =
       static_cast<uint64_t>(extents) * extent_blocks * kBlockSize;
 
-  std::vector<uint32_t> reference_crcs;
-  StageResult resync{"resync_capture", {}};
+  std::string reference_frame;
+  StageResult bulk{"bulk_encode", {}};
   for (unsigned threads : lane_counts) {
     auto pool = MakePool(threads);
-    std::vector<std::string> bufs(lbas.size());
-    std::vector<uint32_t> crcs(lbas.size(), 0);
-    auto capture = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        bufs[i].resize(static_cast<size_t>(extent_blocks) * kBlockSize);
-        volume.ReadInto(lbas[i], extent_blocks, bufs[i].data());
-        crcs[i] = Crc32c(bufs[i].data(), bufs[i].size());
-      }
-    };
+    wire::EncodedBatch enc;
     const double s = TimeReps(reps, [&] {
-      if (pool != nullptr) {
-        pool->ParallelFor(lbas.size(), 1, capture);
-      } else {
-        capture(0, lbas.size());
-      }
+      enc = wire::EncodeExtents(dirty, /*compress=*/true, pool.get());
     });
     if (threads == lane_counts.front()) {
-      reference_crcs = crcs;
+      reference_frame = enc.frame;
     } else {
-      ZB_CHECK(crcs == reference_crcs)
-          << "capture not lane-count invariant at " << threads << " lanes";
+      ZB_CHECK(enc.frame == reference_frame)
+          << "bulk encode not lane-count invariant at " << threads
+          << " lanes";
     }
-    resync.points.push_back({threads, MbPerSec(capture_bytes, reps, s), 0});
+    bulk.points.push_back({threads, MbPerSec(capture_bytes, reps, s), 0});
   }
-  out->push_back(std::move(resync));
+  out->push_back(std::move(bulk));
 }
 
 // -----------------------------------------------------------------------
@@ -297,8 +294,8 @@ int Run(bool quick, const std::string& out_path) {
   BenchApply(lane_counts, runs, apply_reps, &results);
 
   const int extents = quick ? 64 : 512;          // 64 KiB each.
-  const int resync_reps = quick ? 3 : 20;
-  BenchResync(lane_counts, extents, resync_reps, &results);
+  const int bulk_reps = quick ? 3 : 20;
+  BenchBulkEncode(lane_counts, extents, bulk_reps, &results);
 
   FillSpeedups(&results);
 

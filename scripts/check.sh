@@ -36,7 +36,7 @@ done
 
 # TSan pass over the parallel compute layer: only the tests that drive
 # the thread pool and its call sites (wire chunking, parallel apply,
-# resync capture, the lane-count determinism drills) — the rest of the
+# bulk-frame capture, the lane-count determinism drills) — the rest of the
 # suite is single-threaded simulation and would just burn TSan's ~10x
 # slowdown for nothing.
 if [[ "${fast}" -eq 0 ]]; then
@@ -46,7 +46,7 @@ if [[ "${fast}" -eq 0 ]]; then
     --target exec_test common_test replication_test integration_test \
              bench_parallel
   ctest --preset tsan -j "${jobs}" \
-    -R 'ThreadPool|Crc32cCombine|WireChunked|WireTest|ParallelSystem|ParallelEngine'
+    -R 'ThreadPool|Crc32cCombine|WireChunked|WireTest|BulkFrame|ParallelSystem|ParallelEngine'
   ./build-tsan/bench/bench_parallel --quick \
     --out /tmp/zerobak_parallel_tsan_smoke.json
 fi

@@ -73,16 +73,6 @@ bool MemVolume::IsAllocated(Lba lba) const {
   return (chunks_[ci].bitmap[slot / 64] >> (slot % 64)) & 1;
 }
 
-std::string_view MemVolume::TryReadView(Lba lba, uint32_t count) const {
-  if (count == 0 || !CheckRange(lba, count).ok()) return {};
-  const size_t ci = static_cast<size_t>(lba / kBlocksPerChunk);
-  const uint64_t slot = lba % kBlocksPerChunk;
-  if (slot + count > ChunkBlocks(ci)) return {};  // Crosses a chunk.
-  if (chunks_[ci].data == nullptr) return {};     // No slab to point into.
-  return std::string_view(chunks_[ci].data.get() + slot * block_size_,
-                          static_cast<size_t>(count) * block_size_);
-}
-
 std::string_view MemVolume::ReadBlockView(Lba lba) const {
   const size_t ci = static_cast<size_t>(lba / kBlocksPerChunk);
   if (ci >= chunks_.size() || chunks_[ci].data == nullptr) {

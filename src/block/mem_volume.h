@@ -56,16 +56,10 @@ class MemVolume : public BlockDevice {
   // yield a view of a shared zero block.
   std::string_view ReadBlockView(Lba lba) const;
 
-  // Zero-copy multi-block variant: a view of [lba, lba+count) when the
-  // run lies inside one allocated chunk, an empty (nullptr-data) view
-  // otherwise — callers fall back to a copying Read. Valid until the next
-  // Write to the range, or CloneFrom/Reset.
-  std::string_view TryReadView(Lba lba, uint32_t count) const;
-
   // Copies [lba, lba+count) into `dst` (count * block_size() bytes,
   // holes as zeros) without touching the read counter. Const and free of
   // any shared-state mutation, so concurrent ReadInto calls are safe and
-  // the parallel resync capture produces bytes identical to the serial
+  // the parallel bulk-frame capture produces bytes identical to the serial
   // path at any lane count. The caller must have range-checked.
   void ReadInto(Lba lba, uint32_t count, char* dst) const;
 
@@ -105,7 +99,7 @@ class MemVolume : public BlockDevice {
   // corruption (FlipBit, a stray poke at the slab) surfaces as a typed
   // kDataLoss status instead of bad data. Off by default — journal staging
   // buffers and raw benches pay nothing — and enabled by storage::Volume
-  // for every array LDEV. Zero-copy views (ReadBlockView/TryReadView) and
+  // for every array LDEV. Zero-copy views (ReadBlockView) and
   // ReadInto stay unverified by design; the scrubber covers those paths.
   void EnableChecksums();
   bool checksums_enabled() const { return checksums_enabled_; }

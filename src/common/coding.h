@@ -57,15 +57,20 @@ inline bool GetFixed64(std::string_view* in, uint64_t* v) {
 // LEB128 varints, used where values are usually small (wire-format record
 // headers, compressed-block sizes). 7 bits per byte, high bit = continue.
 
-inline void PutVarint64(std::string* dst, uint64_t v) {
-  char buf[10];
-  int n = 0;
+// Writes `v` at `dst`, which must have room for 10 bytes, and returns the
+// end of what it wrote.
+inline char* EncodeVarint64(char* dst, uint64_t v) {
   while (v >= 0x80) {
-    buf[n++] = static_cast<char>(v | 0x80);
+    *dst++ = static_cast<char>(v | 0x80);
     v >>= 7;
   }
-  buf[n++] = static_cast<char>(v);
-  dst->append(buf, n);
+  *dst++ = static_cast<char>(v);
+  return dst;
+}
+
+inline void PutVarint64(std::string* dst, uint64_t v) {
+  char buf[10];
+  dst->append(buf, EncodeVarint64(buf, v) - buf);
 }
 
 inline void PutVarint32(std::string* dst, uint32_t v) {

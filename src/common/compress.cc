@@ -349,28 +349,29 @@ Status ParseHeader(std::string_view* input, uint8_t* method,
 
 }  // namespace
 
-void Compress(std::string_view input, std::string* out) {
+size_t CompressTo(std::string_view input, char* dst) {
   const size_t n = input.size();
-  const size_t header_at = out->size();
-  out->push_back(static_cast<char>(kMethodLz));
-  PutVarint64(out, n);
-  const size_t body_at = out->size();
+  dst[0] = static_cast<char>(kMethodLz);
+  char* const body = EncodeVarint64(dst + 1, n);
+  const size_t header = static_cast<size_t>(body - dst);
   if (n >= kMinLzInput) {
-    out->resize(header_at + CompressBound(n));
-    auto* body = reinterpret_cast<uint8_t*>(out->data() + body_at);
+    auto* op = reinterpret_cast<uint8_t*>(body);
     const size_t body_len = static_cast<size_t>(
-        CompressLz(reinterpret_cast<const uint8_t*>(input.data()), n, body) -
-        body);
-    if (body_len < n) {
-      out->resize(body_at + body_len);
-      return;
-    }
+        CompressLz(reinterpret_cast<const uint8_t*>(input.data()), n, op) -
+        op);
+    if (body_len < n) return header + body_len;
   }
   // Incompressible (or too small): a stored frame. The header differs
   // from the LZ one only in the method byte.
-  (*out)[header_at] = static_cast<char>(kMethodStored);
-  out->resize(body_at);
-  out->append(input.data(), n);
+  dst[0] = static_cast<char>(kMethodStored);
+  std::memcpy(body, input.data(), n);
+  return header + n;
+}
+
+void Compress(std::string_view input, std::string* out) {
+  const size_t at = out->size();
+  out->resize(at + CompressBound(input.size()));
+  out->resize(at + CompressTo(input, out->data() + at));
 }
 
 Status Decompress(std::string_view input, std::string* out) {

@@ -46,6 +46,11 @@ inline size_t CompressBound(size_t n) { return n + n / 255 + 27; }
 // verbatim.
 void Compress(std::string_view input, std::string* out);
 
+// Writes the frame Compress would append at `dst`, which must have room
+// for CompressBound(input.size()) bytes, and returns its length. For
+// callers that lay several frames out in one buffer they never zero-fill.
+size_t CompressTo(std::string_view input, char* dst);
+
 // Decompresses one frame produced by Compress, appending the raw bytes to
 // `*out`. Returns DataLoss on any malformed input — truncated frames,
 // out-of-range match offsets, length mismatches, a raw size the body could

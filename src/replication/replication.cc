@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "common/crc32c.h"
 #include "common/logging.h"
 #include "replication/scrubber.h"
 #include "replication/wire.h"
@@ -261,7 +260,6 @@ ReplicationEngine::~ReplicationEngine() {
   to_primary_->SetReadyCallback({});
   for (auto& [id, group] : groups_) {
     CancelResyncRetry(group.get());
-    UnprotectInflightResync(group.get());
     // The arrays (and their journals) may outlive the engine; detach the
     // arm hooks pointed at us.
     auto* pj = primary_->GetJournal(group->primary_journal);
@@ -887,20 +885,18 @@ PumpOutcome ReplicationEngine::PumpGroup(Group* group, uint64_t max_bytes) {
   // bytes too, so E10-style comparisons keep a pre-compression baseline.
   Status sent = to_secondary_->SendOnChannel(
       group_id, wire_bytes, enc.logical_bytes,
-      [this, group_id, frame = std::move(enc.frame)]() mutable {
+      [this, group_id, frame = std::move(enc.frame)] {
         Group* g = FindGroup(group_id);
         if (g == nullptr || g->failed_over) return;
         auto* sj = secondary_->GetJournal(g->secondary_journal);
         if (sj == nullptr || secondary_->failed()) return;
-        MaybeCorruptFrame(&frame);
-        auto decoded = wire::DecodeBatch(frame, compute_pool_.get());
-        SyncExecStats();
+        auto decoded = ReceiveFrame(frame);
         if (!decoded.ok()) {
           // Integrity gate: a corrupt batch never touches the journal.
           // Treat it exactly like a dropped message — nack so the primary
           // suspends and reships via the resync machinery (the armed ack
           // deadline is the fallback if the nack itself is lost).
-          ++g->checksum_rejects;
+          NoteRejectedFrame(g, "wire frame", decoded.status());
           if (ins_.batches_nacked != nullptr) {
             ins_.batches_nacked->Increment();
           }
@@ -908,8 +904,6 @@ PumpOutcome ReplicationEngine::PumpGroup(Group* group, uint64_t max_bytes) {
             trace_->Record(env_->now(), obs::TraceEvent::kBatchNacked,
                            group_id, g->checksum_rejects);
           }
-          ZB_LOG(Warning) << "group " << group_id
-                          << " rejected wire frame: " << decoded.status();
           SendWireNack(g);
           return;
         }
@@ -1357,13 +1351,35 @@ void ReplicationEngine::SendWireNack(Group* group) {
   (void)sent;
 }
 
-void ReplicationEngine::MaybeCorruptFrame(std::string* frame) {
+std::string_view ReplicationEngine::MaybeCorruptFrame(std::string_view frame,
+                                                     std::string* copy) {
   const double p = fault_options_.wire_corrupt_probability;
-  if (p <= 0.0 || frame->empty()) return;
-  if (!wire_corrupt_rng_.Bernoulli(p)) return;
-  const size_t byte = wire_corrupt_rng_.Uniform(frame->size());
-  (*frame)[byte] ^= static_cast<char>(1u << wire_corrupt_rng_.Uniform(8));
+  if (p <= 0.0 || frame.empty()) return frame;
+  if (!wire_corrupt_rng_.Bernoulli(p)) return frame;
+  // The sender may still own these bytes (a giveback is kept for
+  // re-sends), so the flip lands on a copy.
+  copy->assign(frame);
+  const size_t byte = wire_corrupt_rng_.Uniform(copy->size());
+  (*copy)[byte] ^= static_cast<char>(1u << wire_corrupt_rng_.Uniform(8));
   ++wire_frames_corrupted_;
+  return *copy;
+}
+
+StatusOr<std::vector<journal::JournalRecord>> ReplicationEngine::ReceiveFrame(
+    std::string_view frame) {
+  std::string corrupted;
+  auto decoded =
+      wire::DecodeBatch(MaybeCorruptFrame(frame, &corrupted),
+                        compute_pool_.get());
+  SyncExecStats();
+  return decoded;
+}
+
+void ReplicationEngine::NoteRejectedFrame(Group* group, const char* what,
+                                          const Status& why) {
+  ++group->checksum_rejects;
+  ZB_LOG(Warning) << "group " << group->id << " rejected " << what << ": "
+                  << why;
 }
 
 void ReplicationEngine::StartInitialCopy(Pair* pair, Group* group) {
@@ -1421,59 +1437,6 @@ void ReplicationEngine::StartInitialCopy(Pair* pair, Group* group) {
   }
 }
 
-void ReplicationEngine::ProtectInflightResync(Group* group) {
-  auto extents = group->inflight_resync;
-  if (extents == nullptr || extents->empty()) return;
-  // Extents are ordered by pair (capture iterates group->pairs) and by
-  // ascending LBA within a pair, so each pair owns one contiguous,
-  // sorted subrange — which the hook binary-searches per write.
-  size_t i = 0;
-  while (i < extents->size()) {
-    const PairId pid = (*extents)[i].pair;
-    size_t j = i;
-    bool any_view = false;
-    while (j < extents->size() && (*extents)[j].pair == pid) {
-      if ((*extents)[j].view.data() != nullptr) any_view = true;
-      ++j;
-    }
-    Pair* pair = FindPair(pid);
-    storage::Volume* pvol =
-        pair == nullptr ? nullptr : primary_->GetVolume(pair->config_.primary);
-    if (any_view && pvol != nullptr) {
-      const size_t lo = i;
-      const size_t hi = j;
-      // The lambda keeps the extents alive on its own; it never touches
-      // engine state, so a hook outliving the engine stays safe.
-      const uint64_t token = pvol->AddPreOverwriteHook(
-          [extents, lo, hi](block::Lba lba, std::string_view /*old*/) {
-            auto begin = extents->begin() + static_cast<ptrdiff_t>(lo);
-            auto end = extents->begin() + static_cast<ptrdiff_t>(hi);
-            auto it = std::upper_bound(
-                begin, end, lba,
-                [](block::Lba l, const ResyncExtent& e) { return l < e.lba; });
-            if (it == begin) return;
-            --it;
-            if (it->view.data() == nullptr) return;  // Already owned.
-            if (lba >= it->lba + it->count) return;  // In a gap.
-            // Hooks run before the store write lands, so the view still
-            // shows the captured image: materialize it now.
-            it->data.assign(it->view.data(), it->view.size());
-            it->view = {};
-          });
-      group->resync_cow_hooks.emplace_back(pair->config_.primary, token);
-    }
-    i = j;
-  }
-}
-
-void ReplicationEngine::UnprotectInflightResync(Group* group) {
-  for (const auto& [vid, token] : group->resync_cow_hooks) {
-    storage::Volume* vol = primary_->GetVolume(vid);
-    if (vol != nullptr) vol->RemovePreOverwriteHook(token);
-  }
-  group->resync_cow_hooks.clear();
-}
-
 void ReplicationEngine::MarkGroupSuspended(Group* group) {
   group->suspended = true;
   // A suspended group ships nothing; it re-arms on resync completion.
@@ -1483,7 +1446,6 @@ void ReplicationEngine::MarkGroupSuspended(Group* group) {
   // bitmaps and invalidate its delivery/deadline by bumping the epoch.
   ++group->resync_epoch;
   if (group->inflight_resync != nullptr) {
-    UnprotectInflightResync(group);
     for (const ResyncExtent& ext : *group->inflight_resync) {
       Pair* pair = FindPair(ext.pair);
       if (pair != nullptr) pair->dirty_.SetRange(ext.lba, ext.count);
@@ -1584,6 +1546,45 @@ Status ReplicationEngine::SuspendSyncPair(PairId id) {
   return OkStatus();
 }
 
+ReplicationEngine::BulkFrame ReplicationEngine::CaptureBulk(
+    const std::vector<Pair*>& pairs, DirtyBitmap Pair::*bits,
+    bool from_primary, bool compress) {
+  BulkFrame bulk;
+  std::vector<wire::Extent> extents;
+  for (Pair* pair : pairs) {
+    storage::Volume* vol =
+        from_primary ? primary_->GetVolume(pair->config_.primary)
+                     : secondary_->GetVolume(pair->config_.secondary);
+    if (vol == nullptr) continue;
+    (pair->*bits).ForEachRun(
+        [&](DirtyBitmap::Run run) {
+          const auto count = static_cast<uint32_t>(run.count);
+          extents.push_back(wire::Extent{pair->config_.primary, run.lba,
+                                         count, &vol->store()});
+          bulk.extents.push_back(ResyncExtent{pair->id_, run.lba, count});
+          bulk.blocks += run.count;
+        },
+        kResyncMaxExtentBlocks);
+  }
+  wire::EncodedBatch enc =
+      wire::EncodeExtents(extents, compress, compute_pool_.get());
+  SyncExecStats();
+  bulk.frame = std::move(enc.frame);
+  bulk.logical_bytes = enc.logical_bytes;
+  return bulk;
+}
+
+void ReplicationEngine::LandResyncRecord(Pair* pair,
+                                         const journal::JournalRecord& rec) {
+  // Only the captured extents are cleared; blocks dirtied after the
+  // capture stay dirty for the next round.
+  pair->dirty_.ClearRange(rec.lba, rec.block_count);
+  storage::Volume* svol = secondary_->GetVolume(pair->config_.secondary);
+  if (svol == nullptr) return;
+  Status ws = svol->Write(rec.lba, rec.block_count, rec.data());
+  if (!ws.ok()) ZB_LOG(Warning) << "resync apply failed: " << ws;
+}
+
 Status ReplicationEngine::ResyncGroup(GroupId id) {
   Group* group = FindGroup(id);
   if (group == nullptr) return NotFoundError("group " + std::to_string(id));
@@ -1596,74 +1597,23 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
   }
   CancelResyncRetry(group);
 
-  // Capture the dirty contents now; journaling resumes immediately, and
-  // the FIFO link guarantees the resync batch applies first. The bitmaps
+  // Capture the dirty contents now into one frame; journaling resumes
+  // immediately, and the FIFO link guarantees the resync frame applies
+  // first. The frame is a copy of the blocks at this instant, so host
+  // writes made while it is on the wire cannot leak into it. The bitmaps
   // are NOT cleared here: the clear is deferred to delivery, so a failed
-  // send — or a batch lost in flight — loses no part of the delta. The
-  // bitmap walk is in ascending LBA order, so the batch is canonical
-  // (deterministic across runs) and adjacent dirty blocks merge into one
-  // multi-block extent each.
-  auto extents = std::make_shared<std::vector<ResyncExtent>>();
-  // Per-extent source store for copy-fallback captures (null = zero-copy
-  // view); indexed alongside *extents, consumed by the parallel fill.
-  std::vector<const block::MemVolume*> read_src;
-  uint64_t bytes = 0;
-  uint64_t total_blocks = 0;
+  // send — or a frame lost or rejected in flight — loses no part of the
+  // delta. The bitmap walk is in ascending LBA order, so the frame is
+  // canonical and adjacent dirty blocks merge into one extent each.
+  std::vector<Pair*> pairs;
   for (PairId pid : group->pairs) {
     Pair* pair = FindPair(pid);
-    if (pair == nullptr || pair->state_ == PairState::kSwapped) continue;
-    storage::Volume* pvol = primary_->GetVolume(pair->config_.primary);
-    if (pvol == nullptr) continue;
-    pair->dirty_.ForEachRun(
-        [&](DirtyBitmap::Run run) {
-          ResyncExtent ext;
-          ext.pair = pid;
-          ext.lba = run.lba;
-          ext.count = static_cast<uint32_t>(run.count);
-          // Zero-copy capture: borrow a view of the slab when the run
-          // sits inside one chunk; the pre-overwrite hooks registered on
-          // send materialize the extent if the host writes into it while
-          // the batch is on the wire. Runs crossing a chunk size their
-          // buffer here and fill it in the parallel pass below.
-          ext.view = pvol->store().TryReadView(run.lba, ext.count);
-          const block::MemVolume* src = nullptr;
-          if (ext.view.data() == nullptr) {
-            ext.data.resize(static_cast<size_t>(ext.count) *
-                            pvol->store().block_size());
-            src = &pvol->store();
-          }
-          bytes += ext.payload().size() + journal::JournalRecord::kHeaderSize;
-          total_blocks += run.count;
-          extents->push_back(std::move(ext));
-          read_src.push_back(src);
-        },
-        kResyncMaxExtentBlocks);
-  }
-  // Fill the copy-fallback buffers and compute every extent's capture
-  // checksum off the serial path: each extent is a disjoint output slot
-  // (its own data buffer and crc field), ReadInto is const and
-  // counter-free, so the captured bytes and checksums are identical at
-  // any lane count.
-  if (!extents->empty()) {
-    auto capture = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        ResyncExtent& ext = (*extents)[i];
-        if (read_src[i] != nullptr) {
-          read_src[i]->ReadInto(ext.lba, ext.count, ext.data.data());
-        }
-        const std::string_view payload = ext.payload();
-        ext.crc = Crc32c(payload.data(), payload.size());
-      }
-    };
-    if (compute_pool_ != nullptr) {
-      const size_t grain = std::max<size_t>(
-          1, extents->size() / (size_t{compute_pool_->lanes()} * 4));
-      compute_pool_->ParallelFor(extents->size(), grain, capture);
-      SyncExecStats();
-    } else {
-      capture(0, extents->size());
+    if (pair != nullptr && pair->state_ != PairState::kSwapped) {
+      pairs.push_back(pair);
     }
   }
+  BulkFrame bulk = CaptureBulk(pairs, &Pair::dirty_, /*from_primary=*/true,
+                               group->config.compress_transfers);
 
   auto* pj = primary_->GetJournal(group->primary_journal);
   const journal::SequenceNumber resume_seq =
@@ -1671,55 +1621,31 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
   const uint64_t resync_id = ++group->resync_epoch;
 
   const GroupId group_id = id;
+  const uint64_t wire_bytes =
+      std::max<uint64_t>(bulk.frame.size(), kAckMessageBytes);
   Status sent = to_secondary_->SendOnChannel(
-      group_id, std::max<uint64_t>(bytes, kAckMessageBytes),
-      [this, group_id, extents, resume_seq, resync_id] {
+      group_id, wire_bytes, bulk.logical_bytes,
+      [this, group_id, frame = std::move(bulk.frame), resume_seq,
+       resync_id] {
         Group* g = FindGroup(group_id);
         if (g == nullptr || g->failed_over) return;
-        // A newer suspension or resync superseded this batch; its blocks
+        // A newer suspension or resync superseded this frame; its blocks
         // were already put back into the dirty bitmaps.
         if (g->resync_epoch != resync_id) return;
-        UnprotectInflightResync(g);
-        g->inflight_resync.reset();
-        // Re-checksum every payload against its capture CRC before any of
-        // it lands, fanned out across the pool (read-only over disjoint
-        // extents). The writes below stay serial, in canonical extent
-        // order.
-        std::vector<uint8_t> crc_ok(extents->size(), 1);
-        auto verify = [&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            const std::string_view payload = (*extents)[i].payload();
-            crc_ok[i] = Crc32c(payload.data(), payload.size()) ==
-                        (*extents)[i].crc;
-          }
-        };
-        if (compute_pool_ != nullptr && !extents->empty()) {
-          const size_t grain = std::max<size_t>(
-              1, extents->size() / (size_t{compute_pool_->lanes()} * 4));
-          compute_pool_->ParallelFor(extents->size(), grain, verify);
-          SyncExecStats();
-        } else {
-          verify(0, extents->size());
+        auto records = ReceiveFrame(frame);
+        if (!records.ok()) {
+          // Nothing lands. The frame counts as lost: it stays in flight
+          // with its deadline armed, and the deadline re-suspends the
+          // group, re-marks the blocks dirty and reships them.
+          NoteRejectedFrame(g, "resync frame", records.status());
+          return;
         }
-        for (size_t i = 0; i < extents->size(); ++i) {
-          const auto& ext = (*extents)[i];
-          Pair* pair = FindPair(ext.pair);
-          if (pair == nullptr) continue;
-          if (!crc_ok[i]) {
-            // Corrupted between capture and delivery: leave the blocks
-            // dirty so the next resync round reships them.
-            ZB_LOG(Warning) << "resync extent checksum mismatch, lba="
-                            << ext.lba << " count=" << ext.count;
-            continue;
-          }
-          // Only the captured extents are cleared; blocks dirtied after
-          // the capture stay dirty for the next round.
-          pair->dirty_.ClearRange(ext.lba, ext.count);
-          storage::Volume* svol =
-              secondary_->GetVolume(pair->config_.secondary);
-          if (svol == nullptr) continue;
-          Status ws = svol->Write(ext.lba, ext.count, ext.payload());
-          if (!ws.ok()) ZB_LOG(Warning) << "resync apply failed: " << ws;
+        g->inflight_resync.reset();
+        for (const journal::JournalRecord& rec : *records) {
+          auto pit = g->by_primary.find(rec.volume_id);
+          if (pit == g->by_primary.end()) continue;
+          Pair* pair = FindPair(pit->second);
+          if (pair != nullptr) LandResyncRecord(pair, rec);
         }
         auto* sj = secondary_->GetJournal(g->secondary_journal);
         if (sj != nullptr && sj->written() < resume_seq) {
@@ -1734,7 +1660,7 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
         }
         // The bitmap backlog is drained: the primary journal's front
         // record takes over as the group's oldest-unsynced bound. Any
-        // residual dirty blocks (captured after this batch) keep the old
+        // residual dirty blocks (captured after this frame) keep the old
         // bound, which can only over-estimate the RPO.
         bool residue = false;
         for (PairId pid : g->pairs) {
@@ -1751,7 +1677,7 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
         }
         g->suspend_reason = SuspendReason::kNone;
         ApplyPending(g);
-        // Records journaled while the resync batch was in flight are an
+        // Records journaled while the resync frame was in flight are an
         // existing backlog with no future arm edge; resume shipping now.
         ArmIfPending(group_id);
       });
@@ -1760,17 +1686,17 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
     return sent;
   }
   group->suspended = false;
-  group->inflight_resync = extents;
   group->resync_sent_at = env_->now();
-  ProtectInflightResync(group);
-  group->resync_extents += extents->size();
-  group->resync_blocks += total_blocks;
+  group->resync_extents += bulk.extents.size();
+  group->resync_blocks += bulk.blocks;
   if (ins_.resyncs != nullptr) ins_.resyncs->Increment();
   if (trace_ != nullptr) {
     trace_->Record(env_->now(), obs::TraceEvent::kResyncStart, id,
-                   extents->size(), total_blocks);
+                   bulk.extents.size(), bulk.blocks);
   }
-  // The resync batch itself can be dropped by a partition; watch for it.
+  group->inflight_resync =
+      std::make_unique<std::vector<ResyncExtent>>(std::move(bulk.extents));
+  // The resync frame itself can be dropped by a partition; watch for it.
   ArmResyncDeadline(group, resync_id);
   return OkStatus();
 }
@@ -1784,46 +1710,42 @@ Status ReplicationEngine::ResyncSyncPair(PairId id) {
   if (pair->state_ != PairState::kSuspended) {
     return FailedPreconditionError("pair is not suspended");
   }
-  storage::Volume* pvol = primary_->GetVolume(pair->config_.primary);
-  if (pvol == nullptr) return NotFoundError("P-VOL vanished");
+  if (primary_->GetVolume(pair->config_.primary) == nullptr) {
+    return NotFoundError("P-VOL vanished");
+  }
 
-  // Deferred clear, as in ResyncGroup: the dirty bitmap survives a failed
-  // or lost send; delivery clears exactly the captured extents.
-  auto extents = std::make_shared<std::vector<ResyncExtent>>();
-  uint64_t bytes = 0;
-  pair->dirty_.ForEachRun(
-      [&](DirtyBitmap::Run run) {
-        ResyncExtent ext;
-        ext.pair = id;
-        ext.lba = run.lba;
-        ext.count = static_cast<uint32_t>(run.count);
-        ZB_CHECK(pvol->store().Read(run.lba, ext.count, &ext.data).ok());
-        bytes += ext.data.size() + journal::JournalRecord::kHeaderSize;
-        extents->push_back(std::move(ext));
-      },
-      kResyncMaxExtentBlocks);
+  // The group resync's capture and deferred clear: the dirty bitmap
+  // survives a failed, lost or rejected send; delivery clears exactly the
+  // extents that landed. A standalone pair has no group config, so its
+  // frames are always compressed (the stored variant still wins when the
+  // blocks do not shrink).
+  BulkFrame bulk = CaptureBulk({pair}, &Pair::dirty_, /*from_primary=*/true,
+                               /*compress=*/true);
   const PairId pair_id = id;
-  Status sent = to_secondary_->SendOnChannel(
-      SyncChannel(pair_id), std::max<uint64_t>(bytes, kAckMessageBytes),
-      [this, pair_id, extents] {
+  const uint64_t wire_bytes =
+      std::max<uint64_t>(bulk.frame.size(), kAckMessageBytes);
+  return to_secondary_->SendOnChannel(
+      SyncChannel(pair_id), wire_bytes, bulk.logical_bytes,
+      [this, pair_id, frame = std::move(bulk.frame)] {
         Pair* p = FindPair(pair_id);
         if (p == nullptr || p->state_ == PairState::kSwapped) return;
-        storage::Volume* svol = secondary_->GetVolume(p->config_.secondary);
-        for (const auto& ext : *extents) {
-          p->dirty_.ClearRange(ext.lba, ext.count);
-          if (svol == nullptr) continue;
-          Status ws = svol->Write(ext.lba, ext.count, ext.data);
-          if (!ws.ok()) ZB_LOG(Warning) << "resync apply failed: " << ws;
+        auto records = ReceiveFrame(frame);
+        if (!records.ok()) {
+          // Nothing lands; the pair stays suspended with its blocks dirty
+          // for the next ResyncSyncPair.
+          ZB_LOG(Warning) << "sync pair " << pair_id
+                          << " rejected resync frame: " << records.status();
+          return;
         }
-        // Writes intercepted while the batch was in flight stay dirty; the
-        // pair only returns to kPaired once the delta is fully drained
-        // (previously it went kPaired immediately and silently diverged).
+        for (const journal::JournalRecord& rec : *records) {
+          LandResyncRecord(p, rec);
+        }
+        // Writes intercepted while the frame was in flight stay dirty; the
+        // pair only returns to kPaired once the delta is fully drained.
         if (p->state_ == PairState::kSuspended && p->dirty_.empty()) {
           p->state_ = PairState::kPaired;
         }
       });
-  if (!sent.ok()) return sent;
-  return OkStatus();
 }
 
 StatusOr<FailoverReport> ReplicationEngine::FailoverGroup(GroupId id) {
@@ -1839,7 +1761,6 @@ StatusOr<FailoverReport> ReplicationEngine::FailoverGroup(GroupId id) {
   // about to be promoted).
   CancelResyncRetry(group);
   ++group->resync_epoch;
-  UnprotectInflightResync(group);
   group->inflight_resync.reset();
   group->suspend_reason = SuspendReason::kNone;
   // A giveback still in flight can no longer land; its blocks stay in
@@ -1918,51 +1839,22 @@ StatusOr<FailbackReport> ReplicationEngine::FailbackGroup(GroupId id,
     }
   }
 
-  // Capture the giveback delta NOW: all blocks the backup business wrote,
-  // plus (under force) the main-side diverged blocks, at their current
-  // backup-site content, merged into sorted extents. Those blocks stay in
+  // Capture the giveback delta NOW, before anything below mutates the
+  // S-VOLs: all blocks the backup business wrote, plus (under force) the
+  // main-side diverged blocks, at their current backup-site content,
+  // merged into sorted extents of one frame. Those blocks stay in
   // reverse_dirty_ until the giveback lands.
-  auto extents = std::make_shared<std::vector<ResyncExtent>>();
-  std::vector<const block::MemVolume*> read_src;
+  std::vector<Pair*> pairs;
   for (PairId pid : group->pairs) {
     Pair* pair = FindPair(pid);
     if (pair == nullptr) continue;
-    storage::Volume* svol = secondary_->GetVolume(pair->config_.secondary);
-    if (svol == nullptr) continue;
     if (force) pair->reverse_dirty_.UnionWith(pair->dirty_);
-    pair->reverse_dirty_.ForEachRun(
-        [&](DirtyBitmap::Run run) {
-          ResyncExtent ext;
-          ext.pair = pid;
-          ext.lba = run.lba;
-          ext.count = static_cast<uint32_t>(run.count);
-          ext.data.resize(static_cast<size_t>(ext.count) *
-                          svol->store().block_size());
-          report.blocks_shipped += run.count;
-          extents->push_back(std::move(ext));
-          read_src.push_back(&svol->store());
-        },
-        kResyncMaxExtentBlocks);
+    pairs.push_back(pair);
   }
-  // Fill the captured buffers in parallel before anything below mutates
-  // the S-VOLs: ReadInto is const and each extent is a disjoint slot, so
-  // the giveback image is identical at any lane count.
-  if (!extents->empty()) {
-    auto fill = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        ResyncExtent& ext = (*extents)[i];
-        read_src[i]->ReadInto(ext.lba, ext.count, ext.data.data());
-      }
-    };
-    if (compute_pool_ != nullptr) {
-      const size_t grain = std::max<size_t>(
-          1, extents->size() / (size_t{compute_pool_->lanes()} * 4));
-      compute_pool_->ParallelFor(extents->size(), grain, fill);
-      SyncExecStats();
-    } else {
-      fill(0, extents->size());
-    }
-  }
+  auto giveback = std::make_shared<BulkFrame>(
+      CaptureBulk(pairs, &Pair::reverse_dirty_, /*from_primary=*/false,
+                  group->config.compress_transfers));
+  report.blocks_shipped = giveback->blocks;
 
   // Resume the forward direction immediately: re-protect the S-VOLs,
   // clear the divergence state, reset both journals (a fresh sequence
@@ -2000,7 +1892,7 @@ StatusOr<FailbackReport> ReplicationEngine::FailbackGroup(GroupId id,
   // No explicit scheduler restart: the journals were Reset in place, so
   // the append hook survives and the next P-VOL write arms the group.
 
-  group->giveback = std::move(extents);
+  group->giveback = std::move(giveback);
   group->giveback_since = env_->now();
   SendGiveback(group);
   if (ins_.failbacks != nullptr) ins_.failbacks->Increment();
@@ -2014,44 +1906,51 @@ StatusOr<FailbackReport> ReplicationEngine::FailbackGroup(GroupId id,
 void ReplicationEngine::SendGiveback(Group* group) {
   const uint64_t epoch = ++group->giveback_epoch;
   const GroupId group_id = group->id;
-  auto extents = group->giveback;
-  uint64_t bytes = 0;
-  for (const ResyncExtent& ext : *extents) {
-    bytes += ext.data.size() + journal::JournalRecord::kHeaderSize;
-  }
+  std::shared_ptr<const BulkFrame> giveback = group->giveback;
   Status sent = to_primary_->SendOnChannel(
-      group_id, std::max<uint64_t>(bytes, kAckMessageBytes),
-      [this, group_id, extents, epoch] {
+      group_id, std::max<uint64_t>(giveback->frame.size(), kAckMessageBytes),
+      giveback->logical_bytes, [this, group_id, giveback, epoch] {
         Group* g = FindGroup(group_id);
         // A re-send superseded this copy, or a failover cancelled it.
         if (g == nullptr || g->giveback_epoch != epoch) return;
-        for (const auto& ext : *extents) {
-          Pair* pair = FindPair(ext.pair);
+        auto records = ReceiveFrame(giveback->frame);
+        if (!records.ok()) {
+          // Nothing lands; the giveback stays owed and its loss deadline
+          // (or the reverse link's ready edge) re-sends it.
+          NoteRejectedFrame(g, "giveback frame", records.status());
+          return;
+        }
+        for (const journal::JournalRecord& rec : *records) {
+          auto pit = g->by_primary.find(rec.volume_id);
+          if (pit == g->by_primary.end()) continue;
+          Pair* pair = FindPair(pit->second);
           if (pair == nullptr) continue;
           storage::Volume* pvol = primary_->GetVolume(pair->config_.primary);
           if (pvol == nullptr) continue;
+          const std::string_view data = rec.data();
           const uint32_t bs = pvol->block_size();
           // Only blocks still owed land: one the main site rewrote after
           // failback is newer than the giveback copy (and is journaled
           // forward). Owed blocks are applied as contiguous sub-runs.
           uint32_t i = 0;
-          while (i < ext.count) {
-            if (!pair->reverse_dirty_.Test(ext.lba + i)) {
+          while (i < rec.block_count) {
+            if (!pair->reverse_dirty_.Test(rec.lba + i)) {
               ++i;
               continue;
             }
             uint32_t j = i + 1;
-            while (j < ext.count && pair->reverse_dirty_.Test(ext.lba + j)) {
+            while (j < rec.block_count &&
+                   pair->reverse_dirty_.Test(rec.lba + j)) {
               ++j;
             }
-            const std::string_view slice(
-                ext.data.data() + static_cast<size_t>(i) * bs,
-                static_cast<size_t>(j - i) * bs);
-            Status ws = pvol->Write(ext.lba + i, j - i, slice);
+            Status ws = pvol->Write(
+                rec.lba + i, j - i,
+                data.substr(static_cast<size_t>(i) * bs,
+                            static_cast<size_t>(j - i) * bs));
             if (!ws.ok()) ZB_LOG(Warning) << "failback apply failed: " << ws;
             i = j;
           }
-          pair->reverse_dirty_.ClearRange(ext.lba, ext.count);
+          pair->reverse_dirty_.ClearRange(rec.lba, rec.block_count);
         }
         g->giveback.reset();
       });

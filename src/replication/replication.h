@@ -158,7 +158,7 @@ struct PairConfig {
 struct EngineOptions {
   // Compute lanes (including the simulator thread) for the engine's
   // parallel sections: per-chunk wire compression and CRC, chunked
-  // decode, sorted batch apply and resync capture. 0 = one lane per
+  // decode, sorted batch apply and bulk-frame capture. 0 = one lane per
   // hardware thread; 1 = no workers, every stage runs inline (the legacy
   // serial path). Simulation results are bit-identical at any value —
   // parallel sections run entirely inside one sim event behind a join
@@ -447,25 +447,25 @@ class ReplicationEngine {
   friend class internal::SyncInterceptor;
 
   // One dirty extent (a run of at most kResyncMaxExtentBlocks adjacent
-  // blocks) captured for a resync batch. Group resyncs capture zero-copy
-  // when the run sits inside one slab chunk: `view` borrows the primary's
-  // current content, and a pre-overwrite hook materializes it into `data`
-  // the moment the host writes into the captured range while the batch
-  // is on the wire.
+  // blocks) carried by a bulk frame: the blocks a lost frame re-marks
+  // dirty.
   struct ResyncExtent {
     PairId pair = 0;
     uint64_t lba = 0;
     uint32_t count = 0;
-    std::string_view view;
-    std::string data;
-    // Capture-time CRC32C of the payload, verified again at delivery: a
-    // payload corrupted while the batch sat on the wire is skipped (its
-    // blocks stay dirty for the next resync round) instead of landing on
-    // the S-VOL.
-    uint32_t crc = 0;
-    std::string_view payload() const {
-      return view.data() != nullptr ? view : std::string_view(data);
-    }
+  };
+
+  // A bulk transfer (resync or failback giveback) captured at one instant
+  // into one wire frame: compressed when the group compresses transfers,
+  // CRC'd, and charged to the link at its frame size.
+  struct BulkFrame {
+    std::string frame;
+    // Journal-record bytes the frame represents (header + payload per
+    // extent), the link's logical byte count.
+    uint64_t logical_bytes = 0;
+    // The extents it carries, in frame order, and their total blocks.
+    std::vector<ResyncExtent> extents;
+    uint64_t blocks = 0;
   };
 
   struct Group {
@@ -479,12 +479,12 @@ class ReplicationEngine {
     bool suspended = false;
     SuspendReason suspend_reason = SuspendReason::kNone;
     bool failed_over = false;
-    // The failback giveback, captured at FailbackGroup and kept until it
-    // lands on the main site: re-sent on its loss deadline or on the
-    // reverse link's ready edge. The blocks it still owes the main site
+    // The failback giveback frame, captured at FailbackGroup and kept
+    // until it lands on the main site: re-sent on its loss deadline or on
+    // the reverse link's ready edge. The blocks it still owes the main site
     // are the pairs' reverse_dirty_ bits; a P-VOL write clears its bits,
     // so a stale giveback block never overwrites newer data.
-    std::shared_ptr<std::vector<ResyncExtent>> giveback;
+    std::shared_ptr<const BulkFrame> giveback;
     // Bumped on every (re-)send; a delivery from an older send is dropped.
     uint64_t giveback_epoch = 0;
     SimTime giveback_since = 0;
@@ -503,12 +503,10 @@ class ReplicationEngine {
     // Bumped whenever a resync attempt is superseded (new suspension,
     // failover); a resync delivery from an older epoch is ignored.
     uint64_t resync_epoch = 0;
-    // The extents of the resync batch currently on the wire; restored into
-    // the dirty bitmaps if the batch is declared lost.
-    std::shared_ptr<std::vector<ResyncExtent>> inflight_resync;
-    // Pre-overwrite hooks guarding the view-captured extents of that
-    // batch: (primary volume id, hook token).
-    std::vector<std::pair<storage::VolumeId, uint64_t>> resync_cow_hooks;
+    // The extents of the resync frame currently on the wire; restored into
+    // the dirty bitmaps if the frame is declared lost (dropped, or
+    // rejected by the backup site's CRC check).
+    std::unique_ptr<std::vector<ResyncExtent>> inflight_resync;
     // Send instant and loss deadline (-1: none) of that batch.
     SimTime resync_sent_at = 0;
     SimTime resync_deadline = -1;
@@ -583,17 +581,34 @@ class ReplicationEngine {
   // Backup-side rejection of a corrupt wire frame: tells the primary to
   // treat the batch as lost (suspend + auto-resync reships the data).
   void SendWireNack(Group* group);
-  // Fault-injection gate on the delivery path: flips one random bit of
-  // `frame` with wire_corrupt_probability_.
-  void MaybeCorruptFrame(std::string* frame);
+  // Fault-injection gate on the delivery path: with
+  // wire_corrupt_probability, returns a copy of `frame` (kept in `*copy`)
+  // with one random bit flipped, otherwise `frame` itself.
+  std::string_view MaybeCorruptFrame(std::string_view frame,
+                                     std::string* copy);
+  // Receive side of every wire frame: the fault injector's chance at the
+  // bytes, then the CRC-checked decode. An error means nothing of the
+  // frame may land.
+  StatusOr<std::vector<journal::JournalRecord>> ReceiveFrame(
+      std::string_view frame);
+  // Counts and logs a frame the backup (or, for a giveback, main) site
+  // rejected.
+  void NoteRejectedFrame(Group* group, const char* what, const Status& why);
+
+  // The one bulk-transfer capture: every run of `bits` on each of `pairs`
+  // (ascending LBA, at most kResyncMaxExtentBlocks per extent), read from
+  // the pair's P-VOL (`from_primary`) or S-VOL straight into one frame.
+  // Records name the pair's P-VOL. The bits are left set; delivery clears
+  // what landed.
+  BulkFrame CaptureBulk(const std::vector<Pair*>& pairs,
+                        DirtyBitmap Pair::*bits, bool from_primary,
+                        bool compress);
+  // Lands one decoded resync record on `pair`'s S-VOL and clears its
+  // dirty bits.
+  void LandResyncRecord(Pair* pair, const journal::JournalRecord& rec);
 
   void StartInitialCopy(Pair* pair, Group* group);
   void MarkGroupSuspended(Group* group);
-  // Copy-on-write protection for a resync batch on the wire: registers
-  // (removes) pre-overwrite hooks that materialize view-captured extents
-  // just before the host overwrites the captured range.
-  void ProtectInflightResync(Group* group);
-  void UnprotectInflightResync(Group* group);
 
   // Failure detection: schedules a check that the batch ending at `expect`
   // is acked within ack_timeout of its latest possible arrival.

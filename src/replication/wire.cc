@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <memory>
 #include <utility>
 
 #include "common/coding.h"
@@ -78,13 +80,86 @@ uint32_t ParallelCrc32c(std::string_view data, exec::ThreadPool* pool) {
   return crc;
 }
 
+namespace {
+
+void PutRecordHeader(std::string* frame, uint64_t sequence_delta,
+                     uint64_t volume_id, uint64_t lba, uint64_t block_count,
+                     uint64_t flags, uint64_t payload_len, uint64_t ack_zz,
+                     uint64_t atomic_zz) {
+  PutVarint64(frame, sequence_delta);
+  PutVarint64(frame, volume_id);
+  PutVarint64(frame, lba);
+  PutVarint64(frame, block_count);
+  PutVarint64(frame, flags);
+  PutVarint64(frame, payload_len);
+  PutVarint64(frame, ack_zz);
+  PutVarint64(frame, atomic_zz);
+}
+
+// The seal step shared by both encoders. `body` is the frame's plain
+// body; `out->frame` holds kFrameHeaderSize bytes of header room, followed
+// by `body` itself when the encoder wrote it there. Compresses the body
+// when asked and keeps that only if it shrank, then fills in the header.
+void SealFrame(std::string_view body, bool compress, exec::ThreadPool* pool,
+               EncodedBatch* out) {
+  std::string& frame = out->frame;
+  uint8_t flags = 0;
+  if (compress) {
+    // The single-chunk/chunked split depends only on the plain body size —
+    // never on the pool — so the shipped frame is byte-identical at any
+    // lane count. Each chunk compresses into its own slot of one scratch
+    // buffer, which is never zero-filled; the kept slots are then laid
+    // out behind their own header room.
+    const size_t chunks =
+        body.size() <= kChunkBytes
+            ? 1
+            : (body.size() + kChunkBytes - 1) / kChunkBytes;
+    const size_t slot = CompressBound(std::min(kChunkBytes, body.size()));
+    std::unique_ptr<char[]> scratch(new char[chunks * slot]);
+    std::vector<size_t> sizes(chunks, 0);
+    auto pack = [&](size_t begin, size_t end) {
+      for (size_t c = begin; c < end; ++c) {
+        const size_t off = c * kChunkBytes;
+        const size_t len = std::min(kChunkBytes, body.size() - off);
+        sizes[c] = CompressTo(body.substr(off, len), scratch.get() + c * slot);
+      }
+    };
+    ForEachChunk(chunks > 1 ? pool : nullptr, chunks, pack);
+    std::string packed(kFrameHeaderSize, '\0');
+    if (chunks > 1) {
+      PutVarint64(&packed, chunks);
+      for (size_t size : sizes) PutVarint64(&packed, size);
+    }
+    size_t packed_total = packed.size();
+    for (size_t size : sizes) packed_total += size;
+    if (packed_total < kFrameHeaderSize + body.size()) {
+      packed.reserve(packed_total);
+      for (size_t c = 0; c < chunks; ++c) {
+        packed.append(scratch.get() + c * slot, sizes[c]);
+      }
+      frame = std::move(packed);
+      flags = chunks > 1 ? kFlagChunked : kFlagCompressed;
+      out->compressed = true;
+    }
+  }
+  if (!out->compressed && frame.size() == kFrameHeaderSize) {
+    frame.append(body.data(), body.size());
+  }
+
+  const std::string_view stored =
+      std::string_view(frame).substr(kFrameHeaderSize);
+  char* header = frame.data();
+  EncodeFixed32(header, kMagic);
+  header[4] = static_cast<char>(flags);
+  EncodeFixed32(header + 5, Crc32cMask(ParallelCrc32c(stored, pool)));
+  EncodeFixed32(header + 9, static_cast<uint32_t>(stored.size()));
+}
+
+}  // namespace
+
 EncodedBatch EncodeBatch(const std::vector<journal::JournalRecord>& records,
                          bool compress, exec::ThreadPool* pool) {
   EncodedBatch out;
-
-  // The frame is built in place: the plain body follows room for the
-  // header, which is filled in once the stored body is final, so the body
-  // is never copied into a frame afterwards.
   std::string& frame = out.frame;
   frame.resize(kFrameHeaderSize);
   PutVarint64(&frame, records.size());
@@ -94,15 +169,11 @@ EncodedBatch EncodeBatch(const std::vector<journal::JournalRecord>& records,
   for (const journal::JournalRecord& rec : records) {
     out.logical_bytes += rec.EncodedSize();
     payload_total += rec.payload.size();
-    PutVarint64(&frame, rec.sequence - prev_seq);
-    PutVarint64(&frame, rec.volume_id);
-    PutVarint64(&frame, rec.lba);
-    PutVarint64(&frame, rec.block_count);
-    PutVarint64(&frame, rec.folded ? kFlagFolded : 0);
-    PutVarint64(&frame, rec.payload.size());
-    PutVarint64(&frame, ZigZag(rec.ack_time - prev_ack));
-    PutVarint64(&frame, ZigZag(static_cast<int64_t>(rec.atomic_through) -
-                               static_cast<int64_t>(rec.sequence)));
+    PutRecordHeader(&frame, rec.sequence - prev_seq, rec.volume_id, rec.lba,
+                    rec.block_count, rec.folded ? kFlagFolded : 0,
+                    rec.payload.size(), ZigZag(rec.ack_time - prev_ack),
+                    ZigZag(static_cast<int64_t>(rec.atomic_through) -
+                           static_cast<int64_t>(rec.sequence)));
     prev_seq = rec.sequence;
     prev_ack = rec.ack_time;
   }
@@ -111,55 +182,52 @@ EncodedBatch EncodeBatch(const std::vector<journal::JournalRecord>& records,
     const std::string_view payload = rec.payload.view();
     frame.append(payload.data(), payload.size());
   }
+  SealFrame(std::string_view(frame).substr(kFrameHeaderSize), compress, pool,
+            &out);
+  return out;
+}
 
-  uint8_t flags = 0;
-  if (compress) {
-    // The single-chunk/chunked split depends only on the plain body size —
-    // never on the pool — so the shipped frame is byte-identical at any
-    // lane count. Either form is built behind its own header room and
-    // replaces the plain frame only if it is smaller.
-    const std::string_view body =
-        std::string_view(frame).substr(kFrameHeaderSize);
-    std::string packed(kFrameHeaderSize, '\0');
-    uint8_t packed_flag = kFlagCompressed;
-    if (body.size() <= kChunkBytes) {
-      packed.reserve(kFrameHeaderSize + CompressBound(body.size()));
-      Compress(body, &packed);
-    } else {
-      const size_t chunks = (body.size() + kChunkBytes - 1) / kChunkBytes;
-      std::vector<std::string> chunk_frames(chunks);
-      ForEachChunk(pool, chunks, [&](size_t begin, size_t end) {
-        for (size_t c = begin; c < end; ++c) {
-          const size_t off = c * kChunkBytes;
-          const size_t len = std::min(kChunkBytes, body.size() - off);
-          chunk_frames[c].reserve(CompressBound(len));
-          Compress(body.substr(off, len), &chunk_frames[c]);
-        }
-      });
-      PutVarint64(&packed, chunks);
-      size_t frames_total = 0;
-      for (const std::string& p : chunk_frames) {
-        PutVarint64(&packed, p.size());
-        frames_total += p.size();
-      }
-      packed.reserve(packed.size() + frames_total);
-      for (const std::string& p : chunk_frames) packed += p;
-      packed_flag = kFlagChunked;
-    }
-    if (packed.size() < frame.size()) {
-      frame = std::move(packed);
-      flags = packed_flag;
-      out.compressed = true;
-    }
+EncodedBatch EncodeExtents(const std::vector<Extent>& extents, bool compress,
+                           exec::ThreadPool* pool) {
+  EncodedBatch out;
+  std::string headers;
+  PutVarint64(&headers, extents.size());
+  // Each extent's payload offset from the start of the payload section.
+  std::vector<size_t> offsets(extents.size(), 0);
+  size_t payload_total = 0;
+  for (size_t i = 0; i < extents.size(); ++i) {
+    const Extent& ext = extents[i];
+    const size_t len =
+        static_cast<size_t>(ext.block_count) * ext.source->block_size();
+    offsets[i] = payload_total;
+    payload_total += len;
+    out.logical_bytes += journal::JournalRecord::kHeaderSize + len;
+    PutRecordHeader(&headers, 0, ext.volume_id, ext.lba, ext.block_count, 0,
+                    len, 0, 0);
   }
-
-  const std::string_view body =
-      std::string_view(frame).substr(kFrameHeaderSize);
-  char* header = frame.data();
-  EncodeFixed32(header, kMagic);
-  header[4] = static_cast<char>(flags);
-  EncodeFixed32(header + 5, Crc32cMask(ParallelCrc32c(body, pool)));
-  EncodeFixed32(header + 9, static_cast<uint32_t>(body.size()));
+  // The plain body is built once, in a buffer that is never zero-filled:
+  // the headers, then every extent read straight into its slot. The seal
+  // step compresses it into the frame, or copies it there when it does
+  // not shrink.
+  const size_t body_size = headers.size() + payload_total;
+  std::unique_ptr<char[]> body(new char[body_size]);
+  std::memcpy(body.get(), headers.data(), headers.size());
+  char* payloads = body.get() + headers.size();
+  auto fill = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const Extent& ext = extents[i];
+      ext.source->ReadInto(ext.lba, ext.block_count, payloads + offsets[i]);
+    }
+  };
+  if (pool != nullptr) {
+    const size_t grain =
+        std::max<size_t>(1, extents.size() / (size_t{pool->lanes()} * 4));
+    pool->ParallelFor(extents.size(), grain, fill);
+  } else {
+    fill(0, extents.size());
+  }
+  out.frame.resize(kFrameHeaderSize);
+  SealFrame(std::string_view(body.get(), body_size), compress, pool, &out);
   return out;
 }
 

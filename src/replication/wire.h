@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "block/mem_volume.h"
 #include "common/status.h"
 #include "journal/journal.h"
 
@@ -15,12 +16,15 @@ class ThreadPool;
 
 namespace zerobak::replication::wire {
 
-// Wire format for shipped journal batches: the transfer engine serializes
-// each batch (record headers, folded tombstones and payloads) into ONE
-// framed, optionally compressed, CRC-protected buffer, and the secondary
-// verifies the checksum before anything touches its journal. A mismatch is
-// indistinguishable from a dropped message by design — the caller nacks
-// and the existing backoff/resync machinery reships the data.
+// Wire format for shipped journal batches and bulk transfers: the transfer
+// engine serializes each batch (record headers, folded tombstones and
+// payloads) into ONE framed, optionally compressed, CRC-protected buffer,
+// and the secondary verifies the checksum before anything touches its
+// journal. A mismatch is indistinguishable from a dropped message by
+// design — the caller nacks and the existing backoff/resync machinery
+// reships the data. Resyncs and failback givebacks ship the same frame
+// (EncodeExtents): one record per dirty extent, read from the source
+// volume at capture time.
 //
 // Frame layout (all multi-byte fields little-endian):
 //
@@ -72,6 +76,15 @@ namespace zerobak::replication::wire {
 // serialization timing. Which variant gets shipped depends only on sizes:
 // the compressed body is kept only if it shrank.
 //
+// Bulk frames (EncodeExtents) use the same body. Each record is one extent:
+// sequence, ack_time and atomic_through are 0, flags are 0, and the
+// payload is the extent's blocks as they were when the frame was built.
+//
+// Both encoders only write the plain body (EncodeBatch behind room for the
+// frame header, EncodeExtents into a buffer it never zero-fills) and share
+// one seal step: compress (kept only if it shrank), checksum, fill in the
+// header.
+//
 // Decoding allocates exactly one PayloadBuffer for the whole batch and
 // hands every record a Slice of it, preserving the journal pipeline's
 // one-allocation-per-batch property on the receive side.
@@ -101,6 +114,27 @@ struct EncodedBatch {
 EncodedBatch EncodeBatch(const std::vector<journal::JournalRecord>& records,
                          bool compress, exec::ThreadPool* pool = nullptr);
 
+// One record of a bulk frame: `block_count` blocks from `lba` of
+// `source`, read into the frame body while the frame is built (so the
+// frame is a copy of the blocks at that instant). `volume_id` is what the
+// decoded record carries; the engine names the pair's P-VOL, as journal
+// records do.
+struct Extent {
+  uint64_t volume_id = 0;
+  uint64_t lba = 0;
+  uint32_t block_count = 0;
+  const block::MemVolume* source = nullptr;
+};
+
+// Serializes `extents`, in order, into one frame: the record headers are
+// written first, then every extent's blocks are read straight into their
+// slot of the plain body (fanned out across `pool`; each slot is disjoint
+// and MemVolume::ReadInto is const), then the body is sealed as
+// EncodeBatch seals it. The caller must have range-checked the extents.
+// Byte-identical with or without `pool`.
+EncodedBatch EncodeExtents(const std::vector<Extent>& extents, bool compress,
+                           exec::ThreadPool* pool = nullptr);
+
 // Verifies and deserializes one frame. Returns DataLoss on a bad magic,
 // checksum mismatch, or any malformed/truncated content — never crashes,
 // never applies a partial batch. `pool`, when non-null, parallelizes the
@@ -111,8 +145,7 @@ StatusOr<std::vector<journal::JournalRecord>> DecodeBatch(
 // Crc32c over `data`, split at kChunkBytes boundaries across `pool` and
 // merged in order with Crc32cCombine — bit-identical to the single-pass
 // checksum. Inline single-pass when `pool` is null or the data is one
-// chunk. Exposed for the resync path, which checksums captured extents
-// with the same discipline.
+// chunk. Used by the seal step and the decode gate.
 uint32_t ParallelCrc32c(std::string_view data, exec::ThreadPool* pool);
 
 }  // namespace zerobak::replication::wire

@@ -150,26 +150,25 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelSystemDeterminismTest,
 // ---------------------------------------------------------------------
 // Engine-level scenario sized to actually ENGAGE the parallel paths:
 // multi-block extents large enough for chunked wire frames and
-// multi-run batch applies, plus a partition to force an extent resync
-// through the parallel capture/verify path.
+// multi-run batch applies, a partition to force an extent resync through
+// the parallel bulk-frame capture, and a failover/failback whose giveback
+// frame is built the same way from the backup volumes.
 // ---------------------------------------------------------------------
 
 struct EngineFingerprint {
   uint64_t written = 0;
   uint64_t applied = 0;
   uint64_t resync_extents = 0;
+  uint64_t giveback_blocks = 0;
   uint64_t events = 0;
   SimTime end_time = 0;
   uint64_t link_bytes = 0;
+  uint64_t reverse_link_bytes = 0;
   std::vector<std::pair<uint64_t, uint32_t>> backup_crcs;
+  std::vector<std::pair<uint64_t, uint32_t>> main_crcs;
   bool converged = false;
 
-  bool operator==(const EngineFingerprint& o) const {
-    return written == o.written && applied == o.applied &&
-           resync_extents == o.resync_extents && events == o.events &&
-           end_time == o.end_time && link_bytes == o.link_bytes &&
-           backup_crcs == o.backup_crcs && converged == o.converged;
-  }
+  bool operator==(const EngineFingerprint&) const = default;
 };
 
 EngineFingerprint RunEngineOnce(uint64_t seed, unsigned compute_threads) {
@@ -216,10 +215,11 @@ EngineFingerprint RunEngineOnce(uint64_t seed, unsigned compute_threads) {
 
   // Multi-block extents, mixed compressible/incompressible, fat enough
   // that shipped batches exceed wire::kChunkBytes (chunked frames) and
-  // carry many runs (parallel apply).
+  // carry many runs (parallel apply). `on_backup` sends the writes to the
+  // S-VOLs (the business after a failover) instead of the P-VOLs.
   Rng rng(seed * 2654435761u + 17);
   const uint32_t block = main.GetVolume(vols[0].first)->block_size();
-  auto write_burst = [&](int extents) {
+  auto write_burst = [&](int extents, bool on_backup = false) {
     for (int e = 0; e < extents; ++e) {
       const auto& [p, s] = vols[rng.Uniform(3)];
       const uint32_t count = 4 + rng.Uniform(13);  // 4..16 blocks.
@@ -230,7 +230,9 @@ EngineFingerprint RunEngineOnce(uint64_t seed, unsigned compute_threads) {
       } else {
         data.assign(data.size(), static_cast<char>('A' + e % 23));
       }
-      ZB_CHECK(main.WriteSync(p, lba, data).ok());
+      ZB_CHECK((on_backup ? backup.WriteSync(s, lba, data)
+                          : main.WriteSync(p, lba, data))
+                   .ok());
     }
   };
   for (int round = 0; round < 12; ++round) {
@@ -255,10 +257,24 @@ EngineFingerprint RunEngineOnce(uint64_t seed, unsigned compute_threads) {
   fp.written = stats->written;
   fp.applied = stats->applied;
   fp.resync_extents = stats->resync_extents;
+
+  // Disaster drill: the business moves to the backup site and writes
+  // there; the failback giveback ships that delta home as one frame.
+  main.SetFailed(true);
+  ZB_CHECK(engine.FailoverGroup(*g).ok());
+  write_burst(64, /*on_backup=*/true);
+  main.SetFailed(false);
+  auto back = engine.FailbackGroup(*g);
+  ZB_CHECK(back.ok());
+  fp.giveback_blocks = back->blocks_shipped;
+  env.RunFor(Seconds(1));
+
   fp.events = env.executed_events();
   fp.end_time = env.now();
   fp.link_bytes = fwd.bytes_sent();
+  fp.reverse_link_bytes = rev.bytes_sent();
   fp.backup_crcs = ArrayCrcs(backup);
+  fp.main_crcs = ArrayCrcs(main);
   fp.converged = true;
   for (const auto& [p, s] : vols) {
     fp.converged = fp.converged &&
@@ -276,6 +292,8 @@ TEST_P(ParallelEngineDeterminismTest, HeavyPipelineIsLaneCountInvariant) {
   EXPECT_TRUE(one.converged) << "seed " << seed << " did not converge";
   EXPECT_GT(one.resync_extents, 0u)
       << "scenario no longer exercises the resync path";
+  EXPECT_GT(one.giveback_blocks, 0u)
+      << "scenario no longer exercises the giveback path";
   for (unsigned threads : {2u, 8u}) {
     const EngineFingerprint many = RunEngineOnce(seed, threads);
     EXPECT_TRUE(one == many)

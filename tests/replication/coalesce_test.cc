@@ -345,10 +345,10 @@ TEST_F(CoalesceTest, ResyncSplitsLongRunsAtTheExtentCap) {
 }
 
 TEST_F(CoalesceTest, ResyncCaptureIsStableUnderInFlightOverwrites) {
-  // Resync captures extents as zero-copy slab views; a host write into a
-  // captured range while the batch is on the wire must see the batch
-  // deliver the *captured* image (copy-on-write), with the newer write
-  // arriving afterwards through the journal.
+  // Resync captures the dirty extents into one wire frame at the
+  // ResyncGroup instant; a host write into a captured range while the
+  // frame is on the wire must see the frame deliver the *captured* image,
+  // with the newer write arriving afterwards through the journal.
   auto [p, s] = MakeVolumes("v");
   ConsistencyGroupConfig cfg;
   cfg.transfer_interval = Milliseconds(64);  // Journal ships late.

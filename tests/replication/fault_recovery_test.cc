@@ -246,6 +246,50 @@ TEST_F(FaultRecoveryTest, ResyncBatchLostInFlightIsRetried) {
   EXPECT_TRUE(Converged(p, s));
 }
 
+// A resync frame the backup site rejects (CRC mismatch) is a lost frame:
+// nothing of it lands, it stays in flight until its deadline re-suspends
+// the group, and the blocks ship again once frames verify. The group must
+// never re-pair with the blocks left dirty.
+TEST_F(FaultRecoveryTest, CorruptResyncFrameIsReshippedNotLeftDirty) {
+  auto [p, s] = MakeVolumes("v");
+  GroupId g = MakeGroup();
+  PairId pair = MakeAsyncPair(p, s, g);
+  env_.RunFor(Milliseconds(4));  // Empty initial copy settles.
+
+  ASSERT_TRUE(engine_.SuspendGroup(g).ok());
+  for (uint64_t lba = 3; lba <= 5; ++lba) {
+    ASSERT_TRUE(main_.WriteSync(p, lba, BlockOf('r' + lba)).ok());
+  }
+  ASSERT_EQ(engine_.GetPair(pair)->dirty_blocks(), 3u);
+
+  engine_.SetFaultOptions({.wire_corrupt_probability = 1.0});
+  ASSERT_TRUE(engine_.ResyncGroup(g).ok());
+  env_.RunFor(Milliseconds(6));  // Delivered at 5 ms and rejected.
+  GroupStats stats = Stats(g);
+  EXPECT_EQ(engine_.wire_frames_corrupted(), 1u);
+  EXPECT_EQ(stats.checksum_rejects, 1u);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 3u);
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kSuspended);
+  EXPECT_FALSE(Converged(p, s));
+  // Counted as lost: still in flight, with its deadline armed.
+  EXPECT_EQ(stats.recovery_wait, RecoveryWait::kResyncInFlight);
+
+  env_.RunFor(Milliseconds(20));  // Past the deadline at 5 + 20 ms.
+  stats = Stats(g);
+  EXPECT_EQ(stats.resync_timeouts, 1u);
+  EXPECT_TRUE(stats.suspended);
+  EXPECT_EQ(stats.suspend_reason, SuspendReason::kResyncTimeout);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 3u);
+
+  engine_.SetFaultOptions({.wire_corrupt_probability = 0.0});
+  env_.RunFor(Milliseconds(200));
+  stats = Stats(g);
+  EXPECT_FALSE(stats.suspended);
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 0u);
+  EXPECT_TRUE(Converged(p, s));
+}
+
 // An operator suspension is an explicit decision: auto-resync must not
 // undo it, no matter how healthy the link is.
 TEST_F(FaultRecoveryTest, OperatorSuspendNeverAutoResyncs) {
@@ -609,6 +653,43 @@ TEST_F(FaultRecoveryTest, GivebackDroppedOnHealthyLinkIsResentAtDeadline) {
   EXPECT_FALSE(Stats(g).giveback_in_flight);
   EXPECT_EQ(main_.GetVolume(p)->store().ReadBlock(4), BlockOf('b'));
   EXPECT_EQ(main_.GetVolume(p)->store().ReadBlock(5), BlockOf('N'));
+  env_.RunFor(Milliseconds(50));
+  EXPECT_TRUE(Converged(p, s));
+}
+
+// A giveback frame the main site rejects lands nothing and stays owed;
+// its loss deadline re-sends it like a dropped one.
+TEST_F(FaultRecoveryTest, CorruptGivebackFrameIsResentAtDeadline) {
+  auto [p, s] = MakeVolumes("v");
+  GroupId g = MakeGroup();
+  PairId pair = MakeAsyncPair(p, s, g);
+  env_.RunFor(Milliseconds(50));
+  main_.SetFailed(true);
+  Partition();
+  ASSERT_TRUE(engine_.FailoverGroup(g).ok());
+  ASSERT_TRUE(backup_.WriteSync(s, 4, BlockOf('b')).ok());
+  ASSERT_TRUE(backup_.WriteSync(s, 5, BlockOf('c')).ok());
+  main_.SetFailed(false);
+  Heal();
+  env_.RunFor(0);  // The heal's ready edges.
+  engine_.SetFaultOptions({.wire_corrupt_probability = 1.0});
+  ASSERT_TRUE(engine_.FailbackGroup(g).ok());
+
+  env_.RunFor(Milliseconds(6));  // Delivered at 5 ms and rejected.
+  EXPECT_EQ(Stats(g).checksum_rejects, 1u);
+  EXPECT_TRUE(Stats(g).giveback_in_flight);
+  EXPECT_EQ(engine_.GetPair(pair)->reverse_dirty_blocks(), 2u);
+  EXPECT_NE(main_.GetVolume(p)->store().ReadBlock(4), BlockOf('b'));
+
+  engine_.SetFaultOptions({.wire_corrupt_probability = 0.0});
+  env_.RunFor(Milliseconds(18));  // Deadline at 5 + 20 ms: re-sent.
+  EXPECT_TRUE(Stats(g).giveback_in_flight);
+  env_.RunFor(Milliseconds(10));  // Lands at 30 ms.
+  EXPECT_FALSE(Stats(g).giveback_in_flight);
+  EXPECT_EQ(Stats(g).checksum_rejects, 1u);
+  EXPECT_EQ(main_.GetVolume(p)->store().ReadBlock(4), BlockOf('b'));
+  EXPECT_EQ(main_.GetVolume(p)->store().ReadBlock(5), BlockOf('c'));
+  EXPECT_EQ(engine_.GetPair(pair)->reverse_dirty_blocks(), 0u);
   env_.RunFor(Milliseconds(50));
   EXPECT_TRUE(Converged(p, s));
 }

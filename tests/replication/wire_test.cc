@@ -1,12 +1,14 @@
 // Wire-format round-trip, integrity and zero-copy-decode tests for the
-// shipped-batch encoder in replication/wire.{h,cc}.
+// shipped-batch and bulk-frame encoders in replication/wire.{h,cc}.
 #include "replication/wire.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "block/mem_volume.h"
 #include "common/crc32c.h"
 #include "common/rng.h"
 #include "exec/thread_pool.h"
@@ -323,6 +325,140 @@ TEST(WireChunkedTest, GoldenFrameAtOneAndFourLanes) {
     ASSERT_TRUE(decoded.ok()) << decoded.status();
     ExpectBatchEquals(*decoded, batch);
   }
+}
+
+// ---- Bulk frames (resync and failback giveback) ----------------------
+
+// A 2048-block volume whose written blocks cycle through 64-byte-segment
+// blocks, random bytes and one-byte runs, with never-written (zero) blocks
+// between them; with `only_noise`, every block is random bytes.
+std::unique_ptr<block::MemVolume> MakeSourceVolume(uint64_t seed,
+                                                   bool only_noise) {
+  auto vol = std::make_unique<block::MemVolume>(2048);
+  Rng rng(seed);
+  for (uint64_t lba = 0; lba < vol->block_count();
+       lba += only_noise ? 1 : 1 + lba % 3) {
+    std::string block(block::kDefaultBlockSize, '\0');
+    const uint64_t kind = only_noise ? 1 : lba % 3;
+    if (kind == 0) {
+      for (size_t s = 0; s < block.size(); s += 64) {
+        const char c = static_cast<char>(rng.Uniform(4));
+        block.replace(s, 64, 64, c);
+      }
+    } else if (kind == 1) {
+      for (char& c : block) c = static_cast<char>(rng.Uniform(256));
+    } else {
+      block.assign(block.size(), static_cast<char>('a' + lba % 26));
+    }
+    EXPECT_TRUE(vol->Write(lba, 1, block).ok());
+  }
+  return vol;
+}
+
+// Runs of 1..24 blocks over both volumes, in volume then LBA order, as a
+// two-pair capture walks its bitmaps; one run crosses the 1024-block slab
+// boundary. The body spans several kChunkBytes chunks.
+std::vector<Extent> MakeExtents(const block::MemVolume* a,
+                                const block::MemVolume* b) {
+  std::vector<Extent> extents;
+  Rng rng(77);
+  for (const auto& [volume_id, source] :
+       {std::pair<uint64_t, const block::MemVolume*>{11, a}, {12, b}}) {
+    uint64_t lba = rng.Uniform(8);
+    while (lba < 1900) {
+      const auto count = static_cast<uint32_t>(1 + rng.Uniform(24));
+      extents.push_back(Extent{volume_id, lba, count, source});
+      lba += count + 1 + rng.Uniform(40);
+    }
+    extents.push_back(Extent{volume_id, 1020, 9, source});
+  }
+  return extents;
+}
+
+void ExpectExtentsDecoded(const std::vector<JournalRecord>& got,
+                          const std::vector<Extent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].volume_id, want[i].volume_id) << i;
+    EXPECT_EQ(got[i].lba, want[i].lba) << i;
+    EXPECT_EQ(got[i].block_count, want[i].block_count) << i;
+    EXPECT_FALSE(got[i].folded) << i;
+    std::string blocks(
+        static_cast<size_t>(want[i].block_count) * block::kDefaultBlockSize,
+        '\0');
+    want[i].source->ReadInto(want[i].lba, want[i].block_count, blocks.data());
+    EXPECT_EQ(got[i].payload.view(), blocks) << i;
+  }
+}
+
+// The engine builds a resync frame from P-VOLs and a giveback frame from
+// S-VOLs through the same EncodeExtents call; both must come out byte
+// for byte the same at 1 and 4 compute lanes, or link timing would depend
+// on the host.
+TEST(BulkFrameTest, ResyncAndGivebackFramesAreLaneCountInvariant) {
+  const auto p0 = MakeSourceVolume(1, false), p1 = MakeSourceVolume(2, false);
+  const auto s0 = MakeSourceVolume(3, false), s1 = MakeSourceVolume(4, false);
+  exec::ThreadPool pool(4);
+  for (const std::vector<Extent>& extents :
+       {MakeExtents(p0.get(), p1.get()), MakeExtents(s0.get(), s1.get())}) {
+    const EncodedBatch one = EncodeExtents(extents, /*compress=*/true);
+    const EncodedBatch four = EncodeExtents(extents, /*compress=*/true, &pool);
+    EXPECT_GT(one.logical_bytes, 3 * kChunkBytes);
+    EXPECT_TRUE(one.compressed);
+    EXPECT_LT(one.frame.size(), one.logical_bytes);
+    // EXPECT_TRUE, not EXPECT_EQ: a failure would print megabytes.
+    EXPECT_TRUE(one.frame == four.frame);
+    EXPECT_EQ(one.logical_bytes, four.logical_bytes);
+    auto decoded = DecodeBatch(four.frame, &pool);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    ExpectExtentsDecoded(*decoded, extents);
+  }
+}
+
+// Random blocks do not shrink, so the kept-only-if-it-shrank rule ships
+// the stored variant: the same frame as with compression off.
+TEST(BulkFrameTest, IncompressibleExtentsShipStored) {
+  const auto a = MakeSourceVolume(5, true), b = MakeSourceVolume(6, true);
+  const std::vector<Extent> extents = MakeExtents(a.get(), b.get());
+  exec::ThreadPool pool(4);
+  const EncodedBatch packed = EncodeExtents(extents, /*compress=*/true, &pool);
+  const EncodedBatch plain = EncodeExtents(extents, /*compress=*/false);
+  EXPECT_FALSE(packed.compressed);
+  EXPECT_EQ(packed.frame[4], 0) << "flags: stored variant";
+  EXPECT_TRUE(packed.frame == plain.frame);
+  auto decoded = DecodeBatch(packed.frame);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ExpectExtentsDecoded(*decoded, extents);
+}
+
+// A bulk frame is a journal-batch frame: the same extents written as
+// journal records (sequence, ack time and atomic_through 0) encode to the
+// identical bytes, so one decoder and one seal step serve both paths.
+TEST(BulkFrameTest, ExtentFrameIsAJournalBatchFrame) {
+  const auto a = MakeSourceVolume(7, false), b = MakeSourceVolume(8, false);
+  const std::vector<Extent> extents = MakeExtents(a.get(), b.get());
+  std::vector<JournalRecord> records;
+  for (const Extent& ext : extents) {
+    JournalRecord rec;
+    rec.volume_id = ext.volume_id;
+    rec.lba = ext.lba;
+    rec.block_count = ext.block_count;
+    std::string blocks(
+        static_cast<size_t>(ext.block_count) * block::kDefaultBlockSize, '\0');
+    ext.source->ReadInto(ext.lba, ext.block_count, blocks.data());
+    rec.payload = PayloadBuffer::Copy(blocks);
+    records.push_back(std::move(rec));
+  }
+  for (bool compress : {false, true}) {
+    const EncodedBatch bulk = EncodeExtents(extents, compress);
+    const EncodedBatch batch = EncodeBatch(records, compress);
+    EXPECT_TRUE(bulk.frame == batch.frame) << "compress=" << compress;
+    EXPECT_EQ(bulk.logical_bytes, batch.logical_bytes);
+  }
+  // An empty capture is still a valid frame: zero records.
+  auto empty = DecodeBatch(EncodeExtents({}, /*compress=*/true).frame);
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_TRUE(empty->empty());
 }
 
 TEST(WireTest, GarbageNeverCrashes) {
