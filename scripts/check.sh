@@ -22,6 +22,9 @@ for arg in "$@"; do
 done
 
 jobs="$(nproc)"
+# The bench smokes write their JSON here; removed on exit.
+smoke_dir="$(mktemp -d)"
+trap 'rm -rf "${smoke_dir}"' EXIT
 presets=(default)
 if [[ "${fast}" -eq 0 ]]; then
   presets+=(sanitize)
@@ -48,7 +51,7 @@ if [[ "${fast}" -eq 0 ]]; then
   ctest --preset tsan -j "${jobs}" \
     -R 'ThreadPool|Crc32cCombine|WireChunked|WireTest|BulkFrame|ParallelSystem|ParallelEngine'
   ./build-tsan/bench/bench_parallel --quick \
-    --out /tmp/zerobak_parallel_tsan_smoke.json
+    --out "${smoke_dir}/parallel_tsan.json"
 fi
 
 # The bench smokes already ran once under ctest above (bench_*_smoke
@@ -57,11 +60,11 @@ fi
 # failure line.
 if [[ "${fast}" -eq 0 ]]; then
   echo "=== bench smokes ==="
-  ./build/bench/bench_pipeline --quick --out /tmp/zerobak_pipeline_smoke.json
-  ./build/bench/bench_observe --quick --out /tmp/zerobak_observe_smoke.json
-  ./build/bench/bench_scale --quick --out /tmp/zerobak_scale_smoke.json
-  ./build/bench/bench_parallel --quick --out /tmp/zerobak_parallel_smoke.json
-  ./build/bench/bench_scrub --quick --out /tmp/zerobak_scrub_smoke.json
+  ./build/bench/bench_pipeline --quick --out "${smoke_dir}/pipeline.json"
+  ./build/bench/bench_observe --quick --out "${smoke_dir}/observe.json"
+  ./build/bench/bench_scale --quick --out "${smoke_dir}/scale.json"
+  ./build/bench/bench_parallel --quick --out "${smoke_dir}/parallel.json"
+  ./build/bench/bench_scrub --quick --out "${smoke_dir}/scrub.json"
 fi
 
 echo "check.sh: all green"

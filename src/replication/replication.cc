@@ -69,28 +69,6 @@ const char* SuspendReasonName(SuspendReason reason) {
   return "?";
 }
 
-ConsistencyGroupConfig ConsistencyGroupConfig::Normalized() const {
-  ConsistencyGroupConfig out = *this;
-  // A batch always has room for at least one default-sized record, so a
-  // zero (or absurdly small) sweep value can never wedge the engine.
-  const uint64_t one_record =
-      journal::JournalRecord::kHeaderSize + (4ull << 10);
-  out.transfer_batch_min_bytes =
-      std::max(out.transfer_batch_min_bytes, one_record);
-  out.transfer_batch_max_bytes =
-      std::max(out.transfer_batch_max_bytes, out.transfer_batch_min_bytes);
-  out.transfer_batch_bytes =
-      std::max(out.transfer_batch_bytes, one_record);
-  if (out.enable_adaptive_batching) {
-    // The fixed-batch ablation sweeps values outside [min, max]; only the
-    // adaptive controller is confined to its own bounds.
-    out.transfer_batch_bytes =
-        std::clamp(out.transfer_batch_bytes, out.transfer_batch_min_bytes,
-                   out.transfer_batch_max_bytes);
-  }
-  return out;
-}
-
 Status ConsistencyGroupConfig::Validate() const {
   if (transfer_interval <= 0) {
     return InvalidArgumentError("transfer_interval must be positive");
@@ -374,11 +352,11 @@ StatusOr<GroupStats> ReplicationEngine::GetGroupStats(GroupId id) const {
                 static_cast<double>(group->window_wire_bytes);
   stats.compression_window_batches = group->recent_batches.size();
   const SimTime now = env_->now();
-  if (group->inflight_resync != nullptr) {
+  if (group->resync.active) {
     stats.recovery_wait = RecoveryWait::kResyncInFlight;
-    stats.recovery_age = now - group->resync_sent_at;
-    if (group->resync_deadline >= 0) {
-      stats.recovery_due_in = group->resync_deadline - now;
+    stats.recovery_age = now - group->resync.sent_at;
+    if (group->resync.deadline >= 0) {
+      stats.recovery_due_in = group->resync.deadline - now;
     }
   } else if (group->link_wait_since >= 0) {
     stats.recovery_wait = RecoveryWait::kLink;
@@ -387,7 +365,7 @@ StatusOr<GroupStats> ReplicationEngine::GetGroupStats(GroupId id) const {
     stats.recovery_wait = RecoveryWait::kBackoff;
     stats.recovery_due_in = group->resync_retry_at - now;
   }
-  if (group->giveback != nullptr) {
+  if (group->giveback.active) {
     stats.giveback_in_flight = true;
     stats.giveback_age = now - group->giveback_since;
   }
@@ -563,6 +541,9 @@ StatusOr<PairId> ReplicationEngine::CreatePair(const PairConfig& config) {
   pair->state_ = PairState::kCopy;
   pair->dirty_.Reset(pvol->block_count());
   pair->reverse_dirty_.Reset(pvol->block_count());
+  for (uint64_t lba = 0; lba < pvol->block_count(); ++lba) {
+    if (pvol->store().IsAllocated(lba)) pair->dirty_.Set(lba);
+  }
   Pair* raw = pair.get();
 
   std::unique_ptr<storage::WriteInterceptor> interceptor;
@@ -654,7 +635,7 @@ void ReplicationEngine::OnAsyncHostWrite(
     ack(OkStatus());
     return;
   }
-  if (group->giveback != nullptr) {
+  if (group->giveback.active) {
     // The main site rewrote blocks the giveback still owes it: this write
     // is newer and must win, so the giveback no longer ships them.
     pair->reverse_dirty_.ClearRange(lba, count);
@@ -731,7 +712,7 @@ void ReplicationEngine::OnSyncHostWrite(
     if (op->done) return;
     Pair* p = FindPair(pair_id);
     if (p != nullptr && p->state_ != PairState::kSwapped) {
-      p->state_ = PairState::kSuspended;
+      SuspendPair(p);
       p->dirty_.SetRange(lba, count);
     }
     CompleteSyncWrite(op.get());
@@ -739,32 +720,29 @@ void ReplicationEngine::OnSyncHostWrite(
   Status sent = to_secondary_->SendOnChannel(
       SyncChannel(pair_id), bytes,
       [this, pair_id, lba, count, payload = std::move(payload), op,
-       write_locally]() mutable {
+       write_locally] {
         if (op->done) return;  // The deadline already acked it locally.
         Pair* p = FindPair(pair_id);
         if (p == nullptr || p->state_ == PairState::kSwapped) {
           CompleteSyncWrite(op.get());
           return;
         }
-        // Remote persist: model the backup array's media write cost.
+        // The write lands at arrival, in channel order with the pair's bulk
+        // frames (a resync frame sent after it lands after it); the backup
+        // array's media write cost delays only the remote ack.
+        storage::Volume* svol = secondary_->GetVolume(p->config_.secondary);
+        if (svol != nullptr && !secondary_->failed()) {
+          Status ws = svol->Write(lba, count, payload.view());
+          if (!ws.ok()) ZB_LOG(Warning) << "sync apply failed: " << ws;
+        }
         const SimDuration cost = secondary_->config().media.Cost(
             block::IoType::kWrite, count, nullptr);
-        env_->Schedule(cost, [this, pair_id, lba, count,
-                              payload = std::move(payload), op,
-                              write_locally]() mutable {
+        env_->Schedule(cost, [this, pair_id, op, write_locally] {
           if (op->done) return;
           Pair* p2 = FindPair(pair_id);
           if (p2 == nullptr || p2->state_ == PairState::kSwapped) {
             CompleteSyncWrite(op.get());
             return;
-          }
-          storage::Volume* svol =
-              secondary_->GetVolume(p2->config_.secondary);
-          if (svol != nullptr && !secondary_->failed()) {
-            Status ws = svol->Write(lba, count, payload.view());
-            if (!ws.ok()) {
-              ZB_LOG(Warning) << "sync apply failed: " << ws;
-            }
           }
           // Remote ack travels back over the reverse link.
           Status back = to_primary_->SendOnChannel(
@@ -885,12 +863,12 @@ PumpOutcome ReplicationEngine::PumpGroup(Group* group, uint64_t max_bytes) {
   // bytes too, so E10-style comparisons keep a pre-compression baseline.
   Status sent = to_secondary_->SendOnChannel(
       group_id, wire_bytes, enc.logical_bytes,
-      [this, group_id, frame = std::move(enc.frame)] {
+      [this, group_id, frame = std::move(enc.frame)]() mutable {
         Group* g = FindGroup(group_id);
         if (g == nullptr || g->failed_over) return;
         auto* sj = secondary_->GetJournal(g->secondary_journal);
         if (sj == nullptr || secondary_->failed()) return;
-        auto decoded = ReceiveFrame(frame);
+        auto decoded = ReceiveFrame(&frame);
         if (!decoded.ok()) {
           // Integrity gate: a corrupt batch never touches the journal.
           // Treat it exactly like a dropped message — nack so the primary
@@ -999,7 +977,7 @@ void ReplicationEngine::OnForwardLinkUp() {
 void ReplicationEngine::OnReverseLinkUp() {
   if (!to_primary_->connected()) return;
   for (const auto& [id, group] : groups_) {
-    if (group->giveback != nullptr) SendGiveback(group.get());
+    if (group->giveback.active) SendGiveback(group.get());
   }
 }
 
@@ -1081,23 +1059,55 @@ void ReplicationEngine::ArmAckDeadline(Group* group,
   });
 }
 
-void ReplicationEngine::ArmResyncDeadline(Group* group, uint64_t resync_id) {
-  group->resync_deadline = -1;
-  if (group->config.ack_timeout == 0) return;
-  const SimTime deadline =
-      to_secondary_->EstimateArrival(0, group->id) + group->config.ack_timeout;
-  group->resync_deadline = deadline;
-  const GroupId group_id = group->id;
-  env_->ScheduleAt(deadline, [this, group_id, resync_id] {
-    Group* g = FindGroup(group_id);
-    if (g == nullptr || g->failed_over || g->suspended) return;
-    if (g->resync_epoch != resync_id) return;
-    if (g->inflight_resync == nullptr) return;  // Delivered.
-    ++g->resync_timeouts;
-    ZB_LOG(Warning) << "group " << group_id
-                    << " resync batch lost in flight; re-suspending";
-    SuspendOnFailure(g, SuspendReason::kResyncTimeout);
+internal::CopyInFlight* ReplicationEngine::FindCopy(const CopyRef& ref) {
+  if (ref.pair != 0) {
+    Pair* pair = FindPair(ref.pair);
+    return pair == nullptr ? nullptr : &pair->copy_;
+  }
+  Group* group = FindGroup(ref.group);
+  if (group == nullptr) return nullptr;
+  return ref.giveback ? &group->giveback : &group->resync;
+}
+
+void ReplicationEngine::ArmCopyDeadline(const CopyRef& ref) {
+  internal::CopyInFlight* copy = FindCopy(ref);
+  const Group* group = FindGroup(ref.group);
+  copy->active = true;
+  copy->sent_at = env_->now();
+  copy->deadline = -1;
+  const SimDuration grace =
+      group == nullptr ? kSyncAckTimeout : group->config.ack_timeout;
+  if (grace == 0) return;
+  // The copy is the newest message on its channel, so EstimateArrival
+  // bounds its arrival.
+  const sim::NetworkLink* link = ref.giveback ? to_primary_ : to_secondary_;
+  copy->deadline =
+      link->EstimateArrival(
+          0, group == nullptr ? SyncChannel(ref.pair) : ref.group) +
+      grace;
+  const uint64_t epoch = copy->epoch;
+  env_->ScheduleAt(copy->deadline, [this, ref, epoch] {
+    const internal::CopyInFlight* c = FindCopy(ref);
+    if (c != nullptr && IsLive(*c, epoch)) OnCopyLost(ref);
   });
+}
+
+void ReplicationEngine::OnCopyLost(const CopyRef& ref) {
+  Group* group = FindGroup(ref.group);
+  if (group == nullptr) {
+    ZB_LOG(Warning) << "sync pair " << ref.pair
+                    << " copy lost in flight; suspending";
+    SuspendPair(FindPair(ref.pair));
+  } else if (ref.giveback) {
+    ZB_LOG(Warning) << "group " << ref.group
+                    << " giveback lost in flight; re-sending";
+    if (to_primary_->connected()) SendGiveback(group);
+  } else {
+    ++group->resync_timeouts;
+    ZB_LOG(Warning) << "group " << ref.group
+                    << " copy lost in flight; re-suspending";
+    SuspendOnFailure(group, SuspendReason::kResyncTimeout);
+  }
 }
 
 void ReplicationEngine::SuspendOnFailure(Group* group, SuspendReason reason) {
@@ -1351,26 +1361,19 @@ void ReplicationEngine::SendWireNack(Group* group) {
   (void)sent;
 }
 
-std::string_view ReplicationEngine::MaybeCorruptFrame(std::string_view frame,
-                                                     std::string* copy) {
+void ReplicationEngine::MaybeCorruptFrame(std::string* frame) {
   const double p = fault_options_.wire_corrupt_probability;
-  if (p <= 0.0 || frame.empty()) return frame;
-  if (!wire_corrupt_rng_.Bernoulli(p)) return frame;
-  // The sender may still own these bytes (a giveback is kept for
-  // re-sends), so the flip lands on a copy.
-  copy->assign(frame);
-  const size_t byte = wire_corrupt_rng_.Uniform(copy->size());
-  (*copy)[byte] ^= static_cast<char>(1u << wire_corrupt_rng_.Uniform(8));
+  if (p <= 0.0 || frame->empty()) return;
+  if (!wire_corrupt_rng_.Bernoulli(p)) return;
+  const size_t byte = wire_corrupt_rng_.Uniform(frame->size());
+  (*frame)[byte] ^= static_cast<char>(1u << wire_corrupt_rng_.Uniform(8));
   ++wire_frames_corrupted_;
-  return *copy;
 }
 
 StatusOr<std::vector<journal::JournalRecord>> ReplicationEngine::ReceiveFrame(
-    std::string_view frame) {
-  std::string corrupted;
-  auto decoded =
-      wire::DecodeBatch(MaybeCorruptFrame(frame, &corrupted),
-                        compute_pool_.get());
+    std::string* frame) {
+  MaybeCorruptFrame(frame);
+  auto decoded = wire::DecodeBatch(*frame, compute_pool_.get());
   SyncExecStats();
   return decoded;
 }
@@ -1383,75 +1386,66 @@ void ReplicationEngine::NoteRejectedFrame(Group* group, const char* what,
 }
 
 void ReplicationEngine::StartInitialCopy(Pair* pair, Group* group) {
-  storage::Volume* pvol = primary_->GetVolume(pair->config_.primary);
-  ZB_CHECK(pvol != nullptr);
-  const uint64_t bytes =
-      pvol->store().allocated_blocks() * pvol->block_size();
-  if (bytes == 0) {
+  // What the copy owes is the pair's dirty bits, set at CreatePair.
+  if (pair->dirty_.empty()) {
     pair->state_ = PairState::kPaired;
     if (group != nullptr) ApplyPending(group);
     return;
   }
-  // Freeze the P-VOL image at this instant; updates from now on are
-  // journaled (async) or shipped inline (sync) and applied on top.
-  auto frozen = std::make_shared<block::MemVolume>(pvol->block_count(),
-                                                   pvol->block_size());
-  ZB_CHECK(frozen->CloneFrom(pvol->store()).ok());
   const PairId pair_id = pair->id_;
   const GroupId group_id = group == nullptr ? 0 : group->id;
   // Use the same channel as the pair's subsequent traffic so the base
   // image is guaranteed to arrive before any update shipped after it.
   const uint64_t channel =
       group == nullptr ? SyncChannel(pair_id) : group_id;
-  Status sent = to_secondary_->SendOnChannel(channel, bytes,
-                                             [this, pair_id, group_id,
-                                              frozen] {
-    Pair* p = FindPair(pair_id);
-    if (p == nullptr || p->state_ == PairState::kSwapped) return;
-    if (group_id != 0) {
-      // A base image arriving after the group failed over (delayed across
-      // a partition) must not clobber the promoted, live S-VOL.
-      Group* g = FindGroup(group_id);
-      if (g == nullptr || g->failed_over) return;
-    }
-    storage::Volume* svol = secondary_->GetVolume(p->config_.secondary);
-    if (svol == nullptr || secondary_->failed()) {
-      p->state_ = PairState::kSuspended;
-      return;
-    }
-    ZB_CHECK(svol->store().CloneFrom(*frozen).ok());
-    if (p->state_ == PairState::kCopy) p->state_ = PairState::kPaired;
-    if (group_id != 0) {
-      Group* g = FindGroup(group_id);
-      if (g != nullptr) ApplyPending(g);
-    }
-  });
-  if (!sent.ok()) {
-    // The link is down: the pair starts suspended with every allocated
-    // block dirty; a later resync performs the initial copy.
-    pair->state_ = PairState::kSuspended;
-    for (uint64_t lba = 0; lba < pvol->block_count(); ++lba) {
-      if (pvol->store().IsAllocated(lba)) pair->dirty_.Set(lba);
-    }
-    if (group != nullptr) NoteUnsynced(group, env_->now());
+  storage::Volume* pvol = primary_->GetVolume(pair->config_.primary);
+  ZB_CHECK(pvol != nullptr);
+  // Freeze the P-VOL image at this instant; updates from now on are
+  // journaled (async) or shipped inline (sync) behind it on the channel,
+  // so no write touches the bits it owes while it is in flight. A group
+  // in bitmap mode (suspended) sends nothing: its resync ships the bits.
+  const uint64_t epoch = ++pair->copy_.epoch;
+  Status sent = FailedPreconditionError("group is suspended");
+  if (group == nullptr || !group->suspended) {
+    auto frozen = std::make_shared<block::MemVolume>(pvol->block_count(),
+                                                     pvol->block_size());
+    ZB_CHECK(frozen->CloneFrom(pvol->store()).ok());
+    sent = to_secondary_->SendOnChannel(
+        channel, pvol->store().allocated_blocks() * pvol->block_size(),
+        [this, pair_id, group_id, frozen, epoch] {
+          Pair* p = FindPair(pair_id);
+          // A suspension or failover superseded the copy; its bits stay.
+          if (p == nullptr || !IsLive(p->copy_, epoch)) return;
+          storage::Volume* svol = secondary_->GetVolume(p->config_.secondary);
+          if (svol == nullptr || secondary_->failed()) {
+            SuspendPair(p);
+            return;
+          }
+          p->copy_.active = false;
+          // The image is the whole owed set (the bits froze at the send).
+          ZB_CHECK(svol->store().CloneFrom(*frozen).ok());
+          p->dirty_.ClearAll();
+          p->state_ = PairState::kPaired;
+          if (Group* g = FindGroup(group_id)) ApplyPending(g);
+        });
   }
+  if (!sent.ok()) {
+    // The pair starts suspended with its owed bits dirty; a later resync
+    // performs the initial copy.
+    pair->state_ = PairState::kSuspended;
+    if (group != nullptr) NoteUnsynced(group, env_->now());
+    return;
+  }
+  ArmCopyDeadline({.group = group_id, .pair = pair_id});
 }
 
 void ReplicationEngine::MarkGroupSuspended(Group* group) {
   group->suspended = true;
   // A suspended group ships nothing; it re-arms on resync completion.
   scheduler_.Disarm(group->id);
-  // A suspension supersedes any resync in flight: its batch can no longer
-  // be trusted to land, so put the captured blocks back into the dirty
-  // bitmaps and invalidate its delivery/deadline by bumping the epoch.
-  ++group->resync_epoch;
-  if (group->inflight_resync != nullptr) {
-    for (const ResyncExtent& ext : *group->inflight_resync) {
-      Pair* pair = FindPair(ext.pair);
-      if (pair != nullptr) pair->dirty_.SetRange(ext.lba, ext.count);
-    }
-    group->inflight_resync.reset();
-  }
+  // Bitmap mode supersedes any resync or initial copy in flight: it lands
+  // nothing, and the bits it owed are still set for the next resync.
+  Supersede(&group->resync);
   auto* jnl = primary_->GetJournal(group->primary_journal);
   // Unacknowledged journal records become dirty blocks and are dropped;
   // the sequence watermarks are preserved so post-resync shipping stays
@@ -1482,23 +1476,14 @@ void ReplicationEngine::MarkGroupSuspended(Group* group) {
   }
   for (PairId pid : group->pairs) {
     Pair* pair = FindPair(pid);
-    if (pair == nullptr || pair->state_ == PairState::kSwapped) continue;
-    if (pair->state_ == PairState::kCopy) {
-      // The base image may still be in flight (and dropped): treat every
-      // allocated P-VOL block as dirty so the resync re-creates it.
-      storage::Volume* pvol = primary_->GetVolume(pair->config_.primary);
-      if (pvol != nullptr) {
-        for (uint64_t lba = 0; lba < pvol->block_count(); ++lba) {
-          if (pvol->store().IsAllocated(lba)) pair->dirty_.Set(lba);
-        }
-      }
+    if (pair != nullptr && pair->state_ != PairState::kSwapped) {
+      SuspendPair(pair);
     }
-    pair->state_ = PairState::kSuspended;
   }
   if (group->oldest_unsynced_time < 0) {
-    // Dirty blocks of unknown age (restored resync extents, initial-copy
-    // backlog): date them now — an under-estimate, but it keeps the RPO
-    // nonzero while data is provably unsynchronized.
+    // Dirty blocks of unknown age (a superseded copy's owed bits): date
+    // them now — an under-estimate, but it keeps the RPO nonzero while
+    // data is provably unsynchronized.
     for (PairId pid : group->pairs) {
       Pair* pair = FindPair(pid);
       if (pair != nullptr && !pair->dirty_.empty()) {
@@ -1542,7 +1527,7 @@ Status ReplicationEngine::SuspendSyncPair(PairId id) {
   if (pair->state_ == PairState::kSwapped) {
     return FailedPreconditionError("pair has been swapped");
   }
-  pair->state_ = PairState::kSuspended;
+  SuspendPair(pair);
   return OkStatus();
 }
 
@@ -1558,10 +1543,9 @@ ReplicationEngine::BulkFrame ReplicationEngine::CaptureBulk(
     if (vol == nullptr) continue;
     (pair->*bits).ForEachRun(
         [&](DirtyBitmap::Run run) {
-          const auto count = static_cast<uint32_t>(run.count);
           extents.push_back(wire::Extent{pair->config_.primary, run.lba,
-                                         count, &vol->store()});
-          bulk.extents.push_back(ResyncExtent{pair->id_, run.lba, count});
+                                         static_cast<uint32_t>(run.count),
+                                         &vol->store()});
           bulk.blocks += run.count;
         },
         kResyncMaxExtentBlocks);
@@ -1571,18 +1555,41 @@ ReplicationEngine::BulkFrame ReplicationEngine::CaptureBulk(
   SyncExecStats();
   bulk.frame = std::move(enc.frame);
   bulk.logical_bytes = enc.logical_bytes;
+  bulk.extent_count = extents.size();
   return bulk;
 }
 
-void ReplicationEngine::LandResyncRecord(Pair* pair,
-                                         const journal::JournalRecord& rec) {
-  // Only the captured extents are cleared; blocks dirtied after the
-  // capture stay dirty for the next round.
-  pair->dirty_.ClearRange(rec.lba, rec.block_count);
-  storage::Volume* svol = secondary_->GetVolume(pair->config_.secondary);
-  if (svol == nullptr) return;
-  Status ws = svol->Write(rec.lba, rec.block_count, rec.data());
-  if (!ws.ok()) ZB_LOG(Warning) << "resync apply failed: " << ws;
+void ReplicationEngine::LandBulk(
+    const std::vector<journal::JournalRecord>& records, Group* group,
+    Pair* pair, DirtyBitmap Pair::*bits, bool to_primary) {
+  for (const journal::JournalRecord& rec : records) {
+    Pair* p = pair;
+    if (group != nullptr) {
+      auto pit = group->by_primary.find(rec.volume_id);
+      p = pit == group->by_primary.end() ? nullptr : FindPair(pit->second);
+    }
+    if (p == nullptr) continue;
+    storage::Volume* vol = to_primary
+                               ? primary_->GetVolume(p->config_.primary)
+                               : secondary_->GetVolume(p->config_.secondary);
+    if (vol == nullptr) continue;
+    // A block whose bit is clear was rewritten after the capture (a
+    // main-site write during a giveback) and is newer than this copy.
+    DirtyBitmap& owed = p->*bits;
+    const uint64_t end = rec.lba + rec.block_count;
+    const size_t bs = vol->block_size();
+    for (uint64_t at = rec.lba; at < end;) {
+      const DirtyBitmap::Run run = owed.NextRun(at, end - at);
+      if (run.count == 0 || run.lba >= end) break;
+      const uint64_t n = std::min(run.count, end - run.lba);
+      Status ws = vol->Write(run.lba, static_cast<uint32_t>(n),
+                             rec.data().substr((run.lba - rec.lba) * bs,
+                                               n * bs));
+      if (!ws.ok()) ZB_LOG(Warning) << "bulk copy apply failed: " << ws;
+      owed.ClearRange(run.lba, n);
+      at = run.lba + n;
+    }
+  }
 }
 
 Status ReplicationEngine::ResyncGroup(GroupId id) {
@@ -1600,11 +1607,12 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
   // Capture the dirty contents now into one frame; journaling resumes
   // immediately, and the FIFO link guarantees the resync frame applies
   // first. The frame is a copy of the blocks at this instant, so host
-  // writes made while it is on the wire cannot leak into it. The bitmaps
-  // are NOT cleared here: the clear is deferred to delivery, so a failed
-  // send — or a frame lost or rejected in flight — loses no part of the
-  // delta. The bitmap walk is in ascending LBA order, so the frame is
-  // canonical and adjacent dirty blocks merge into one extent each.
+  // writes made while it is on the wire cannot leak into it, and none of
+  // them touches the bits: the group leaves bitmap mode at the send. The
+  // bits are cleared only on delivery, so a failed send — or a frame lost
+  // or rejected in flight — loses no part of the delta. The bitmap walk is
+  // in ascending LBA order, so the frame is canonical and adjacent dirty
+  // blocks merge into one extent each.
   std::vector<Pair*> pairs;
   for (PairId pid : group->pairs) {
     Pair* pair = FindPair(pid);
@@ -1618,7 +1626,7 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
   auto* pj = primary_->GetJournal(group->primary_journal);
   const journal::SequenceNumber resume_seq =
       pj == nullptr ? 0 : pj->written();
-  const uint64_t resync_id = ++group->resync_epoch;
+  const uint64_t resync_id = ++group->resync.epoch;
 
   const GroupId group_id = id;
   const uint64_t wire_bytes =
@@ -1626,27 +1634,20 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
   Status sent = to_secondary_->SendOnChannel(
       group_id, wire_bytes, bulk.logical_bytes,
       [this, group_id, frame = std::move(bulk.frame), resume_seq,
-       resync_id] {
+       resync_id]() mutable {
         Group* g = FindGroup(group_id);
-        if (g == nullptr || g->failed_over) return;
-        // A newer suspension or resync superseded this frame; its blocks
-        // were already put back into the dirty bitmaps.
-        if (g->resync_epoch != resync_id) return;
-        auto records = ReceiveFrame(frame);
+        // A suspension or failover superseded this frame.
+        if (g == nullptr || !IsLive(g->resync, resync_id)) return;
+        auto records = ReceiveFrame(&frame);
         if (!records.ok()) {
           // Nothing lands. The frame counts as lost: it stays in flight
           // with its deadline armed, and the deadline re-suspends the
-          // group, re-marks the blocks dirty and reships them.
+          // group and reships the bits it still owes.
           NoteRejectedFrame(g, "resync frame", records.status());
           return;
         }
-        g->inflight_resync.reset();
-        for (const journal::JournalRecord& rec : *records) {
-          auto pit = g->by_primary.find(rec.volume_id);
-          if (pit == g->by_primary.end()) continue;
-          Pair* pair = FindPair(pit->second);
-          if (pair != nullptr) LandResyncRecord(pair, rec);
-        }
+        g->resync.active = false;
+        LandBulk(*records, g, nullptr, &Pair::dirty_, /*to_primary=*/false);
         auto* sj = secondary_->GetJournal(g->secondary_journal);
         if (sj != nullptr && sj->written() < resume_seq) {
           Status ff = sj->FastForward(resume_seq);
@@ -1660,12 +1661,14 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
         }
         // The bitmap backlog is drained: the primary journal's front
         // record takes over as the group's oldest-unsynced bound. Any
-        // residual dirty blocks (captured after this frame) keep the old
-        // bound, which can only over-estimate the RPO.
+        // residual dirty blocks keep the old bound, which can only
+        // over-estimate the RPO; the bits an initial copy owes are not
+        // backlog.
         bool residue = false;
         for (PairId pid : g->pairs) {
           Pair* pair = FindPair(pid);
-          if (pair != nullptr && !pair->dirty_.empty()) {
+          if (pair != nullptr && pair->state_ != PairState::kCopy &&
+              !pair->dirty_.empty()) {
             residue = true;
             break;
           }
@@ -1686,18 +1689,15 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
     return sent;
   }
   group->suspended = false;
-  group->resync_sent_at = env_->now();
-  group->resync_extents += bulk.extents.size();
+  group->resync_extents += bulk.extent_count;
   group->resync_blocks += bulk.blocks;
   if (ins_.resyncs != nullptr) ins_.resyncs->Increment();
   if (trace_ != nullptr) {
     trace_->Record(env_->now(), obs::TraceEvent::kResyncStart, id,
-                   bulk.extents.size(), bulk.blocks);
+                   bulk.extent_count, bulk.blocks);
   }
-  group->inflight_resync =
-      std::make_unique<std::vector<ResyncExtent>>(std::move(bulk.extents));
   // The resync frame itself can be dropped by a partition; watch for it.
-  ArmResyncDeadline(group, resync_id);
+  ArmCopyDeadline({.group = id});
   return OkStatus();
 }
 
@@ -1714,38 +1714,38 @@ Status ReplicationEngine::ResyncSyncPair(PairId id) {
     return NotFoundError("P-VOL vanished");
   }
 
-  // The group resync's capture and deferred clear: the dirty bitmap
-  // survives a failed, lost or rejected send; delivery clears exactly the
-  // extents that landed. A standalone pair has no group config, so its
-  // frames are always compressed (the stored variant still wins when the
-  // blocks do not shrink).
+  // The group resync's capture, send and landing: a standalone pair has
+  // no group config, so its frames are always compressed (the stored
+  // variant still wins when the blocks do not shrink).
   BulkFrame bulk = CaptureBulk({pair}, &Pair::dirty_, /*from_primary=*/true,
                                /*compress=*/true);
   const PairId pair_id = id;
+  const uint64_t epoch = ++pair->copy_.epoch;
   const uint64_t wire_bytes =
       std::max<uint64_t>(bulk.frame.size(), kAckMessageBytes);
-  return to_secondary_->SendOnChannel(
+  ZB_RETURN_IF_ERROR(to_secondary_->SendOnChannel(
       SyncChannel(pair_id), wire_bytes, bulk.logical_bytes,
-      [this, pair_id, frame = std::move(bulk.frame)] {
+      [this, pair_id, frame = std::move(bulk.frame), epoch]() mutable {
         Pair* p = FindPair(pair_id);
-        if (p == nullptr || p->state_ == PairState::kSwapped) return;
-        auto records = ReceiveFrame(frame);
+        // A suspension (the operator, or a write acked locally)
+        // superseded the frame.
+        if (p == nullptr || !IsLive(p->copy_, epoch)) return;
+        auto records = ReceiveFrame(&frame);
         if (!records.ok()) {
-          // Nothing lands; the pair stays suspended with its blocks dirty
-          // for the next ResyncSyncPair.
+          // Nothing lands; the deadline re-suspends the pair with its
+          // blocks dirty.
           ZB_LOG(Warning) << "sync pair " << pair_id
                           << " rejected resync frame: " << records.status();
           return;
         }
-        for (const journal::JournalRecord& rec : *records) {
-          LandResyncRecord(p, rec);
-        }
-        // Writes intercepted while the frame was in flight stay dirty; the
-        // pair only returns to kPaired once the delta is fully drained.
-        if (p->state_ == PairState::kSuspended && p->dirty_.empty()) {
-          p->state_ = PairState::kPaired;
-        }
-      });
+        p->copy_.active = false;
+        LandBulk(*records, nullptr, p, &Pair::dirty_, /*to_primary=*/false);
+      }));
+  // The pair re-pairs at the send: later writes ship inline behind the
+  // frame on the FIFO channel, so none of them touches the bits it owes.
+  pair->state_ = PairState::kPaired;
+  ArmCopyDeadline({.pair = pair_id});
+  return OkStatus();
 }
 
 StatusOr<FailoverReport> ReplicationEngine::FailoverGroup(GroupId id) {
@@ -1760,13 +1760,11 @@ StatusOr<FailoverReport> ReplicationEngine::FailoverGroup(GroupId id) {
   // and a resync batch still in flight is moot (its target volumes are
   // about to be promoted).
   CancelResyncRetry(group);
-  ++group->resync_epoch;
-  group->inflight_resync.reset();
+  Supersede(&group->resync);
   group->suspend_reason = SuspendReason::kNone;
   // A giveback still in flight can no longer land; its blocks stay in
   // reverse_dirty_ and ship with the next failback.
-  ++group->giveback_epoch;
-  group->giveback.reset();
+  Supersede(&group->giveback);
 
   // Apply everything that reached the backup site (Section I: "DR systems
   // recover the backup site under the condition of data consistency").
@@ -1803,6 +1801,7 @@ StatusOr<FailoverReport> ReplicationEngine::FailoverGroup(GroupId id) {
                                 std::move(tracker));
     }
     pair->state_ = PairState::kSwapped;
+    Supersede(&pair->copy_);
     pair->dirty_.ClearAll();
   }
   return report;
@@ -1839,22 +1838,15 @@ StatusOr<FailbackReport> ReplicationEngine::FailbackGroup(GroupId id,
     }
   }
 
-  // Capture the giveback delta NOW, before anything below mutates the
-  // S-VOLs: all blocks the backup business wrote, plus (under force) the
-  // main-side diverged blocks, at their current backup-site content,
-  // merged into sorted extents of one frame. Those blocks stay in
-  // reverse_dirty_ until the giveback lands.
-  std::vector<Pair*> pairs;
-  for (PairId pid : group->pairs) {
-    Pair* pair = FindPair(pid);
-    if (pair == nullptr) continue;
-    if (force) pair->reverse_dirty_.UnionWith(pair->dirty_);
-    pairs.push_back(pair);
+  // The giveback owes all blocks the backup business wrote, plus (under
+  // force) the main-side diverged blocks: they stay in reverse_dirty_
+  // until it lands.
+  if (force) {
+    for (PairId pid : group->pairs) {
+      Pair* pair = FindPair(pid);
+      if (pair != nullptr) pair->reverse_dirty_.UnionWith(pair->dirty_);
+    }
   }
-  auto giveback = std::make_shared<BulkFrame>(
-      CaptureBulk(pairs, &Pair::reverse_dirty_, /*from_primary=*/false,
-                  group->config.compress_transfers));
-  report.blocks_shipped = giveback->blocks;
 
   // Resume the forward direction immediately: re-protect the S-VOLs,
   // clear the divergence state, reset both journals (a fresh sequence
@@ -1892,9 +1884,8 @@ StatusOr<FailbackReport> ReplicationEngine::FailbackGroup(GroupId id,
   // No explicit scheduler restart: the journals were Reset in place, so
   // the append hook survives and the next P-VOL write arms the group.
 
-  group->giveback = std::move(giveback);
   group->giveback_since = env_->now();
-  SendGiveback(group);
+  report.blocks_shipped = SendGiveback(group);
   if (ins_.failbacks != nullptr) ins_.failbacks->Increment();
   if (trace_ != nullptr) {
     trace_->Record(env_->now(), obs::TraceEvent::kFailback, id,
@@ -1903,73 +1894,44 @@ StatusOr<FailbackReport> ReplicationEngine::FailbackGroup(GroupId id,
   return report;
 }
 
-void ReplicationEngine::SendGiveback(Group* group) {
-  const uint64_t epoch = ++group->giveback_epoch;
+uint64_t ReplicationEngine::SendGiveback(Group* group) {
+  // Re-captured at every send from the bits still owed: an owed block is
+  // one the main site has not rewritten since failback, so its S-VOL
+  // content (never touched by forward apply) is the same at every send.
+  std::vector<Pair*> pairs;
+  for (PairId pid : group->pairs) {
+    if (Pair* pair = FindPair(pid)) pairs.push_back(pair);
+  }
+  BulkFrame bulk = CaptureBulk(pairs, &Pair::reverse_dirty_,
+                               /*from_primary=*/false,
+                               group->config.compress_transfers);
+  const uint64_t epoch = ++group->giveback.epoch;
   const GroupId group_id = group->id;
-  std::shared_ptr<const BulkFrame> giveback = group->giveback;
+  const uint64_t wire_bytes =
+      std::max<uint64_t>(bulk.frame.size(), kAckMessageBytes);
+  group->giveback.active = true;
   Status sent = to_primary_->SendOnChannel(
-      group_id, std::max<uint64_t>(giveback->frame.size(), kAckMessageBytes),
-      giveback->logical_bytes, [this, group_id, giveback, epoch] {
+      group_id, wire_bytes, bulk.logical_bytes,
+      [this, group_id, frame = std::move(bulk.frame), epoch]() mutable {
         Group* g = FindGroup(group_id);
         // A re-send superseded this copy, or a failover cancelled it.
-        if (g == nullptr || g->giveback_epoch != epoch) return;
-        auto records = ReceiveFrame(giveback->frame);
+        if (g == nullptr || !IsLive(g->giveback, epoch)) return;
+        auto records = ReceiveFrame(&frame);
         if (!records.ok()) {
           // Nothing lands; the giveback stays owed and its loss deadline
           // (or the reverse link's ready edge) re-sends it.
           NoteRejectedFrame(g, "giveback frame", records.status());
           return;
         }
-        for (const journal::JournalRecord& rec : *records) {
-          auto pit = g->by_primary.find(rec.volume_id);
-          if (pit == g->by_primary.end()) continue;
-          Pair* pair = FindPair(pit->second);
-          if (pair == nullptr) continue;
-          storage::Volume* pvol = primary_->GetVolume(pair->config_.primary);
-          if (pvol == nullptr) continue;
-          const std::string_view data = rec.data();
-          const uint32_t bs = pvol->block_size();
-          // Only blocks still owed land: one the main site rewrote after
-          // failback is newer than the giveback copy (and is journaled
-          // forward). Owed blocks are applied as contiguous sub-runs.
-          uint32_t i = 0;
-          while (i < rec.block_count) {
-            if (!pair->reverse_dirty_.Test(rec.lba + i)) {
-              ++i;
-              continue;
-            }
-            uint32_t j = i + 1;
-            while (j < rec.block_count &&
-                   pair->reverse_dirty_.Test(rec.lba + j)) {
-              ++j;
-            }
-            Status ws = pvol->Write(
-                rec.lba + i, j - i,
-                data.substr(static_cast<size_t>(i) * bs,
-                            static_cast<size_t>(j - i) * bs));
-            if (!ws.ok()) ZB_LOG(Warning) << "failback apply failed: " << ws;
-            i = j;
-          }
-          pair->reverse_dirty_.ClearRange(rec.lba, rec.block_count);
-        }
-        g->giveback.reset();
+        g->giveback.active = false;
+        LandBulk(*records, g, nullptr, &Pair::reverse_dirty_,
+                 /*to_primary=*/true);
       });
-  // A refused send waits for the reverse link's ready edge.
-  if (!sent.ok() || group->config.ack_timeout == 0) return;
-  // The giveback can die in a partition: re-send it if it has not landed
-  // by its latest possible arrival plus the ack grace (the resync rule).
-  env_->ScheduleAt(
-      to_primary_->EstimateArrival(0, group_id) + group->config.ack_timeout,
-      [this, group_id, epoch] {
-        Group* g = FindGroup(group_id);
-        if (g == nullptr || g->giveback == nullptr ||
-            g->giveback_epoch != epoch) {
-          return;
-        }
-        ZB_LOG(Warning) << "group " << group_id
-                        << " giveback lost in flight; re-sending";
-        if (to_primary_->connected()) SendGiveback(g);
-      });
+  // A refused send stays owed until the reverse link's ready edge. A sent
+  // one can die in a partition: re-send it if it has not landed by its
+  // latest possible arrival plus the ack grace (the resync rule).
+  if (sent.ok()) ArmCopyDeadline({.group = group_id, .giveback = true});
+  return bulk.blocks;
 }
 
 bool ReplicationEngine::GroupInitialCopyDone(GroupId id) const {

@@ -87,9 +87,8 @@ struct ConsistencyGroupConfig {
   // --- Transfer pipeline (batch sizing + coalescing) ------------------------
   // Every batch-sizing knob lives here and is checked by Validate() when
   // the group is created: a zero batch size or inverted min/max bounds is
-  // rejected up front instead of being silently rewritten. Normalized()
-  // only clamps the values the engine computes itself at runtime
-  // (adaptive resizing), which stay inside the validated bounds.
+  // rejected up front instead of being silently rewritten. Adaptive
+  // resizing clamps its own values into [min, max].
   //
   // Bytes shipped per wakeup. Under adaptive batching this is only the
   // starting point; the engine moves within [min, max].
@@ -111,14 +110,6 @@ struct ConsistencyGroupConfig {
   // the body is run through the block compressor. Incompressible batches
   // fall back to the stored escape automatically.
   bool compress_transfers = true;
-
-  // Returns a copy with the batch-sizing knobs forced into a sane shape:
-  // min >= one default-sized record, max >= min, batch clamped into
-  // [min, max]. The engine uses this only for RUNTIME adjustments
-  // (adaptive resizing never leaves sane bounds); configs submitted to
-  // CreateConsistencyGroup must pass Validate() as-is — bad knobs are an
-  // error, not a silent rewrite.
-  ConsistencyGroupConfig Normalized() const;
 
   // Checks the knobs a user could plausibly get wrong: zero/negative
   // intervals and capacities, inverted or violated adaptive-batch bounds
@@ -273,6 +264,22 @@ class AdcInterceptor;
 class SyncInterceptor;
 class SecondaryGuard;
 class ReverseDirtyTracker;
+
+// The in-flight record of one bulk copy: an initial copy, a resync or a
+// failback giveback. What the copy still owes is its owner's dirty bits,
+// never this record: nothing clears them between capture and delivery, and
+// delivery clears only the bits it landed.
+struct CopyInFlight {
+  // Bumped by every send and every supersession (the owner went back to
+  // bitmap mode, or failed over); a delivery or deadline of an older epoch
+  // lands nothing.
+  uint64_t epoch = 0;
+  // Sent and not landed yet (a giveback: owed, even while its send waits
+  // for the reverse link).
+  bool active = false;
+  SimTime sent_at = 0;
+  SimTime deadline = -1;  // Loss deadline; -1 when none is armed.
+};
 }  // namespace internal
 
 // A replication pair (P-VOL on the main array, S-VOL on the backup array).
@@ -302,8 +309,12 @@ class Pair {
   PairState state_ = PairState::kCopy;
   // Hierarchical (two-level) bitmaps sized to the volume at pair creation;
   // resync walks them as sorted extent runs instead of hash-ordered blocks.
+  // Every allocated P-VOL block starts dirty: that is what the initial copy
+  // owes.
   DirtyBitmap dirty_;
   DirtyBitmap reverse_dirty_;
+  // The pair's own bulk copy: its initial copy, or a sync pair's resync.
+  internal::CopyInFlight copy_;
 };
 
 // The remote-copy feature of a main/backup array pair: creates and drives
@@ -338,7 +349,8 @@ class ReplicationEngine {
   //  - kAsynchronous: journal-backed pair inside the consistency group
   //    named by `config.group` (required). The initial copy starts
   //    immediately; the pair reaches kPaired once the base image has
-  //    been transferred.
+  //    been transferred. In a suspended group the pair starts suspended
+  //    and the group's resync ships the base image.
   //  - kSynchronous: standalone pair (no journal); `config.group` must
   //    be 0.
   StatusOr<PairId> CreatePair(const PairConfig& config);
@@ -359,7 +371,9 @@ class ReplicationEngine {
   Status SuspendSyncPair(PairId id);
 
   // Re-establishes replication after a suspension by shipping the dirty
-  // blocks; pairs return to kPaired when the resync batch lands.
+  // blocks. A group's pairs return to kPaired when the resync frame lands;
+  // a sync pair re-pairs when its frame is sent (later writes ship behind
+  // it) and suspends again if the frame is lost.
   Status ResyncGroup(GroupId id);
   Status ResyncSyncPair(PairId id);
 
@@ -446,15 +460,6 @@ class ReplicationEngine {
   friend class internal::AdcInterceptor;
   friend class internal::SyncInterceptor;
 
-  // One dirty extent (a run of at most kResyncMaxExtentBlocks adjacent
-  // blocks) carried by a bulk frame: the blocks a lost frame re-marks
-  // dirty.
-  struct ResyncExtent {
-    PairId pair = 0;
-    uint64_t lba = 0;
-    uint32_t count = 0;
-  };
-
   // A bulk transfer (resync or failback giveback) captured at one instant
   // into one wire frame: compressed when the group compresses transfers,
   // CRC'd, and charged to the link at its frame size.
@@ -463,8 +468,8 @@ class ReplicationEngine {
     // Journal-record bytes the frame represents (header + payload per
     // extent), the link's logical byte count.
     uint64_t logical_bytes = 0;
-    // The extents it carries, in frame order, and their total blocks.
-    std::vector<ResyncExtent> extents;
+    // Extents it carries and their total blocks.
+    uint64_t extent_count = 0;
     uint64_t blocks = 0;
   };
 
@@ -479,14 +484,12 @@ class ReplicationEngine {
     bool suspended = false;
     SuspendReason suspend_reason = SuspendReason::kNone;
     bool failed_over = false;
-    // The failback giveback frame, captured at FailbackGroup and kept
-    // until it lands on the main site: re-sent on its loss deadline or on
-    // the reverse link's ready edge. The blocks it still owes the main site
-    // are the pairs' reverse_dirty_ bits; a P-VOL write clears its bits,
-    // so a stale giveback block never overwrites newer data.
-    std::shared_ptr<const BulkFrame> giveback;
-    // Bumped on every (re-)send; a delivery from an older send is dropped.
-    uint64_t giveback_epoch = 0;
+    // The failback giveback, owed from FailbackGroup (`giveback_since`)
+    // until it lands on the main site. What it owes is the pairs'
+    // reverse_dirty_ bits: a P-VOL write clears its bits, so a stale
+    // giveback block never overwrites newer data, and every (re-)send
+    // re-captures the bits still set.
+    internal::CopyInFlight giveback;
     SimTime giveback_since = 0;
     // Apply-side: ack_time of the newest applied record.
     SimTime last_applied_ack_time = 0;
@@ -500,16 +503,9 @@ class ReplicationEngine {
     // Bumped when the journal's sequence space restarts (failback resets
     // the journals); pending ack deadlines from the old space are stale.
     uint64_t ship_epoch = 0;
-    // Bumped whenever a resync attempt is superseded (new suspension,
-    // failover); a resync delivery from an older epoch is ignored.
-    uint64_t resync_epoch = 0;
-    // The extents of the resync frame currently on the wire; restored into
-    // the dirty bitmaps if the frame is declared lost (dropped, or
-    // rejected by the backup site's CRC check).
-    std::unique_ptr<std::vector<ResyncExtent>> inflight_resync;
-    // Send instant and loss deadline (-1: none) of that batch.
-    SimTime resync_sent_at = 0;
-    SimTime resync_deadline = -1;
+    // The group resync on the wire, superseded by a new suspension or a
+    // failover.
+    internal::CopyInFlight resync;
     // Auto-resync triggers: parked for the forward link's ready edge since
     // `link_wait_since` (-1 = not parked), or the backoff timer.
     SimTime link_wait_since = -1;
@@ -582,15 +578,13 @@ class ReplicationEngine {
   // treat the batch as lost (suspend + auto-resync reships the data).
   void SendWireNack(Group* group);
   // Fault-injection gate on the delivery path: with
-  // wire_corrupt_probability, returns a copy of `frame` (kept in `*copy`)
-  // with one random bit flipped, otherwise `frame` itself.
-  std::string_view MaybeCorruptFrame(std::string_view frame,
-                                     std::string* copy);
+  // wire_corrupt_probability, flips one random bit of `frame` in place.
+  void MaybeCorruptFrame(std::string* frame);
   // Receive side of every wire frame: the fault injector's chance at the
   // bytes, then the CRC-checked decode. An error means nothing of the
   // frame may land.
   StatusOr<std::vector<journal::JournalRecord>> ReceiveFrame(
-      std::string_view frame);
+      std::string* frame);
   // Counts and logs a frame the backup (or, for a giveback, main) site
   // rejected.
   void NoteRejectedFrame(Group* group, const char* what, const Status& why);
@@ -603,9 +597,46 @@ class ReplicationEngine {
   BulkFrame CaptureBulk(const std::vector<Pair*>& pairs,
                         DirtyBitmap Pair::*bits, bool from_primary,
                         bool compress);
-  // Lands one decoded resync record on `pair`'s S-VOL and clears its
-  // dirty bits.
-  void LandResyncRecord(Pair* pair, const journal::JournalRecord& rec);
+  // The one bulk-transfer landing: each decoded record goes to the pair
+  // whose P-VOL it names (a pair of `group`, or the standalone `pair`),
+  // onto its P-VOL (`to_primary`) or S-VOL. Only the sub-runs whose `bits`
+  // are still set are written, and exactly those bits are cleared.
+  void LandBulk(const std::vector<journal::JournalRecord>& records,
+                Group* group, Pair* pair, DirtyBitmap Pair::*bits,
+                bool to_primary);
+
+  // Names one bulk copy by its owner: a pair's own copy (`pair` set), else
+  // the group's resync or, with `giveback`, its failback giveback.
+  struct CopyRef {
+    GroupId group = 0;
+    PairId pair = 0;
+    bool giveback = false;
+  };
+  // The copy's in-flight record, or null once its owner is gone.
+  internal::CopyInFlight* FindCopy(const CopyRef& ref);
+  // Marks the copy in flight from now and arms its loss deadline: its
+  // latest possible arrival plus the owner's grace (the group's
+  // ack_timeout, 0 = none; kSyncAckTimeout for a sync pair). Unless that
+  // send landed or was superseded by then, OnCopyLost runs.
+  void ArmCopyDeadline(const CopyRef& ref);
+  // A group suspends (auto-resync ships what the copy owed), a sync pair
+  // suspends, a giveback is re-sent.
+  void OnCopyLost(const CopyRef& ref);
+  // A superseded copy lands nothing; the bits it owed stay set.
+  static void Supersede(internal::CopyInFlight* copy) {
+    ++copy->epoch;
+    copy->active = false;
+    copy->deadline = -1;
+  }
+  // True while the send of `epoch` is the copy's live one.
+  static bool IsLive(const internal::CopyInFlight& copy, uint64_t epoch) {
+    return copy.active && copy.epoch == epoch;
+  }
+  // Puts `pair` in bitmap mode (kSuspended), superseding its own copy.
+  static void SuspendPair(Pair* pair) {
+    pair->state_ = PairState::kSuspended;
+    Supersede(&pair->copy_);
+  }
 
   void StartInitialCopy(Pair* pair, Group* group);
   void MarkGroupSuspended(Group* group);
@@ -613,8 +644,6 @@ class ReplicationEngine {
   // Failure detection: schedules a check that the batch ending at `expect`
   // is acked within ack_timeout of its latest possible arrival.
   void ArmAckDeadline(Group* group, journal::SequenceNumber expect);
-  // Schedules a check that the resync batch of `resync_id` landed.
-  void ArmResyncDeadline(Group* group, uint64_t resync_id);
   // Suspends the group for `reason` and kicks off auto-resync.
   void SuspendOnFailure(Group* group, SuspendReason reason);
   // Arms (or re-arms, doubling the backoff) the auto-resync retry timer.
@@ -627,9 +656,10 @@ class ReplicationEngine {
   // group until the ready edge.
   void TryAutoResync(Group* group);
 
-  // Sends (or re-sends) the group's giveback on the reverse link under a
-  // fresh epoch and arms its loss deadline.
-  void SendGiveback(Group* group);
+  // Captures what the group's giveback still owes and sends it on the
+  // reverse link under a fresh epoch with its loss deadline; returns the
+  // blocks captured.
+  uint64_t SendGiveback(Group* group);
 
   // A synchronous host write whose remote ack is outstanding.
   struct SyncWrite;

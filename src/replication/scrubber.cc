@@ -169,8 +169,8 @@ void Scrubber::ScrubExtent(const WorkItem& item, uint64_t lba,
   // apply, so a byte difference is corruption, not replication lag.
   auto* pj = engine_->primary_->GetJournal(group->primary_journal);
   const bool quiescent =
-      !group->suspended && group->giveback == nullptr &&
-      group->inflight_resync == nullptr && !group->resync_retry_pending &&
+      !group->suspended && !group->giveback.active &&
+      !group->resync.active && !group->resync_retry_pending &&
       pj != nullptr && pj->acked() == pj->written() &&
       pair->dirty_.count() == 0;
   // A repair is already in motion (resync batch on the wire, a retry
@@ -178,7 +178,7 @@ void Scrubber::ScrubExtent(const WorkItem& item, uint64_t lba,
   // now would supersede and kill it, and the extent it carries still
   // verifies bad until the batch lands. Leave the group alone; the next
   // cycle re-checks whatever the resync missed.
-  const bool repair_in_motion = group->inflight_resync != nullptr ||
+  const bool repair_in_motion = group->resync.active ||
                                 group->resync_retry_pending ||
                                 group->link_wait_since >= 0;
   // Already queued for repair by an earlier pass or a suspension.

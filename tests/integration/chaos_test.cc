@@ -519,6 +519,160 @@ EdgeLaneResult RunFailbackPartitionLane(uint64_t seed) {
   return result;
 }
 
+// SDC lane result: how often a cut caught a sync-pair resync frame on the
+// wire, the operator resyncs, the forward wire bytes and the final backup
+// image.
+struct SdcLaneResult {
+  uint64_t hits = 0;
+  uint64_t resyncs = 0;
+  uint64_t wire_bytes = 0;
+  std::vector<uint64_t> fingerprint;
+};
+
+// SDC lane: standalone sync pairs under seeded partitions and message
+// drops, with host writes always in flight (each is submitted without
+// waiting for its ack). A write that dies on the wire falls back to a
+// local ack at its deadline and suspends its pair; after each heal the
+// operator resyncs every suspended pair, and the next cut often lands
+// while that resync frame is still on the wire. Every host write must be
+// acked exactly once, and once the link stays up every S-VOL must equal
+// its P-VOL.
+SdcLaneResult RunSdcPartitionLane(uint64_t seed) {
+  sim::SimEnvironment env;
+  storage::StorageArray main(&env, ZeroLatency("MAIN"));
+  storage::StorageArray backup(&env, ZeroLatency("BKUP"));
+  sim::NetworkLink to_backup(&env, ChaosLink(seed * 31 + 1), "fwd");
+  sim::NetworkLink to_main(&env, ChaosLink(seed * 31 + 2), "rev");
+  ReplicationEngine engine(&env, &main, &backup, &to_backup, &to_main);
+  Rng rng(seed);
+  SdcLaneResult result;
+  std::vector<storage::VolumeId> pvols, svols;
+  std::vector<PairId> pairs;
+  for (int v = 0; v < kVolumes; ++v) {
+    auto p = main.CreateVolume("sdc" + std::to_string(v), kBlocks);
+    auto s = backup.CreateVolume("r-sdc" + std::to_string(v), kBlocks);
+    EXPECT_TRUE(p.ok() && s.ok());
+    pvols.push_back(*p);
+    svols.push_back(*s);
+    PairConfig pc;
+    pc.name = "sdc" + std::to_string(v);
+    pc.primary = *p;
+    pc.secondary = *s;
+    pc.mode = ReplicationMode::kSynchronous;
+    auto pair = engine.CreatePair(pc);
+    EXPECT_TRUE(pair.ok());
+    pairs.push_back(*pair);
+  }
+  env.RunFor(Milliseconds(5));
+
+  // The ledger: acks[i] counts the acks of the i-th host write.
+  std::vector<int> acks;
+  uint64_t next_tag = 0;
+  auto resync_suspended = [&] {
+    for (PairId id : pairs) {
+      if (engine.GetPair(id)->state() == PairState::kSuspended) {
+        EXPECT_TRUE(engine.ResyncSyncPair(id).ok()) << "seed " << seed;
+        ++result.resyncs;
+      }
+    }
+  };
+  auto run_writes = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const auto vol = static_cast<size_t>(rng.Uniform(kVolumes));
+      std::string data(block::kDefaultBlockSize, static_cast<char>('S'));
+      EncodeFixed64(data.data(), ++next_tag);
+      const size_t w = acks.size();
+      acks.push_back(0);
+      main.SubmitHostWrite(pvols[vol], rng.Zipf(kBlocks, 0.8),
+                           std::move(data), [&acks, w](block::IoResult r) {
+                             EXPECT_TRUE(r.status.ok()) << r.status;
+                             ++acks[w];
+                           });
+      env.RunFor(static_cast<SimDuration>(
+          rng.Uniform(Microseconds(300)) + Microseconds(50)));
+      // The operator also resyncs while writes are in flight, so a frame
+      // often trails a write to a block it carries.
+      if (to_backup.connected() && w % 8 == 7) resync_suspended();
+    }
+  };
+  auto set_links = [&](bool up) {
+    to_backup.SetConnected(up);
+    to_main.SetConnected(up);
+  };
+
+  to_backup.set_drop_probability(0.02);
+  to_main.set_drop_probability(0.02);
+  for (int cycle = 0; cycle < 6; ++cycle) {
+    run_writes(40);
+    set_links(false);
+    run_writes(10 + static_cast<int>(rng.Uniform(60)));
+    set_links(true);
+    resync_suspended();
+    env.RunFor(
+        static_cast<SimDuration>(rng.Uniform(4)) * Microseconds(400));
+    for (PairId id : pairs) {
+      // Re-paired at the send with bits still owed: the frame is on the
+      // wire.
+      const Pair* pair = engine.GetPair(id);
+      if (pair->state() == PairState::kPaired && pair->dirty_blocks() > 0) {
+        ++result.hits;
+      }
+    }
+    set_links(false);
+    run_writes(5);
+    set_links(true);
+    resync_suspended();
+  }
+  to_backup.set_drop_probability(0.0);
+  to_main.set_drop_probability(0.0);
+  run_writes(40);
+
+  // Drain: late deadlines may still suspend a pair; resync until every
+  // pair is paired, clean and equal to its P-VOL with every write acked.
+  bool converged = false;
+  for (int round = 0; round < 50 && !converged; ++round) {
+    env.RunFor(Milliseconds(20));
+    resync_suspended();
+    env.RunFor(Milliseconds(20));
+    converged = true;
+    for (size_t v = 0; v < pairs.size(); ++v) {
+      const Pair* pair = engine.GetPair(pairs[v]);
+      converged &= pair->state() == PairState::kPaired &&
+                   pair->dirty_blocks() == 0 &&
+                   main.GetVolume(pvols[v])->ContentEquals(
+                       *backup.GetVolume(svols[v]));
+    }
+  }
+  EXPECT_TRUE(converged) << "seed " << seed;
+  for (size_t w = 0; w < acks.size(); ++w) {
+    EXPECT_EQ(acks[w], 1) << "seed " << seed << " write " << w
+                          << ": a host write is acked exactly once";
+  }
+  result.wire_bytes = to_backup.bytes_sent();
+  for (size_t v = 0; v < svols.size(); ++v) {
+    for (uint64_t lba = 0; lba < kBlocks; ++lba) {
+      result.fingerprint.push_back(DecodeFixed64(
+          backup.GetVolume(svols[v])->store().ReadBlock(lba).data()));
+    }
+  }
+  return result;
+}
+
+TEST(ChaosTest, SdcPairsUnderPartitionAcrossSeeds) {
+  uint64_t hits = 0;
+  for (uint64_t seed : {11, 12, 13, 14, 15, 16, 17, 18}) {
+    SdcLaneResult a = RunSdcPartitionLane(seed);
+    SdcLaneResult b = RunSdcPartitionLane(seed);
+    EXPECT_EQ(a.fingerprint, b.fingerprint) << "seed " << seed;
+    EXPECT_EQ(a.hits, b.hits) << "seed " << seed;
+    EXPECT_EQ(a.resyncs, b.resyncs) << "seed " << seed;
+    EXPECT_EQ(a.wire_bytes, b.wire_bytes) << "seed " << seed;
+    EXPECT_GT(a.resyncs, 0u) << "seed " << seed;
+    hits += a.hits;
+  }
+  EXPECT_GT(hits, 0u) << "no cut landed on a sync-pair resync in flight";
+}
+
 TEST(ChaosTest, RepartitionDuringEdgeResyncAcrossSeeds) {
   uint64_t hits = 0;
   for (uint64_t seed : {11, 12, 13, 14, 15, 16, 17, 18}) {

@@ -447,8 +447,8 @@ TEST_F(CoalesceTest, AdaptiveBatchShrinksUnderLinkBacklog) {
 }
 
 TEST_F(CoalesceTest, ZeroBatchKnobsAreRejectedNotRewritten) {
-  // All-zero batch knobs used to be silently rewritten by Normalized();
-  // the control plane now refuses them outright so a misconfigured sweep
+  // All-zero batch knobs used to be silently rewritten; the control
+  // plane now refuses them outright so a misconfigured sweep
   // fails loudly at creation instead of running with invented values.
   ConsistencyGroupConfig cfg;
   cfg.transfer_batch_bytes = 0;
@@ -470,29 +470,6 @@ TEST_F(CoalesceTest, ZeroBatchKnobsAreRejectedNotRewritten) {
   ASSERT_TRUE(main_.WriteSync(p, 0, BlockOf('k')).ok());
   env_.RunFor(Milliseconds(40));
   EXPECT_TRUE(Converged(p, s));
-}
-
-TEST(ConsistencyGroupConfigTest, NormalizedBoundsTheBatchKnobs) {
-  ConsistencyGroupConfig cfg;
-  cfg.transfer_batch_bytes = 0;
-  cfg.transfer_batch_min_bytes = 0;
-  cfg.transfer_batch_max_bytes = 0;
-  ConsistencyGroupConfig n = cfg.Normalized();
-  EXPECT_GT(n.transfer_batch_bytes, 0u);
-  EXPECT_GT(n.transfer_batch_min_bytes, 0u);
-  EXPECT_GE(n.transfer_batch_max_bytes, n.transfer_batch_min_bytes);
-  EXPECT_GE(n.transfer_batch_bytes, n.transfer_batch_min_bytes);
-  EXPECT_LE(n.transfer_batch_bytes, n.transfer_batch_max_bytes);
-
-  // Inverted bounds: max is lifted to min, and the starting batch size is
-  // clamped inside.
-  ConsistencyGroupConfig inv;
-  inv.transfer_batch_min_bytes = 8 << 20;
-  inv.transfer_batch_max_bytes = 1 << 20;
-  inv.transfer_batch_bytes = 32 << 20;
-  ConsistencyGroupConfig ni = inv.Normalized();
-  EXPECT_EQ(ni.transfer_batch_max_bytes, ni.transfer_batch_min_bytes);
-  EXPECT_EQ(ni.transfer_batch_bytes, ni.transfer_batch_min_bytes);
 }
 
 }  // namespace

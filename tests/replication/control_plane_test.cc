@@ -210,8 +210,8 @@ TEST_F(ControlPlaneTest, FailbackOfForwardGroupIsFailedPrecondition) {
 }
 
 TEST_F(ControlPlaneTest, GroupConfigValidationIsPinned) {
-  // Each knob violation maps to kInvalidArgument at creation time; the
-  // runtime clamp (Normalized) no longer masks operator typos.
+  // Each knob violation maps to kInvalidArgument at creation time; no
+  // runtime clamp masks operator typos.
   ConsistencyGroupConfig bad;
   bad.name = "bad";
   bad.transfer_interval = 0;

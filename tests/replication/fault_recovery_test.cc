@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "replication/replication.h"
 #include "storage/array.h"
 
@@ -339,6 +340,42 @@ TEST_F(FaultRecoveryTest, LostInitialCopyIsRecoveredByResync) {
   ASSERT_TRUE(main_.WriteSync(p, 10, BlockOf('z')).ok());
   env_.RunFor(Milliseconds(200));
   EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+  EXPECT_TRUE(Converged(p, s));
+}
+
+// An idle group's base image dropped in flight: no write follows, so no
+// ack deadline can notice. The copy's own loss deadline suspends the group
+// with the bits it owed still dirty, and auto-resync ships them. The group
+// used to stay in COPY forever.
+TEST_F(FaultRecoveryTest, LostInitialCopyOfIdleGroupHitsItsDeadline) {
+  auto [p, s] = MakeVolumes("v");
+  for (uint64_t lba = 0; lba < 5; ++lba) {
+    ASSERT_TRUE(main_.WriteSync(p, lba,
+                                BlockOf(static_cast<char>('a' + lba)))
+                    .ok());
+  }
+  GroupId g = MakeGroup();
+  PairId pair = MakeAsyncPair(p, s, g);
+  ASSERT_EQ(engine_.GetPair(pair)->state(), PairState::kCopy);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 5u);
+
+  env_.RunFor(Milliseconds(1));
+  to_backup_.SetConnected(false);  // The base image dies on the wire.
+  env_.RunFor(Milliseconds(1));
+  to_backup_.SetConnected(true);
+
+  env_.RunFor(Milliseconds(25));  // Deadline at 5 + 20 ms.
+  GroupStats stats = Stats(g);
+  EXPECT_TRUE(stats.suspended);
+  EXPECT_EQ(stats.suspend_reason, SuspendReason::kResyncTimeout);
+  EXPECT_EQ(stats.resync_timeouts, 1u);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 5u);
+
+  env_.RunFor(Seconds(2));
+  EXPECT_TRUE(engine_.GroupInitialCopyDone(g));
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 0u);
+  EXPECT_FALSE(Stats(g).suspended);
   EXPECT_TRUE(Converged(p, s));
 }
 
@@ -796,6 +833,137 @@ TEST_F(FaultRecoveryTest, LateSyncAckDoesNotCompleteTheWriteTwice) {
   // A second completion would count the write, and release its IO slot,
   // twice.
   EXPECT_EQ(main_.host_writes(), writes + 1);
+}
+
+// A sync pair re-pairs when its resync frame leaves: a write made while
+// the frame is on the wire ships inline behind it and lands after it. The
+// write used to be dirty-marked locally and its bit then cleared by the
+// frame's landing, leaving the pair PAIR, clean and one write behind.
+TEST_F(FaultRecoveryTest, SyncWriteDuringResyncLandsAfterTheFrame) {
+  auto [p, s] = MakeVolumes("v");
+  PairId pair = MakeSyncPair(p, s);
+  env_.RunFor(Milliseconds(20));
+  ASSERT_TRUE(engine_.SuspendSyncPair(pair).ok());
+  ASSERT_TRUE(main_.WriteSync(p, 3, BlockOf('a')).ok());
+  ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+
+  env_.RunFor(Milliseconds(1));  // The frame is on the wire until 5 ms.
+  int acks = 0;
+  main_.SubmitHostWrite(p, 3, BlockOf('b'), [&](block::IoResult r) {
+    EXPECT_TRUE(r.status.ok()) << r.status;
+    ++acks;
+  });
+  env_.RunFor(Milliseconds(30));
+  EXPECT_EQ(acks, 1);
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 0u);
+  EXPECT_EQ(backup_.GetVolume(s)->store().ReadBlock(3), BlockOf('b'));
+  EXPECT_TRUE(Converged(p, s));
+}
+
+// A sync pair's base image dropped in flight: its loss deadline suspends
+// the pair with every allocated block still dirty, so the next resync
+// ships the whole image. The pair used to stay in COPY, and a later resync
+// re-paired it with only the blocks written since.
+TEST_F(FaultRecoveryTest, LostSyncInitialCopyHitsItsDeadline) {
+  auto [p, s] = MakeVolumes("v");
+  for (uint64_t lba = 0; lba < 5; ++lba) {
+    ASSERT_TRUE(main_.WriteSync(p, lba,
+                                BlockOf(static_cast<char>('a' + lba)))
+                    .ok());
+  }
+  PairId pair = MakeSyncPair(p, s);
+  ASSERT_EQ(engine_.GetPair(pair)->state(), PairState::kCopy);
+
+  env_.RunFor(Milliseconds(1));
+  to_backup_.SetConnected(false);  // The base image dies on the wire.
+  env_.RunFor(Milliseconds(60));   // Deadline at 5 + 50 ms.
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kSuspended);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 5u);
+
+  // Acked locally: the pair is suspended and the link is down.
+  int acks = 0;
+  main_.SubmitHostWrite(p, 10, BlockOf('z'),
+                        [&](block::IoResult r) {
+                          EXPECT_TRUE(r.status.ok()) << r.status;
+                          ++acks;
+                        });
+  env_.RunFor(0);
+  EXPECT_EQ(acks, 1);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 6u);
+
+  to_backup_.SetConnected(true);
+  ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+  env_.RunFor(Milliseconds(20));
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 0u);
+  EXPECT_TRUE(Converged(p, s));
+}
+
+// A sync write already on the wire when its pair suspends lands in channel
+// order, ahead of the resync frame sent after it. Its S-VOL write used to
+// wait for a separate media-cost event, so a frame arriving at the same
+// instant landed first and the stale write overwrote the newer block.
+TEST_F(FaultRecoveryTest, SyncWriteInFlightLandsBeforeTheResyncFrame) {
+  auto [p, s] = MakeVolumes("v");
+  PairId pair = MakeSyncPair(p, s);
+  env_.RunFor(Milliseconds(20));
+  int acks = 0;
+  main_.SubmitHostWrite(p, 3, BlockOf('a'), [&](block::IoResult r) {
+    EXPECT_TRUE(r.status.ok()) << r.status;
+    ++acks;
+  });
+  ASSERT_TRUE(engine_.SuspendSyncPair(pair).ok());
+  ASSERT_TRUE(main_.WriteSync(p, 3, BlockOf('b')).ok());
+  // The frame leaves at the same instant as the write: both arrive at 5 ms.
+  ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+  env_.RunFor(Milliseconds(30));
+  EXPECT_EQ(acks, 1);
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 0u);
+  EXPECT_TRUE(Converged(p, s));
+}
+
+// Bulk frames are billed to the link at their frame size. Random blocks
+// ship stored, so a giveback of two blocks and a sync-pair resync of
+// three cost at least their payload in wire bytes.
+TEST_F(FaultRecoveryTest, BulkFramesAreBilledAtTheirFrameSize) {
+  Rng rng(5);
+  auto noise = [&rng] {
+    std::string block(block::kDefaultBlockSize, '\0');
+    for (char& c : block) c = static_cast<char>(rng.Uniform(256));
+    return block;
+  };
+  auto [p, s] = MakeVolumes("v");
+  GroupId g = MakeGroup();
+  MakeAsyncPair(p, s, g);
+  env_.RunFor(Milliseconds(50));
+  main_.SetFailed(true);
+  Partition();
+  ASSERT_TRUE(engine_.FailoverGroup(g).ok());
+  ASSERT_TRUE(backup_.WriteSync(s, 1, noise()).ok());
+  ASSERT_TRUE(backup_.WriteSync(s, 2, noise()).ok());
+  main_.SetFailed(false);
+  Heal();
+  env_.RunFor(0);  // The heal's ready edges.
+  const uint64_t rev0 = to_main_.bytes_sent();
+  ASSERT_TRUE(engine_.FailbackGroup(g).ok());
+  EXPECT_GE(to_main_.bytes_sent() - rev0, 2 * block::kDefaultBlockSize);
+
+  auto [sp, ss] = MakeVolumes("sync");
+  PairId pair = MakeSyncPair(sp, ss);
+  env_.RunFor(Milliseconds(20));
+  ASSERT_TRUE(engine_.SuspendSyncPair(pair).ok());
+  for (uint64_t lba = 0; lba < 3; ++lba) {
+    ASSERT_TRUE(main_.WriteSync(sp, lba, noise()).ok());
+  }
+  const uint64_t fwd0 = to_backup_.bytes_sent();
+  ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+  EXPECT_GE(to_backup_.bytes_sent() - fwd0, 3 * block::kDefaultBlockSize);
+  env_.RunFor(Milliseconds(50));
+  EXPECT_TRUE(Converged(p, s));
+  EXPECT_TRUE(Converged(sp, ss));
 }
 
 }  // namespace
