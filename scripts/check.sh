@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # The one-command pre-merge gate: configure, build and run the full test
 # suite under both the default (RelWithDebInfo) and the ASan+UBSan
-# sanitize presets, then smoke-run the measurement benches. This is what
-# CI runs; a green check.sh is the bar every change must clear.
+# sanitize presets, smoke-run the measurement benches, then run the
+# end-to-end benchmark's self-test (every workload's correctness and
+# determinism checks). This is what CI runs; a green check.sh is the bar
+# every change must clear.
 #
 #   scripts/check.sh             # everything
 #   scripts/check.sh --fast      # default preset only (inner-loop use)
@@ -65,6 +67,15 @@ if [[ "${fast}" -eq 0 ]]; then
   ./build/bench/bench_scale --quick --out "${smoke_dir}/scale.json"
   ./build/bench/bench_parallel --quick --out "${smoke_dir}/parallel.json"
   ./build/bench/bench_scrub --quick --out "${smoke_dir}/scrub.json"
+fi
+
+# The end-to-end benchmark's self-test: each workload runs briefly,
+# untraced and traced, and must report correct, with no failed operation
+# and every determinism self-check ok. It builds the benchmark into
+# .bench_build (or $CARGO_TARGET_DIR) on first use.
+if [[ "${fast}" -eq 0 ]]; then
+  echo "=== e2ebench self-test ==="
+  python3 e2ebench/test_bench.py
 fi
 
 echo "check.sh: all green"

@@ -1,6 +1,7 @@
 #include "block/mem_volume.h"
 
 #include <cstring>
+#include <utility>
 
 #include "common/crc32c.h"
 #include "common/logging.h"
@@ -304,6 +305,21 @@ Status MemVolume::CloneFrom(const MemVolume& src) {
     }
   }
   allocated_blocks_ = src.allocated_blocks_;
+  return OkStatus();
+}
+
+Status MemVolume::AdoptFrom(MemVolume&& src) {
+  if (src.block_size_ != block_size_ || src.block_count_ != block_count_) {
+    return InvalidArgumentError("adopt geometry mismatch");
+  }
+  if (checksums_enabled_) {
+    src.EnableChecksums();  // No-op when the source carries its sidecar.
+  }
+  // A sidecar adopted by a volume without checksums is never read, and
+  // EnableChecksums recomputes every slot.
+  chunks_ = std::move(src.chunks_);
+  allocated_blocks_ = src.allocated_blocks_;
+  src.Reset();
   return OkStatus();
 }
 

@@ -52,8 +52,8 @@ class MemVolume : public BlockDevice {
   }
 
   // Zero-copy variant: a view of the block's current content, valid until
-  // the next Write/CloneFrom/Reset of this volume. Never-written blocks
-  // yield a view of a shared zero block.
+  // the next Write/CloneFrom/AdoptFrom/Reset of this volume. Never-written
+  // blocks yield a view of a shared zero block.
   std::string_view ReadBlockView(Lba lba) const;
 
   // Copies [lba, lba+count) into `dst` (count * block_size() bytes,
@@ -77,6 +77,14 @@ class MemVolume : public BlockDevice {
   // Copies every allocated block of `src` into this volume (same
   // geometry required). Used by replication initial copy and tests.
   Status CloneFrom(const MemVolume& src);
+
+  // The move counterpart of CloneFrom, for an image nobody reads again:
+  // this volume takes over `src`'s chunk table (same geometry required),
+  // so no byte is copied. The sidecar follows CloneFrom's rule: carried
+  // when both sides keep checksums (latent rot stays detectable),
+  // computed when only this one does. This volume's old chunks are freed
+  // and `src` is left empty.
+  Status AdoptFrom(MemVolume&& src);
 
   // Byte-level content equality with another volume (zero-filled holes
   // compare equal to explicit zero blocks).

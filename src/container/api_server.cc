@@ -49,8 +49,14 @@ StatusOr<Resource> ApiServer::Update(Resource resource) {
     return AbortedError("conflict on " + key + ": stale resource version " +
                         std::to_string(resource.resource_version));
   }
-  resource.generation = it->second.generation;
-  if (!(resource.spec == it->second.spec)) ++resource.generation;
+  const Resource& stored = it->second;
+  if (resource.spec == stored.spec && resource.status == stored.status &&
+      resource.labels == stored.labels &&
+      resource.annotations == stored.annotations) {
+    return stored;  // No-op write: no version bump, no watch event.
+  }
+  resource.generation = stored.generation;
+  if (!(resource.spec == stored.spec)) ++resource.generation;
   resource.resource_version = next_version_++;
   it->second = resource;
   ++writes_;
@@ -65,6 +71,7 @@ StatusOr<Resource> ApiServer::UpdateStatus(Resource resource) {
   if (resource.resource_version != it->second.resource_version) {
     return AbortedError("conflict on " + key + " (status): stale version");
   }
+  if (resource.status == it->second.status) return it->second;  // No-op.
   Resource updated = it->second;  // Keep spec/labels/annotations.
   updated.status = resource.status;
   updated.resource_version = next_version_++;

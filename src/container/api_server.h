@@ -47,11 +47,14 @@ class ApiServer {
 
   // Full update with optimistic concurrency: `resource.resource_version`
   // must match the stored version, otherwise ABORTED (conflict). Bumps the
-  // generation when the spec changed.
+  // generation when the spec changed. An update that changes none of
+  // spec, status, labels and annotations returns the stored object as is:
+  // no version bump, no write counted and no watch event (a controller's
+  // periodic resync rewrites unchanged objects).
   StatusOr<Resource> Update(Resource resource);
 
   // Status-only update (spec/labels/annotations of the stored object are
-  // kept); same concurrency rule.
+  // kept); same concurrency rule, and an unchanged status is a no-op.
   StatusOr<Resource> UpdateStatus(Resource resource);
 
   StatusOr<Resource> Get(const std::string& kind, const std::string& ns,

@@ -1404,11 +1404,15 @@ void ReplicationEngine::StartInitialCopy(Pair* pair, Group* group) {
   // journaled (async) or shipped inline (sync) behind it on the channel,
   // so no write touches the bits it owes while it is in flight. A group
   // in bitmap mode (suspended) sends nothing: its resync ships the bits.
+  // This is the copy's only pass over the bytes: the image carries the
+  // P-VOL's checksum sidecar and the S-VOL adopts it whole at landing, so
+  // latent rot on the P-VOL stays detectable on the S-VOL.
   const uint64_t epoch = ++pair->copy_.epoch;
   Status sent = FailedPreconditionError("group is suspended");
   if (group == nullptr || !group->suspended) {
     auto frozen = std::make_shared<block::MemVolume>(pvol->block_count(),
                                                      pvol->block_size());
+    frozen->EnableChecksums();
     ZB_CHECK(frozen->CloneFrom(pvol->store()).ok());
     sent = to_secondary_->SendOnChannel(
         channel, pvol->store().allocated_blocks() * pvol->block_size(),
@@ -1417,13 +1421,12 @@ void ReplicationEngine::StartInitialCopy(Pair* pair, Group* group) {
           // A suspension or failover superseded the copy; its bits stay.
           if (p == nullptr || !IsLive(p->copy_, epoch)) return;
           storage::Volume* svol = secondary_->GetVolume(p->config_.secondary);
-          if (svol == nullptr || secondary_->failed()) {
-            SuspendPair(p);
-            return;
-          }
+          // A failed array lands nothing, as with a journal batch: the
+          // copy stays in flight and its deadline suspends the owner.
+          if (svol == nullptr || secondary_->failed()) return;
           p->copy_.active = false;
           // The image is the whole owed set (the bits froze at the send).
-          ZB_CHECK(svol->store().CloneFrom(*frozen).ok());
+          ZB_CHECK(svol->store().AdoptFrom(std::move(*frozen)).ok());
           p->dirty_.ClearAll();
           p->state_ = PairState::kPaired;
           if (Group* g = FindGroup(group_id)) ApplyPending(g);

@@ -1,5 +1,8 @@
 #include "block/mem_volume.h"
 
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 namespace zerobak::block {
@@ -73,6 +76,31 @@ TEST(MemVolumeTest, CloneFromCopiesContent) {
 TEST(MemVolumeTest, CloneGeometryMismatchRejected) {
   MemVolume a(10), b(20);
   EXPECT_EQ(b.CloneFrom(a).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(MemVolumeTest, AdoptFromTakesOverContentAndEmptiesTheSource) {
+  MemVolume a(3000), b(3000), expect(3000);
+  ASSERT_TRUE(a.Write(0, 1, BlockOf('p')).ok());
+  ASSERT_TRUE(a.Write(2500, 2, BlockOf('q') + BlockOf('r')).ok());
+  ASSERT_TRUE(b.Write(1500, 1, BlockOf('o')).ok());  // Replaced, not merged.
+  ASSERT_TRUE(expect.CloneFrom(a).ok());
+  ASSERT_TRUE(b.AdoptFrom(std::move(a)).ok());
+  EXPECT_TRUE(b.ContentEquals(expect));
+  EXPECT_EQ(b.allocated_blocks(), 3u);
+  EXPECT_FALSE(b.IsAllocated(1500));
+  // The source is left an empty volume of the same geometry.
+  EXPECT_EQ(a.allocated_blocks(), 0u);
+  EXPECT_TRUE(a.ContentEquals(MemVolume(3000)));
+  ASSERT_TRUE(a.Write(0, 1, BlockOf('z')).ok());
+  EXPECT_EQ(b.ReadBlock(0), BlockOf('p'));
+}
+
+TEST(MemVolumeTest, AdoptGeometryMismatchRejected) {
+  MemVolume a(10), b(20), c(10, 512);
+  ASSERT_TRUE(a.Write(1, 1, BlockOf('p')).ok());
+  EXPECT_EQ(b.AdoptFrom(std::move(a)).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(c.AdoptFrom(std::move(a)).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(a.ReadBlock(1), BlockOf('p'));  // A rejected adopt moves nothing.
 }
 
 TEST(MemVolumeTest, ContentEqualsTreatsZeroBlocksAsHoles) {
@@ -286,6 +314,37 @@ TEST(MemVolumeIntegrityTest, CloneFromPreservesLatentRot) {
   // instead of being laundered by a recompute.
   std::string out;
   EXPECT_EQ(b.Read(4, 1, &out).code(), StatusCode::kDataLoss);
+}
+
+TEST(MemVolumeIntegrityTest, AdoptFromCarriesTheSidecar) {
+  MemVolume a(10), b(10);
+  a.EnableChecksums();
+  b.EnableChecksums();
+  ASSERT_TRUE(a.Write(4, 1, BlockOf('r')).ok());
+  ASSERT_TRUE(a.Write(5, 1, BlockOf('s')).ok());
+  ASSERT_TRUE(a.FlipBit(4, 9));
+  ASSERT_TRUE(b.AdoptFrom(std::move(a)).ok());
+  std::string out;
+  EXPECT_EQ(b.Read(4, 1, &out).code(), StatusCode::kDataLoss);
+  ASSERT_TRUE(b.Read(5, 1, &out).ok());
+  EXPECT_EQ(out, BlockOf('s'));
+  // Writes after the adopt keep the carried sidecar current.
+  ASSERT_TRUE(b.Write(4, 1, BlockOf('t')).ok());
+  EXPECT_EQ(b.VerifyExtent(0, 10), MemVolume::ExtentHealth::kClean);
+}
+
+TEST(MemVolumeIntegrityTest, AdoptFromComputesAMissingSidecar) {
+  MemVolume a(10), b(10), plain(10);
+  b.EnableChecksums();
+  ASSERT_TRUE(a.Write(3, 1, BlockOf('x')).ok());
+  ASSERT_TRUE(b.AdoptFrom(std::move(a)).ok());
+  EXPECT_EQ(b.VerifyExtent(0, 10), MemVolume::ExtentHealth::kClean);
+  ASSERT_TRUE(b.FlipBit(3, 1));
+  std::string out;
+  EXPECT_EQ(b.Read(3, 1, &out).code(), StatusCode::kDataLoss);
+  // A volume without checksums adopts a checksummed image as plain data.
+  ASSERT_TRUE(plain.AdoptFrom(std::move(b)).ok());
+  EXPECT_TRUE(plain.Read(3, 1, &out).ok());
 }
 
 }  // namespace

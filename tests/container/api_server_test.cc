@@ -79,6 +79,51 @@ TEST_F(ApiServerTest, StatusUpdateKeepsSpecAndGeneration) {
   EXPECT_EQ(updated->generation, 1u);  // Status-only: no generation bump.
 }
 
+TEST_F(ApiServerTest, NoOpUpdatesAreFree) {
+  auto created = api_.Create(MakePvc("shop", "sales"));
+  ASSERT_TRUE(created.ok());
+  int events = 0;
+  api_.Watch(kKindPersistentVolumeClaim, [&](const WatchEvent& e) {
+    if (e.type == WatchEventType::kModified) ++events;
+  });
+  const uint64_t writes = api_.writes();
+
+  auto same = api_.Update(*created);
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(same->resource_version, created->resource_version);
+  EXPECT_EQ(same->generation, created->generation);
+  auto same_status = api_.UpdateStatus(*created);
+  ASSERT_TRUE(same_status.ok());
+  EXPECT_EQ(same_status->resource_version, created->resource_version);
+  // The concurrency rule still holds for a no-op.
+  Resource stale = *created;
+  stale.resource_version = 0;
+  EXPECT_EQ(api_.Update(stale).status().code(), StatusCode::kAborted);
+  env_.RunUntilIdle();
+  EXPECT_EQ(api_.writes(), writes);
+  EXPECT_EQ(events, 0);
+
+  // Any change to labels, annotations or status is a real write.
+  Resource labeled = *created;
+  labeled.labels["tier"] = "gold";
+  auto l = api_.Update(labeled);
+  ASSERT_TRUE(l.ok());
+  EXPECT_GT(l->resource_version, created->resource_version);
+  EXPECT_EQ(l->generation, created->generation);
+  Resource annotated = *l;
+  annotated.annotations["a"] = "b";
+  auto a = api_.Update(annotated);
+  ASSERT_TRUE(a.ok());
+  Resource bound = *a;
+  bound.status["phase"] = "Bound";
+  auto b = api_.UpdateStatus(bound);
+  ASSERT_TRUE(b.ok());
+  EXPECT_GT(b->resource_version, a->resource_version);
+  env_.RunUntilIdle();
+  EXPECT_EQ(api_.writes(), writes + 3);
+  EXPECT_EQ(events, 3);
+}
+
 TEST_F(ApiServerTest, ListFiltersByKindAndNamespace) {
   ASSERT_TRUE(api_.Create(MakePvc("shop", "a")).ok());
   ASSERT_TRUE(api_.Create(MakePvc("shop", "b")).ok());

@@ -136,6 +136,29 @@ TEST_F(NamespaceOperatorTest, NewPvcJoinsExistingVrg) {
   EXPECT_EQ(vrg->spec.Find("volumes")->AsArray().size(), 2u);
 }
 
+// The controllers' periodic resync replays every object; an operator
+// whose VRG already lists the namespace's volumes must not rewrite it
+// (each write used to bump its version and wake the VRG controller).
+TEST_F(NamespaceOperatorTest, ResyncLeavesAnUnchangedVrgAlone) {
+  MakeNamespace("shop");
+  MakeBoundPvc("shop", "sales-db", "ARR:1");
+  MakeBoundPvc("shop", "stock-db", "ARR:2");
+  Tag("shop");
+  env_.RunUntilIdle();
+  auto configured = cluster_.api()->Get(kKindVolumeReplicationGroup, "shop",
+                                        "vrg-shop");
+  ASSERT_TRUE(configured.ok());
+  const uint64_t writes = cluster_.api()->writes();
+
+  cluster_.controllers()->EnableResync(Milliseconds(10));
+  env_.RunFor(Milliseconds(100));  // Ten resync periods.
+  auto after = cluster_.api()->Get(kKindVolumeReplicationGroup, "shop",
+                                   "vrg-shop");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->resource_version, configured->resource_version);
+  EXPECT_EQ(cluster_.api()->writes(), writes);
+}
+
 TEST_F(NamespaceOperatorTest, UntaggingRemovesVrg) {
   MakeNamespace("shop");
   MakeBoundPvc("shop", "db", "ARR:1");

@@ -379,6 +379,44 @@ TEST_F(FaultRecoveryTest, LostInitialCopyOfIdleGroupHitsItsDeadline) {
   EXPECT_TRUE(Converged(p, s));
 }
 
+// A base image that reaches a failed backup array lands nothing, like a
+// journal batch would: its deadline suspends the whole group, and
+// auto-resync ships the bits it owed with no operator call. The pair used
+// to suspend on its own under a healthy group, and an idle group never
+// resynced it.
+TEST_F(FaultRecoveryTest, InitialCopyOntoFailedArrayIsRecoveredByTheGroup) {
+  auto [p, s] = MakeVolumes("v");
+  for (uint64_t lba = 0; lba < 5; ++lba) {
+    ASSERT_TRUE(main_.WriteSync(p, lba,
+                                BlockOf(static_cast<char>('a' + lba)))
+                    .ok());
+  }
+  GroupId g = MakeGroup();
+  PairId pair = MakeAsyncPair(p, s, g);
+  ASSERT_EQ(engine_.GetPair(pair)->state(), PairState::kCopy);
+
+  backup_.SetFailed(true);  // Before the image lands at 5 ms.
+  env_.RunFor(Milliseconds(27));  // Deadline at 5 + 20 ms.
+  GroupStats stats = Stats(g);
+  EXPECT_TRUE(stats.suspended);
+  EXPECT_EQ(stats.suspend_reason, SuspendReason::kResyncTimeout);
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kSuspended);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 5u);
+
+  env_.RunFor(Milliseconds(100));
+  backup_.SetFailed(false);
+  env_.RunFor(Seconds(2));
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 0u);
+  EXPECT_FALSE(Stats(g).suspended);
+  EXPECT_TRUE(Converged(p, s));
+
+  // The group streams again.
+  ASSERT_TRUE(main_.WriteSync(p, 20, BlockOf('z')).ok());
+  env_.RunFor(Milliseconds(50));
+  EXPECT_TRUE(Converged(p, s));
+}
+
 // Satellite bugfix regression: per-channel FIFO state must not outlive its
 // pair / group (previously last_arrival_ grew forever).
 TEST_F(FaultRecoveryTest, DeletingPairsReleasesLinkChannelState) {

@@ -225,8 +225,8 @@ TEST(PerVolumePropertyTest, PrefixViolationsObservable) {
 }
 
 // Failure injection: the backup array dies while the initial copy is on
-// the wire; the pair suspends instead of pairing, and a later resync
-// completes the copy.
+// the wire; the image lands nothing, its deadline suspends the group
+// instead of pairing, and a later resync completes the copy.
 TEST(FailureInjectionTest, BackupDiesDuringInitialCopy) {
   PropertyRig rig(42, /*jitter=*/0);
   auto p = rig.main_.CreateVolume("p", 256);
@@ -247,10 +247,15 @@ TEST(FailureInjectionTest, BackupDiesDuringInitialCopy) {
   ASSERT_TRUE(pair.ok());
   ASSERT_EQ(rig.engine_.GetPair(*pair)->state(), PairState::kCopy);
 
-  // The backup array fails before the base image lands.
+  // The backup array fails before the base image lands (at 2 ms); the
+  // copy's deadline (arrival + the 50 ms ack timeout) suspends the group.
   rig.backup_.SetFailed(true);
-  rig.env_.RunFor(Milliseconds(50));
+  rig.env_.RunFor(Milliseconds(60));
   EXPECT_EQ(rig.engine_.GetPair(*pair)->state(), PairState::kSuspended);
+  auto stats = rig.engine_.GetGroupStats(*group);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_TRUE(stats->suspended);
+  EXPECT_EQ(stats->suspend_reason, SuspendReason::kResyncTimeout);
 
   // Repair and resync: since the suspension happened before any sync,
   // the engine must re-ship everything.

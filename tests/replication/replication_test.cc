@@ -1,5 +1,7 @@
 #include "replication/replication.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "storage/array.h"
@@ -98,6 +100,49 @@ TEST_F(ReplicationTest, InitialCopyTransfersExistingData) {
   env_.RunFor(Milliseconds(20));
   EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
   EXPECT_TRUE(Converged(p, s));
+}
+
+// The initial copy carries the P-VOL's checksum sidecar to the S-VOL, so
+// latent rot in a P-VOL block stays detectable in the backup instead of
+// getting a fresh, valid checksum there. The group and the sync-pair copy
+// share this path.
+TEST_F(ReplicationTest, InitialCopyKeepsLatentRotDetectable) {
+  for (const bool sync : {false, true}) {
+    SCOPED_TRACE(sync ? "sync pair" : "group pair");
+    auto [p, s] = MakeVolumes(sync ? "sv" : "av");
+    for (uint64_t lba = 0; lba < 8; ++lba) {
+      ASSERT_TRUE(main_.WriteSync(p, lba,
+                                  BlockOf(static_cast<char>('a' + lba)))
+                      .ok());
+    }
+    block::MemVolume& pstore = main_.GetVolume(p)->store();
+    ASSERT_TRUE(pstore.FlipBit(3, 17));
+    const uint64_t frozen_blocks = pstore.allocated_blocks();
+    PairId pair = 0;
+    if (sync) {
+      PairConfig cfg;
+      cfg.name = "sync";
+      cfg.primary = p;
+      cfg.secondary = s;
+      cfg.mode = ReplicationMode::kSynchronous;
+      auto id = engine_.CreatePair(cfg);
+      ASSERT_TRUE(id.ok()) << id.status();
+      pair = *id;
+    } else {
+      pair = MakeAsyncPair(p, s, MakeGroup());
+    }
+    ASSERT_EQ(engine_.GetPair(pair)->state(), PairState::kCopy);
+    env_.RunFor(Milliseconds(20));
+    ASSERT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+
+    block::MemVolume& sstore = backup_.GetVolume(s)->store();
+    EXPECT_EQ(sstore.allocated_blocks(), frozen_blocks);
+    std::string out;
+    EXPECT_EQ(sstore.Read(3, 1, &out).code(), StatusCode::kDataLoss);
+    EXPECT_EQ(sstore.VerifyExtent(0, 3), block::MemVolume::ExtentHealth::kClean);
+    EXPECT_EQ(sstore.VerifyExtent(4, 60),
+              block::MemVolume::ExtentHealth::kClean);
+  }
 }
 
 TEST_F(ReplicationTest, AdcAcksImmediatelyAndShipsInBackground) {
