@@ -66,6 +66,14 @@ void BM_Crc32cHardware(benchmark::State& state) {
   BM_Crc32cKernel<internal::Crc32cHardware>(state);
 }
 BENCHMARK(BM_Crc32cHardware)->Arg(4096)->Arg(65536);
+void BM_Crc32cClmul(benchmark::State& state) {
+  if (!internal::Crc32cClmulSupported()) {
+    state.SkipWithError("no VPCLMULQDQ/AVX-512F on this host");
+    return;
+  }
+  BM_Crc32cKernel<internal::Crc32cClmul>(state);
+}
+BENCHMARK(BM_Crc32cClmul)->Arg(4096)->Arg(65536);
 
 // The GF(2) fold that joins per-chunk CRCs into the whole-frame CRC.
 // The general form re-derives the len2 operator by matrix squaring every

@@ -51,7 +51,7 @@ if [[ "${fast}" -eq 0 ]]; then
     --target exec_test common_test replication_test integration_test \
              bench_parallel
   ctest --preset tsan -j "${jobs}" \
-    -R 'ThreadPool|Crc32cCombine|WireChunked|WireTest|BulkFrame|ParallelSystem|ParallelEngine'
+    -R 'ThreadPool|Crc32cCombine|Crc32cKernel|WireChunked|WireTest|BulkFrame|ParallelSystem|ParallelEngine'
   ./build-tsan/bench/bench_parallel --quick \
     --out "${smoke_dir}/parallel_tsan.json"
 fi

@@ -26,6 +26,12 @@ struct BlockRun {
   Lba lba = 0;
   uint32_t count = 0;
   std::string_view data;
+  // Optional: the CRC32C of each block of `data`, computed where the
+  // bytes entered the system, as `count` little-endian 32-bit words (no
+  // alignment). A store that keeps a checksum sidecar stores these
+  // instead of computing them, so damage to the bytes on the way reads
+  // back as kDataLoss; stores without a sidecar ignore them.
+  const char* crcs = nullptr;
 };
 
 // Synchronous block-device interface. Every store implements it; the

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/coding.h"
 #include "common/crc32c.h"
 #include "common/logging.h"
 
@@ -138,7 +139,7 @@ Status MemVolume::Write(Lba lba, uint32_t count, std::string_view data) {
   if (media_threshold_ != 0) {
     ZB_RETURN_IF_ERROR(MediaCheck(lba, count, "write"));
   }
-  WriteUnchecked(lba, count, data);
+  WriteUnchecked(BlockRun{lba, count, data});
   ++writes_;
   return OkStatus();
 }
@@ -156,32 +157,38 @@ Status MemVolume::WriteRun(const BlockRun* runs, size_t n) {
       ZB_RETURN_IF_ERROR(MediaCheck(runs[i].lba, runs[i].count, "write"));
     }
   }
-  for (size_t i = 0; i < n; ++i) {
-    WriteUnchecked(runs[i].lba, runs[i].count, runs[i].data);
-  }
+  for (size_t i = 0; i < n; ++i) WriteUnchecked(runs[i]);
   writes_ += n;
   return OkStatus();
 }
 
-void MemVolume::WriteUnchecked(Lba lba, uint32_t count,
-                               std::string_view data) {
-  const char* src = data.data();
+void MemVolume::CopyIn(Chunk& chunk, uint64_t slot, uint32_t run,
+                       const char* src, const char* crcs) {
+  std::memcpy(chunk.data.get() + slot * block_size_, src,
+              static_cast<size_t>(run) * block_size_);
+  if (!checksums_enabled_) return;
+  for (uint32_t j = 0; j < run; ++j) {
+    chunk.crcs[slot + j] =
+        crcs != nullptr
+            ? DecodeFixed32(crcs + size_t{4} * j)
+            : Crc32c(src + static_cast<size_t>(j) * block_size_,
+                     block_size_);
+  }
+}
+
+void MemVolume::WriteUnchecked(const BlockRun& write) {
+  const char* src = write.data.data();
+  const char* crcs = write.crcs;
   uint32_t i = 0;
-  while (i < count) {
-    const Lba cur = lba + i;
+  while (i < write.count) {
+    const Lba cur = write.lba + i;
     const size_t ci = static_cast<size_t>(cur / kBlocksPerChunk);
     const uint64_t slot = cur % kBlocksPerChunk;
     const uint32_t run = static_cast<uint32_t>(
-        std::min<uint64_t>(count - i, ChunkBlocks(ci) - slot));
+        std::min<uint64_t>(write.count - i, ChunkBlocks(ci) - slot));
     Chunk& chunk = EnsureChunk(cur);
-    std::memcpy(chunk.data.get() + slot * block_size_, src,
-                static_cast<size_t>(run) * block_size_);
-    if (checksums_enabled_) {
-      for (uint32_t j = 0; j < run; ++j) {
-        chunk.crcs[slot + j] = Crc32c(
-            src + static_cast<size_t>(j) * block_size_, block_size_);
-      }
-    }
+    CopyIn(chunk, slot, run, src, crcs);
+    if (crcs != nullptr) crcs += size_t{4} * run;
     // Mark the run allocated a 64-bit word at a time; a per-bit loop is
     // measurable on multi-block extent applies.
     uint64_t b = slot;
@@ -248,29 +255,34 @@ void MemVolume::PrepareWrite(Lba lba, uint32_t count) {
   ++writes_;
 }
 
-void MemVolume::CommitWrite(Lba lba, uint32_t count, std::string_view data) {
-  const char* src = data.data();
+void MemVolume::CommitWrite(const BlockRun& write) {
+  const char* src = write.data.data();
+  const char* crcs = write.crcs;
   uint32_t i = 0;
-  while (i < count) {
-    const Lba cur = lba + i;
+  while (i < write.count) {
+    const Lba cur = write.lba + i;
     const size_t ci = static_cast<size_t>(cur / kBlocksPerChunk);
     const uint64_t slot = cur % kBlocksPerChunk;
     const uint32_t run = static_cast<uint32_t>(
-        std::min<uint64_t>(count - i, ChunkBlocks(ci) - slot));
+        std::min<uint64_t>(write.count - i, ChunkBlocks(ci) - slot));
     // PrepareWrite allocated the chunk; nothing here touches shared
     // metadata (each block's CRC slot belongs to exactly one prepared
     // range), so disjoint commits can run on pool workers concurrently.
-    std::memcpy(chunks_[ci].data.get() + slot * block_size_, src,
-                static_cast<size_t>(run) * block_size_);
-    if (checksums_enabled_) {
-      Chunk& chunk = chunks_[ci];
-      for (uint32_t j = 0; j < run; ++j) {
-        chunk.crcs[slot + j] = Crc32c(
-            src + static_cast<size_t>(j) * block_size_, block_size_);
-      }
-    }
+    CopyIn(chunks_[ci], slot, run, src, crcs);
+    if (crcs != nullptr) crcs += size_t{4} * run;
     src += static_cast<size_t>(run) * block_size_;
     i += run;
+  }
+}
+
+void MemVolume::ReadCrcs(Lba lba, uint32_t count, char* dst) const {
+  ZB_CHECK(checksums_enabled_) << "ReadCrcs needs the sidecar";
+  for (uint32_t i = 0; i < count; ++i) {
+    const Lba cur = lba + i;
+    const Chunk& chunk = chunks_[static_cast<size_t>(cur / kBlocksPerChunk)];
+    EncodeFixed32(dst + size_t{4} * i,
+                  chunk.data == nullptr ? zero_crc_
+                                        : chunk.crcs[cur % kBlocksPerChunk]);
   }
 }
 

@@ -37,7 +37,8 @@ class MemVolume : public BlockDevice {
   Status Read(Lba lba, uint32_t count, std::string* out) override;
   Status Write(Lba lba, uint32_t count, std::string_view data) override;
   // Validates every extent, then applies them in one pass (one virtual
-  // call and one range-check sweep for a whole sorted apply batch).
+  // call and one range-check sweep for a whole sorted apply batch). A
+  // run's carried `crcs` become its blocks' sidecar as they are.
   Status WriteRun(const BlockRun* runs, size_t n) override;
 
   // Returns true if the block has been written at least once.
@@ -72,7 +73,7 @@ class MemVolume : public BlockDevice {
   // PrepareWrite-then-CommitWrite over a range is byte- and
   // counter-identical to one Write. Ranges must be pre-validated.
   void PrepareWrite(Lba lba, uint32_t count);
-  void CommitWrite(Lba lba, uint32_t count, std::string_view data);
+  void CommitWrite(const BlockRun& run);
 
   // Copies every allocated block of `src` into this volume (same
   // geometry required). Used by replication initial copy and tests.
@@ -111,6 +112,13 @@ class MemVolume : public BlockDevice {
   // ReadInto stay unverified by design; the scrubber covers those paths.
   void EnableChecksums();
   bool checksums_enabled() const { return checksums_enabled_; }
+
+  // Copies the sidecar CRCs of [lba, lba+count) into `dst` as `count`
+  // little-endian 32-bit words (holes give the zero-block CRC): the form
+  // BlockRun::crcs carries, so a copy of these blocks keeps the CRCs
+  // they were written with. Requires checksums_enabled; the caller must
+  // have range-checked.
+  void ReadCrcs(Lba lba, uint32_t count, char* dst) const;
 
   // Arms deterministic media errors: each LBA is independently "bad" with
   // probability `probability`, decided by a stateless seeded hash, so one
@@ -179,8 +187,13 @@ class MemVolume : public BlockDevice {
   }
   // Returns the chunk holding `lba`, allocating it zero-filled on demand.
   Chunk& EnsureChunk(Lba lba);
-  // The copy loop of Write, after range/size validation.
-  void WriteUnchecked(Lba lba, uint32_t count, std::string_view data);
+  // The copy loop of Write and WriteRun, after range/size validation.
+  void WriteUnchecked(const BlockRun& run);
+  // Copies `run` blocks from `src` to `slot` of `chunk` and, with
+  // checksums on, fills their sidecar slots: with `crcs` (little-endian
+  // words) when given, else with the CRC of each block.
+  void CopyIn(Chunk& chunk, uint64_t slot, uint32_t run, const char* src,
+              const char* crcs);
   // Stateless per-LBA media gate (only meaningful while armed).
   bool MediaBad(Lba lba) const;
   // Scans [lba, lba+count) through the media gate; kDataLoss on the

@@ -8,6 +8,9 @@
 #define ZEROBAK_CRC32C_X86 1
 #include <nmmintrin.h>
 #endif
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace zerobak {
 namespace {
@@ -202,7 +205,120 @@ uint32_t Crc32cHardware(uint32_t crc, const void* data, size_t n) {
 
 #endif  // ZEROBAK_CRC32C_X86
 
+#if defined(__x86_64__)
+
+bool Crc32cClmulSupported() {
+  return Crc32cHardwareSupported() && __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("vpclmulqdq");
+}
+
+namespace {
+
+// Fold multipliers for one 128-bit lane moved forward by `bits`: the low
+// 64-bit half (the lane's older bits) by x^(bits+32), the high half by
+// x^(bits-32), each mod P. Laid out as the lane's (low, high) qwords.
+constexpr uint64_t kFold2048Lo = Crc32FoldConstant(kCastagnoli, 2048 + 32);
+constexpr uint64_t kFold2048Hi = Crc32FoldConstant(kCastagnoli, 2048 - 32);
+constexpr uint64_t kFold1024Lo = Crc32FoldConstant(kCastagnoli, 1024 + 32);
+constexpr uint64_t kFold1024Hi = Crc32FoldConstant(kCastagnoli, 1024 - 32);
+constexpr uint64_t kFold512Lo = Crc32FoldConstant(kCastagnoli, 512 + 32);
+constexpr uint64_t kFold512Hi = Crc32FoldConstant(kCastagnoli, 512 - 32);
+constexpr uint64_t kFold384Lo = Crc32FoldConstant(kCastagnoli, 384 + 32);
+constexpr uint64_t kFold384Hi = Crc32FoldConstant(kCastagnoli, 384 - 32);
+constexpr uint64_t kFold256Lo = Crc32FoldConstant(kCastagnoli, 256 + 32);
+constexpr uint64_t kFold256Hi = Crc32FoldConstant(kCastagnoli, 256 - 32);
+constexpr uint64_t kFold128Lo = Crc32FoldConstant(kCastagnoli, 128 + 32);
+constexpr uint64_t kFold128Hi = Crc32FoldConstant(kCastagnoli, 128 - 32);
+
+// Bytes one step of the main loop folds: four 512-bit accumulators.
+constexpr size_t kClmulStep = 256;
+
+#define ZEROBAK_CLMUL_TARGET \
+  __attribute__((target("sse4.2,pclmul,avx512f,vpclmulqdq")))
+
+// Each 128-bit lane of `acc`, moved `k`'s distance forward, xored into
+// `next`: clmul(lo, k.lo) ^ clmul(hi, k.hi) ^ next.
+ZEROBAK_CLMUL_TARGET inline __m512i Fold512(__m512i acc, __m512i k,
+                                            __m512i next) {
+  return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(acc, k, 0x00),
+                                   _mm512_clmulepi64_epi128(acc, k, 0x11),
+                                   next, 0x96);
+}
+
+// `k` for a fold of every lane by the same distance.
+ZEROBAK_CLMUL_TARGET inline __m512i Broadcast(uint64_t lo, uint64_t hi) {
+  return _mm512_set_epi64(static_cast<int64_t>(hi), static_cast<int64_t>(lo),
+                          static_cast<int64_t>(hi), static_cast<int64_t>(lo),
+                          static_cast<int64_t>(hi), static_cast<int64_t>(lo),
+                          static_cast<int64_t>(hi), static_cast<int64_t>(lo));
+}
+
+}  // namespace
+
+// Carry-less-multiply folding (Gopal et al., "Fast CRC Computation for
+// Generic Polynomials Using PCLMULQDQ", Intel 2009) on 512-bit registers.
+// The running CRC is xored into the first four bytes; four accumulators
+// then hold the next 256 bytes and fold forward 256 bytes per step, each
+// lane landing on the lane 2048 bits later. The accumulators fold into
+// one as a tree, its four lanes fold onto the last in one multiply, and
+// the last 128 bits are fed to two crc32q from a zero state, which gives
+// the CRC of the whole folded prefix. The tail goes to the 3-way kernel.
+ZEROBAK_CLMUL_TARGET uint32_t Crc32cClmul(uint32_t crc, const void* data,
+                                          size_t n) {
+  if (n < kClmulStep) return Crc32cHardware(crc, data, n);
+  const auto* p = static_cast<const uint8_t*>(data);
+  __m512i a0 = _mm512_xor_si512(
+      _mm512_loadu_si512(p),
+      _mm512_zextsi128_si512(_mm_cvtsi32_si128(static_cast<int>(~crc))));
+  __m512i a1 = _mm512_loadu_si512(p + 64);
+  __m512i a2 = _mm512_loadu_si512(p + 128);
+  __m512i a3 = _mm512_loadu_si512(p + 192);
+  p += kClmulStep;
+  n -= kClmulStep;
+  const __m512i k2048 = Broadcast(kFold2048Lo, kFold2048Hi);
+  while (n >= kClmulStep) {
+    a0 = Fold512(a0, k2048, _mm512_loadu_si512(p));
+    a1 = Fold512(a1, k2048, _mm512_loadu_si512(p + 64));
+    a2 = Fold512(a2, k2048, _mm512_loadu_si512(p + 128));
+    a3 = Fold512(a3, k2048, _mm512_loadu_si512(p + 192));
+    p += kClmulStep;
+    n -= kClmulStep;
+  }
+  // a0 and a1 move 1024 bits onto a2 and a3, then a2 512 bits onto a3.
+  const __m512i k1024 = Broadcast(kFold1024Lo, kFold1024Hi);
+  a2 = Fold512(a0, k1024, a2);
+  a3 = Fold512(a1, k1024, a3);
+  a3 = Fold512(a2, Broadcast(kFold512Lo, kFold512Hi), a3);
+  // Lanes 0-2 move 384, 256 and 128 bits onto lane 3; lane 3's own
+  // multipliers are zero, so the masked move keeps it as it is.
+  const __m512i klanes = _mm512_set_epi64(
+      0, 0, static_cast<int64_t>(kFold128Hi), static_cast<int64_t>(kFold128Lo),
+      static_cast<int64_t>(kFold256Hi), static_cast<int64_t>(kFold256Lo),
+      static_cast<int64_t>(kFold384Hi), static_cast<int64_t>(kFold384Lo));
+  const __m512i lanes =
+      Fold512(a3, klanes, _mm512_maskz_mov_epi64(0xc0, a3));
+  // Xor the four lanes' low and high halves together.
+  alignas(64) uint64_t q[8];
+  _mm512_store_si512(q, lanes);
+  uint64_t state = _mm_crc32_u64(0, q[0] ^ q[2] ^ q[4] ^ q[6]);
+  state = _mm_crc32_u64(state, q[1] ^ q[3] ^ q[5] ^ q[7]);
+  return Crc32cHardware(~static_cast<uint32_t>(state), p, n);
+}
+
+#undef ZEROBAK_CLMUL_TARGET
+
+#else  // !__x86_64__
+
+bool Crc32cClmulSupported() { return false; }
+
+uint32_t Crc32cClmul(uint32_t crc, const void* data, size_t n) {
+  return Crc32cHardware(crc, data, n);
+}
+
+#endif  // __x86_64__
+
 const char* Crc32cImplementation() {
+  if (Crc32cClmulSupported()) return "vpclmulqdq";
   if (Crc32cHardwareSupported()) return "sse4.2";
   return std::endian::native == std::endian::little ? "slice8" : "portable";
 }
@@ -214,6 +330,7 @@ namespace {
 using Crc32cKernel = uint32_t (*)(uint32_t, const void*, size_t);
 
 Crc32cKernel PickKernel() {
+  if (internal::Crc32cClmulSupported()) return &internal::Crc32cClmul;
   if (internal::Crc32cHardwareSupported()) return &internal::Crc32cHardware;
   return &internal::Crc32cSlice8;  // Falls through to portable on BE hosts.
 }

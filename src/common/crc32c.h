@@ -11,11 +11,12 @@ namespace zerobak {
 // corrupted writes.
 //
 // The implementation dispatches once, at first use, to the fastest kernel
-// the host supports: the SSE4.2 CRC32 instruction on x86-64, a slice-by-8
-// table kernel on little-endian hosts without it, and a byte-at-a-time
-// table loop everywhere else. All kernels compute the identical function;
-// tests/common/crc32c_test.cc holds them to the RFC 3720 vectors and to
-// each other.
+// the host supports: a carry-less-multiply fold on 512-bit registers where
+// the CPU has VPCLMULQDQ and AVX-512F, the 3-way interleaved SSE4.2 CRC32
+// kernel on other x86-64 hosts, a slice-by-8 table kernel on little-endian
+// hosts without it, and a byte-at-a-time table loop everywhere else. All
+// kernels compute the identical function; tests/common/crc32c_test.cc
+// holds them to the RFC 3720 vectors and to each other.
 
 // Extends `crc` with `data[0, n)` and returns the new checksum. Start a
 // fresh computation with crc == 0.
@@ -69,10 +70,37 @@ uint32_t Crc32cSlice8(uint32_t crc, const void* data, size_t n);
 // Only callable when Crc32cHardwareSupported() returns true.
 uint32_t Crc32cHardware(uint32_t crc, const void* data, size_t n);
 bool Crc32cHardwareSupported();
+// Only callable when Crc32cClmulSupported() returns true. Inputs under
+// 256 bytes and the tail after the last whole 256-byte step go to
+// Crc32cHardware.
+uint32_t Crc32cClmul(uint32_t crc, const void* data, size_t n);
+bool Crc32cClmulSupported();
 
 // Name of the kernel Crc32cExtend dispatches to on this host:
-// "sse4.2", "slice8" or "portable".
+// "vpclmulqdq", "sse4.2", "slice8" or "portable".
 const char* Crc32cImplementation();
+
+// The Castagnoli polynomial in normal form (the x^32 term implied).
+inline constexpr uint32_t kCastagnoli = 0x1edc6f41u;
+
+// The carry-less-multiply fold multiplier for x^exponent: reflect32(
+// x^exponent mod P) << 1, with P given in normal form. Crc32cClmul moves
+// a 128-bit lane forward by D bits with exponents D + 32 (low half) and
+// D - 32 (high half); with the gzip polynomial 0x04c11db7 and D = 512 the
+// same formula yields the published 0x154442bd4 and 0x1c6e41596.
+constexpr uint64_t Crc32FoldConstant(uint32_t poly, uint32_t exponent) {
+  uint32_t rem = 1;  // x^0
+  for (uint32_t i = 0; i < exponent; ++i) {
+    const bool carry = (rem & 0x80000000u) != 0;
+    rem <<= 1;
+    if (carry) rem ^= poly;
+  }
+  uint32_t reflected = 0;
+  for (int b = 0; b < 32; ++b) {
+    if ((rem >> b) & 1u) reflected |= 1u << (31 - b);
+  }
+  return uint64_t{reflected} << 1;
+}
 
 }  // namespace internal
 

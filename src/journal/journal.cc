@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -12,16 +13,40 @@ namespace {
 std::atomic<uint64_t> g_payload_allocations{0};
 }  // namespace
 
+PayloadBuffer PayloadBuffer::Copy(std::string_view data) {
+  char* bytes = nullptr;
+  PayloadBuffer buf = Allocate(data.size(), 0, &bytes);
+  if (!data.empty()) std::memcpy(bytes, data.data(), data.size());
+  return buf;
+}
+
 PayloadBuffer PayloadBuffer::Wrap(std::string data) {
   const size_t len = data.size();
   g_payload_allocations.fetch_add(1, std::memory_order_relaxed);
-  return PayloadBuffer(
-      std::make_shared<const std::string>(std::move(data)), 0, len);
+  auto owner = std::make_shared<const std::string>(std::move(data));
+  const char* bytes = owner->data();
+  return PayloadBuffer(std::shared_ptr<const char>(std::move(owner), bytes),
+                       0, len, 0, 0);
 }
 
-PayloadBuffer PayloadBuffer::Slice(size_t offset, size_t length) const {
-  ZB_CHECK(offset + length <= len_) << "PayloadBuffer::Slice out of range";
-  return PayloadBuffer(buf_, offset_ + offset, length);
+PayloadBuffer PayloadBuffer::Allocate(size_t size, uint32_t crc_count,
+                                      char** bytes) {
+  g_payload_allocations.fetch_add(1, std::memory_order_relaxed);
+  auto owner =
+      std::make_shared_for_overwrite<char[]>(size + size_t{4} * crc_count);
+  *bytes = owner.get();
+  return PayloadBuffer(std::shared_ptr<const char>(std::move(owner), *bytes),
+                       0, size, size, crc_count);
+}
+
+PayloadBuffer PayloadBuffer::Slice(size_t offset, size_t length,
+                                   size_t crc_offset,
+                                   uint32_t crc_count) const {
+  ZB_CHECK(offset + length <= len_ &&
+           crc_offset + size_t{4} * crc_count <= len_)
+      << "PayloadBuffer::Slice out of range";
+  return PayloadBuffer(buf_, offset_ + offset, length, offset_ + crc_offset,
+                       crc_count);
 }
 
 uint64_t PayloadBuffer::TotalAllocations() {

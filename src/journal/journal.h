@@ -35,26 +35,43 @@ class PayloadBuffer {
  public:
   PayloadBuffer() = default;
 
-  // Allocates a new backing buffer holding a copy of `data`. This is the
-  // one allocation a replicated host write performs.
-  static PayloadBuffer Copy(std::string_view data) {
-    return Wrap(std::string(data));
-  }
+  // Allocates a new backing buffer holding a copy of `data`.
+  static PayloadBuffer Copy(std::string_view data);
 
   // Takes ownership of `data` without copying its bytes.
   static PayloadBuffer Wrap(std::string data);
 
+  // Allocates a backing buffer for `size` payload bytes followed by a
+  // trailer of `crc_count` per-block CRC32C words (little-endian), and
+  // points `*bytes` at it; the caller fills all size + 4 * crc_count
+  // bytes before it shares the buffer. The view covers the payload
+  // bytes, so the CRCs ride along without changing size(). Buffer and
+  // reference count are one heap block: this is the one allocation a
+  // replicated host write performs.
+  static PayloadBuffer Allocate(size_t size, uint32_t crc_count,
+                                char** bytes);
+
   // A sub-view sharing the same backing buffer (no allocation). `offset`
-  // and `length` must lie within this view.
-  PayloadBuffer Slice(size_t offset, size_t length) const;
+  // and `length` must lie within this view. With `crc_count`, the
+  // 4 * crc_count bytes at `crc_offset` of this view (also within it)
+  // are the sub-view's CRCs.
+  PayloadBuffer Slice(size_t offset, size_t length, size_t crc_offset = 0,
+                      uint32_t crc_count = 0) const;
 
   std::string_view view() const {
-    return buf_ == nullptr
-               ? std::string_view()
-               : std::string_view(buf_->data() + offset_, len_);
+    return buf_ == nullptr ? std::string_view()
+                           : std::string_view(buf_.get() + offset_, len_);
   }
   size_t size() const { return len_; }
   bool empty() const { return len_ == 0; }
+
+  // The CRCs that travel with the view: crc_count() little-endian 32-bit
+  // words in the same backing buffer, outside the view (no alignment),
+  // or nullptr when there are none.
+  const char* crcs() const {
+    return crc_count_ == 0 ? nullptr : buf_.get() + crc_offset_;
+  }
+  uint32_t crc_count() const { return crc_count_; }
 
   // Number of PayloadBuffer views sharing the backing buffer (0 for a
   // default-constructed, empty buffer).
@@ -66,13 +83,21 @@ class PayloadBuffer {
   static uint64_t TotalAllocations();
 
  private:
-  PayloadBuffer(std::shared_ptr<const std::string> buf, size_t offset,
-                size_t len)
-      : buf_(std::move(buf)), offset_(offset), len_(len) {}
+  PayloadBuffer(std::shared_ptr<const char> buf, size_t offset, size_t len,
+                size_t crc_offset, uint32_t crc_count)
+      : buf_(std::move(buf)),
+        offset_(offset),
+        len_(len),
+        crc_offset_(crc_offset),
+        crc_count_(crc_count) {}
 
-  std::shared_ptr<const std::string> buf_;
+  // The backing bytes; the reference count is the owner's.
+  std::shared_ptr<const char> buf_;
   size_t offset_ = 0;
   size_t len_ = 0;
+  // Where the CRCs start in the backing buffer, when crc_count_ > 0.
+  size_t crc_offset_ = 0;
+  uint32_t crc_count_ = 0;
 };
 
 // One journaled volume update: "volume `volume_id` wrote `payload` at
@@ -106,6 +131,12 @@ struct JournalRecord {
   bool folded = false;
 
   std::string_view data() const { return payload.view(); }
+  // The CRC32C of each block of data(), computed once at the host write
+  // and carried to the S-VOL (see BlockRun::crcs), or nullptr when this
+  // record carries none (a tombstone, or a payload built without them).
+  const char* block_crcs() const {
+    return payload.crc_count() == block_count ? payload.crcs() : nullptr;
+  }
 
   // Bytes this record occupies in the journal / on the wire.
   uint64_t EncodedSize() const { return kHeaderSize + payload.size(); }

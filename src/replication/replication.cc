@@ -1,6 +1,7 @@
 #include "replication/replication.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -20,6 +21,22 @@ constexpr SimDuration kSchedulerHeartbeat = Milliseconds(50);
 // arrival of the write and one unloaded reverse trip: the default group
 // ack_timeout. A miss suspends the pair and acks the host locally.
 constexpr SimDuration kSyncAckTimeout = Milliseconds(50);
+
+// The one payload allocation of a replicated host write: its bytes, with
+// the CRCs the P-VOL write just computed for them as a trailer. The S-VOL
+// stores those CRCs instead of computing them again, so the block is
+// checksummed once, at intercept, and damage on the way reads back as
+// kDataLoss on the S-VOL.
+journal::PayloadBuffer CapturePayload(const storage::Volume& volume,
+                                      uint64_t lba, uint32_t count,
+                                      std::string_view data) {
+  char* bytes = nullptr;
+  journal::PayloadBuffer payload =
+      journal::PayloadBuffer::Allocate(data.size(), count, &bytes);
+  std::memcpy(bytes, data.data(), data.size());
+  volume.store().ReadCrcs(lba, count, bytes + data.size());
+  return payload;
+}
 
 }  // namespace
 
@@ -652,7 +669,7 @@ void ReplicationEngine::OnAsyncHostWrite(
   record.block_count = count;
   // The single payload allocation of the ADC path: every downstream stage
   // (ship batch, secondary journal, apply) shares this buffer.
-  record.payload = journal::PayloadBuffer::Copy(data);
+  record.payload = CapturePayload(*volume, lba, count, data);
   record.ack_time = env_->now();
   auto* jnl = primary_->GetJournal(group->primary_journal);
   ZB_CHECK(jnl != nullptr);
@@ -686,7 +703,6 @@ void ReplicationEngine::OnAsyncHostWrite(
 void ReplicationEngine::OnSyncHostWrite(
     Pair* pair, storage::Volume* volume, uint64_t lba, uint32_t count,
     std::string_view data, storage::WriteInterceptor::AckFn ack) {
-  (void)volume;
   if (pair->state_ == PairState::kSwapped) {
     ack(OkStatus());
     return;
@@ -701,7 +717,7 @@ void ReplicationEngine::OnSyncHostWrite(
       static_cast<uint64_t>(count) * volume->block_size();
   // One payload allocation; the nested send/persist lambdas share it by
   // refcount instead of re-copying the bytes at each hop.
-  journal::PayloadBuffer payload = journal::PayloadBuffer::Copy(data);
+  journal::PayloadBuffer payload = CapturePayload(*volume, lba, count, data);
   const PairId pair_id = pair->id_;
   // The host ack fires once: from the remote ack, or locally when the pair
   // gives up on the remote site (fence level "never": suspend, dirty-mark
@@ -729,11 +745,16 @@ void ReplicationEngine::OnSyncHostWrite(
         }
         // The write lands at arrival, in channel order with the pair's bulk
         // frames (a resync frame sent after it lands after it); the backup
-        // array's media write cost delays only the remote ack.
+        // array's media write cost delays only the remote ack. A write
+        // that cannot land is never acked as replicated: the deadline
+        // acks it locally, suspends the pair and dirty-marks the blocks.
         storage::Volume* svol = secondary_->GetVolume(p->config_.secondary);
-        if (svol != nullptr && !secondary_->failed()) {
-          Status ws = svol->Write(lba, count, payload.view());
-          if (!ws.ok()) ZB_LOG(Warning) << "sync apply failed: " << ws;
+        if (svol == nullptr || secondary_->failed()) return;
+        const block::BlockRun run{lba, count, payload.view(), payload.crcs()};
+        Status ws = svol->WriteRun(&run, 1);
+        if (!ws.ok()) {
+          ZB_LOG(Warning) << "sync apply failed: " << ws;
+          return;
         }
         const SimDuration cost = secondary_->config().media.Cost(
             block::IoType::kWrite, count, nullptr);
@@ -1290,7 +1311,7 @@ void ReplicationEngine::ApplyBatch(Group* group,
       runs.reserve(recs.size());
       for (const journal::JournalRecord* rec : recs) {
         runs.push_back(block::BlockRun{rec->lba, rec->block_count,
-                                       rec->data()});
+                                       rec->data(), rec->block_crcs()});
       }
       Status ws;
       if (compute_pool_ != nullptr && runs.size() > 1) {
@@ -1315,7 +1336,9 @@ void ReplicationEngine::ApplyBatch(Group* group,
       if (!ws.ok()) ZB_LOG(Warning) << "journal apply failed: " << ws;
     } else {
       for (const journal::JournalRecord* rec : recs) {
-        Status ws = svol->Write(rec->lba, rec->block_count, rec->data());
+        const block::BlockRun run{rec->lba, rec->block_count, rec->data(),
+                                  rec->block_crcs()};
+        Status ws = svol->WriteRun(&run, 1);
         if (!ws.ok()) ZB_LOG(Warning) << "journal apply failed: " << ws;
       }
     }
@@ -1562,9 +1585,10 @@ ReplicationEngine::BulkFrame ReplicationEngine::CaptureBulk(
   return bulk;
 }
 
-void ReplicationEngine::LandBulk(
+bool ReplicationEngine::LandBulk(
     const std::vector<journal::JournalRecord>& records, Group* group,
     Pair* pair, DirtyBitmap Pair::*bits, bool to_primary) {
+  bool landed = true;
   for (const journal::JournalRecord& rec : records) {
     Pair* p = pair;
     if (group != nullptr) {
@@ -1585,14 +1609,24 @@ void ReplicationEngine::LandBulk(
       const DirtyBitmap::Run run = owed.NextRun(at, end - at);
       if (run.count == 0 || run.lba >= end) break;
       const uint64_t n = std::min(run.count, end - run.lba);
-      Status ws = vol->Write(run.lba, static_cast<uint32_t>(n),
-                             rec.data().substr((run.lba - rec.lba) * bs,
-                                               n * bs));
-      if (!ws.ok()) ZB_LOG(Warning) << "bulk copy apply failed: " << ws;
-      owed.ClearRange(run.lba, n);
+      const uint64_t skip = run.lba - rec.lba;
+      const char* crcs = rec.block_crcs();
+      const block::BlockRun write{
+          run.lba, static_cast<uint32_t>(n),
+          rec.data().substr(skip * bs, n * bs),
+          crcs == nullptr ? nullptr : crcs + 4 * skip};
+      Status ws = vol->WriteRun(&write, 1);
+      if (ws.ok()) {
+        owed.ClearRange(run.lba, n);
+      } else {
+        // The run stays owed; the caller leaves the copy in flight.
+        ZB_LOG(Warning) << "bulk copy apply failed: " << ws;
+        landed = false;
+      }
       at = run.lba + n;
     }
   }
+  return landed;
 }
 
 Status ReplicationEngine::ResyncGroup(GroupId id) {
@@ -1641,16 +1675,21 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
         Group* g = FindGroup(group_id);
         // A suspension or failover superseded this frame.
         if (g == nullptr || !IsLive(g->resync, resync_id)) return;
+        // A frame that cannot land counts as lost, as a rejected one
+        // does: it stays in flight with its deadline armed, and the
+        // deadline re-suspends the group and reships the bits it still
+        // owes.
+        if (secondary_->failed()) return;
         auto records = ReceiveFrame(&frame);
         if (!records.ok()) {
-          // Nothing lands. The frame counts as lost: it stays in flight
-          // with its deadline armed, and the deadline re-suspends the
-          // group and reships the bits it still owes.
           NoteRejectedFrame(g, "resync frame", records.status());
           return;
         }
+        if (!LandBulk(*records, g, nullptr, &Pair::dirty_,
+                      /*to_primary=*/false)) {
+          return;
+        }
         g->resync.active = false;
-        LandBulk(*records, g, nullptr, &Pair::dirty_, /*to_primary=*/false);
         auto* sj = secondary_->GetJournal(g->secondary_journal);
         if (sj != nullptr && sj->written() < resume_seq) {
           Status ff = sj->FastForward(resume_seq);
@@ -1733,16 +1772,20 @@ Status ReplicationEngine::ResyncSyncPair(PairId id) {
         // A suspension (the operator, or a write acked locally)
         // superseded the frame.
         if (p == nullptr || !IsLive(p->copy_, epoch)) return;
+        // A frame that is rejected or cannot land leaves the copy in
+        // flight; the deadline re-suspends the pair with the blocks it
+        // still owes dirty.
+        if (secondary_->failed()) return;
         auto records = ReceiveFrame(&frame);
         if (!records.ok()) {
-          // Nothing lands; the deadline re-suspends the pair with its
-          // blocks dirty.
           ZB_LOG(Warning) << "sync pair " << pair_id
                           << " rejected resync frame: " << records.status();
           return;
         }
-        p->copy_.active = false;
-        LandBulk(*records, nullptr, p, &Pair::dirty_, /*to_primary=*/false);
+        if (LandBulk(*records, nullptr, p, &Pair::dirty_,
+                     /*to_primary=*/false)) {
+          p->copy_.active = false;
+        }
       }));
   // The pair re-pairs at the send: later writes ship inline behind the
   // frame on the FIFO channel, so none of them touches the bits it owes.
@@ -1919,16 +1962,19 @@ uint64_t ReplicationEngine::SendGiveback(Group* group) {
         Group* g = FindGroup(group_id);
         // A re-send superseded this copy, or a failover cancelled it.
         if (g == nullptr || !IsLive(g->giveback, epoch)) return;
+        // A frame that is rejected or cannot land fully stays owed; its
+        // loss deadline (or the reverse link's ready edge) re-sends what
+        // is still owed.
+        if (primary_->failed()) return;
         auto records = ReceiveFrame(&frame);
         if (!records.ok()) {
-          // Nothing lands; the giveback stays owed and its loss deadline
-          // (or the reverse link's ready edge) re-sends it.
           NoteRejectedFrame(g, "giveback frame", records.status());
           return;
         }
-        g->giveback.active = false;
-        LandBulk(*records, g, nullptr, &Pair::reverse_dirty_,
-                 /*to_primary=*/true);
+        if (LandBulk(*records, g, nullptr, &Pair::reverse_dirty_,
+                     /*to_primary=*/true)) {
+          g->giveback.active = false;
+        }
       });
   // A refused send stays owed until the reverse link's ready edge. A sent
   // one can die in a partition: re-send it if it has not landed by its

@@ -599,9 +599,12 @@ class ReplicationEngine {
                         bool compress);
   // The one bulk-transfer landing: each decoded record goes to the pair
   // whose P-VOL it names (a pair of `group`, or the standalone `pair`),
-  // onto its P-VOL (`to_primary`) or S-VOL. Only the sub-runs whose `bits`
-  // are still set are written, and exactly those bits are cleared.
-  void LandBulk(const std::vector<journal::JournalRecord>& records,
+  // onto its P-VOL (`to_primary`) or S-VOL, with the CRCs it carries.
+  // Only the sub-runs whose `bits` are still set are written, and exactly
+  // the bits of the sub-runs that were written are cleared. Returns false
+  // when any write failed: the caller then leaves the copy in flight, and
+  // its deadline owns the recovery of what is still owed.
+  bool LandBulk(const std::vector<journal::JournalRecord>& records,
                 Group* group, Pair* pair, DirtyBitmap Pair::*bits,
                 bool to_primary);
 

@@ -14,11 +14,12 @@
 namespace zerobak::replication::wire {
 namespace {
 
-constexpr uint32_t kMagic = 0x3157425au;  // "ZBW1", little-endian.
+constexpr uint32_t kMagic = 0x3257425au;  // "ZBW2", little-endian.
 constexpr uint8_t kFlagCompressed = 0x01;
 constexpr uint8_t kFlagChunked = 0x02;
 constexpr uint8_t kKnownFlags = kFlagCompressed | kFlagChunked;
 constexpr uint8_t kFlagFolded = 0x01;  // Per-record flags, bit0.
+constexpr uint8_t kFlagCrcs = 0x02;    // Per-record flags, bit1.
 // 5 fixed header bytes before the CRC, 8 after it.
 constexpr size_t kFrameHeaderSize = 4 + 1 + 4 + 4;
 // A frame claiming more records than could fit a real batch is corrupt;
@@ -81,6 +82,11 @@ uint32_t ParallelCrc32c(std::string_view data, exec::ThreadPool* pool) {
 }
 
 namespace {
+
+// Whether `rec` ships its block CRCs: a tombstone ships none.
+bool CarriesCrcs(const journal::JournalRecord& rec) {
+  return !rec.folded && rec.block_crcs() != nullptr;
+}
 
 void PutRecordHeader(std::string* frame, uint64_t sequence_delta,
                      uint64_t volume_id, uint64_t lba, uint64_t block_count,
@@ -163,24 +169,35 @@ EncodedBatch EncodeBatch(const std::vector<journal::JournalRecord>& records,
   std::string& frame = out.frame;
   frame.resize(kFrameHeaderSize);
   PutVarint64(&frame, records.size());
-  uint64_t payload_total = 0;
+  // Bytes after the record headers: the payloads, then the CRCs.
+  uint64_t tail_bytes = 0;
   journal::SequenceNumber prev_seq = 0;
   SimTime prev_ack = 0;
   for (const journal::JournalRecord& rec : records) {
     out.logical_bytes += rec.EncodedSize();
-    payload_total += rec.payload.size();
+    tail_bytes += rec.payload.size();
+    uint64_t flags = rec.folded ? kFlagFolded : 0;
+    if (CarriesCrcs(rec)) {
+      flags |= kFlagCrcs;
+      tail_bytes += size_t{4} * rec.block_count;
+    }
     PutRecordHeader(&frame, rec.sequence - prev_seq, rec.volume_id, rec.lba,
-                    rec.block_count, rec.folded ? kFlagFolded : 0,
-                    rec.payload.size(), ZigZag(rec.ack_time - prev_ack),
+                    rec.block_count, flags, rec.payload.size(),
+                    ZigZag(rec.ack_time - prev_ack),
                     ZigZag(static_cast<int64_t>(rec.atomic_through) -
                            static_cast<int64_t>(rec.sequence)));
     prev_seq = rec.sequence;
     prev_ack = rec.ack_time;
   }
-  frame.reserve(frame.size() + payload_total);
+  frame.reserve(frame.size() + tail_bytes);
   for (const journal::JournalRecord& rec : records) {
     const std::string_view payload = rec.payload.view();
     frame.append(payload.data(), payload.size());
+  }
+  for (const journal::JournalRecord& rec : records) {
+    if (CarriesCrcs(rec)) {
+      frame.append(rec.block_crcs(), size_t{4} * rec.block_count);
+    }
   }
   SealFrame(std::string_view(frame).substr(kFrameHeaderSize), compress, pool,
             &out);
@@ -192,31 +209,41 @@ EncodedBatch EncodeExtents(const std::vector<Extent>& extents, bool compress,
   EncodedBatch out;
   std::string headers;
   PutVarint64(&headers, extents.size());
-  // Each extent's payload offset from the start of the payload section.
+  // Each extent's offsets from the start of the payload section and of
+  // the CRC section.
   std::vector<size_t> offsets(extents.size(), 0);
+  std::vector<size_t> crc_offsets(extents.size(), 0);
   size_t payload_total = 0;
+  size_t crc_total = 0;
   for (size_t i = 0; i < extents.size(); ++i) {
     const Extent& ext = extents[i];
     const size_t len =
         static_cast<size_t>(ext.block_count) * ext.source->block_size();
+    const bool crcs = ext.source->checksums_enabled();
     offsets[i] = payload_total;
+    crc_offsets[i] = crc_total;
     payload_total += len;
+    if (crcs) crc_total += size_t{4} * ext.block_count;
     out.logical_bytes += journal::JournalRecord::kHeaderSize + len;
-    PutRecordHeader(&headers, 0, ext.volume_id, ext.lba, ext.block_count, 0,
-                    len, 0, 0);
+    PutRecordHeader(&headers, 0, ext.volume_id, ext.lba, ext.block_count,
+                    crcs ? kFlagCrcs : 0, len, 0, 0);
   }
   // The plain body is built once, in a buffer that is never zero-filled:
-  // the headers, then every extent read straight into its slot. The seal
-  // step compresses it into the frame, or copies it there when it does
-  // not shrink.
-  const size_t body_size = headers.size() + payload_total;
+  // the headers, then every extent read straight into its slot, and its
+  // sidecar CRCs into theirs. The seal step compresses it into the frame,
+  // or copies it there when it does not shrink.
+  const size_t body_size = headers.size() + payload_total + crc_total;
   std::unique_ptr<char[]> body(new char[body_size]);
   std::memcpy(body.get(), headers.data(), headers.size());
   char* payloads = body.get() + headers.size();
+  char* crcs = payloads + payload_total;
   auto fill = [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       const Extent& ext = extents[i];
       ext.source->ReadInto(ext.lba, ext.block_count, payloads + offsets[i]);
+      if (ext.source->checksums_enabled()) {
+        ext.source->ReadCrcs(ext.lba, ext.block_count, crcs + crc_offsets[i]);
+      }
     }
   };
   if (pool != nullptr) {
@@ -352,10 +379,12 @@ StatusOr<std::vector<journal::JournalRecord>> DecodeBatch(
   struct Header {
     journal::JournalRecord rec;
     uint64_t payload_len = 0;
+    uint32_t crc_count = 0;
   };
   std::vector<Header> headers;
   headers.reserve(count);
   uint64_t payload_total = 0;
+  uint64_t crc_total = 0;
   journal::SequenceNumber prev_seq = 0;
   SimTime prev_ack = 0;
   for (uint64_t i = 0; i < count; ++i) {
@@ -369,8 +398,17 @@ StatusOr<std::vector<journal::JournalRecord>> DecodeBatch(
         !GetVarint64(&cursor, &ack_zz) || !GetVarint64(&cursor, &atomic_zz)) {
       return DataLossError("wire: truncated record header");
     }
-    if ((rec_flags & ~uint64_t{kFlagFolded}) != 0) {
+    if ((rec_flags & ~uint64_t{kFlagFolded | kFlagCrcs}) != 0) {
       return DataLossError("wire: unknown record flags");
+    }
+    // A record's CRCs are one word per block of its payload.
+    uint64_t crc_bytes = 0;
+    if ((rec_flags & kFlagCrcs) != 0) {
+      if (payload_len == 0 || block_count == 0 ||
+          block_count > body.size() / 4) {
+        return DataLossError("wire: bad block checksums");
+      }
+      crc_bytes = 4 * block_count;
     }
     Header h;
     h.rec.sequence = prev_seq + seq_delta;
@@ -382,31 +420,37 @@ StatusOr<std::vector<journal::JournalRecord>> DecodeBatch(
     h.rec.atomic_through = static_cast<journal::SequenceNumber>(
         static_cast<int64_t>(h.rec.sequence) + UnZigZag(atomic_zz));
     h.payload_len = payload_len;
-    // Checked before the add so a huge length cannot wrap payload_total.
-    if (payload_len > body.size() || payload_total + payload_len > body.size()) {
+    h.crc_count = static_cast<uint32_t>(crc_bytes / 4);
+    // Checked before the add so a huge length cannot wrap the totals.
+    if (payload_len > body.size() ||
+        payload_total + crc_total + payload_len + crc_bytes > body.size()) {
       return DataLossError("wire: payloads overrun body");
     }
     payload_total += payload_len;
+    crc_total += crc_bytes;
     prev_seq = h.rec.sequence;
     prev_ack = h.rec.ack_time;
     headers.push_back(std::move(h));
   }
-  if (cursor.size() != payload_total) {
+  if (cursor.size() != payload_total + crc_total) {
     return DataLossError("wire: payload section length mismatch");
   }
 
   // One backing allocation for the whole batch: wrap the decoded body and
-  // slice each record's payload out of it.
-  const size_t payload_base = body.size() - payload_total;
+  // slice each record's payload, and its CRCs, out of it.
+  const size_t payload_base = body.size() - payload_total - crc_total;
   journal::PayloadBuffer backing =
       journal::PayloadBuffer::Wrap(std::move(body));
   std::vector<journal::JournalRecord> records;
   records.reserve(headers.size());
   size_t offset = payload_base;
+  size_t crc_offset = payload_base + payload_total;
   for (Header& h : headers) {
     if (h.payload_len > 0) {
-      h.rec.payload = backing.Slice(offset, h.payload_len);
+      h.rec.payload =
+          backing.Slice(offset, h.payload_len, crc_offset, h.crc_count);
       offset += h.payload_len;
+      crc_offset += size_t{4} * h.crc_count;
     }
     records.push_back(std::move(h.rec));
   }

@@ -30,7 +30,7 @@ namespace zerobak::replication::wire {
 //
 //   +----------+---------+---------------+-----------+------------------+
 //   | magic u32| flags u8| masked CRC u32| body_len  | body (body_len)  |
-//   | "ZBW1"   | bit0 =  | of the stored | u32       |                  |
+//   | "ZBW2"   | bit0 =  | of the stored | u32       |                  |
 //   |          | LZ body | body bytes    |           |                  |
 //   |          | bit1 =  |               |           |                  |
 //   |          | chunked |               |           |                  |
@@ -50,11 +50,23 @@ namespace zerobak::replication::wire {
 //     varint volume_id
 //     varint lba
 //     varint block_count
-//     varint flags            (bit0 = folded tombstone)
+//     varint flags            (bit0 = folded tombstone,
+//                              bit1 = block CRCs follow the payload)
 //     varint payload_len
 //     varint ack_time-delta   (zigzag, from the previous record)
 //     varint atomic_through-delta (zigzag, from this record's sequence)
 //   concatenation of all payloads, in record order
+//   concatenation of the block CRCs of every record with bit1 set, in
+//   record order: block_count u32 CRC32C words each, the ones computed
+//   when the blocks were written on the main site. They are not part of
+//   payload_len or of the record's EncodedSize(), and they sit after all
+//   the payloads so the compressor sees the payloads as one stream.
+//
+// The block CRCs travel end to end: the P-VOL write computes them, the
+// journal record carries them, and the S-VOL stores them as they are
+// (BlockRun::crcs), so corruption anywhere between the host write and
+// the S-VOL reads back as kDataLoss. Tombstones carry none. The frame
+// CRC still guards the decoder's input.
 //
 // Stored-body variants, selected by the frame flags:
 //
@@ -77,8 +89,10 @@ namespace zerobak::replication::wire {
 // the compressed body is kept only if it shrank.
 //
 // Bulk frames (EncodeExtents) use the same body. Each record is one extent:
-// sequence, ack_time and atomic_through are 0, flags are 0, and the
-// payload is the extent's blocks as they were when the frame was built.
+// sequence, ack_time and atomic_through are 0, and the payload is the
+// extent's blocks as they were when the frame was built. When the source
+// keeps a checksum sidecar, flags are bit1 and the CRC section holds the
+// sidecar's CRCs for those blocks.
 //
 // Both encoders only write the plain body (EncodeBatch behind room for the
 // frame header, EncodeExtents into a buffer it never zero-fills) and share
@@ -127,10 +141,10 @@ struct Extent {
 };
 
 // Serializes `extents`, in order, into one frame: the record headers are
-// written first, then every extent's blocks are read straight into their
-// slot of the plain body (fanned out across `pool`; each slot is disjoint
-// and MemVolume::ReadInto is const), then the body is sealed as
-// EncodeBatch seals it. The caller must have range-checked the extents.
+// written first, then every extent's blocks (and the source's sidecar
+// CRCs for them) are read straight into their slot of the plain body
+// (fanned out across `pool`; each slot is disjoint and the reads are
+// const), then the body is sealed as EncodeBatch seals it. The caller must have range-checked the extents.
 // Byte-identical with or without `pool`.
 EncodedBatch EncodeExtents(const std::vector<Extent>& extents, bool compress,
                            exec::ThreadPool* pool = nullptr);

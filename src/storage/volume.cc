@@ -22,17 +22,14 @@ Status Volume::Read(block::Lba lba, uint32_t count, std::string* out) {
 
 Status Volume::Write(block::Lba lba, uint32_t count, std::string_view data) {
   ZB_RETURN_IF_ERROR(store_.CheckRange(lba, count));
-  return WriteChecked(lba, count, data);
+  return WriteChecked(block::BlockRun{lba, count, data});
 }
 
 Status Volume::WriteRun(const block::BlockRun* runs, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     ZB_RETURN_IF_ERROR(store_.CheckRange(runs[i].lba, runs[i].count));
   }
-  for (size_t i = 0; i < n; ++i) {
-    ZB_RETURN_IF_ERROR(
-        WriteChecked(runs[i].lba, runs[i].count, runs[i].data));
-  }
+  for (size_t i = 0; i < n; ++i) ZB_RETURN_IF_ERROR(WriteChecked(runs[i]));
   return OkStatus();
 }
 
@@ -81,11 +78,12 @@ Status Volume::PrepareRun(const block::BlockRun* runs, size_t n,
 }
 
 void Volume::CommitRun(const block::BlockRun& run) {
-  store_.CommitWrite(run.lba, run.count, run.data);
+  store_.CommitWrite(run);
 }
 
-Status Volume::WriteChecked(block::Lba lba, uint32_t count,
-                            std::string_view data) {
+Status Volume::WriteChecked(const block::BlockRun& run) {
+  const block::Lba lba = run.lba;
+  const uint32_t count = run.count;
   // Thin provisioning: physical blocks are consumed on first write; a
   // full pool rejects the write before anything changes.
   if (pool_ != nullptr) {
@@ -110,7 +108,7 @@ Status Volume::WriteChecked(block::Lba lba, uint32_t count,
       }
     }
   }
-  return store_.Write(lba, count, data);
+  return store_.WriteRun(&run, 1);
 }
 
 uint64_t Volume::AddPreOverwriteHook(PreOverwriteHook hook) {

@@ -51,7 +51,7 @@ class Volume : public block::BlockDevice {
   // Applies a sorted multi-extent run in one call (the replication apply
   // path). Every extent is range-validated before any is applied; pool
   // accounting and pre-overwrite hooks fire exactly as they would for
-  // per-extent Write calls.
+  // per-extent Write calls. A run's carried `crcs` become the sidecar.
   Status WriteRun(const block::BlockRun* runs, size_t n) override;
 
   // Two-phase variant of WriteRun for the parallel apply path, for runs
@@ -84,7 +84,7 @@ class Volume : public block::BlockDevice {
 
  private:
   // Pool accounting + hooks + store write, after range validation.
-  Status WriteChecked(block::Lba lba, uint32_t count, std::string_view data);
+  Status WriteChecked(const block::BlockRun& run);
 
   VolumeId id_;
   std::string name_;

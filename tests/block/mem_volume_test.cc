@@ -2,8 +2,12 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/coding.h"
+#include "common/crc32c.h"
 
 namespace zerobak::block {
 namespace {
@@ -345,6 +349,88 @@ TEST(MemVolumeIntegrityTest, AdoptFromComputesAMissingSidecar) {
   // A volume without checksums adopts a checksummed image as plain data.
   ASSERT_TRUE(plain.AdoptFrom(std::move(b)).ok());
   EXPECT_TRUE(plain.Read(3, 1, &out).ok());
+}
+
+// CRCs as BlockRun::crcs carries them: little-endian words, one a block.
+std::string CrcWords(const std::vector<std::string>& blocks) {
+  std::string words(4 * blocks.size(), '\0');
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    EncodeFixed32(words.data() + 4 * i,
+                  Crc32c(blocks[i].data(), blocks[i].size()));
+  }
+  return words;
+}
+
+// A run's carried CRCs become the sidecar as they are: the bytes verify
+// clean when the CRCs match them, and read back as kDataLoss when the
+// bytes changed on the way after their CRCs were taken.
+TEST(MemVolumeIntegrityTest, CarriedCrcsAreStoredAsGiven) {
+  MemVolume vol(16);
+  vol.EnableChecksums();
+  const std::string data = BlockOf('a') + BlockOf('b');
+  const std::string crcs = CrcWords({BlockOf('a'), BlockOf('b')});
+  const BlockRun good{2, 2, data, crcs.data()};
+  ASSERT_TRUE(vol.WriteRun(&good, 1).ok());
+  std::string out;
+  ASSERT_TRUE(vol.Read(2, 2, &out).ok());
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(vol.VerifyExtent(0, 16), MemVolume::ExtentHealth::kClean);
+
+  std::string rotted = data;
+  rotted[4096 + 7] ^= 0x10;  // Block 1 of the run, after its CRC was taken.
+  const BlockRun bad{8, 2, rotted, crcs.data()};
+  ASSERT_TRUE(vol.WriteRun(&bad, 1).ok());
+  ASSERT_TRUE(vol.Read(8, 1, &out).ok());
+  EXPECT_EQ(vol.Read(9, 1, &out).code(), StatusCode::kDataLoss);
+  Lba bad_lba = 0;
+  EXPECT_EQ(vol.VerifyExtent(0, 16, &bad_lba),
+            MemVolume::ExtentHealth::kChecksumMismatch);
+  EXPECT_EQ(bad_lba, 9u);
+}
+
+// The two-phase apply path stores carried CRCs too, across a slab
+// boundary.
+TEST(MemVolumeIntegrityTest, CommitWriteStoresCarriedCrcs) {
+  MemVolume vol(2 * MemVolume::kBlocksPerChunk);
+  vol.EnableChecksums();
+  const Lba lba = MemVolume::kBlocksPerChunk - 1;
+  std::string data = BlockOf('x') + BlockOf('y');
+  const std::string crcs = CrcWords({BlockOf('x'), BlockOf('y')});
+  data[4096] ^= 0x01;  // The block on the far side of the boundary.
+  vol.PrepareWrite(lba, 2);
+  vol.CommitWrite(BlockRun{lba, 2, data, crcs.data()});
+  std::string out;
+  EXPECT_TRUE(vol.Read(lba, 1, &out).ok());
+  EXPECT_EQ(vol.Read(lba + 1, 1, &out).code(), StatusCode::kDataLoss);
+}
+
+// ReadCrcs hands out the sidecar in the carried form, holes included, so
+// a copy of the blocks keeps the CRCs they were written with.
+TEST(MemVolumeIntegrityTest, ReadCrcsReturnsTheSidecar) {
+  MemVolume src(2 * MemVolume::kBlocksPerChunk), dst(src.block_count());
+  src.EnableChecksums();
+  dst.EnableChecksums();
+  ASSERT_TRUE(src.Write(1, 1, BlockOf('q')).ok());
+  ASSERT_TRUE(src.Write(2, 1, BlockOf('r')).ok());
+  ASSERT_TRUE(src.FlipBit(2, 5));
+  const std::string zero = BlockOf('\0');
+  std::string words(4 * 4, '\0');
+  src.ReadCrcs(0, 4, words.data());
+  EXPECT_EQ(words.substr(0, 8), CrcWords({zero, BlockOf('q')}));
+  EXPECT_EQ(words.substr(12), CrcWords({zero}));
+  // A hole in a chunk never allocated reads as the zero-block CRC.
+  std::string hole(4, '\0');
+  src.ReadCrcs(MemVolume::kBlocksPerChunk + 5, 1, hole.data());
+  EXPECT_EQ(hole, CrcWords({zero}));
+
+  // Copying bytes and CRCs keeps the rotted block detectable.
+  std::string bytes(4 * kDefaultBlockSize, '\0');
+  src.ReadInto(0, 4, bytes.data());
+  const BlockRun copy{0, 4, bytes, words.data()};
+  ASSERT_TRUE(dst.WriteRun(&copy, 1).ok());
+  std::string out;
+  EXPECT_TRUE(dst.Read(1, 1, &out).ok());
+  EXPECT_EQ(dst.Read(2, 1, &out).code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "exec/thread_pool.h"
 
 namespace zerobak {
 namespace {
@@ -141,8 +142,161 @@ TEST(Crc32cKernelTest, KernelsAgreeAroundInterleaveBoundaries) {
 
 TEST(Crc32cKernelTest, ImplementationNameIsKnown) {
   const std::string name = internal::Crc32cImplementation();
-  EXPECT_TRUE(name == "sse4.2" || name == "slice8" || name == "portable")
+  EXPECT_TRUE(name == "vpclmulqdq" || name == "sse4.2" || name == "slice8" ||
+              name == "portable")
       << name;
+  // The dispatch follows the probes: the fold kernel where the CPU has
+  // VPCLMULQDQ, else the 3-way crc32q kernel where it has SSE4.2.
+  if (internal::Crc32cClmulSupported()) {
+    EXPECT_EQ(name, "vpclmulqdq");
+  } else if (internal::Crc32cHardwareSupported()) {
+    EXPECT_EQ(name, "sse4.2");
+  }
+}
+
+// ---- The carry-less-multiply fold kernel ------------------------------
+
+// The fold multipliers are derived from the polynomial, not pasted in.
+// The gzip polynomial reproduces the published constants of the Intel
+// paper (fold by 512 and by 128 bits), and the Castagnoli ones match
+// those of Intel's ISA-L crc32_iscsi kernels.
+TEST(Crc32cFoldConstantTest, DerivedConstantsArePinned) {
+  constexpr uint32_t kGzip = 0x04c11db7u;
+  static_assert(internal::Crc32FoldConstant(kGzip, 512 + 32) ==
+                0x154442bd4ull);
+  static_assert(internal::Crc32FoldConstant(kGzip, 512 - 32) ==
+                0x1c6e41596ull);
+  static_assert(internal::Crc32FoldConstant(kGzip, 128 + 32) ==
+                0x1751997d0ull);
+  static_assert(internal::Crc32FoldConstant(kGzip, 128 - 32) ==
+                0x0ccaa009eull);
+  constexpr uint32_t kC = internal::kCastagnoli;
+  static_assert(internal::Crc32FoldConstant(kC, 2048 + 32) == 0xdcb17aa4ull);
+  static_assert(internal::Crc32FoldConstant(kC, 2048 - 32) == 0xb9e02b86ull);
+  static_assert(internal::Crc32FoldConstant(kC, 512 + 32) == 0x740eef02ull);
+  static_assert(internal::Crc32FoldConstant(kC, 512 - 32) == 0x9e4addf8ull);
+  static_assert(internal::Crc32FoldConstant(kC, 128 + 32) == 0xf20c0dfeull);
+  static_assert(internal::Crc32FoldConstant(kC, 128 - 32) == 0x14cd00bd6ull);
+  // x^0 mod P is 1, reflected to bit 31, shifted to bit 32.
+  EXPECT_EQ(internal::Crc32FoldConstant(kC, 0), uint64_t{1} << 32);
+}
+
+class Crc32cClmulTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!internal::Crc32cClmulSupported()) {
+      GTEST_SKIP() << "host CPU lacks VPCLMULQDQ/AVX-512F";
+    }
+  }
+
+  static std::string RandomBytes(size_t n, uint64_t seed) {
+    Rng rng(seed);
+    std::string buf(n, '\0');
+    for (char& c : buf) c = static_cast<char>(rng.Uniform(256));
+    return buf;
+  }
+};
+
+TEST_F(Crc32cClmulTest, MatchesKnownVectors) {
+  const std::string digits = "123456789";
+  EXPECT_EQ(internal::Crc32cClmul(0, digits.data(), digits.size()),
+            0xe3069283u);
+  const std::string zeros(32, '\0');
+  EXPECT_EQ(internal::Crc32cClmul(0, zeros.data(), zeros.size()),
+            0x8a9136aau);
+  const std::string ffs(32, '\xff');
+  EXPECT_EQ(internal::Crc32cClmul(0, ffs.data(), ffs.size()), 0x62a8ab43u);
+  // The same vectors long enough to take the fold path: 256 zero bytes
+  // are eight 32-zero runs, which the combine stitches back together.
+  const std::string zeros256(256, '\0');
+  uint32_t want = 0;
+  for (int i = 0; i < 8; ++i) want = Crc32cCombine(want, 0x8a9136aau, 32);
+  EXPECT_EQ(internal::Crc32cClmul(0, zeros256.data(), zeros256.size()), want);
+}
+
+// Every length 0-1100 at every start offset 0-63 (each alignment of the
+// 64-byte loads), from a zero and from a nonzero running CRC.
+TEST_F(Crc32cClmulTest, AgreesAtEveryLengthAndOffset) {
+  const std::string buf = RandomBytes(1100 + 64, 0xc1a1);
+  for (size_t off = 0; off < 64; ++off) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      const char* p = buf.data() + off;
+      for (uint32_t seed : {0u, 0x9e3779b9u}) {
+        const uint32_t want = internal::Crc32cSlice8(seed, p, len);
+        ASSERT_EQ(internal::Crc32cClmul(seed, p, len), want)
+            << "len " << len << " off " << off << " seed " << seed;
+        ASSERT_EQ(internal::Crc32cHardware(seed, p, len), want)
+            << "len " << len << " off " << off << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST_F(Crc32cClmulTest, AgreesOnBlockAndFrameSizes) {
+  const std::string buf = RandomBytes((1u << 20) + 1, 0xb10c);
+  for (size_t len : {size_t{4096}, size_t{65536}, size_t{1} << 20}) {
+    for (size_t off : {size_t{0}, size_t{1}}) {
+      const char* p = buf.data() + off;
+      const uint32_t want = internal::Crc32cHardware(0, p, len);
+      EXPECT_EQ(internal::Crc32cClmul(0, p, len), want)
+          << "len " << len << " off " << off;
+      EXPECT_EQ(internal::Crc32cSlice8(0, p, len), want) << "len " << len;
+    }
+  }
+}
+
+// Extending a nonzero CRC: the running CRC is folded into the first four
+// bytes, so every split point must land on the one-pass value.
+TEST_F(Crc32cClmulTest, ExtendsANonzeroCrc) {
+  const std::string data = RandomBytes(4096 + 300, 0xe7e7);
+  const uint32_t whole = internal::Crc32cSlice8(0, data.data(), data.size());
+  for (size_t split : {size_t{1}, size_t{4}, size_t{255}, size_t{256},
+                       size_t{257}, size_t{1000}, size_t{4096}}) {
+    uint32_t crc = internal::Crc32cClmul(0, data.data(), split);
+    ASSERT_NE(crc, 0u);
+    crc = internal::Crc32cClmul(crc, data.data() + split,
+                                data.size() - split);
+    EXPECT_EQ(crc, whole) << "split " << split;
+  }
+  for (uint32_t seed : {1u, 0xffffffffu, 0xdeadbeefu}) {
+    EXPECT_EQ(internal::Crc32cClmul(seed, data.data(), data.size()),
+              internal::Crc32cSlice8(seed, data.data(), data.size()))
+        << "seed " << seed;
+  }
+}
+
+// The fold path starts at one 256-byte step; lengths around each multiple
+// cross between "tail only", "one step", and "steps plus a tail".
+TEST_F(Crc32cClmulTest, AgreesAroundTheStepBoundary) {
+  const std::string buf = RandomBytes(2048 + 8, 0x256);
+  for (size_t steps = 1; steps <= 8; ++steps) {
+    for (int delta = -3; delta <= 3; ++delta) {
+      const size_t len = steps * 256 + static_cast<size_t>(delta);
+      for (uint32_t seed : {0u, 0x12345678u}) {
+        EXPECT_EQ(internal::Crc32cClmul(seed, buf.data(), len),
+                  internal::Crc32cSlice8(seed, buf.data(), len))
+            << "len " << len << " seed " << seed;
+      }
+    }
+  }
+}
+
+// The dispatch is resolved at the first call. Several pool threads making
+// that first call at once must all get the same kernel and value (TSan
+// runs this too).
+TEST(Crc32cKernelTest, ConcurrentFirstCallsAgree) {
+  Rng rng(0xf1257);
+  std::string data(4096, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Uniform(256));
+  const uint32_t want = internal::Crc32cSlice8(0, data.data(), data.size());
+  exec::ThreadPool pool(4);
+  std::vector<uint32_t> got(64, 0);
+  pool.ParallelFor(got.size(), 1, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      got[i] = Crc32c(data.data(), data.size());
+    }
+  });
+  for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], want) << i;
 }
 
 // Crc32cCombine folds two independently computed CRCs into the CRC of the

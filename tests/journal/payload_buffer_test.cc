@@ -1,5 +1,7 @@
 // Tests for the zero-copy journal data path: PayloadBuffer sharing
 // semantics, PeekViews pointer stability, and the ScanFrom cursor.
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "journal/journal.h"
@@ -47,6 +49,49 @@ TEST(PayloadBufferTest, SliceSharesBacking) {
   EXPECT_EQ(PayloadBuffer::TotalAllocations(), before + 1);
   // A slice of a slice still points into the original buffer.
   EXPECT_EQ(mid.Slice(1, 2).view(), "de");
+}
+
+// Block CRCs ride in the payload's one allocation, as a trailer the view
+// and the journal's size accounting do not include.
+TEST(PayloadBufferTest, CrcTrailerSharesTheOneAllocation) {
+  const uint64_t before = PayloadBuffer::TotalAllocations();
+  char* raw = nullptr;
+  PayloadBuffer buf = PayloadBuffer::Allocate(8, 2, &raw);
+  std::memcpy(raw, "ppppppppCRC1CRC2", 16);
+  EXPECT_EQ(PayloadBuffer::TotalAllocations(), before + 1);
+  EXPECT_EQ(buf.view(), std::string(8, 'p'));
+  EXPECT_EQ(buf.view().data(), raw);
+  EXPECT_EQ(buf.size(), 8u);
+  EXPECT_EQ(buf.crc_count(), 2u);
+  EXPECT_EQ(buf.crcs(), raw + 8);
+  EXPECT_EQ(std::string_view(buf.crcs(), 8), "CRC1CRC2");
+  EXPECT_EQ(buf.use_count(), 1);
+
+  JournalRecord rec = Rec(5, buf);
+  rec.block_count = 2;
+  EXPECT_EQ(rec.block_crcs(), raw + 8);
+  EXPECT_EQ(rec.EncodedSize(), JournalRecord::kHeaderSize + 8);
+  // A count that does not match the record's blocks carries nothing.
+  rec.block_count = 3;
+  EXPECT_EQ(rec.block_crcs(), nullptr);
+  EXPECT_EQ(Rec(5, PayloadBuffer::Copy("abcd")).block_crcs(), nullptr);
+}
+
+// A slice can name CRCs elsewhere in the parent view: the decoded-batch
+// layout, where every record's CRCs sit after all the payloads.
+TEST(PayloadBufferTest, SliceCarriesCrcsFromTheParent) {
+  PayloadBuffer body = PayloadBuffer::Copy("hdr|aaaabbbbWXYZ");
+  PayloadBuffer first = body.Slice(4, 4, 12, 1);
+  EXPECT_EQ(first.view(), "aaaa");
+  EXPECT_EQ(first.crc_count(), 1u);
+  EXPECT_EQ(std::string_view(first.crcs(), 4), "WXYZ");
+  PayloadBuffer second = body.Slice(8, 4);
+  EXPECT_EQ(second.view(), "bbbb");
+  EXPECT_EQ(second.crcs(), nullptr);
+  // Slicing a slice keeps the offsets relative to the view sliced.
+  PayloadBuffer inner = body.Slice(4, 12).Slice(4, 4, 8, 1);
+  EXPECT_EQ(inner.view(), "bbbb");
+  EXPECT_EQ(std::string_view(inner.crcs(), 4), "WXYZ");
 }
 
 TEST(PayloadBufferTest, EmptyBufferIsSafe) {

@@ -1004,5 +1004,161 @@ TEST_F(FaultRecoveryTest, BulkFramesAreBilledAtTheirFrameSize) {
   EXPECT_TRUE(Converged(sp, ss));
 }
 
+// A group resync frame that reaches a failed backup array lands nothing:
+// the pair stays suspended with its bits owed and the frame counts as
+// lost, so its deadline re-suspends the group and auto-resync ships the
+// bits once the array is back.
+TEST_F(FaultRecoveryTest, GroupResyncOntoFailedArrayLandsNothing) {
+  auto [p, s] = MakeVolumes("v");
+  GroupId g = MakeGroup();
+  PairId pair = MakeAsyncPair(p, s, g);
+  env_.RunFor(Milliseconds(4));  // Empty initial copy settles.
+  ASSERT_TRUE(engine_.SuspendGroup(g).ok());
+  for (uint64_t lba = 0; lba < 5; ++lba) {
+    ASSERT_TRUE(main_.WriteSync(p, lba, BlockOf('a' + lba)).ok());
+  }
+  backup_.SetFailed(true);
+  ASSERT_TRUE(engine_.ResyncGroup(g).ok());
+  env_.RunFor(Milliseconds(10));  // Delivered at 5 ms.
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kSuspended);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 5u);
+  EXPECT_EQ(Stats(g).recovery_wait, RecoveryWait::kResyncInFlight);
+
+  env_.RunFor(Milliseconds(17));  // Past the deadline at 5 + 20 ms.
+  GroupStats stats = Stats(g);
+  EXPECT_TRUE(stats.suspended);
+  EXPECT_EQ(stats.suspend_reason, SuspendReason::kResyncTimeout);
+  EXPECT_EQ(stats.resync_timeouts, 1u);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 5u);
+
+  backup_.SetFailed(false);
+  env_.RunFor(Seconds(1));
+  EXPECT_FALSE(Stats(g).suspended);
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 0u);
+  EXPECT_TRUE(Converged(p, s));
+}
+
+// The same rule when the array is up but the S-VOL's media fails every
+// write: a run that does not land keeps its owed bits, and the copy stays
+// in flight for its deadline.
+TEST_F(FaultRecoveryTest, ResyncOntoFailingSvolMediaKeepsTheBitsOwed) {
+  auto [p, s] = MakeVolumes("v");
+  GroupId g = MakeGroup();
+  PairId pair = MakeAsyncPair(p, s, g);
+  env_.RunFor(Milliseconds(4));
+  ASSERT_TRUE(engine_.SuspendGroup(g).ok());
+  for (uint64_t lba = 0; lba < 5; ++lba) {
+    ASSERT_TRUE(main_.WriteSync(p, lba, BlockOf('m' + lba)).ok());
+  }
+  block::MemVolume& sstore = backup_.GetVolume(s)->store();
+  sstore.SetMediaError(1.0, 7);
+  ASSERT_TRUE(engine_.ResyncGroup(g).ok());
+  env_.RunFor(Milliseconds(10));
+  EXPECT_GT(sstore.media_errors(), 0u);
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kSuspended);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 5u);
+  EXPECT_EQ(Stats(g).recovery_wait, RecoveryWait::kResyncInFlight);
+
+  env_.RunFor(Milliseconds(17));  // Past the deadline at 5 + 20 ms.
+  EXPECT_TRUE(Stats(g).suspended);
+  EXPECT_EQ(Stats(g).suspend_reason, SuspendReason::kResyncTimeout);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 5u);
+
+  sstore.SetMediaError(0.0, 0);
+  env_.RunFor(Seconds(1));
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 0u);
+  EXPECT_TRUE(Converged(p, s));
+}
+
+// A sync pair's resync frame that reaches a failed backup array lands
+// nothing either; its deadline suspends the pair with the blocks owed.
+TEST_F(FaultRecoveryTest, SyncPairResyncOntoFailedArrayLandsNothing) {
+  auto [p, s] = MakeVolumes("v");
+  PairId pair = MakeSyncPair(p, s);
+  env_.RunFor(Milliseconds(20));
+  ASSERT_TRUE(engine_.SuspendSyncPair(pair).ok());
+  for (uint64_t lba = 0; lba < 3; ++lba) {
+    ASSERT_TRUE(main_.WriteSync(p, lba, BlockOf('k' + lba)).ok());
+  }
+  backup_.SetFailed(true);
+  ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+  env_.RunFor(Milliseconds(10));  // Delivered at 5 ms.
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 3u);
+  env_.RunFor(Milliseconds(50));  // Deadline at 5 + 50 ms.
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kSuspended);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 3u);
+
+  backup_.SetFailed(false);
+  ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+  env_.RunFor(Milliseconds(20));
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 0u);
+  EXPECT_TRUE(Converged(p, s));
+}
+
+// A giveback that reaches a failed main array lands nothing and stays
+// owed; its loss deadline re-sends it once the array is back.
+TEST_F(FaultRecoveryTest, GivebackOntoFailedMainArrayLandsNothing) {
+  auto [p, s] = MakeVolumes("v");
+  GroupId g = MakeGroup();
+  PairId pair = MakeAsyncPair(p, s, g);
+  env_.RunFor(Milliseconds(50));
+  main_.SetFailed(true);
+  Partition();
+  ASSERT_TRUE(engine_.FailoverGroup(g).ok());
+  ASSERT_TRUE(backup_.WriteSync(s, 1, BlockOf('b')).ok());
+  ASSERT_TRUE(backup_.WriteSync(s, 2, BlockOf('c')).ok());
+  main_.SetFailed(false);
+  Heal();
+  env_.RunFor(0);  // The heal's ready edges.
+  ASSERT_TRUE(engine_.FailbackGroup(g).ok());
+  main_.SetFailed(true);  // Before the giveback lands at 5 ms.
+  env_.RunFor(Milliseconds(10));
+  EXPECT_TRUE(Stats(g).giveback_in_flight);
+  EXPECT_EQ(engine_.GetPair(pair)->reverse_dirty_blocks(), 2u);
+  EXPECT_EQ(main_.GetVolume(p)->store().ReadBlock(1), BlockOf('\0'));
+
+  main_.SetFailed(false);
+  env_.RunFor(Milliseconds(30));  // Re-sent at 25 ms, lands at 30 ms.
+  EXPECT_FALSE(Stats(g).giveback_in_flight);
+  EXPECT_EQ(engine_.GetPair(pair)->reverse_dirty_blocks(), 0u);
+  EXPECT_EQ(main_.GetVolume(p)->store().ReadBlock(1), BlockOf('b'));
+  EXPECT_EQ(main_.GetVolume(p)->store().ReadBlock(2), BlockOf('c'));
+  env_.RunFor(Milliseconds(50));
+  EXPECT_TRUE(Converged(p, s));
+}
+
+// An SDC write that finds the backup array failed is never acked as
+// replicated: its deadline acks the host locally, suspends the pair and
+// dirty-marks the block, so a resync after the repair converges.
+TEST_F(FaultRecoveryTest, SyncWriteOntoFailedArrayIsNotAckedAsReplicated) {
+  auto [p, s] = MakeVolumes("v");
+  PairId pair = MakeSyncPair(p, s);
+  env_.RunFor(Milliseconds(20));
+  ASSERT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+  backup_.SetFailed(true);
+  int acks = 0;
+  Status acked = InternalError("no ack");
+  main_.SubmitHostWrite(p, 4, BlockOf('w'), [&](block::IoResult r) {
+    ++acks;
+    acked = r.status;
+  });
+  env_.RunFor(Milliseconds(30));
+  EXPECT_EQ(acks, 0) << "a failed array sends no remote ack";
+  backup_.SetFailed(false);
+  env_.RunFor(Milliseconds(35));  // Deadline at 5 + 5 + 50 ms.
+  EXPECT_EQ(acks, 1) << "a host write never hangs";
+  EXPECT_TRUE(acked.ok()) << acked;
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kSuspended);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 1u);
+
+  ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+  env_.RunFor(Milliseconds(20));
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+  EXPECT_TRUE(Converged(p, s));
+}
+
 }  // namespace
 }  // namespace zerobak::replication

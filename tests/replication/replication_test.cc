@@ -145,6 +145,75 @@ TEST_F(ReplicationTest, InitialCopyKeepsLatentRotDetectable) {
   }
 }
 
+// A resync ships the P-VOL's sidecar CRCs with the blocks and the S-VOL
+// stores them, so a P-VOL block that rotted before the resync reads back
+// as kDataLoss on the S-VOL instead of getting a fresh, valid checksum
+// there. The group and the sync-pair resync share this path.
+TEST_F(ReplicationTest, ResyncKeepsLatentRotDetectable) {
+  for (const bool sync : {false, true}) {
+    SCOPED_TRACE(sync ? "sync pair" : "group pair");
+    auto [p, s] = MakeVolumes(sync ? "sv" : "av");
+    PairId pair = 0;
+    GroupId g = 0;
+    if (sync) {
+      PairConfig cfg;
+      cfg.name = "sync";
+      cfg.primary = p;
+      cfg.secondary = s;
+      cfg.mode = ReplicationMode::kSynchronous;
+      auto id = engine_.CreatePair(cfg);
+      ASSERT_TRUE(id.ok()) << id.status();
+      pair = *id;
+      ASSERT_TRUE(engine_.SuspendSyncPair(pair).ok());
+    } else {
+      g = MakeGroup();
+      pair = MakeAsyncPair(p, s, g);
+      ASSERT_TRUE(engine_.SuspendGroup(g).ok());
+    }
+    for (uint64_t lba = 0; lba < 8; ++lba) {
+      ASSERT_TRUE(main_.WriteSync(p, lba,
+                                  BlockOf(static_cast<char>('a' + lba)))
+                      .ok());
+    }
+    ASSERT_TRUE(main_.GetVolume(p)->store().FlipBit(3, 17));
+    ASSERT_TRUE(sync ? engine_.ResyncSyncPair(pair).ok()
+                     : engine_.ResyncGroup(g).ok());
+    env_.RunFor(Milliseconds(20));
+    ASSERT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+    ASSERT_EQ(engine_.GetPair(pair)->dirty_blocks(), 0u);
+
+    block::MemVolume& sstore = backup_.GetVolume(s)->store();
+    std::string out;
+    EXPECT_EQ(sstore.Read(3, 1, &out).code(), StatusCode::kDataLoss);
+    EXPECT_EQ(sstore.VerifyExtent(0, 3), block::MemVolume::ExtentHealth::kClean);
+    EXPECT_EQ(sstore.VerifyExtent(4, 60),
+              block::MemVolume::ExtentHealth::kClean);
+  }
+}
+
+// A journaled write lands on the S-VOL with the CRCs its P-VOL write
+// computed: the two sidecars agree block for block.
+TEST_F(ReplicationTest, AppliedBlocksCarryTheInterceptCrcs) {
+  auto [p, s] = MakeVolumes("v");
+  GroupId g = MakeGroup();
+  MakeAsyncPair(p, s, g);
+  ASSERT_TRUE(main_.WriteSync(p, 2, BlockOf('x') + BlockOf('y')).ok());
+  ASSERT_TRUE(main_.WriteSync(p, 9, BlockOf('z')).ok());
+  const journal::JournalRecord* rec = engine_.primary_journal(g)->Find(1);
+  ASSERT_NE(rec, nullptr);
+  ASSERT_NE(rec->block_crcs(), nullptr);
+  EXPECT_EQ(rec->EncodedSize(),
+            journal::JournalRecord::kHeaderSize + 2 * block::kDefaultBlockSize);
+  env_.RunFor(Milliseconds(20));
+  ASSERT_TRUE(Converged(p, s));
+  std::string pcrcs(4 * 16, '\0'), scrcs(4 * 16, '\0');
+  main_.GetVolume(p)->store().ReadCrcs(0, 16, pcrcs.data());
+  backup_.GetVolume(s)->store().ReadCrcs(0, 16, scrcs.data());
+  EXPECT_EQ(pcrcs, scrcs);
+  EXPECT_EQ(backup_.GetVolume(s)->store().VerifyExtent(0, 64),
+            block::MemVolume::ExtentHealth::kClean);
+}
+
 TEST_F(ReplicationTest, AdcAcksImmediatelyAndShipsInBackground) {
   auto [p, s] = MakeVolumes("v");
   GroupId g = MakeGroup();
