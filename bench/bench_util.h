@@ -6,6 +6,8 @@
 // section 4 for the experiment index and EXPERIMENTS.md for the recorded
 // results.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <memory>
@@ -38,6 +40,51 @@ inline void PrintLine(const char* fmt, ...) {
 inline void PrintRule(int width = 96) {
   for (int i = 0; i < width; ++i) std::putchar('-');
   std::putchar('\n');
+}
+
+// ---- Repeated timing --------------------------------------------------------
+
+// Median and quartiles of repeated samples: how a bench reports a timing,
+// and what its gates compare (a median, never a best-of-N).
+struct Spread {
+  double median = 0;
+  double q1 = 0;  // 25th percentile.
+  double q3 = 0;  // 75th percentile.
+};
+
+// Quantiles of `samples` by linear interpolation between order statistics.
+inline Spread Summarize(std::vector<double> samples) {
+  ZB_CHECK(!samples.empty()) << "no samples to summarize";
+  std::sort(samples.begin(), samples.end());
+  auto quantile = [&samples](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (pos - static_cast<double>(lo)) *
+                             (samples[hi] - samples[lo]);
+  };
+  return Spread{quantile(0.5), quantile(0.25), quantile(0.75)};
+}
+
+// Times `arms` variants of one measurement in `repeats` rounds, each
+// running run_arm(0) .. run_arm(arms - 1) in turn, so a drift in host load
+// lands on every arm alike. Returns each arm's wall-clock seconds, one
+// sample per round. Run every arm once untimed first (a warm-up round,
+// which can double as a correctness check).
+template <typename Fn>
+std::vector<std::vector<double>> TimeInterleaved(size_t arms, int repeats,
+                                                 Fn&& run_arm) {
+  std::vector<std::vector<double>> seconds(arms);
+  for (int r = 0; r < repeats; ++r) {
+    for (size_t a = 0; a < arms; ++a) {
+      const auto start = std::chrono::steady_clock::now();
+      run_arm(a);
+      const std::chrono::duration<double> took =
+          std::chrono::steady_clock::now() - start;
+      seconds[a].push_back(took.count());
+    }
+  }
+  return seconds;
 }
 
 // ---- A deployed business process on a DemoSystem ----------------------------

@@ -39,11 +39,11 @@ for preset in "${presets[@]}"; do
   ctest --preset "${preset}" -j "${jobs}"
 done
 
-# TSan pass over the parallel compute layer: only the tests that drive
-# the thread pool and its call sites (wire chunking, parallel apply,
-# bulk-frame capture, the lane-count determinism drills) — the rest of the
-# suite is single-threaded simulation and would just burn TSan's ~10x
-# slowdown for nothing.
+# TSan pass over the parallel compute layer: only the suites that still
+# drive the thread pool (the pool itself, the CRC dispatch's concurrent
+# first call, bulk-frame capture and the lane-count determinism drills) —
+# the rest of the suite is single-threaded simulation and would just burn
+# TSan's ~10x slowdown for nothing.
 if [[ "${fast}" -eq 0 ]]; then
   echo "=== preset: tsan (parallel subset) ==="
   cmake --preset tsan
@@ -51,7 +51,7 @@ if [[ "${fast}" -eq 0 ]]; then
     --target exec_test common_test replication_test integration_test \
              bench_parallel
   ctest --preset tsan -j "${jobs}" \
-    -R 'ThreadPool|Crc32cCombine|Crc32cKernel|WireChunked|WireTest|BulkFrame|ParallelSystem|ParallelEngine'
+    -R 'ThreadPool|Crc32cKernel|BulkFrame|ParallelSystem|ParallelEngine'
   ./build-tsan/bench/bench_parallel --quick \
     --out "${smoke_dir}/parallel_tsan.json"
 fi

@@ -162,20 +162,6 @@ Status MemVolume::WriteRun(const BlockRun* runs, size_t n) {
   return OkStatus();
 }
 
-void MemVolume::CopyIn(Chunk& chunk, uint64_t slot, uint32_t run,
-                       const char* src, const char* crcs) {
-  std::memcpy(chunk.data.get() + slot * block_size_, src,
-              static_cast<size_t>(run) * block_size_);
-  if (!checksums_enabled_) return;
-  for (uint32_t j = 0; j < run; ++j) {
-    chunk.crcs[slot + j] =
-        crcs != nullptr
-            ? DecodeFixed32(crcs + size_t{4} * j)
-            : Crc32c(src + static_cast<size_t>(j) * block_size_,
-                     block_size_);
-  }
-}
-
 void MemVolume::WriteUnchecked(const BlockRun& write) {
   const char* src = write.data.data();
   const char* crcs = write.crcs;
@@ -187,7 +173,19 @@ void MemVolume::WriteUnchecked(const BlockRun& write) {
     const uint32_t run = static_cast<uint32_t>(
         std::min<uint64_t>(write.count - i, ChunkBlocks(ci) - slot));
     Chunk& chunk = EnsureChunk(cur);
-    CopyIn(chunk, slot, run, src, crcs);
+    std::memcpy(chunk.data.get() + slot * block_size_, src,
+                static_cast<size_t>(run) * block_size_);
+    if (checksums_enabled_) {
+      // The carried CRCs (little-endian words) become the sidecar as
+      // they are; without them each block's CRC is computed here.
+      for (uint32_t j = 0; j < run; ++j) {
+        chunk.crcs[slot + j] =
+            crcs != nullptr
+                ? DecodeFixed32(crcs + size_t{4} * j)
+                : Crc32c(src + static_cast<size_t>(j) * block_size_,
+                         block_size_);
+      }
+    }
     if (crcs != nullptr) crcs += size_t{4} * run;
     // Mark the run allocated a 64-bit word at a time; a per-bit loop is
     // measurable on multi-block extent applies.
@@ -224,53 +222,6 @@ void MemVolume::ReadInto(Lba lba, uint32_t count, char* dst) const {
       std::memcpy(dst, chunks_[ci].data.get() + slot * block_size_, bytes);
     }
     dst += bytes;
-    i += run;
-  }
-}
-
-void MemVolume::PrepareWrite(Lba lba, uint32_t count) {
-  uint32_t i = 0;
-  while (i < count) {
-    const Lba cur = lba + i;
-    const size_t ci = static_cast<size_t>(cur / kBlocksPerChunk);
-    const uint64_t slot = cur % kBlocksPerChunk;
-    const uint32_t run = static_cast<uint32_t>(
-        std::min<uint64_t>(count - i, ChunkBlocks(ci) - slot));
-    Chunk& chunk = EnsureChunk(cur);
-    uint64_t b = slot;
-    const uint64_t end = slot + run;
-    while (b < end) {
-      const uint64_t lo = b % 64;
-      const uint64_t span = std::min<uint64_t>(64 - lo, end - b);
-      const uint64_t mask =
-          (span == 64 ? ~0ull : ((1ull << span) - 1)) << lo;
-      uint64_t& word = chunk.bitmap[b / 64];
-      allocated_blocks_ +=
-          static_cast<uint64_t>(__builtin_popcountll(mask & ~word));
-      word |= mask;
-      b += span;
-    }
-    i += run;
-  }
-  ++writes_;
-}
-
-void MemVolume::CommitWrite(const BlockRun& write) {
-  const char* src = write.data.data();
-  const char* crcs = write.crcs;
-  uint32_t i = 0;
-  while (i < write.count) {
-    const Lba cur = write.lba + i;
-    const size_t ci = static_cast<size_t>(cur / kBlocksPerChunk);
-    const uint64_t slot = cur % kBlocksPerChunk;
-    const uint32_t run = static_cast<uint32_t>(
-        std::min<uint64_t>(write.count - i, ChunkBlocks(ci) - slot));
-    // PrepareWrite allocated the chunk; nothing here touches shared
-    // metadata (each block's CRC slot belongs to exactly one prepared
-    // range), so disjoint commits can run on pool workers concurrently.
-    CopyIn(chunks_[ci], slot, run, src, crcs);
-    if (crcs != nullptr) crcs += size_t{4} * run;
-    src += static_cast<size_t>(run) * block_size_;
     i += run;
   }
 }

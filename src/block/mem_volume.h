@@ -64,17 +64,6 @@ class MemVolume : public BlockDevice {
   // path at any lane count. The caller must have range-checked.
   void ReadInto(Lba lba, uint32_t count, char* dst) const;
 
-  // Two-phase write for the parallel apply path. PrepareWrite performs
-  // every shared-state mutation of a Write — chunk allocation, bitmap
-  // marking, footprint and write counters — without copying data;
-  // CommitWrite then does the pure memcpy into slabs PrepareWrite
-  // guaranteed exist. CommitWrite calls on disjoint prepared ranges are
-  // safe from concurrent threads; PrepareWrite is caller-thread only.
-  // PrepareWrite-then-CommitWrite over a range is byte- and
-  // counter-identical to one Write. Ranges must be pre-validated.
-  void PrepareWrite(Lba lba, uint32_t count);
-  void CommitWrite(const BlockRun& run);
-
   // Copies every allocated block of `src` into this volume (same
   // geometry required). Used by replication initial copy and tests.
   Status CloneFrom(const MemVolume& src);
@@ -125,8 +114,7 @@ class MemVolume : public BlockDevice {
   // (seed, probability) episode always hits the same sectors — the
   // in-memory model of a latent sector error burst. Reads and writes that
   // touch a bad LBA fail with kDataLoss. probability <= 0 heals the
-  // media. The two-phase PrepareWrite/CommitWrite path bypasses the gate
-  // (the parallel applier pre-validates its batches).
+  // media.
   void SetMediaError(double probability, uint64_t seed);
   bool media_error_armed() const { return media_threshold_ != 0; }
 
@@ -189,11 +177,6 @@ class MemVolume : public BlockDevice {
   Chunk& EnsureChunk(Lba lba);
   // The copy loop of Write and WriteRun, after range/size validation.
   void WriteUnchecked(const BlockRun& run);
-  // Copies `run` blocks from `src` to `slot` of `chunk` and, with
-  // checksums on, fills their sidecar slots: with `crcs` (little-endian
-  // words) when given, else with the CRC of each block.
-  void CopyIn(Chunk& chunk, uint64_t slot, uint32_t run, const char* src,
-              const char* crcs);
   // Stateless per-LBA media gate (only meaningful while armed).
   bool MediaBad(Lba lba) const;
   // Scans [lba, lba+count) through the media gate; kDataLoss on the

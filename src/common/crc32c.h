@@ -30,19 +30,20 @@ inline uint32_t Crc32c(const void* data, size_t n) {
 // Combines the CRCs of two adjacent buffers: given crc1 = Crc32c(A) and
 // crc2 = Crc32c(B), returns Crc32c(A || B) where len2 = |B|, without
 // touching the data. O(log len2) via GF(2) matrix squaring (zlib's
-// crc32_combine construction). This is what lets a frame checksum be
-// computed from independently-checksummed chunks in parallel and merged
-// in order — bit-identical to a single sequential pass.
+// crc32_combine construction). This is what lets a checksum be computed
+// from independently-checksummed pieces and merged in order —
+// bit-identical to a single sequential pass.
 uint32_t Crc32cCombine(uint32_t crc1, uint32_t crc2, size_t len2);
 
 // The "append len2 bytes" combine, precompiled to a single 32x32 GF(2)
 // matrix at construction. Combine() is then one matrix-vector product
 // (~32 xors) instead of Crc32cCombine's O(log len2) matrix SQUARINGS
 // (tens of microseconds — more than CRCing a 64 KiB chunk takes with the
-// hardware kernel). Build one op per fixed chunk size and reuse it for
-// every join; fall back to Crc32cCombine for one-off tail lengths.
-//   Crc32cCombineOp op(kChunkBytes);           // once
-//   crc = op.Combine(crc, chunk_crc);          // per join, O(1)
+// hardware kernel). Build one op per fixed piece size and reuse it for
+// every join (the 3-way kernel's lane merge does); fall back to
+// Crc32cCombine for one-off tail lengths.
+//   Crc32cCombineOp op(kCrcLane);              // once
+//   crc = op.Combine(crc, lane_crc);           // per join, O(1)
 class Crc32cCombineOp {
  public:
   explicit Crc32cCombineOp(size_t len2);

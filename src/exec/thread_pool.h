@@ -14,9 +14,12 @@
 
 namespace zerobak::exec {
 
-// A fixed-size compute pool for offloading pure data-parallel work —
-// compression, checksumming, codec passes, sorted batch apply — from the
-// single-threaded discrete-event simulator without giving up determinism.
+// A fixed-size compute pool for offloading pure data-parallel work from
+// the single-threaded discrete-event simulator without giving up
+// determinism. Its one client is bulk-frame capture
+// (replication::wire::EncodeExtents): the extent reads and chunk
+// compression of resync and giveback frames. Journal batches are too
+// small to win from a fan-out and stay inline.
 //
 // The contract that keeps the simulation bit-reproducible:
 //

@@ -875,9 +875,8 @@ PumpOutcome ReplicationEngine::PumpGroup(Group* group, uint64_t max_bytes) {
     }
     batch.push_back(std::move(rec));
   }
-  wire::EncodedBatch enc = wire::EncodeBatch(
-      batch, group->config.compress_transfers, compute_pool_.get());
-  SyncExecStats();
+  wire::EncodedBatch enc =
+      wire::EncodeBatch(batch, group->config.compress_transfers);
   const uint64_t wire_bytes = enc.frame.size();
   const GroupId group_id = group->id;
   // The link serializes the (smaller) wire frame but accounts the logical
@@ -1241,7 +1240,15 @@ void ReplicationEngine::ApplyPending(Group* group) {
       }
     }
     if (stalled) break;
-    ApplyBatch(group, applied + 1, end);
+    // A batch that did not land stops the apply here, unacked: the
+    // shipped batch's ack deadline then suspends the group, dirty-marks
+    // from the acked watermark and resyncs, as for a lost batch.
+    const Status landed = ApplyBatch(group, applied + 1, end);
+    if (!landed.ok()) {
+      ZB_LOG(Warning) << "group " << group->id << " journal apply failed: "
+                      << landed;
+      break;
+    }
     applied = end;
     progressed = true;
   }
@@ -1251,24 +1258,20 @@ void ReplicationEngine::ApplyPending(Group* group) {
   }
 }
 
-void ReplicationEngine::ApplyBatch(Group* group,
-                                   journal::SequenceNumber first,
-                                   journal::SequenceNumber last) {
+Status ReplicationEngine::ApplyBatch(Group* group,
+                                     journal::SequenceNumber first,
+                                     journal::SequenceNumber last) {
   auto* sj = secondary_->GetJournal(group->secondary_journal);
   ZB_CHECK(sj != nullptr);
-  if (ins_.apply_batches != nullptr) {
-    ins_.apply_batches->Increment();
-    ins_.records_applied->Increment(last - first + 1);
-  }
   // Bucket the batch per volume. std::map keeps the volume order (and so
   // the whole apply) deterministic across runs and stdlibs.
   std::map<uint64_t, std::vector<const journal::JournalRecord*>> by_volume;
+  SimTime last_ack_time = 0;
   journal::JournalVolume::Cursor scan = sj->ScanFrom(first);
   for (journal::SequenceNumber s = first; s <= last; ++s) {
     const journal::JournalRecord* rec = scan.Next();
     ZB_CHECK(rec != nullptr) << "atomic batch not contiguous in journal";
-    group->last_applied_ack_time = rec->ack_time;
-    ++records_applied_;
+    last_ack_time = rec->ack_time;
     // A tombstone's blocks are fully rewritten by a newer record of this
     // same batch; it only advances the watermark.
     if (rec->folded) continue;
@@ -1313,36 +1316,22 @@ void ReplicationEngine::ApplyBatch(Group* group,
         runs.push_back(block::BlockRun{rec->lba, rec->block_count,
                                        rec->data(), rec->block_crcs()});
       }
-      Status ws;
-      if (compute_pool_ != nullptr && runs.size() > 1) {
-        // Two-phase parallel apply, valid exactly because sorted_ok means
-        // the runs are non-overlapping: PrepareRun does every shared-state
-        // mutation (pool accounting, COW hooks, store metadata) serially
-        // in run order, then the admitted runs' payload stores are pure
-        // disjoint memcpys fanned out across the pool. Final volume, pool
-        // and hook state match WriteRun byte for byte.
-        size_t admitted = 0;
-        ws = svol->PrepareRun(runs.data(), runs.size(), &admitted);
-        const size_t grain = std::max<size_t>(
-            1, admitted / (size_t{compute_pool_->lanes()} * 4));
-        compute_pool_->ParallelFor(
-            admitted, grain, [&](size_t begin, size_t end) {
-              for (size_t i = begin; i < end; ++i) svol->CommitRun(runs[i]);
-            });
-        SyncExecStats();
-      } else {
-        ws = svol->WriteRun(runs.data(), runs.size());
-      }
-      if (!ws.ok()) ZB_LOG(Warning) << "journal apply failed: " << ws;
+      ZB_RETURN_IF_ERROR(svol->WriteRun(runs.data(), runs.size()));
     } else {
       for (const journal::JournalRecord* rec : recs) {
         const block::BlockRun run{rec->lba, rec->block_count, rec->data(),
                                   rec->block_crcs()};
-        Status ws = svol->WriteRun(&run, 1);
-        if (!ws.ok()) ZB_LOG(Warning) << "journal apply failed: " << ws;
+        ZB_RETURN_IF_ERROR(svol->WriteRun(&run, 1));
       }
     }
   }
+  group->last_applied_ack_time = last_ack_time;
+  records_applied_ += last - first + 1;
+  if (ins_.apply_batches != nullptr) {
+    ins_.apply_batches->Increment();
+    ins_.records_applied->Increment(last - first + 1);
+  }
+  return OkStatus();
 }
 
 void ReplicationEngine::SendApplyAck(Group* group,
@@ -1396,9 +1385,7 @@ void ReplicationEngine::MaybeCorruptFrame(std::string* frame) {
 StatusOr<std::vector<journal::JournalRecord>> ReplicationEngine::ReceiveFrame(
     std::string* frame) {
   MaybeCorruptFrame(frame);
-  auto decoded = wire::DecodeBatch(*frame, compute_pool_.get());
-  SyncExecStats();
-  return decoded;
+  return wire::DecodeBatch(*frame);
 }
 
 void ReplicationEngine::NoteRejectedFrame(Group* group, const char* what,
@@ -1691,9 +1678,16 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
         }
         g->resync.active = false;
         auto* sj = secondary_->GetJournal(g->secondary_journal);
-        if (sj != nullptr && sj->written() < resume_seq) {
-          Status ff = sj->FastForward(resume_seq);
-          if (!ff.ok()) ZB_LOG(Warning) << "resync fast-forward: " << ff;
+        if (sj != nullptr) {
+          // Records this journal holds but never applied (a batch that
+          // did not land) are superseded: the primary dirty-marked them
+          // from its acked watermark, so this frame carried their blocks,
+          // newer.
+          ZB_CHECK(sj->TrimThrough(sj->written()).ok());
+          if (sj->written() < resume_seq) {
+            Status ff = sj->FastForward(resume_seq);
+            if (!ff.ok()) ZB_LOG(Warning) << "resync fast-forward: " << ff;
+          }
         }
         for (PairId pid : g->pairs) {
           Pair* pair = FindPair(pid);

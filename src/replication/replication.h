@@ -147,14 +147,15 @@ struct PairConfig {
 
 // Engine-wide tunables, fixed at construction.
 struct EngineOptions {
-  // Compute lanes (including the simulator thread) for the engine's
-  // parallel sections: per-chunk wire compression and CRC, chunked
-  // decode, sorted batch apply and bulk-frame capture. 0 = one lane per
-  // hardware thread; 1 = no workers, every stage runs inline (the legacy
-  // serial path). Simulation results are bit-identical at any value —
-  // parallel sections run entirely inside one sim event behind a join
-  // barrier and merge in canonical order — so this knob trades host CPU
-  // for wall-clock only.
+  // Compute lanes (including the simulator thread) for the engine's one
+  // parallel section: bulk-frame capture (wire::EncodeExtents, the extent
+  // reads and chunk compression of resync and giveback frames). Journal
+  // batch encode, decode and apply always run inline: at batch sizes they
+  // measured slower on more lanes. 0 = one lane per hardware thread; 1 =
+  // no workers. Simulation results are bit-identical at any value — the
+  // section runs entirely inside one sim event behind a join barrier and
+  // writes disjoint slots of a fixed-format frame — so this knob trades
+  // host CPU for wall-clock only.
   unsigned compute_threads = 0;
 };
 
@@ -439,12 +440,6 @@ class ReplicationEngine {
   // Counters of the GroupScheduler that drives journal transfer.
   const SchedulerStats& scheduler_stats() const { return scheduler_.stats(); }
 
-  // --- Compute pool introspection -------------------------------------------
-  // The engine's parallel-section pool; null when compute_threads
-  // resolved to 1 (pure inline mode). Benches and tests use this to
-  // observe lane count and section/steal counters.
-  exec::ThreadPool* compute_pool() { return compute_pool_.get(); }
-
   // --- At-rest integrity scrubbing ------------------------------------------
   // Starts the background scrubber (see replication/scrubber.h): a
   // low-priority walk over every consistency-group volume that verifies
@@ -563,13 +558,16 @@ class ReplicationEngine {
   // Arms `id` if the group exists, is healthy and has unshipped backlog
   // (or demands a keep-alive tick).
   void ArmIfPending(GroupId id);
-  // Applies contiguous received records to the S-VOLs.
+  // Applies contiguous received records to the S-VOLs, batch by batch,
+  // up to the first batch that does not land; trims and acks only what
+  // landed.
   void ApplyPending(Group* group);
   // Applies one atomic batch [first, last] from the secondary journal to
   // the S-VOLs: grouped by volume and sorted by LBA when safe, in
-  // sequence order otherwise.
-  void ApplyBatch(Group* group, journal::SequenceNumber first,
-                  journal::SequenceNumber last);
+  // sequence order otherwise. Returns the first failed S-VOL write's
+  // status (the batch did not land, though part of it may have).
+  Status ApplyBatch(Group* group, journal::SequenceNumber first,
+                    journal::SequenceNumber last);
   // Adjusts group->batch_bytes_now from journal backlog and link backlog.
   void AdaptBatchSize(Group* group, journal::JournalVolume* jnl);
   // Sends the applied watermark back to trim the primary journal.
@@ -696,8 +694,8 @@ class ReplicationEngine {
   GroupScheduler scheduler_;
   // Background integrity scrubber; null until EnableScrubbing.
   std::unique_ptr<Scrubber> scrubber_;
-  // Parallel-section pool (see EngineOptions::compute_threads); null when
-  // the resolved lane count is 1, making every call site's pool argument
+  // Bulk-frame capture pool (see EngineOptions::compute_threads); null
+  // when the resolved lane count is 1, making CaptureBulk's pool argument
   // nullptr and the whole data path provably inline.
   std::unique_ptr<exec::ThreadPool> compute_pool_;
 
@@ -759,7 +757,8 @@ class ReplicationEngine {
   exec::ThreadPool::Stats exec_synced_;
 
   // Folds the pool's stat deltas into the exec.* instruments; called on
-  // the sim thread after parallel sections. No-op when detached or inline.
+  // the sim thread after each bulk-frame capture. No-op when detached or
+  // inline.
   void SyncExecStats();
 
   // Shipped batches covered by the windowed compression ratio.

@@ -1,9 +1,9 @@
 #include "replication/wire.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/coding.h"
@@ -38,51 +38,6 @@ int64_t UnZigZag(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
-// Runs body(begin, end) over [0, n) — fanned out across `pool` when one
-// is attached, a plain inline loop otherwise. Either way the caller
-// resumes only after every index ran.
-void ForEachChunk(exec::ThreadPool* pool, size_t n,
-                  const std::function<void(size_t, size_t)>& body) {
-  if (pool != nullptr) {
-    pool->ParallelFor(n, 1, body);
-  } else if (n > 0) {
-    body(0, n);
-  }
-}
-
-}  // namespace
-
-uint32_t ParallelCrc32c(std::string_view data, exec::ThreadPool* pool) {
-  const size_t chunks = (data.size() + kChunkBytes - 1) / kChunkBytes;
-  if (pool == nullptr || chunks <= 1) {
-    return Crc32c(data.data(), data.size());
-  }
-  std::vector<uint32_t> partial(chunks, 0);
-  pool->ParallelFor(chunks, 1, [&](size_t begin, size_t end) {
-    for (size_t c = begin; c < end; ++c) {
-      const size_t off = c * kChunkBytes;
-      const size_t len = std::min(kChunkBytes, data.size() - off);
-      partial[c] = Crc32c(data.data() + off, len);
-    }
-  });
-  // Fold in canonical chunk order — bit-identical to one sequential pass
-  // over the whole buffer. Every join but the last advances past exactly
-  // kChunkBytes, so the precompiled operator (built once per process)
-  // makes each of those joins ~32 xors; only a ragged tail pays the
-  // general O(log len2) combine.
-  static const Crc32cCombineOp chunk_op(kChunkBytes);
-  uint32_t crc = partial[0];
-  for (size_t c = 1; c < chunks; ++c) {
-    const size_t off = c * kChunkBytes;
-    const size_t len = std::min(kChunkBytes, data.size() - off);
-    crc = len == kChunkBytes ? chunk_op.Combine(crc, partial[c])
-                             : Crc32cCombine(crc, partial[c], len);
-  }
-  return crc;
-}
-
-namespace {
-
 // Whether `rec` ships its block CRCs: a tombstone ships none.
 bool CarriesCrcs(const journal::JournalRecord& rec) {
   return !rec.folded && rec.block_crcs() != nullptr;
@@ -102,49 +57,61 @@ void PutRecordHeader(std::string* frame, uint64_t sequence_delta,
   PutVarint64(frame, atomic_zz);
 }
 
+// A plain body compressed chunk by chunk, each chunk into its own slot of
+// one scratch buffer that is never zero-filled. The single-chunk/chunked
+// split depends only on the body size, never on how the chunks were
+// scheduled, so the shipped frame is byte-identical at any lane count.
+struct PackedChunks {
+  explicit PackedChunks(std::string_view plain)
+      : body(plain),
+        count(std::max<size_t>(
+            1, (plain.size() + kChunkBytes - 1) / kChunkBytes)),
+        slot(CompressBound(std::min(kChunkBytes, plain.size()))),
+        scratch(new char[count * slot]),
+        sizes(count, 0) {}
+
+  // Compresses chunks [begin, end); disjoint ranges may run concurrently.
+  void Pack(size_t begin, size_t end) {
+    for (size_t c = begin; c < end; ++c) {
+      const size_t off = c * kChunkBytes;
+      const size_t len = std::min(kChunkBytes, body.size() - off);
+      sizes[c] = CompressTo(body.substr(off, len), scratch.get() + c * slot);
+    }
+  }
+
+  std::string_view body;
+  size_t count;
+  size_t slot;
+  std::unique_ptr<char[]> scratch;
+  std::vector<size_t> sizes;
+};
+
 // The seal step shared by both encoders. `body` is the frame's plain
 // body; `out->frame` holds kFrameHeaderSize bytes of header room, followed
-// by `body` itself when the encoder wrote it there. Compresses the body
-// when asked and keeps that only if it shrank, then fills in the header.
-void SealFrame(std::string_view body, bool compress, exec::ThreadPool* pool,
+// by `body` itself when the encoder wrote it there. `packed`, when the
+// caller compressed the body, is kept only if it shrank; then the header
+// is filled in.
+void SealFrame(std::string_view body, const PackedChunks* packed,
                EncodedBatch* out) {
   std::string& frame = out->frame;
   uint8_t flags = 0;
-  if (compress) {
-    // The single-chunk/chunked split depends only on the plain body size —
-    // never on the pool — so the shipped frame is byte-identical at any
-    // lane count. Each chunk compresses into its own slot of one scratch
-    // buffer, which is never zero-filled; the kept slots are then laid
-    // out behind their own header room.
-    const size_t chunks =
-        body.size() <= kChunkBytes
-            ? 1
-            : (body.size() + kChunkBytes - 1) / kChunkBytes;
-    const size_t slot = CompressBound(std::min(kChunkBytes, body.size()));
-    std::unique_ptr<char[]> scratch(new char[chunks * slot]);
-    std::vector<size_t> sizes(chunks, 0);
-    auto pack = [&](size_t begin, size_t end) {
-      for (size_t c = begin; c < end; ++c) {
-        const size_t off = c * kChunkBytes;
-        const size_t len = std::min(kChunkBytes, body.size() - off);
-        sizes[c] = CompressTo(body.substr(off, len), scratch.get() + c * slot);
-      }
-    };
-    ForEachChunk(chunks > 1 ? pool : nullptr, chunks, pack);
-    std::string packed(kFrameHeaderSize, '\0');
-    if (chunks > 1) {
-      PutVarint64(&packed, chunks);
-      for (size_t size : sizes) PutVarint64(&packed, size);
+  if (packed != nullptr) {
+    // The kept slots are laid out behind their own header room.
+    std::string kept(kFrameHeaderSize, '\0');
+    if (packed->count > 1) {
+      PutVarint64(&kept, packed->count);
+      for (size_t size : packed->sizes) PutVarint64(&kept, size);
     }
-    size_t packed_total = packed.size();
-    for (size_t size : sizes) packed_total += size;
-    if (packed_total < kFrameHeaderSize + body.size()) {
-      packed.reserve(packed_total);
-      for (size_t c = 0; c < chunks; ++c) {
-        packed.append(scratch.get() + c * slot, sizes[c]);
+    size_t kept_total = kept.size();
+    for (size_t size : packed->sizes) kept_total += size;
+    if (kept_total < kFrameHeaderSize + body.size()) {
+      kept.reserve(kept_total);
+      for (size_t c = 0; c < packed->count; ++c) {
+        kept.append(packed->scratch.get() + c * packed->slot,
+                    packed->sizes[c]);
       }
-      frame = std::move(packed);
-      flags = chunks > 1 ? kFlagChunked : kFlagCompressed;
+      frame = std::move(kept);
+      flags = packed->count > 1 ? kFlagChunked : kFlagCompressed;
       out->compressed = true;
     }
   }
@@ -157,14 +124,14 @@ void SealFrame(std::string_view body, bool compress, exec::ThreadPool* pool,
   char* header = frame.data();
   EncodeFixed32(header, kMagic);
   header[4] = static_cast<char>(flags);
-  EncodeFixed32(header + 5, Crc32cMask(ParallelCrc32c(stored, pool)));
+  EncodeFixed32(header + 5, Crc32cMask(Crc32c(stored.data(), stored.size())));
   EncodeFixed32(header + 9, static_cast<uint32_t>(stored.size()));
 }
 
 }  // namespace
 
 EncodedBatch EncodeBatch(const std::vector<journal::JournalRecord>& records,
-                         bool compress, exec::ThreadPool* pool) {
+                         bool compress, std::nullptr_t) {
   EncodedBatch out;
   std::string& frame = out.frame;
   frame.resize(kFrameHeaderSize);
@@ -199,8 +166,14 @@ EncodedBatch EncodeBatch(const std::vector<journal::JournalRecord>& records,
       frame.append(rec.block_crcs(), size_t{4} * rec.block_count);
     }
   }
-  SealFrame(std::string_view(frame).substr(kFrameHeaderSize), compress, pool,
-            &out);
+  const std::string_view body =
+      std::string_view(frame).substr(kFrameHeaderSize);
+  std::optional<PackedChunks> packed;
+  if (compress) {
+    packed.emplace(body);
+    packed->Pack(0, packed->count);
+  }
+  SealFrame(body, packed ? &*packed : nullptr, &out);
   return out;
 }
 
@@ -230,8 +203,10 @@ EncodedBatch EncodeExtents(const std::vector<Extent>& extents, bool compress,
   }
   // The plain body is built once, in a buffer that is never zero-filled:
   // the headers, then every extent read straight into its slot, and its
-  // sidecar CRCs into theirs. The seal step compresses it into the frame,
-  // or copies it there when it does not shrink.
+  // sidecar CRCs into theirs. Its chunks are then compressed, and the seal
+  // step keeps them, or copies the body into the frame when they do not
+  // shrink. With a pool, the reads and the chunks fan out across it: the
+  // one parallel section of the data path.
   const size_t body_size = headers.size() + payload_total + crc_total;
   std::unique_ptr<char[]> body(new char[body_size]);
   std::memcpy(body.get(), headers.data(), headers.size());
@@ -253,8 +228,20 @@ EncodedBatch EncodeExtents(const std::vector<Extent>& extents, bool compress,
   } else {
     fill(0, extents.size());
   }
+  const std::string_view plain(body.get(), body_size);
+  std::optional<PackedChunks> packed;
+  if (compress) {
+    packed.emplace(plain);
+    if (pool != nullptr && packed->count > 1) {
+      pool->ParallelFor(packed->count, 1, [&packed](size_t b, size_t e) {
+        packed->Pack(b, e);
+      });
+    } else {
+      packed->Pack(0, packed->count);
+    }
+  }
   out.frame.resize(kFrameHeaderSize);
-  SealFrame(std::string_view(body.get(), body_size), compress, pool, &out);
+  SealFrame(plain, packed ? &*packed : nullptr, &out);
   return out;
 }
 
@@ -265,8 +252,7 @@ namespace {
 // byte of it is trusted; the CRC gate already ran, so failures here mean
 // a malformed-but-checksummed frame and return DataLoss like any other
 // corruption.
-Status DecodeChunkedBody(std::string_view in, exec::ThreadPool* pool,
-                         std::string* out) {
+Status DecodeChunkedBody(std::string_view in, std::string* out) {
   std::string_view cursor = in;
   uint64_t chunks = 0;
   if (!GetVarint64(&cursor, &chunks) || chunks < 2 || chunks > kMaxChunks ||
@@ -308,21 +294,14 @@ Status DecodeChunkedBody(std::string_view in, exec::ThreadPool* pool,
   }
 
   out->resize(raw_total);
-  std::atomic<bool> ok{true};
-  ForEachChunk(pool, chunks, [&](size_t begin, size_t end) {
-    for (size_t c = begin; c < end; ++c) {
-      const size_t raw_off = c * kChunkBytes;
-      const size_t want =
-          (c == chunks - 1) ? raw_total - raw_off : kChunkBytes;
-      // Each chunk decodes straight into its disjoint
-      // [raw_off, raw_off + want) slot of the shared body.
-      if (!DecompressInto(frames[c], out->data() + raw_off, want).ok()) {
-        ok.store(false, std::memory_order_relaxed);
-      }
+  for (uint64_t c = 0; c < chunks; ++c) {
+    const size_t raw_off = c * kChunkBytes;
+    const size_t want = (c == chunks - 1) ? raw_total - raw_off : kChunkBytes;
+    // Each chunk decodes straight into its [raw_off, raw_off + want) slot
+    // of the body.
+    if (!DecompressInto(frames[c], out->data() + raw_off, want).ok()) {
+      return DataLossError("wire: chunk decompression failed");
     }
-  });
-  if (!ok.load(std::memory_order_relaxed)) {
-    return DataLossError("wire: chunk decompression failed");
   }
   return OkStatus();
 }
@@ -330,7 +309,7 @@ Status DecodeChunkedBody(std::string_view in, exec::ThreadPool* pool,
 }  // namespace
 
 StatusOr<std::vector<journal::JournalRecord>> DecodeBatch(
-    std::string_view frame, exec::ThreadPool* pool) {
+    std::string_view frame, std::nullptr_t) {
   std::string_view in = frame;
   uint32_t magic = 0, masked_crc = 0, body_len = 0;
   if (!GetFixed32(&in, &magic) || magic != kMagic) {
@@ -351,13 +330,13 @@ StatusOr<std::vector<journal::JournalRecord>> DecodeBatch(
   }
   // Integrity gate: the CRC covers the stored body, so corruption is
   // caught here, before decompression or any journal mutation.
-  if (Crc32cMask(ParallelCrc32c(in, pool)) != masked_crc) {
+  if (Crc32cMask(Crc32c(in.data(), in.size())) != masked_crc) {
     return DataLossError("wire: checksum mismatch");
   }
 
   std::string body;
   if ((flags & kFlagChunked) != 0) {
-    Status s = DecodeChunkedBody(in, pool, &body);
+    Status s = DecodeChunkedBody(in, &body);
     if (!s.ok()) return s;
   } else if ((flags & kFlagCompressed) != 0) {
     Status s = Decompress(in, &body);

@@ -1,6 +1,7 @@
 #ifndef ZEROBAK_REPLICATION_WIRE_H_
 #define ZEROBAK_REPLICATION_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -80,13 +81,13 @@ namespace zerobak::replication::wire {
 //                        concatenation of the chunks' Compress() frames
 //
 // Chunk boundaries are a property of the FORMAT (fixed byte offsets into
-// the plain body), never of the encoder's thread count: a frame encoded
-// with 1 lane and with N lanes is byte-identical, which is what lets the
-// compute pool parallelize per-chunk compression, checksumming (merged
-// with Crc32cCombine) and decompression inside one sim event without
-// perturbing the deterministic simulation — wire byte counts drive link
-// serialization timing. Which variant gets shipped depends only on sizes:
-// the compressed body is kept only if it shrank.
+// the plain body), never of the encoder's thread count: a bulk frame
+// encoded with 1 lane and with N lanes is byte-identical, which is what
+// lets EncodeExtents spread its extent reads and per-chunk compression
+// over the compute pool inside one sim event without perturbing the
+// deterministic simulation — wire byte counts drive link serialization
+// timing. Which variant gets shipped depends only on sizes: the
+// compressed body is kept only if it shrank.
 //
 // Bulk frames (EncodeExtents) use the same body. Each record is one extent:
 // sequence, ack_time and atomic_through are 0, and the payload is the
@@ -97,14 +98,15 @@ namespace zerobak::replication::wire {
 // Both encoders only write the plain body (EncodeBatch behind room for the
 // frame header, EncodeExtents into a buffer it never zero-fills) and share
 // one seal step: compress (kept only if it shrank), checksum, fill in the
-// header.
+// header. EncodeExtents is the one call that takes a compute pool: a
+// journal batch (tens of records, a few chunks) and every decode run
+// inline, because fanning them out measured slower than one lane.
 //
 // Decoding allocates exactly one PayloadBuffer for the whole batch and
 // hands every record a Slice of it, preserving the journal pipeline's
 // one-allocation-per-batch property on the receive side.
 
-// Fixed chunking granularity of the bit1 variant. Also the split used for
-// parallel CRC computation; both are format/implementation constants that
+// Fixed chunking granularity of the bit1 variant: a format constant that
 // must not vary with lane count.
 inline constexpr size_t kChunkBytes = 64 * 1024;
 
@@ -122,11 +124,12 @@ struct EncodedBatch {
 
 // Serializes `records` into one frame. When `compress` is set the body is
 // run through the block compressor (whole-body for small batches, chunked
-// for bodies over kChunkBytes) and kept only if it shrank. `pool`, when
-// non-null, parallelizes per-chunk compression and the body CRC; the
-// output frame is byte-identical with or without it.
+// for bodies over kChunkBytes) and kept only if it shrank. The trailing
+// parameter, here and on DecodeBatch, is where a compute pool used to go:
+// it takes only nullptr, for the end-to-end benchmark, which still passes
+// one.
 EncodedBatch EncodeBatch(const std::vector<journal::JournalRecord>& records,
-                         bool compress, exec::ThreadPool* pool = nullptr);
+                         bool compress, std::nullptr_t = nullptr);
 
 // One record of a bulk frame: `block_count` blocks from `lba` of
 // `source`, read into the frame body while the frame is built (so the
@@ -142,25 +145,19 @@ struct Extent {
 
 // Serializes `extents`, in order, into one frame: the record headers are
 // written first, then every extent's blocks (and the source's sidecar
-// CRCs for them) are read straight into their slot of the plain body
-// (fanned out across `pool`; each slot is disjoint and the reads are
-// const), then the body is sealed as EncodeBatch seals it. The caller must have range-checked the extents.
-// Byte-identical with or without `pool`.
+// CRCs for them) are read straight into their slot of the plain body,
+// then the body is sealed as EncodeBatch seals it. `pool`, when non-null,
+// fans out the extent reads (each slot is disjoint and the reads are
+// const) and the per-chunk compression; the frame is byte-identical with
+// or without it. The caller must have range-checked the extents.
 EncodedBatch EncodeExtents(const std::vector<Extent>& extents, bool compress,
                            exec::ThreadPool* pool = nullptr);
 
 // Verifies and deserializes one frame. Returns DataLoss on a bad magic,
 // checksum mismatch, or any malformed/truncated content — never crashes,
-// never applies a partial batch. `pool`, when non-null, parallelizes the
-// CRC verify and per-chunk decompression; the result is identical.
+// never applies a partial batch.
 StatusOr<std::vector<journal::JournalRecord>> DecodeBatch(
-    std::string_view frame, exec::ThreadPool* pool = nullptr);
-
-// Crc32c over `data`, split at kChunkBytes boundaries across `pool` and
-// merged in order with Crc32cCombine — bit-identical to the single-pass
-// checksum. Inline single-pass when `pool` is null or the data is one
-// chunk. Used by the seal step and the decode gate.
-uint32_t ParallelCrc32c(std::string_view data, exec::ThreadPool* pool);
+    std::string_view frame, std::nullptr_t = nullptr);
 
 }  // namespace zerobak::replication::wire
 

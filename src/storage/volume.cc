@@ -33,54 +33,6 @@ Status Volume::WriteRun(const block::BlockRun* runs, size_t n) {
   return OkStatus();
 }
 
-Status Volume::PrepareRun(const block::BlockRun* runs, size_t n,
-                          size_t* admitted) {
-  *admitted = 0;
-  for (size_t i = 0; i < n; ++i) {
-    ZB_RETURN_IF_ERROR(store_.CheckRange(runs[i].lba, runs[i].count));
-    if (runs[i].data.size() !=
-        static_cast<size_t>(runs[i].count) * store_.block_size()) {
-      return InvalidArgumentError("PrepareRun payload size mismatch");
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const block::BlockRun& run = runs[i];
-    // Identical admission order to WriteRun: pool accounting, then hooks,
-    // then store metadata — a pool failure rejects the run before its
-    // hooks see anything, leaving runs [0, i) admitted.
-    if (pool_ != nullptr) {
-      uint64_t fresh = 0;
-      for (uint32_t b = 0; b < run.count; ++b) {
-        if (!store_.IsAllocated(run.lba + b)) ++fresh;
-      }
-      if (fresh > 0 && !pool_->TryAllocate(fresh)) {
-        return ResourceExhaustedError(
-            "pool " + pool_->name() + " exhausted (" +
-            std::to_string(pool_->used_blocks()) + "/" +
-            std::to_string(pool_->capacity_blocks()) + " blocks used)");
-      }
-    }
-    if (!hooks_.empty()) {
-      for (uint32_t b = 0; b < run.count; ++b) {
-        // For non-overlapping runs no earlier run in this batch touched
-        // these blocks, so the view matches what a serial WriteRun's
-        // hooks would have seen.
-        const std::string_view old_block = store_.ReadBlockView(run.lba + b);
-        for (auto& [token, hook] : hooks_) {
-          hook(run.lba + b, old_block);
-        }
-      }
-    }
-    store_.PrepareWrite(run.lba, run.count);
-    *admitted = i + 1;
-  }
-  return OkStatus();
-}
-
-void Volume::CommitRun(const block::BlockRun& run) {
-  store_.CommitWrite(run);
-}
-
 Status Volume::WriteChecked(const block::BlockRun& run) {
   const block::Lba lba = run.lba;
   const uint32_t count = run.count;

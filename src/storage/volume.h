@@ -54,21 +54,6 @@ class Volume : public block::BlockDevice {
   // per-extent Write calls. A run's carried `crcs` become the sidecar.
   Status WriteRun(const block::BlockRun* runs, size_t n) override;
 
-  // Two-phase variant of WriteRun for the parallel apply path, for runs
-  // that are sorted and NON-OVERLAPPING. PrepareRun performs everything
-  // that touches shared or ordering-sensitive state — range and payload
-  // validation, thin-pool accounting, pre-overwrite hooks, store metadata
-  // (chunk allocation, bitmaps, counters) — serially in run order, and
-  // reports how many leading runs were admitted. CommitRun then stores
-  // one admitted run's bytes as a pure memcpy; commits of distinct
-  // admitted runs are safe from concurrent pool workers. PrepareRun
-  // followed by CommitRun over runs [0, admitted) leaves the volume,
-  // pool and hooks byte-identical to WriteRun over the same runs,
-  // including the partial-apply-then-error semantics when the pool fills
-  // mid-batch (the failing run's hooks never fire).
-  Status PrepareRun(const block::BlockRun* runs, size_t n, size_t* admitted);
-  void CommitRun(const block::BlockRun& run);
-
   // Registers a pre-overwrite hook; returns a token for removal.
   uint64_t AddPreOverwriteHook(PreOverwriteHook hook);
   void RemovePreOverwriteHook(uint64_t token);

@@ -386,22 +386,18 @@ TEST(MemVolumeIntegrityTest, CarriedCrcsAreStoredAsGiven) {
   EXPECT_EQ(vol.VerifyExtent(0, 16, &bad_lba),
             MemVolume::ExtentHealth::kChecksumMismatch);
   EXPECT_EQ(bad_lba, 9u);
-}
 
-// The two-phase apply path stores carried CRCs too, across a slab
-// boundary.
-TEST(MemVolumeIntegrityTest, CommitWriteStoresCarriedCrcs) {
-  MemVolume vol(2 * MemVolume::kBlocksPerChunk);
-  vol.EnableChecksums();
-  const Lba lba = MemVolume::kBlocksPerChunk - 1;
-  std::string data = BlockOf('x') + BlockOf('y');
-  const std::string crcs = CrcWords({BlockOf('x'), BlockOf('y')});
-  data[4096] ^= 0x01;  // The block on the far side of the boundary.
-  vol.PrepareWrite(lba, 2);
-  vol.CommitWrite(BlockRun{lba, 2, data, crcs.data()});
-  std::string out;
-  EXPECT_TRUE(vol.Read(lba, 1, &out).ok());
-  EXPECT_EQ(vol.Read(lba + 1, 1, &out).code(), StatusCode::kDataLoss);
+  // Across a slab boundary each carried word stays with its block.
+  MemVolume wide(2 * MemVolume::kBlocksPerChunk);
+  wide.EnableChecksums();
+  const Lba edge = MemVolume::kBlocksPerChunk - 1;
+  std::string split = BlockOf('x') + BlockOf('y');
+  const std::string split_crcs = CrcWords({BlockOf('x'), BlockOf('y')});
+  split[4096] ^= 0x01;  // The block on the far side of the boundary.
+  const BlockRun across{edge, 2, split, split_crcs.data()};
+  ASSERT_TRUE(wide.WriteRun(&across, 1).ok());
+  EXPECT_TRUE(wide.Read(edge, 1, &out).ok());
+  EXPECT_EQ(wide.Read(edge + 1, 1, &out).code(), StatusCode::kDataLoss);
 }
 
 // ReadCrcs hands out the sidecar in the carried form, holes included, so

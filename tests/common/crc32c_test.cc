@@ -300,7 +300,7 @@ TEST(Crc32cKernelTest, ConcurrentFirstCallsAgree) {
 }
 
 // Crc32cCombine folds two independently computed CRCs into the CRC of the
-// concatenation — the primitive behind chunk-parallel frame checksums.
+// concatenation — the primitive behind the 3-way kernel's lane merge.
 TEST(Crc32cCombineTest, PinnedVectors) {
   // Split the RFC 3720 vector "123456789" and recombine: the result must
   // be the well-known whole-string CRC regardless of the split point.

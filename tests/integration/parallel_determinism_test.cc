@@ -215,8 +215,8 @@ EngineFingerprint RunEngineOnce(uint64_t seed, unsigned compute_threads) {
 
   // Multi-block extents, mixed compressible/incompressible, fat enough
   // that shipped batches exceed wire::kChunkBytes (chunked frames) and
-  // carry many runs (parallel apply). `on_backup` sends the writes to the
-  // S-VOLs (the business after a failover) instead of the P-VOLs.
+  // carry many runs. `on_backup` sends the writes to the S-VOLs (the
+  // business after a failover) instead of the P-VOLs.
   Rng rng(seed * 2654435761u + 17);
   const uint32_t block = main.GetVolume(vols[0].first)->block_size();
   auto write_burst = [&](int extents, bool on_backup = false) {
@@ -242,7 +242,7 @@ EngineFingerprint RunEngineOnce(uint64_t seed, unsigned compute_threads) {
   // Flap the link with fat batches in flight: the lost batches trip the
   // ack deadline, which suspends the group and dirty-marks the gap;
   // writes during the suspension widen the delta, and auto-resync then
-  // ships extent records through the parallel capture/verify path.
+  // ships extent records through the parallel bulk-frame capture.
   write_burst(48);
   env.RunFor(Milliseconds(2));  // Shipped, unacked, in flight.
   fwd.SetConnected(false);

@@ -1072,6 +1072,51 @@ TEST_F(FaultRecoveryTest, ResyncOntoFailingSvolMediaKeepsTheBitsOwed) {
   EXPECT_TRUE(Converged(p, s));
 }
 
+// A journal batch whose S-VOL write fails does not land, so it is never
+// acked: the primary keeps its records until the ack deadline suspends the
+// group and dirty-marks them, and the resync after the media heals carries
+// the blocks, including one the host rewrote while the group was
+// suspended (the stuck batch must not overwrite it afterwards).
+TEST_F(FaultRecoveryTest, JournalApplyOntoFailingSvolMediaIsNotAcked) {
+  auto [p0, s0] = MakeVolumes("v0");
+  auto [p1, s1] = MakeVolumes("v1");
+  GroupId g = MakeGroup();
+  PairId pair0 = MakeAsyncPair(p0, s0, g);
+  PairId pair1 = MakeAsyncPair(p1, s1, g);
+  env_.RunFor(Milliseconds(4));
+  block::MemVolume& sstore = backup_.GetVolume(s1)->store();
+  sstore.SetMediaError(1.0, 7);
+  for (uint64_t lba = 0; lba < 3; ++lba) {
+    ASSERT_TRUE(main_.WriteSync(p0, lba, BlockOf('a' + lba)).ok());
+    ASSERT_TRUE(main_.WriteSync(p1, lba, BlockOf('k' + lba)).ok());
+  }
+  env_.RunFor(Milliseconds(12));  // Arrived at 9 ms; an ack would be back.
+  EXPECT_GT(sstore.media_errors(), 0u);
+  journal::JournalVolume* pj = engine_.primary_journal(g);
+  EXPECT_EQ(pj->acked(), 0u);
+  EXPECT_EQ(pj->record_count(), 6u);
+  EXPECT_FALSE(Stats(g).suspended);
+
+  // Past the deadline (ack timeout after the estimated arrival), before
+  // the first resync retry 5 ms later.
+  env_.RunFor(Milliseconds(16));
+  EXPECT_TRUE(Stats(g).suspended);
+  EXPECT_EQ(Stats(g).suspend_reason, SuspendReason::kAckTimeout);
+  EXPECT_EQ(engine_.GetPair(pair0)->dirty_blocks(), 3u);
+  EXPECT_EQ(engine_.GetPair(pair1)->dirty_blocks(), 3u);
+  ASSERT_TRUE(main_.WriteSync(p1, 0, BlockOf('z')).ok());
+
+  sstore.SetMediaError(0.0, 0);
+  env_.RunFor(Seconds(1));
+  for (PairId pair : {pair0, pair1}) {
+    EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+    EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 0u);
+  }
+  EXPECT_TRUE(Converged(p0, s0));
+  EXPECT_TRUE(Converged(p1, s1));
+  EXPECT_TRUE(backup_.GetVolume(s1)->store().ReadBlock(0) == BlockOf('z'));
+}
+
 // A sync pair's resync frame that reaches a failed backup array lands
 // nothing either; its deadline suspends the pair with the blocks owed.
 TEST_F(FaultRecoveryTest, SyncPairResyncOntoFailedArrayLandsNothing) {

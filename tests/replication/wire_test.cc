@@ -197,7 +197,7 @@ TEST(WireTest, TruncatedFramesAreRejected) {
   }
 }
 
-// ----- Chunked frames (bodies > kChunkBytes) and the compute pool -----
+// ----- Chunked frames (bodies > kChunkBytes) -----
 
 // A batch whose plain body comfortably exceeds kChunkBytes, mixing
 // compressible and incompressible payloads so some chunks shrink a lot
@@ -236,77 +236,28 @@ TEST(WireChunkedTest, LargeBodyRoundTrips) {
   ExpectBatchEquals(*decoded, batch);
 }
 
-TEST(WireChunkedTest, FramesIdenticalWithAndWithoutPool) {
-  // The frame is a wire artifact shared between sites: its bytes must not
-  // depend on whether (or how wide) a compute pool encoded it.
-  const auto batch = MakeLargeBatch();
-  const EncodedBatch inline_enc = EncodeBatch(batch, /*compress=*/true);
-  for (unsigned lanes : {2u, 4u, 8u}) {
-    exec::ThreadPool pool(lanes);
-    const EncodedBatch pooled = EncodeBatch(batch, /*compress=*/true, &pool);
-    EXPECT_EQ(pooled.frame, inline_enc.frame) << "lanes=" << lanes;
-    EXPECT_EQ(pooled.logical_bytes, inline_enc.logical_bytes);
-    EXPECT_EQ(pooled.compressed, inline_enc.compressed);
-  }
-  // Small batches must also be invariant (they take the legacy path).
-  const auto small = MakeBatch();
-  exec::ThreadPool pool(4);
-  EXPECT_EQ(EncodeBatch(small, true, &pool).frame,
-            EncodeBatch(small, true).frame);
-}
-
-TEST(WireChunkedTest, PooledDecodeMatchesInlineDecode) {
-  const auto batch = MakeLargeBatch();
-  EncodedBatch enc = EncodeBatch(batch, /*compress=*/true);
-  exec::ThreadPool pool(4);
-  auto pooled = DecodeBatch(enc.frame, &pool);
-  ASSERT_TRUE(pooled.ok()) << pooled.status();
-  ExpectBatchEquals(*pooled, batch);
-}
-
 TEST(WireChunkedTest, DecodeAllocatesOnePayloadBufferPerBatch) {
   // The zero-copy property must survive chunking: every payload is still
   // a slice of a single decoded-body buffer.
   const auto batch = MakeLargeBatch();
   EncodedBatch enc = EncodeBatch(batch, /*compress=*/true);
-  exec::ThreadPool pool(4);
-  for (exec::ThreadPool* p : {static_cast<exec::ThreadPool*>(nullptr),
-                              &pool}) {
-    const uint64_t before = PayloadBuffer::TotalAllocations();
-    auto decoded = DecodeBatch(enc.frame, p);
-    const uint64_t after = PayloadBuffer::TotalAllocations();
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(after - before, 1u);
-  }
-}
-
-TEST(WireChunkedTest, ParallelCrc32cMatchesSinglePass) {
-  Rng rng(31337);
-  exec::ThreadPool pool(4);
-  for (size_t len : {size_t{0}, size_t{1}, kChunkBytes - 1, kChunkBytes,
-                     kChunkBytes + 1, 5 * kChunkBytes + 1234}) {
-    std::string data(len, '\0');
-    for (char& c : data) c = static_cast<char>(rng.Uniform(256));
-    const uint32_t want = Crc32c(data.data(), data.size());
-    EXPECT_EQ(ParallelCrc32c(data, nullptr), want) << "inline len " << len;
-    EXPECT_EQ(ParallelCrc32c(data, &pool), want) << "pooled len " << len;
-  }
+  const uint64_t before = PayloadBuffer::TotalAllocations();
+  auto decoded = DecodeBatch(enc.frame);
+  const uint64_t after = PayloadBuffer::TotalAllocations();
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(after - before, 1u);
 }
 
 TEST(WireChunkedTest, BitFlipsInChunkedFrameAreRejected) {
   const auto batch = MakeLargeBatch();
   EncodedBatch enc = EncodeBatch(batch, /*compress=*/true);
-  exec::ThreadPool pool(4);
   // Sparser stride than the small-frame test (the frame is ~200 KiB), but
   // still covering header, chunk table and chunk data.
   for (size_t pos = 0; pos < enc.frame.size();
        pos += 1 + enc.frame.size() / 61) {
     std::string corrupt = enc.frame;
     corrupt[pos] ^= 0x10;
-    EXPECT_FALSE(DecodeBatch(corrupt).ok())
-        << "inline decode accepted flip at " << pos;
-    EXPECT_FALSE(DecodeBatch(corrupt, &pool).ok())
-        << "pooled decode accepted flip at " << pos;
+    EXPECT_FALSE(DecodeBatch(corrupt).ok()) << "accepted flip at " << pos;
   }
 }
 
@@ -361,20 +312,16 @@ std::vector<JournalRecord> MakeThreeChunkBatch() {
 // Pinned frame size and CRC32C of the chunked encoding. Frame bytes drive
 // simulated link timing, so a codec change that moves them must fail here.
 // Pinned for the ZBW2 format, whose records carry their block CRCs.
-TEST(WireChunkedTest, GoldenFrameAtOneAndFourLanes) {
+TEST(WireChunkedTest, GoldenFrameIsPinned) {
   const auto batch = MakeThreeChunkBatch();
-  for (unsigned lanes : {1u, 4u}) {
-    exec::ThreadPool pool(lanes);
-    const EncodedBatch enc = EncodeBatch(batch, /*compress=*/true, &pool);
-    EXPECT_GT(enc.logical_bytes, 2 * kChunkBytes);
-    EXPECT_LE(enc.logical_bytes, 3 * kChunkBytes);
-    EXPECT_EQ(enc.frame.size(), 73524u) << "lanes=" << lanes;
-    EXPECT_EQ(Crc32c(enc.frame.data(), enc.frame.size()), 0x68472824u)
-        << "lanes=" << lanes;
-    auto decoded = DecodeBatch(enc.frame, &pool);
-    ASSERT_TRUE(decoded.ok()) << decoded.status();
-    ExpectBatchEquals(*decoded, batch);
-  }
+  const EncodedBatch enc = EncodeBatch(batch, /*compress=*/true);
+  EXPECT_GT(enc.logical_bytes, 2 * kChunkBytes);
+  EXPECT_LE(enc.logical_bytes, 3 * kChunkBytes);
+  EXPECT_EQ(enc.frame.size(), 73524u);
+  EXPECT_EQ(Crc32c(enc.frame.data(), enc.frame.size()), 0x68472824u);
+  auto decoded = DecodeBatch(enc.frame);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ExpectBatchEquals(*decoded, batch);
 }
 
 // ---- Bulk frames (resync and failback giveback) ----------------------
@@ -459,7 +406,7 @@ TEST(BulkFrameTest, ResyncAndGivebackFramesAreLaneCountInvariant) {
     // EXPECT_TRUE, not EXPECT_EQ: a failure would print megabytes.
     EXPECT_TRUE(one.frame == four.frame);
     EXPECT_EQ(one.logical_bytes, four.logical_bytes);
-    auto decoded = DecodeBatch(four.frame, &pool);
+    auto decoded = DecodeBatch(four.frame);
     ASSERT_TRUE(decoded.ok()) << decoded.status();
     ExpectExtentsDecoded(*decoded, extents);
   }
