@@ -7,7 +7,8 @@
 //        detached. The simulation is deterministic, so sim-side results
 //        (applies, bytes, fold counts) must be bit-identical either way;
 //        the overhead is host CPU, reported as applies per host-second
-//        and a percent slowdown. Acceptance: < 2%.
+//        and a percent slowdown, one sample per round of interleaved
+//        detached/attached runs. Acceptance (full run): median < 2%.
 //   E12b Continuous RPO vs inter-site link latency: the same workload
 //        swept across base latencies, with the RpoTracker sampling every
 //        millisecond. Reports mean/p99/max RPO from the tracker's
@@ -198,35 +199,59 @@ RunResult RunFoldWorkload(SimDuration link_latency, bool observed,
 
 // ---- E12a: overhead ---------------------------------------------------------
 
+// The instrumentation may cost at most this share of host throughput,
+// judged on the median of the per-round overheads (full run only: single
+// rounds scatter by several percent, and the quick smoke's three rounds
+// cannot resolve 2%).
+constexpr double kMaxOverheadPct = 2.0;
+
 struct OverheadResult {
+  // The median-time run of each arm.
   RunResult detached;
   RunResult attached;
-  double overhead_pct = 0;  // Host-throughput loss from instrumentation.
+  // Host-throughput loss from instrumentation, one sample per round.
+  Spread overhead_pct;
+  int repeats = 0;
   bool deterministic = false;
 };
 
 OverheadResult MeasureOverhead(bool quick) {
-  // Alternate attached/detached runs and keep the best host time of each,
-  // so a scheduler hiccup in one run cannot masquerade as overhead.
-  const int iters = quick ? 2 : 5;
+  // Detached and attached runs alternate in interleaved rounds, so a drift
+  // in host load lands on both arms alike; each round's pair gives one
+  // overhead sample, and the median of those is what the gate judges. A
+  // window is only ~30 ms of host time, so the full run takes 101 rounds
+  // (about 8 s) to pin the median to within about a percent; one untimed
+  // round of each arm warms caches and the allocator first.
   OverheadResult out;
-  out.detached.host_seconds = 1e9;
-  out.attached.host_seconds = 1e9;
-  for (int it = 0; it < iters; ++it) {
-    RunResult off = RunFoldWorkload(Milliseconds(5), false, 0, quick);
-    RunResult on =
-        RunFoldWorkload(Milliseconds(5), true, Milliseconds(10), quick);
-    if (off.host_seconds < out.detached.host_seconds) out.detached = off;
-    if (on.host_seconds < out.attached.host_seconds) out.attached = on;
+  out.repeats = quick ? 3 : 101;
+  for (const bool observed : {false, true}) {
+    RunFoldWorkload(Milliseconds(5), observed, Milliseconds(10), quick);
   }
-  out.deterministic =
-      out.detached.applied == out.attached.applied &&
-      out.detached.wire_bytes == out.attached.wire_bytes;
-  out.overhead_pct =
-      out.detached.applies_per_host_sec > 0
-          ? 100.0 * (1.0 - out.attached.applies_per_host_sec /
-                               out.detached.applies_per_host_sec)
-          : 0;
+  std::vector<RunResult> runs[2];
+  TimeInterleaved(2, out.repeats, [&](size_t arm) {
+    runs[arm].push_back(RunFoldWorkload(Milliseconds(5), arm == 1,
+                                        Milliseconds(10), quick));
+  });
+  std::vector<double> overhead;
+  out.deterministic = true;
+  for (int r = 0; r < out.repeats; ++r) {
+    const RunResult& off = runs[0][r];
+    const RunResult& on = runs[1][r];
+    out.deterministic &= off.applied == on.applied &&
+                         off.wire_bytes == on.wire_bytes &&
+                         off.applied == runs[0][0].applied;
+    overhead.push_back(100.0 * (1.0 - on.applies_per_host_sec /
+                                          off.applies_per_host_sec));
+  }
+  out.overhead_pct = Summarize(std::move(overhead));
+  for (std::vector<RunResult>& arm : runs) {
+    std::sort(arm.begin(), arm.end(), [](const RunResult& a,
+                                         const RunResult& b) {
+      return a.host_seconds < b.host_seconds;
+    });
+  }
+  out.detached = runs[0][runs[0].size() / 2];
+  out.attached = runs[1][runs[1].size() / 2];
   return out;
 }
 
@@ -272,7 +297,10 @@ void WriteJson(const std::string& path, bool quick, const OverheadResult& ov,
   run_obj("attached", ov.attached, ",");
   std::fprintf(f, "    \"sim_results_identical\": %s,\n",
                ov.deterministic ? "true" : "false");
-  std::fprintf(f, "    \"overhead_pct\": %.3f\n", ov.overhead_pct);
+  std::fprintf(f, "    \"repeats\": %d,\n", ov.repeats);
+  std::fprintf(f, "    \"overhead_pct\": %.3f,\n", ov.overhead_pct.median);
+  std::fprintf(f, "    \"overhead_pct_q1\": %.3f,\n", ov.overhead_pct.q1);
+  std::fprintf(f, "    \"overhead_pct_q3\": %.3f\n", ov.overhead_pct.q3);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"rpo_vs_latency\": [\n");
   for (size_t i = 0; i < sweep.size(); ++i) {
@@ -295,8 +323,8 @@ int Run(bool quick, const std::string& out_path) {
   PrintTitle("E12a: instrumentation overhead on the E10 fold workload "
              "(metrics + trace + link/journal instruments + 10 ms "
              "RpoTracker)");
-  PrintLine("%12s %12s %14s %18s %18s", "mode", "applied", "host_ms",
-            "applies_per_sim_s", "applies_per_host_s");
+  PrintLine("%12s %12s %14s %18s %18s  (median-time run)", "mode",
+            "applied", "host_ms", "applies_per_sim_s", "applies_per_host_s");
   PrintRule();
   OverheadResult ov = MeasureOverhead(quick);
   for (const auto& [label, r] :
@@ -307,10 +335,18 @@ int Run(bool quick, const std::string& out_path) {
               r.applies_per_sim_sec, r.applies_per_host_sec);
   }
   PrintRule();
-  PrintLine("sim results identical: %s   host overhead: %.2f%% "
-            "(acceptance: < 2%%)",
-            ov.deterministic ? "yes" : "NO", ov.overhead_pct);
+  PrintLine("sim results identical: %s   host overhead: median %.2f%% "
+            "[IQR %.2f to %.2f%%] over %d interleaved rounds "
+            "(acceptance: median < %.0f%%)",
+            ov.deterministic ? "yes" : "NO", ov.overhead_pct.median,
+            ov.overhead_pct.q1, ov.overhead_pct.q3, ov.repeats,
+            kMaxOverheadPct);
   ZB_CHECK(ov.deterministic);  // Instruments must not perturb the sim.
+  if (!quick) {
+    ZB_CHECK(ov.overhead_pct.median < kMaxOverheadPct)
+        << "instrumentation costs " << ov.overhead_pct.median
+        << "% of host throughput (want < " << kMaxOverheadPct << "%)";
+  }
 
   PrintTitle("E12b: continuous RPO vs inter-site link latency "
              "(1 ms RpoTracker sampling, 16 ms transfer cycle)");

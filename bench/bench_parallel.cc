@@ -14,7 +14,9 @@
 // single-lane frame; the speedup is only worth reporting if the bytes are
 // the same. Then the lane counts are timed in interleaved
 // rounds and each reports its median throughput with the interquartile
-// range.
+// range, and the minor page faults (getrusage, all threads) per encode:
+// a frame whose buffers glibc serves by mmap faults in every page of them
+// on every encode.
 //
 // Acceptance (checked only in the full run on a host with >= 4 hardware
 // lanes, since a narrow container can only measure oversubscription): at
@@ -23,6 +25,8 @@
 //
 // Writes BENCH_parallel.json (--out PATH to override); --quick shrinks
 // the large frame for the ctest smoke run.
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -56,7 +60,15 @@ struct StagePoint {
   unsigned threads = 0;
   Spread mb_per_s;
   double speedup = 0;  // Median vs the single-lane median of the stage.
+  double faults_per_encode = 0;  // Minor page faults, over every round.
 };
+
+// Minor page faults of the whole process so far.
+uint64_t MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<uint64_t>(usage.ru_minflt);
+}
 
 struct StageResult {
   std::string name;
@@ -112,12 +124,15 @@ StageResult BenchBulkEncode(const std::string& name, int extents,
         << name << " not lane-count invariant at " << kLaneCounts[arm]
         << " lanes";
   }
+  std::vector<uint64_t> faults(pools.size(), 0);
   const auto seconds = TimeInterleaved(pools.size(), repeats, [&](size_t arm) {
+    const uint64_t faults0 = MinorFaults();
     for (uint64_t c = 0; c < calls; ++c) {
       const wire::EncodedBatch enc =
           wire::EncodeExtents(dirty.extents, true, pools[arm]);
       ZB_CHECK(enc.frame.size() == reference.size());
     }
+    faults[arm] += MinorFaults() - faults0;
   });
 
   StageResult stage{name, extents, {}};
@@ -128,7 +143,9 @@ StageResult BenchBulkEncode(const std::string& name, int extents,
                          (1024.0 * 1024.0));
     }
     stage.points.push_back(
-        {kLaneCounts[arm], Summarize(std::move(mb_per_s)), 0});
+        {kLaneCounts[arm], Summarize(std::move(mb_per_s)), 0,
+         static_cast<double>(faults[arm]) /
+             static_cast<double>(calls * static_cast<uint64_t>(repeats))});
   }
   for (StagePoint& p : stage.points) {
     p.speedup = p.mb_per_s.median / stage.points[0].mb_per_s.median;
@@ -155,10 +172,11 @@ void WriteJson(const std::string& path, bool quick, int repeats,
       std::fprintf(f,
                    "      {\"threads\": %u, \"mb_per_s\": %.1f, "
                    "\"mb_per_s_q1\": %.1f, \"mb_per_s_q3\": %.1f, "
-                   "\"speedup\": %.2f}%s\n",
+                   "\"speedup\": %.2f, \"minor_faults_per_encode\": %.1f}"
+                   "%s\n",
                    pts[i].threads, pts[i].mb_per_s.median, pts[i].mb_per_s.q1,
                    pts[i].mb_per_s.q3, pts[i].speedup,
-                   i + 1 < pts.size() ? "," : "");
+                   pts[i].faults_per_encode, i + 1 < pts.size() ? "," : "");
     }
     std::fprintf(f, "    ]}%s\n", s + 1 < results.size() ? "," : "");
   }
@@ -188,9 +206,9 @@ int Run(bool quick, const std::string& out_path) {
   for (const StageResult& stage : results) {
     std::printf("%-14s", stage.name.c_str());
     for (const StagePoint& p : stage.points) {
-      std::printf("  %ut: %7.1f MB/s [%.1f-%.1f] (%.2fx)", p.threads,
-                  p.mb_per_s.median, p.mb_per_s.q1, p.mb_per_s.q3,
-                  p.speedup);
+      std::printf("  %ut: %7.1f MB/s [%.1f-%.1f] (%.2fx, %.0f faults)",
+                  p.threads, p.mb_per_s.median, p.mb_per_s.q1,
+                  p.mb_per_s.q3, p.speedup, p.faults_per_encode);
     }
     std::printf("\n");
   }

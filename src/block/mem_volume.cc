@@ -20,6 +20,12 @@ inline uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// Bits [slot, slot + run) of a slab's written word; a run never leaves
+// its slab.
+inline uint64_t RunMask(uint64_t slot, uint64_t run) {
+  return (run == 64 ? ~0ull : ((uint64_t{1} << run) - 1)) << slot;
+}
+
 }  // namespace
 
 Status BlockDevice::WriteRun(const BlockRun* runs, size_t n) {
@@ -59,10 +65,12 @@ MemVolume::Chunk& MemVolume::EnsureChunk(Lba lba) {
   if (chunk.data == nullptr) {
     const uint64_t blocks = ChunkBlocks(ci);
     // calloc zero-fills, so unwritten blocks inside an allocated chunk
-    // still read back as zeros (lazily, via kernel zero pages).
+    // still read back as zeros. Only pages fresh from the kernel come
+    // zeroed for free; recycled heap memory is memset. Either way a first
+    // write pays for its whole slab, which is why slabs are small.
     chunk.data.reset(static_cast<char*>(std::calloc(blocks, block_size_)));
     ZB_CHECK(chunk.data != nullptr) << "MemVolume chunk allocation failed";
-    chunk.bitmap.assign((blocks + 63) / 64, 0);
+    slab_bytes_ += blocks * block_size_;
     if (checksums_enabled_) chunk.crcs.assign(blocks, zero_crc_);
   }
   return chunk;
@@ -70,9 +78,8 @@ MemVolume::Chunk& MemVolume::EnsureChunk(Lba lba) {
 
 bool MemVolume::IsAllocated(Lba lba) const {
   const size_t ci = static_cast<size_t>(lba / kBlocksPerChunk);
-  if (ci >= chunks_.size() || chunks_[ci].data == nullptr) return false;
-  const uint64_t slot = lba % kBlocksPerChunk;
-  return (chunks_[ci].bitmap[slot / 64] >> (slot % 64)) & 1;
+  if (ci >= chunks_.size()) return false;
+  return (chunks_[ci].written >> (lba % kBlocksPerChunk)) & 1;
 }
 
 std::string_view MemVolume::ReadBlockView(Lba lba) const {
@@ -187,21 +194,10 @@ void MemVolume::WriteUnchecked(const BlockRun& write) {
       }
     }
     if (crcs != nullptr) crcs += size_t{4} * run;
-    // Mark the run allocated a 64-bit word at a time; a per-bit loop is
-    // measurable on multi-block extent applies.
-    uint64_t b = slot;
-    const uint64_t end = slot + run;
-    while (b < end) {
-      const uint64_t lo = b % 64;
-      const uint64_t span = std::min<uint64_t>(64 - lo, end - b);
-      const uint64_t mask =
-          (span == 64 ? ~0ull : ((1ull << span) - 1)) << lo;
-      uint64_t& word = chunk.bitmap[b / 64];
-      allocated_blocks_ +=
-          static_cast<uint64_t>(__builtin_popcountll(mask & ~word));
-      word |= mask;
-      b += span;
-    }
+    const uint64_t mask = RunMask(slot, run);
+    allocated_blocks_ +=
+        static_cast<uint64_t>(__builtin_popcountll(mask & ~chunk.written));
+    chunk.written |= mask;
     src += static_cast<size_t>(run) * block_size_;
     i += run;
   }
@@ -252,7 +248,7 @@ Status MemVolume::CloneFrom(const MemVolume& src) {
     ZB_CHECK(chunks_[ci].data != nullptr) << "MemVolume clone alloc failed";
     std::memcpy(chunks_[ci].data.get(), src.chunks_[ci].data.get(),
                 blocks * block_size_);
-    chunks_[ci].bitmap = src.chunks_[ci].bitmap;
+    chunks_[ci].written = src.chunks_[ci].written;
     if (checksums_enabled_) {
       if (src.checksums_enabled_) {
         // Copying the source sidecar (not recomputing) preserves any
@@ -268,6 +264,7 @@ Status MemVolume::CloneFrom(const MemVolume& src) {
     }
   }
   allocated_blocks_ = src.allocated_blocks_;
+  slab_bytes_ = src.slab_bytes_;
   return OkStatus();
 }
 
@@ -282,6 +279,7 @@ Status MemVolume::AdoptFrom(MemVolume&& src) {
   // EnableChecksums recomputes every slot.
   chunks_ = std::move(src.chunks_);
   allocated_blocks_ = src.allocated_blocks_;
+  slab_bytes_ = src.slab_bytes_;
   src.Reset();
   return OkStatus();
 }
@@ -334,9 +332,8 @@ bool MemVolume::FlipBit(Lba lba, uint32_t bit) {
   if (lba >= block_count_) return false;
   const size_t ci = static_cast<size_t>(lba / kBlocksPerChunk);
   Chunk& chunk = chunks_[ci];
-  if (chunk.data == nullptr) return false;
   const uint64_t slot = lba % kBlocksPerChunk;
-  if (((chunk.bitmap[slot / 64] >> (slot % 64)) & 1) == 0) return false;
+  if (((chunk.written >> slot) & 1) == 0) return false;
   const uint32_t byte = (bit / 8) % block_size_;
   chunk.data.get()[slot * block_size_ + byte] ^=
       static_cast<char>(1u << (bit % 8));
@@ -379,12 +376,7 @@ bool MemVolume::AnyAllocated(Lba lba, uint32_t count) const {
     const uint64_t slot = cur % kBlocksPerChunk;
     const uint32_t run = static_cast<uint32_t>(
         std::min<uint64_t>(count - i, ChunkBlocks(ci) - slot));
-    if (chunks_[ci].data != nullptr) {
-      const Chunk& chunk = chunks_[ci];
-      for (uint64_t b = slot; b < slot + run; ++b) {
-        if ((chunk.bitmap[b / 64] >> (b % 64)) & 1) return true;
-      }
-    }
+    if ((chunks_[ci].written & RunMask(slot, run)) != 0) return true;
     i += run;
   }
   return false;

@@ -17,17 +17,21 @@ namespace zerobak::block {
 // zeros. This is the backing store for every simulated array volume
 // (LDEV), journal region and snapshot pool.
 //
-// Storage layout: fixed-size slabs ("chunks") of kBlocksPerChunk blocks,
-// allocated lazily as contiguous zero-filled arrays the first time any
-// block inside them is written. Compared to a per-block hash map this
-// gives O(1) indexed access with no hashing, one allocation per chunk
-// (4 MiB at the default geometry) instead of one per 4 KiB block, and
-// cache-friendly sequential scans for apply/resync/snapshot paths. An
-// allocation bitmap per chunk tracks which blocks were ever written, so
-// sparse-footprint accounting (thin provisioning) is preserved exactly.
+// Storage layout: fixed-size slabs ("chunks") of kBlocksPerChunk = 64
+// blocks (256 KiB of 4 KiB blocks), allocated lazily as contiguous
+// zero-filled arrays the first time any block inside them is written.
+// Compared to a per-block hash map this gives O(1) indexed access with no
+// hashing, one allocation per 64 blocks instead of one per block, and
+// sequential scans for apply/resync/snapshot paths. The slab is also the
+// unit a first write, CloneFrom and AdoptFrom pay for, so it stays small
+// enough that a sparse volume costs about what was written: a 20 MiB
+// volume with one written block holds one 256 KiB slab. One 64-bit word
+// per slab records which blocks were ever written, so the sparse
+// footprint (thin provisioning) is counted per block.
 class MemVolume : public BlockDevice {
  public:
-  static constexpr uint64_t kBlocksPerChunk = 1024;
+  // One written-bit per block in a 64-bit word: see Chunk::written.
+  static constexpr uint64_t kBlocksPerChunk = 64;
 
   MemVolume(uint64_t block_count, uint32_t block_size = kDefaultBlockSize);
 
@@ -45,6 +49,9 @@ class MemVolume : public BlockDevice {
   bool IsAllocated(Lba lba) const;
   // Number of distinct blocks ever written (sparse footprint).
   uint64_t allocated_blocks() const { return allocated_blocks_; }
+  // Bytes of slabs this volume holds (its in-memory footprint): every
+  // slab with a written block, in full, including the short tail slab.
+  uint64_t slab_bytes() const { return slab_bytes_; }
 
   // Reads one block without range checking overhead; returns a zero block
   // if never written.
@@ -85,6 +92,7 @@ class MemVolume : public BlockDevice {
     chunks_.clear();
     chunks_.resize(ChunkCount());
     allocated_blocks_ = 0;
+    slab_bytes_ = 0;
   }
 
   uint64_t writes() const { return writes_; }
@@ -153,16 +161,14 @@ class MemVolume : public BlockDevice {
   };
 
   struct Chunk {
-    // blocks * block_size bytes, zero on allocation. Allocated with
-    // calloc so large chunks get lazily-zeroed pages from the kernel:
-    // a sparse chunk only faults in the pages actually written, instead
-    // of paying an eager memset of the whole slab.
+    // blocks * block_size bytes, zero on allocation (see EnsureChunk).
     std::unique_ptr<char[], FreeDeleter> data;
-    // One bit per block: set once the block has been written.
-    std::vector<uint64_t> bitmap;
+    // Bit b is set once block b of the slab has been written.
+    uint64_t written = 0;
     // Per-block CRC32C sidecar; empty unless checksums are enabled.
     std::vector<uint32_t> crcs;
   };
+  static_assert(kBlocksPerChunk == 64, "Chunk::written is one 64-bit word");
 
   size_t ChunkCount() const {
     return static_cast<size_t>((block_count_ + kBlocksPerChunk - 1) /
@@ -188,6 +194,7 @@ class MemVolume : public BlockDevice {
   std::vector<Chunk> chunks_;
   std::string zero_block_;
   uint64_t allocated_blocks_ = 0;
+  uint64_t slab_bytes_ = 0;
   uint64_t writes_ = 0;
   uint64_t reads_ = 0;
 

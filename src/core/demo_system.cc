@@ -28,11 +28,14 @@ DemoSystem::DemoSystem(sim::SimEnvironment* env, DemoSystemConfig config)
       to_main_.get(), config_.engine);
 
   // Observability bundle: one registry + trace ring for the whole system,
-  // fed by the engine, every group's journals and both links, plus the
-  // continuous RPO/RTO sampler.
+  // fed by the engine, every group's journals, both arrays' volume
+  // footprints and both links, plus the continuous RPO/RTO sampler.
   metrics_ = std::make_unique<obs::MetricRegistry>();
   trace_ = std::make_unique<obs::TraceRing>();
   engine_->AttachObservability(metrics_.get(), trace_.get());
+  main_site_->array()->AttachObservability(metrics_.get(), "storage.main");
+  backup_site_->array()->AttachObservability(metrics_.get(),
+                                             "storage.backup");
   if (config_.enable_scrub) {
     ZB_CHECK(engine_->EnableScrubbing(config_.scrub).ok());
   }

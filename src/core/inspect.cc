@@ -48,8 +48,12 @@ std::string DescribeSite(Site* site) {
   AppendLine(&out, "  array %s%s: %zu volumes, %zu journals",
              array->serial().c_str(), array->failed() ? " [FAILED]" : "",
              array->volume_count(), array->ListJournals().size());
+  uint64_t slab_bytes = 0;
+  uint64_t written_bytes = 0;
   for (storage::VolumeId id : array->ListVolumes()) {
     const storage::Volume* vol = array->GetVolume(id);
+    slab_bytes += vol->store().slab_bytes();
+    written_bytes += vol->store().allocated_blocks() * vol->block_size();
     AppendLine(&out, "    vol %-3" PRIu64 " %-24s %8" PRIu64
                      " blocks (%" PRIu64 " allocated)%s",
                id, vol->name().c_str(), vol->block_count(),
@@ -65,6 +69,10 @@ std::string DescribeSite(Site* site) {
                  store.checksum_failures(), store.bit_flips());
     }
   }
+  // The in-memory footprint: written blocks and the slabs that hold them.
+  AppendLine(&out, "    volume slabs %.2f MiB / written %.2f MiB",
+             static_cast<double>(slab_bytes) / (1 << 20),
+             static_cast<double>(written_bytes) / (1 << 20));
   for (storage::PoolId pid : array->ListPools()) {
     const storage::StoragePool* pool = array->GetPool(pid);
     AppendLine(&out,

@@ -20,15 +20,6 @@ PayloadBuffer PayloadBuffer::Copy(std::string_view data) {
   return buf;
 }
 
-PayloadBuffer PayloadBuffer::Wrap(std::string data) {
-  const size_t len = data.size();
-  g_payload_allocations.fetch_add(1, std::memory_order_relaxed);
-  auto owner = std::make_shared<const std::string>(std::move(data));
-  const char* bytes = owner->data();
-  return PayloadBuffer(std::shared_ptr<const char>(std::move(owner), bytes),
-                       0, len, 0, 0);
-}
-
 PayloadBuffer PayloadBuffer::Allocate(size_t size, uint32_t crc_count,
                                       char** bytes) {
   g_payload_allocations.fetch_add(1, std::memory_order_relaxed);

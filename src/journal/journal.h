@@ -38,9 +38,6 @@ class PayloadBuffer {
   // Allocates a new backing buffer holding a copy of `data`.
   static PayloadBuffer Copy(std::string_view data);
 
-  // Takes ownership of `data` without copying its bytes.
-  static PayloadBuffer Wrap(std::string data);
-
   // Allocates a backing buffer for `size` payload bytes followed by a
   // trailer of `crc_count` per-block CRC32C words (little-endian), and
   // points `*bytes` at it; the caller fills all size + 4 * crc_count
@@ -77,7 +74,8 @@ class PayloadBuffer {
   // default-constructed, empty buffer).
   long use_count() const { return buf_.use_count(); }
 
-  // Process-wide count of backing-buffer allocations (Copy/Wrap calls).
+  // Process-wide count of backing-buffer allocations (Copy/Allocate
+  // calls).
   // Tests use deltas of this to assert the zero-copy property of the
   // replication data path.
   static uint64_t TotalAllocations();

@@ -1436,7 +1436,7 @@ void ReplicationEngine::StartInitialCopy(Pair* pair, Group* group) {
           if (svol == nullptr || secondary_->failed()) return;
           p->copy_.active = false;
           // The image is the whole owed set (the bits froze at the send).
-          ZB_CHECK(svol->store().AdoptFrom(std::move(*frozen)).ok());
+          ZB_CHECK(svol->AdoptImage(std::move(*frozen)).ok());
           p->dirty_.ClearAll();
           p->state_ = PairState::kPaired;
           if (Group* g = FindGroup(group_id)) ApplyPending(g);

@@ -247,12 +247,13 @@ EncodedBatch EncodeExtents(const std::vector<Extent>& extents, bool compress,
 
 namespace {
 
-// Parses and decompresses a chunked (bit1) stored body into the plain
-// body. Every length is validated against the chunked container before a
-// byte of it is trusted; the CRC gate already ran, so failures here mean
-// a malformed-but-checksummed frame and return DataLoss like any other
-// corruption.
-Status DecodeChunkedBody(std::string_view in, std::string* out) {
+// Parses a chunked (bit1) stored body's container: the chunk frames, and
+// the plain body size they decode to. Every length is validated against
+// the container before a byte of it is trusted; the CRC gate already ran,
+// so failures here mean a malformed-but-checksummed frame and return
+// DataLoss like any other corruption.
+Status ParseChunks(std::string_view in, std::vector<std::string_view>* frames,
+                   size_t* raw_total) {
   std::string_view cursor = in;
   uint64_t chunks = 0;
   if (!GetVarint64(&cursor, &chunks) || chunks < 2 || chunks > kMaxChunks ||
@@ -277,31 +278,20 @@ Status DecodeChunkedBody(std::string_view in, std::string* out) {
   // Raw sizes come from each chunk's own frame header; the encoder fills
   // every chunk but the last to exactly kChunkBytes, which pins each
   // chunk's output offset without decompressing anything yet.
-  std::vector<std::string_view> frames(chunks);
-  uint64_t raw_total = 0;
+  frames->resize(chunks);
+  *raw_total = 0;
   size_t off = 0;
   for (uint64_t c = 0; c < chunks; ++c) {
-    frames[c] = cursor.substr(off, enc_len[c]);
+    (*frames)[c] = cursor.substr(off, enc_len[c]);
     off += enc_len[c];
-    StatusOr<size_t> raw = DecompressedSize(frames[c]);
+    StatusOr<size_t> raw = DecompressedSize((*frames)[c]);
     if (!raw.ok()) return raw.status();
     const bool last = (c == chunks - 1);
     if ((last && (*raw == 0 || *raw > kChunkBytes)) ||
         (!last && *raw != kChunkBytes)) {
       return DataLossError("wire: bad chunk raw size");
     }
-    raw_total += *raw;
-  }
-
-  out->resize(raw_total);
-  for (uint64_t c = 0; c < chunks; ++c) {
-    const size_t raw_off = c * kChunkBytes;
-    const size_t want = (c == chunks - 1) ? raw_total - raw_off : kChunkBytes;
-    // Each chunk decodes straight into its [raw_off, raw_off + want) slot
-    // of the body.
-    if (!DecompressInto(frames[c], out->data() + raw_off, want).ok()) {
-      return DataLossError("wire: chunk decompression failed");
-    }
+    *raw_total += *raw;
   }
   return OkStatus();
 }
@@ -334,16 +324,37 @@ StatusOr<std::vector<journal::JournalRecord>> DecodeBatch(
     return DataLossError("wire: checksum mismatch");
   }
 
-  std::string body;
+  // The plain body's size comes from the frame header or the chunk
+  // headers, so the body is decoded straight into the one uninitialized
+  // payload buffer the records are sliced from.
+  std::vector<std::string_view> chunks;
+  size_t raw = in.size();
   if ((flags & kFlagChunked) != 0) {
-    Status s = DecodeChunkedBody(in, &body);
+    Status s = ParseChunks(in, &chunks, &raw);
     if (!s.ok()) return s;
   } else if ((flags & kFlagCompressed) != 0) {
-    Status s = Decompress(in, &body);
-    if (!s.ok()) return s;
-  } else {
-    body.assign(in.data(), in.size());
+    StatusOr<size_t> size = DecompressedSize(in);
+    if (!size.ok()) return size.status();
+    raw = *size;
   }
+  char* bytes = nullptr;
+  journal::PayloadBuffer backing =
+      journal::PayloadBuffer::Allocate(raw, 0, &bytes);
+  if ((flags & kFlagChunked) != 0) {
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      const size_t raw_off = c * kChunkBytes;
+      const size_t want = std::min(kChunkBytes, raw - raw_off);
+      if (!DecompressInto(chunks[c], bytes + raw_off, want).ok()) {
+        return DataLossError("wire: chunk decompression failed");
+      }
+    }
+  } else if ((flags & kFlagCompressed) != 0) {
+    Status s = DecompressInto(in, bytes, raw);
+    if (!s.ok()) return s;
+  } else if (raw > 0) {
+    std::memcpy(bytes, in.data(), raw);
+  }
+  const std::string_view body(bytes, raw);
 
   std::string_view cursor = body;
   uint64_t count = 0;
@@ -415,11 +426,8 @@ StatusOr<std::vector<journal::JournalRecord>> DecodeBatch(
     return DataLossError("wire: payload section length mismatch");
   }
 
-  // One backing allocation for the whole batch: wrap the decoded body and
-  // slice each record's payload, and its CRCs, out of it.
+  // Each record's payload, and its CRCs, is a slice of the body buffer.
   const size_t payload_base = body.size() - payload_total - crc_total;
-  journal::PayloadBuffer backing =
-      journal::PayloadBuffer::Wrap(std::move(body));
   std::vector<journal::JournalRecord> records;
   records.reserve(headers.size());
   size_t offset = payload_base;

@@ -102,9 +102,12 @@ namespace zerobak::replication::wire {
 // journal batch (tens of records, a few chunks) and every decode run
 // inline, because fanning them out measured slower than one lane.
 //
-// Decoding allocates exactly one PayloadBuffer for the whole batch and
+// Decoding sizes the plain body from the frame header (or the chunk
+// headers), decodes it straight into one uninitialized PayloadBuffer and
 // hands every record a Slice of it, preserving the journal pipeline's
-// one-allocation-per-batch property on the receive side.
+// one-allocation-per-batch property on the receive side. Every check that
+// needs no plain body (magic, flags, lengths, CRC, the chunk container,
+// the raw sizes) runs before that one allocation.
 
 // Fixed chunking granularity of the bit1 variant: a format constant that
 // must not vary with lane count.

@@ -41,8 +41,9 @@ StatusOr<VolumeId> StorageArray::CreateVolume(const std::string& name,
     return AlreadyExistsError("volume name in use: " + name);
   }
   const VolumeId id = next_volume_id_++;
-  volumes_.emplace(
-      id, std::make_unique<Volume>(id, name, block_count, block_size));
+  auto vol = std::make_unique<Volume>(id, name, block_count, block_size);
+  vol->AttachFootprint(slab_bytes_gauge_, written_blocks_gauge_);
+  volumes_.emplace(id, std::move(vol));
   return id;
 }
 
@@ -58,8 +59,9 @@ StatusOr<VolumeId> StorageArray::CreateVolumeInPool(const std::string& name,
   StoragePool* p = GetPool(pool);
   if (p == nullptr) return NotFoundError("pool " + std::to_string(pool));
   const VolumeId id = next_volume_id_++;
-  volumes_.emplace(
-      id, std::make_unique<Volume>(id, name, block_count, block_size, p));
+  auto vol = std::make_unique<Volume>(id, name, block_count, block_size, p);
+  vol->AttachFootprint(slab_bytes_gauge_, written_blocks_gauge_);
+  volumes_.emplace(id, std::move(vol));
   return id;
 }
 
@@ -82,6 +84,7 @@ Status StorageArray::DeleteVolume(VolumeId id) {
   if (it->second->pool() != nullptr) {
     it->second->pool()->Release(it->second->store().allocated_blocks());
   }
+  it->second->AttachFootprint(nullptr, nullptr);
   volumes_.erase(it);
   return OkStatus();
 }
@@ -392,6 +395,15 @@ void StorageArray::ResetStats() {
   read_latency_.Clear();
   host_writes_ = 0;
   host_reads_ = 0;
+}
+
+void StorageArray::AttachObservability(obs::MetricRegistry* registry,
+                                       const std::string& prefix) {
+  slab_bytes_gauge_ = registry->GetGauge(prefix + ".slab_bytes");
+  written_blocks_gauge_ = registry->GetGauge(prefix + ".written_blocks");
+  for (auto& [id, vol] : volumes_) {
+    vol->AttachFootprint(slab_bytes_gauge_, written_blocks_gauge_);
+  }
 }
 
 }  // namespace zerobak::storage

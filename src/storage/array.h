@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "journal/journal.h"
+#include "obs/metrics.h"
 #include "sim/environment.h"
 #include "storage/volume.h"
 
@@ -156,6 +157,13 @@ class StorageArray {
   uint64_t peak_queued_ios() const { return peak_queued_; }
   void ResetStats();
 
+  // Publishes the footprint of this array's volumes as two gauges,
+  // "<prefix>.slab_bytes" (bytes of slabs held) and
+  // "<prefix>.written_blocks" (blocks ever written), which every volume
+  // write keeps current (Volume::AttachFootprint).
+  void AttachObservability(obs::MetricRegistry* registry,
+                           const std::string& prefix);
+
  private:
   void CompleteWrite(SimTime start, Status status,
                      block::IoCallback callback);
@@ -179,6 +187,9 @@ class StorageArray {
   JournalId next_journal_id_ = 1;
 
   std::map<VolumeId, WriteInterceptor*> interceptors_;
+
+  obs::Gauge* slab_bytes_gauge_ = nullptr;
+  obs::Gauge* written_blocks_gauge_ = nullptr;
 
   Histogram write_latency_;
   Histogram read_latency_;

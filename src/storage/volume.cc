@@ -60,7 +60,46 @@ Status Volume::WriteChecked(const block::BlockRun& run) {
       }
     }
   }
-  return store_.WriteRun(&run, 1);
+  Status status = store_.WriteRun(&run, 1);
+  PublishFootprint();
+  return status;
+}
+
+Status Volume::AdoptImage(block::MemVolume&& image) {
+  Status status = store_.AdoptFrom(std::move(image));
+  PublishFootprint();
+  return status;
+}
+
+void Volume::AttachFootprint(obs::Gauge* slab_bytes,
+                             obs::Gauge* written_blocks) {
+  if (slab_bytes_gauge_ != nullptr) {
+    slab_bytes_gauge_->Add(-static_cast<int64_t>(published_slab_bytes_));
+    written_blocks_gauge_->Add(
+        -static_cast<int64_t>(published_written_blocks_));
+  }
+  slab_bytes_gauge_ = slab_bytes;
+  written_blocks_gauge_ = written_blocks;
+  published_slab_bytes_ = 0;
+  published_written_blocks_ = 0;
+  PublishFootprint();
+}
+
+void Volume::PublishFootprint() {
+  const uint64_t slab_bytes = store_.slab_bytes();
+  const uint64_t written_blocks = store_.allocated_blocks();
+  // An overwrite changes neither, and leaves the shared gauges untouched.
+  if (slab_bytes_gauge_ == nullptr ||
+      (slab_bytes == published_slab_bytes_ &&
+       written_blocks == published_written_blocks_)) {
+    return;
+  }
+  slab_bytes_gauge_->Add(static_cast<int64_t>(slab_bytes) -
+                         static_cast<int64_t>(published_slab_bytes_));
+  written_blocks_gauge_->Add(static_cast<int64_t>(written_blocks) -
+                             static_cast<int64_t>(published_written_blocks_));
+  published_slab_bytes_ = slab_bytes;
+  published_written_blocks_ = written_blocks;
 }
 
 uint64_t Volume::AddPreOverwriteHook(PreOverwriteHook hook) {

@@ -9,6 +9,7 @@
 
 #include "block/mem_volume.h"
 #include "common/status.h"
+#include "obs/metrics.h"
 #include "storage/pool.h"
 
 namespace zerobak::storage {
@@ -54,6 +55,17 @@ class Volume : public block::BlockDevice {
   // per-extent Write calls. A run's carried `crcs` become the sidecar.
   Status WriteRun(const block::BlockRun* runs, size_t n) override;
 
+  // Lands a bulk image (the initial copy): the store takes over `image`'s
+  // slabs (block::MemVolume::AdoptFrom) with no hook, pool or interceptor
+  // involved, and the footprint gauges follow.
+  Status AdoptImage(block::MemVolume&& image);
+
+  // Keeps two gauges shared by every volume of one array current: each
+  // write through this volume adds its change in slab bytes and written
+  // blocks, and detaching (nullptr) takes its share back out. A change
+  // made on store() directly shows at the next write through the volume.
+  void AttachFootprint(obs::Gauge* slab_bytes, obs::Gauge* written_blocks);
+
   // Registers a pre-overwrite hook; returns a token for removal.
   uint64_t AddPreOverwriteHook(PreOverwriteHook hook);
   void RemovePreOverwriteHook(uint64_t token);
@@ -70,6 +82,8 @@ class Volume : public block::BlockDevice {
  private:
   // Pool accounting + hooks + store write, after range validation.
   Status WriteChecked(const block::BlockRun& run);
+  // Adds the store's footprint change since the last call to the gauges.
+  void PublishFootprint();
 
   VolumeId id_;
   std::string name_;
@@ -77,6 +91,11 @@ class Volume : public block::BlockDevice {
   StoragePool* pool_;
   std::vector<std::pair<uint64_t, PreOverwriteHook>> hooks_;
   uint64_t next_hook_token_ = 1;
+  obs::Gauge* slab_bytes_gauge_ = nullptr;
+  obs::Gauge* written_blocks_gauge_ = nullptr;
+  // What the gauges hold of this volume.
+  uint64_t published_slab_bytes_ = 0;
+  uint64_t published_written_blocks_ = 0;
 };
 
 }  // namespace zerobak::storage

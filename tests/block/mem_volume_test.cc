@@ -197,6 +197,106 @@ TEST(MemVolumeSlabTest, CloneFromReplacesExistingContent) {
   EXPECT_EQ(b.ReadBlock(9), BlockOf('\0'));
 }
 
+// CRCs as BlockRun::crcs carries them: little-endian words, one a block.
+std::string CrcWords(const std::vector<std::string>& blocks) {
+  std::string words(4 * blocks.size(), '\0');
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    EncodeFixed32(words.data() + 4 * i,
+                  Crc32c(blocks[i].data(), blocks[i].size()));
+  }
+  return words;
+}
+
+// The in-memory footprint follows what was written, a 256 KiB slab at a
+// time: a 20 MiB volume (5120 blocks of 4 KiB) is 80 slabs.
+constexpr uint64_t kTwentyMiBBlocks = 5120;
+constexpr uint64_t kSlabBytes = 256 * 1024;
+
+TEST(MemVolumeFootprintTest, OneWriteIntoATwentyMiBVolumeCostsOneSlab) {
+  MemVolume v(kTwentyMiBBlocks);
+  EXPECT_EQ(v.slab_bytes(), 0u);
+  ASSERT_TRUE(v.Write(3000, 1, BlockOf('w')).ok());
+  EXPECT_EQ(v.slab_bytes(), kSlabBytes);
+  EXPECT_EQ(MemVolume::kBlocksPerChunk * kDefaultBlockSize, kSlabBytes);
+  // More writes into the same slab cost nothing more; the short tail slab
+  // of an odd-sized volume costs only its own blocks.
+  ASSERT_TRUE(v.Write(2999, 1, BlockOf('x')).ok());
+  EXPECT_EQ(v.slab_bytes(), kSlabBytes);
+  MemVolume odd(kTwentyMiBBlocks + 5);
+  ASSERT_TRUE(odd.Write(kTwentyMiBBlocks + 4, 1, BlockOf('t')).ok());
+  EXPECT_EQ(odd.slab_bytes(), 5u * kDefaultBlockSize);
+  v.Reset();
+  EXPECT_EQ(v.slab_bytes(), 0u);
+}
+
+TEST(MemVolumeFootprintTest, CloneAndAdoptAllocateExactlyTheSourceSlabs) {
+  MemVolume src(kTwentyMiBBlocks);
+  src.EnableChecksums();
+  ASSERT_TRUE(src.Write(0, 1, BlockOf('a')).ok());
+  ASSERT_TRUE(src.Write(700, 2, BlockOf('b') + BlockOf('c')).ok());
+  ASSERT_TRUE(src.Write(4095, 1, BlockOf('d')).ok());
+  ASSERT_EQ(src.slab_bytes(), 3 * kSlabBytes);
+
+  MemVolume image(kTwentyMiBBlocks);
+  image.EnableChecksums();
+  ASSERT_TRUE(image.Write(2000, 1, BlockOf('o')).ok());  // Replaced.
+  ASSERT_TRUE(image.CloneFrom(src).ok());
+  EXPECT_EQ(image.slab_bytes(), src.slab_bytes());
+  EXPECT_TRUE(image.ContentEquals(src));
+
+  MemVolume svol(kTwentyMiBBlocks);
+  svol.EnableChecksums();
+  ASSERT_TRUE(svol.Write(5000, 1, BlockOf('o')).ok());  // Freed.
+  ASSERT_TRUE(svol.AdoptFrom(std::move(image)).ok());
+  EXPECT_EQ(svol.slab_bytes(), 3 * kSlabBytes);
+  EXPECT_EQ(image.slab_bytes(), 0u);
+  EXPECT_TRUE(svol.ContentEquals(src));
+  EXPECT_EQ(svol.VerifyExtent(0, kTwentyMiBBlocks),
+            MemVolume::ExtentHealth::kClean);
+}
+
+// A run that straddles a slab boundary reads back the same through every
+// reader, and compares equal to the same blocks written one at a time.
+TEST(MemVolumeFootprintTest, RunAcrossASlabBoundaryRoundTrips) {
+  MemVolume v(kTwentyMiBBlocks), single(kTwentyMiBBlocks);
+  v.EnableChecksums();
+  const Lba start = 5 * MemVolume::kBlocksPerChunk - 2;
+  const std::vector<std::string> blocks = {BlockOf('p'), BlockOf('q'),
+                                           BlockOf('r'), BlockOf('s')};
+  std::string data;
+  for (const std::string& b : blocks) data += b;
+  ASSERT_TRUE(v.Write(start, 4, data).ok());
+  for (uint32_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(single.Write(start + i, 1, blocks[i]).ok());
+  }
+  EXPECT_EQ(v.slab_bytes(), 2 * kSlabBytes);
+  EXPECT_EQ(v.allocated_blocks(), 4u);
+
+  std::string out;
+  ASSERT_TRUE(v.Read(start - 1, 6, &out).ok());
+  EXPECT_EQ(out, BlockOf('\0') + data + BlockOf('\0'));
+  std::string into(6 * kDefaultBlockSize, '?');
+  v.ReadInto(start - 1, 6, into.data());
+  EXPECT_EQ(into, out);
+  std::string words(4 * 6, '\0');
+  v.ReadCrcs(start - 1, 6, words.data());
+  EXPECT_EQ(words, CrcWords({BlockOf('\0'), blocks[0], blocks[1],
+                             blocks[2], blocks[3], BlockOf('\0')}));
+  EXPECT_EQ(v.VerifyExtent(start - 1, 6), MemVolume::ExtentHealth::kClean);
+  EXPECT_TRUE(v.AnyAllocated(start + 3, 1));
+  EXPECT_FALSE(v.AnyAllocated(start + 4, 60));
+  EXPECT_TRUE(v.ContentEquals(single));
+  EXPECT_TRUE(single.ContentEquals(v));
+
+  // Rot on the far side of the boundary is found there.
+  ASSERT_TRUE(v.FlipBit(start + 2, 3));
+  Lba bad = 0;
+  EXPECT_EQ(v.VerifyExtent(start, 4, &bad),
+            MemVolume::ExtentHealth::kChecksumMismatch);
+  EXPECT_EQ(bad, start + 2);
+  EXPECT_FALSE(v.ContentEquals(single));
+}
+
 TEST(MemVolumeIntegrityTest, ChecksumCatchesSilentFlip) {
   MemVolume v(10);
   v.EnableChecksums();
@@ -349,16 +449,6 @@ TEST(MemVolumeIntegrityTest, AdoptFromComputesAMissingSidecar) {
   // A volume without checksums adopts a checksummed image as plain data.
   ASSERT_TRUE(plain.AdoptFrom(std::move(b)).ok());
   EXPECT_TRUE(plain.Read(3, 1, &out).ok());
-}
-
-// CRCs as BlockRun::crcs carries them: little-endian words, one a block.
-std::string CrcWords(const std::vector<std::string>& blocks) {
-  std::string words(4 * blocks.size(), '\0');
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    EncodeFixed32(words.data() + 4 * i,
-                  Crc32c(blocks[i].data(), blocks[i].size()));
-  }
-  return words;
 }
 
 // A run's carried CRCs become the sidecar as they are: the bytes verify

@@ -41,6 +41,47 @@ TEST(InspectTest, DescribesFullyConfiguredSystem) {
   EXPECT_NE(report.find("VolumeReplicationGroup"), std::string::npos);
 }
 
+// Each array reports its volumes' in-memory footprint, and the
+// storage.<site> gauges hold the same sums.
+TEST(InspectTest, ShowsVolumeFootprint) {
+  sim::SimEnvironment env;
+  DemoSystem system(&env, bench::FunctionalConfig());
+  bench::BusinessProcess bp =
+      bench::DeployBusinessProcess(&system, "shop");
+  ASSERT_TRUE(system.TagNamespaceForBackup("shop").ok());
+  ASSERT_TRUE(system.WaitForBackupConfigured("shop").ok());
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(bp.app->PlaceOrder().ok());
+  env.RunFor(Milliseconds(50));
+
+  const std::string report = DescribeSystem(&system);
+  for (Site* site : {system.main_site(), system.backup_site()}) {
+    SCOPED_TRACE(site->name());
+    uint64_t slab_bytes = 0;
+    uint64_t written_blocks = 0;
+    for (storage::VolumeId id : site->array()->ListVolumes()) {
+      const block::MemVolume& store = site->array()->GetVolume(id)->store();
+      slab_bytes += store.slab_bytes();
+      written_blocks += store.allocated_blocks();
+    }
+    EXPECT_GT(slab_bytes, 0u);
+    EXPECT_LT(slab_bytes, 8u << 20);  // The shop's PVCs are mostly holes.
+    const std::string prefix = "storage." + site->name();
+    EXPECT_EQ(system.metrics()->GetGauge(prefix + ".slab_bytes")->value(),
+              static_cast<int64_t>(slab_bytes));
+    EXPECT_EQ(
+        system.metrics()->GetGauge(prefix + ".written_blocks")->value(),
+        static_cast<int64_t>(written_blocks));
+    char line[96];
+    std::snprintf(line, sizeof(line),
+                  "volume slabs %.2f MiB / written %.2f MiB",
+                  static_cast<double>(slab_bytes) / (1 << 20),
+                  static_cast<double>(written_blocks *
+                                      block::kDefaultBlockSize) /
+                      (1 << 20));
+    EXPECT_NE(report.find(line), std::string::npos) << line;
+  }
+}
+
 TEST(InspectTest, ShowsFailureStates) {
   sim::SimEnvironment env;
   DemoSystemConfig config = bench::FunctionalConfig();

@@ -10,7 +10,7 @@ JournalRecord Rec(uint64_t volume, uint64_t lba, size_t data_bytes = 64) {
   r.volume_id = volume;
   r.lba = lba;
   r.block_count = 1;
-  r.payload = PayloadBuffer::Wrap(std::string(data_bytes, 'd'));
+  r.payload = PayloadBuffer::Copy(std::string(data_bytes, 'd'));
   return r;
 }
 

@@ -32,14 +32,6 @@ TEST(PayloadBufferTest, CopyAllocatesOnceAndViewsShare) {
   EXPECT_EQ(copy.view().data(), buf.view().data());  // Same backing bytes.
 }
 
-TEST(PayloadBufferTest, WrapTakesOwnershipWithoutCopy) {
-  std::string data(64, 'x');
-  const char* raw = data.data();
-  PayloadBuffer buf = PayloadBuffer::Wrap(std::move(data));
-  EXPECT_EQ(buf.view().data(), raw);
-  EXPECT_EQ(buf.size(), 64u);
-}
-
 TEST(PayloadBufferTest, SliceSharesBacking) {
   const uint64_t before = PayloadBuffer::TotalAllocations();
   PayloadBuffer buf = PayloadBuffer::Copy("abcdefgh");

@@ -145,6 +145,40 @@ TEST_F(ReplicationTest, InitialCopyKeepsLatentRotDetectable) {
   }
 }
 
+// The initial copy of a sparse P-VOL lands only the slabs that hold
+// written blocks: the S-VOL's footprint is the P-VOL's, a 256 KiB slab
+// per written region of the 20 MiB volume, not the whole volume.
+TEST_F(ReplicationTest, InitialCopyOfASparsePvolKeepsItsSlabFootprint) {
+  for (const bool sync : {false, true}) {
+    SCOPED_TRACE(sync ? "sync pair" : "group pair");
+    auto [p, s] = MakeVolumes(sync ? "sv" : "av", 5120);
+    for (const uint64_t lba : {0, 1, 2000, 5119}) {
+      ASSERT_TRUE(main_.WriteSync(p, lba, BlockOf('f')).ok());
+    }
+    const block::MemVolume& pstore = main_.GetVolume(p)->store();
+    ASSERT_EQ(pstore.slab_bytes(), 3u * 256 * 1024);
+    PairId pair = 0;
+    if (sync) {
+      PairConfig cfg;
+      cfg.name = "sync";
+      cfg.primary = p;
+      cfg.secondary = s;
+      cfg.mode = ReplicationMode::kSynchronous;
+      auto id = engine_.CreatePair(cfg);
+      ASSERT_TRUE(id.ok()) << id.status();
+      pair = *id;
+    } else {
+      pair = MakeAsyncPair(p, s, MakeGroup());
+    }
+    env_.RunFor(Milliseconds(20));
+    ASSERT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+    const block::MemVolume& sstore = backup_.GetVolume(s)->store();
+    EXPECT_EQ(sstore.slab_bytes(), pstore.slab_bytes());
+    EXPECT_EQ(sstore.allocated_blocks(), 4u);
+    EXPECT_TRUE(Converged(p, s));
+  }
+}
+
 // A resync ships the P-VOL's sidecar CRCs with the blocks and the S-VOL
 // stores them, so a P-VOL block that rotted before the resync reads back
 // as kDataLoss on the S-VOL instead of getting a fresh, valid checksum

@@ -165,7 +165,7 @@ TEST(WireTest, DecodeAllocatesOnePayloadBufferPerBatch) {
   auto decoded = DecodeBatch(enc.frame);
   const uint64_t after = PayloadBuffer::TotalAllocations();
   ASSERT_TRUE(decoded.ok());
-  // All record payloads are slices of one Wrap of the decoded body.
+  // All record payloads are slices of the one buffer of the decoded body.
   EXPECT_EQ(after - before, 1u);
 }
 
@@ -246,6 +246,53 @@ TEST(WireChunkedTest, DecodeAllocatesOnePayloadBufferPerBatch) {
   const uint64_t after = PayloadBuffer::TotalAllocations();
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(after - before, 1u);
+}
+
+// A frame with a valid header and CRC around `body`, so the checks past
+// the CRC gate see it.
+std::string SealedFrame(uint8_t flags, const std::string& body) {
+  std::string frame;
+  PutFixed32(&frame, 0x3257425au);  // "ZBW2".
+  frame.push_back(static_cast<char>(flags));
+  PutFixed32(&frame, Crc32cMask(Crc32c(body.data(), body.size())));
+  PutFixed32(&frame, static_cast<uint32_t>(body.size()));
+  return frame + body;
+}
+
+// The plain body is sized from headers the CRC already vouched for, and
+// every one of them is checked before the body's buffer is allocated.
+TEST(WireTest, BadBodySizesAreRejectedBeforeAllocating) {
+  std::string lz_claims_too_much;  // An LZ frame claiming 1 MiB from 3 bytes.
+  lz_claims_too_much.push_back(1);
+  PutVarint64(&lz_claims_too_much, 1 << 20);
+  lz_claims_too_much.append("abc");
+  std::string one_chunk;  // The chunked variant needs at least two.
+  PutVarint64(&one_chunk, 1);
+  PutVarint64(&one_chunk, 1);
+  one_chunk.push_back(0);
+  std::string short_first_chunk;  // Only the last chunk may be short.
+  PutVarint64(&short_first_chunk, 2);
+  for (int c = 0; c < 2; ++c) PutVarint64(&short_first_chunk, 3);
+  for (int c = 0; c < 2; ++c) {
+    short_first_chunk.push_back(0);  // Stored, 1 raw byte.
+    PutVarint64(&short_first_chunk, 1);
+    short_first_chunk.push_back('x');
+  }
+  const std::pair<uint8_t, std::string> cases[] = {
+      {0x01, lz_claims_too_much},
+      {0x02, one_chunk},
+      {0x02, short_first_chunk},
+  };
+  for (const auto& [flags, body] : cases) {
+    const uint64_t before = PayloadBuffer::TotalAllocations();
+    auto decoded = DecodeBatch(SealedFrame(flags, body));
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(PayloadBuffer::TotalAllocations(), before);
+  }
+  // The sealing itself is sound: a sealed plain empty batch decodes.
+  std::string empty;
+  PutVarint64(&empty, 0);
+  EXPECT_TRUE(DecodeBatch(SealedFrame(0, empty)).ok());
 }
 
 TEST(WireChunkedTest, BitFlipsInChunkedFrameAreRejected) {

@@ -54,6 +54,41 @@ TEST_F(ArrayTest, DeleteVolume) {
   EXPECT_EQ(array_.DeleteVolume(*id).code(), StatusCode::kNotFound);
 }
 
+// The footprint gauges follow every volume's slabs and written blocks:
+// volumes created before and after the attach, writes, an adopted image
+// and a delete.
+TEST_F(ArrayTest, FootprintGaugesTrackSlabsAndWrittenBlocks) {
+  const int64_t slab = block::MemVolume::kBlocksPerChunk *
+                       block::kDefaultBlockSize;
+  auto early = array_.CreateVolume("early", 5120);
+  ASSERT_TRUE(early.ok());
+  ASSERT_TRUE(array_.WriteSync(*early, 10, BlockOf('e')).ok());
+  obs::MetricRegistry registry;
+  array_.AttachObservability(&registry, "storage.t");
+  obs::Gauge* slab_bytes = registry.GetGauge("storage.t.slab_bytes");
+  obs::Gauge* written = registry.GetGauge("storage.t.written_blocks");
+  EXPECT_EQ(slab_bytes->value(), slab);
+  EXPECT_EQ(written->value(), 1);
+
+  auto late = array_.CreateVolume("late", 5120);
+  ASSERT_TRUE(late.ok());
+  ASSERT_TRUE(array_.WriteSync(*late, 0, BlockOf('l')).ok());
+  ASSERT_TRUE(array_.WriteSync(*late, 4000, BlockOf('l')).ok());
+  ASSERT_TRUE(array_.WriteSync(*late, 4000, BlockOf('m')).ok());
+  EXPECT_EQ(slab_bytes->value(), 3 * slab);
+  EXPECT_EQ(written->value(), 3);
+
+  block::MemVolume image(5120);
+  ASSERT_TRUE(image.Write(64, 2, BlockOf('i') + BlockOf('j')).ok());
+  ASSERT_TRUE(array_.GetVolume(*early)->AdoptImage(std::move(image)).ok());
+  EXPECT_EQ(slab_bytes->value(), 3 * slab);
+  EXPECT_EQ(written->value(), 4);
+
+  ASSERT_TRUE(array_.DeleteVolume(*late).ok());
+  EXPECT_EQ(slab_bytes->value(), slab);
+  EXPECT_EQ(written->value(), 2);
+}
+
 TEST_F(ArrayTest, VolumeHandleRoundTrip) {
   auto id = array_.CreateVolume("v", 10);
   ASSERT_TRUE(id.ok());
