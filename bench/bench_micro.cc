@@ -75,20 +75,9 @@ void BM_Crc32cClmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32cClmul)->Arg(4096)->Arg(65536);
 
-// The GF(2) fold that joins per-chunk CRCs into the whole-frame CRC.
-// The general form re-derives the len2 operator by matrix squaring every
-// call (tens of microseconds — MORE than hardware-CRCing the 64 KiB
-// chunk it joins), which is why the wire path uses the precompiled
-// Crc32cCombineOp: one matrix-vector product (~32 xors) per join.
-void BM_Crc32cCombine(benchmark::State& state) {
-  const size_t len2 = static_cast<size_t>(state.range(0));
-  uint32_t a = 0xdeadbeef, b = 0x12345678;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a = Crc32cCombine(a, b, len2));
-  }
-}
-BENCHMARK(BM_Crc32cCombine)->Arg(4096)->Arg(65536)->Arg(1 << 20);
-
+// The GF(2) fold that joins two CRCs: one matrix-vector product (~32
+// xors) per join with an op built once per piece size. The 3-way CRC
+// kernel uses it, baked into lookup tables for its lane width.
 void BM_Crc32cCombineOp(benchmark::State& state) {
   const Crc32cCombineOp op(static_cast<size_t>(state.range(0)));
   uint32_t a = 0xdeadbeef, b = 0x12345678;

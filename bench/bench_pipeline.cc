@@ -14,9 +14,8 @@
 //        the shape a suspended OLTP workload leaves behind. Extent capture
 //        is zero-copy (slab views under pre-overwrite COW protection).
 //        Reported in host CPU time, simulated time, extents and wire
-//        bytes. The per-block and unordered-set baselines in the committed
-//        BENCH_pipeline.json were measured before those paths were
-//        removed.
+//        bytes. The per-block and unordered-set baselines, measured
+//        before those paths were removed, are kept in EXPERIMENTS.md E10.
 //
 //   E11  Wire-format shipping under a bandwidth-constrained (100 Mbit/s)
 //        inter-site link, driven by real database workloads (the
@@ -26,14 +25,16 @@
 //        estimate for the compression x write-folding ablation.
 //
 // Writes the results as JSON (default BENCH_pipeline.json; --out PATH to
-// override). --quick shrinks volumes and durations for the ctest smoke
-// run; --wire-only runs just E11 (the bench_wire_smoke ctest entry); the
-// committed JSON comes from the full run via scripts/run_benches.sh.
+// override), with the host's hardware lane count. --quick shrinks volumes
+// and durations for the ctest smoke run; --wire-only runs just E11 (the
+// bench_wire_smoke ctest entry); the committed JSON comes from the full
+// run via scripts/run_benches.sh.
 #include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -425,6 +426,8 @@ void WriteJson(const std::string& path, bool quick, bool wire_only,
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"bench_pipeline\",\n");
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
+  std::fprintf(f, "  \"hardware_lanes\": %u,\n",
+               std::thread::hardware_concurrency());
   if (!wire_only) {
     const double fold_reduction =
         on.logical_bytes > 0

@@ -21,15 +21,17 @@
 //   - fairness ratio <= 1.25,
 //   - bit-identical events/applies when a seed is re-run.
 //
-// The committed BENCH_scale.json predates the removal of the per-group
-// timer engine and keeps its A/B cells as the historical record.
+// The per-group timer engine's A/B cells, measured before that engine
+// was removed, are kept in EXPERIMENTS.md E13.
 //
 // Writes the results as JSON (default BENCH_scale.json; --out PATH to
-// override). --quick shrinks the sweep durations for the ctest smoke run.
+// override), with the host's hardware lane count. --quick shrinks the
+// sweep durations for the ctest smoke run.
 #include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -43,7 +45,7 @@ constexpr uint64_t kBusyGroups = 8;
 constexpr uint64_t kBlocksPerVolume = 64;
 constexpr double kWritesPerBusyGroup = 250.0;  // Host writes/s per busy group.
 // 1/10 of the 517884 events/s the per-group timer engine burned at 1024
-// groups (BENCH_scale.json, measured before that engine was removed).
+// groups (EXPERIMENTS.md E13, measured before that engine was removed).
 constexpr double kMaxEventsPerSimSec = 51788;
 
 struct ScaleCell {
@@ -212,6 +214,8 @@ void WriteJson(const std::string& path, bool quick,
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"bench_scale\",\n");
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
+  std::fprintf(f, "  \"hardware_lanes\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"cells\": [\n");
   for (size_t i = 0; i < cells.size(); ++i) {
     const ScaleCell& c = cells[i];

@@ -102,7 +102,7 @@ namespace {
 // covers a default 4 KiB block in one pass with a 16-byte serial tail.
 constexpr size_t kCrcLane = 1360;
 
-// The advance-past-kCrcLane-zero-bytes operator of Crc32cCombine, baked
+// The advance-past-kCrcLane-zero-bytes operator of Crc32cCombineOp, baked
 // into four byte-indexed tables so each per-chunk combine is 4 lookups
 // instead of a 32-step GF(2) matrix-vector walk. Built once on first use.
 struct CrcLaneShift {
@@ -363,17 +363,24 @@ void Gf2MatrixSquare(uint32_t* square, const uint32_t* mat) {
 
 }  // namespace
 
-uint32_t Crc32cCombine(uint32_t crc1, uint32_t crc2, size_t len2) {
-  if (len2 == 0) return crc1;
+Crc32cCombineOp::Crc32cCombineOp(size_t len2) : len2_(len2) {
+  for (int i = 0; i < 32; ++i) mat_[i] = 1u << i;  // Identity.
+  if (len2 == 0) return;
 
   // zlib's crc32_combine, with the Castagnoli polynomial: advancing a CRC
   // past k zero bytes is a linear operator over GF(2), so build the
   // one-zero-bit matrix, square it up to per-bit-of-len2 operators, and
-  // apply the ones selected by len2's bits. The pre/post conditioning in
-  // Crc32cExtend cancels across the xor, so finalized CRCs combine
-  // directly: Crc32c(A||B) == Crc32cCombine(Crc32c(A), Crc32c(B), |B|).
+  // compose the ones selected by len2's bits into one matrix. Paying the
+  // squarings once here makes every Combine() a single matrix-vector
+  // product. The pre/post conditioning in Crc32cExtend cancels across the
+  // xor, so finalized CRCs combine directly.
   uint32_t even[32];  // Operator for 2^(2k+1) zero bits.
   uint32_t odd[32];   // Operator for 2^(2k) zero bits.
+  uint32_t tmp[32];
+  auto compose = [&](const uint32_t* op) {
+    for (int i = 0; i < 32; ++i) tmp[i] = Gf2MatrixTimes(op, mat_[i]);
+    for (int i = 0; i < 32; ++i) mat_[i] = tmp[i];
+  };
 
   odd[0] = kPoly;  // One shifted-in zero bit, reflected form.
   uint32_t row = 1;
@@ -384,48 +391,8 @@ uint32_t Crc32cCombine(uint32_t crc1, uint32_t crc2, size_t len2) {
   Gf2MatrixSquare(even, odd);  // Two zero bits.
   Gf2MatrixSquare(odd, even);  // Four zero bits == half a zero byte.
 
-  // Walk len2's bits, squaring the operator each step; apply it to crc1
-  // for every set bit. even/odd alternate as source and destination.
-  size_t len = len2;
-  do {
-    Gf2MatrixSquare(even, odd);
-    if (len & 1u) crc1 = Gf2MatrixTimes(even, crc1);
-    len >>= 1;
-    if (len == 0) break;
-    Gf2MatrixSquare(odd, even);
-    if (len & 1u) crc1 = Gf2MatrixTimes(odd, crc1);
-    len >>= 1;
-  } while (len != 0);
-
-  return crc1 ^ crc2;
-}
-
-Crc32cCombineOp::Crc32cCombineOp(size_t len2) : len2_(len2) {
-  for (int i = 0; i < 32; ++i) mat_[i] = 1u << i;  // Identity.
-  if (len2 == 0) return;
-
-  // Same squaring walk as Crc32cCombine, but the selected per-bit
-  // operators are composed into one matrix applied to the identity,
-  // instead of being applied to a particular crc1. Paying the squarings
-  // once here makes every subsequent Combine() a single matrix-vector
-  // product.
-  uint32_t even[32];
-  uint32_t odd[32];
-  uint32_t tmp[32];
-  auto compose = [&](const uint32_t* op) {
-    for (int i = 0; i < 32; ++i) tmp[i] = Gf2MatrixTimes(op, mat_[i]);
-    for (int i = 0; i < 32; ++i) mat_[i] = tmp[i];
-  };
-
-  odd[0] = kPoly;
-  uint32_t row = 1;
-  for (int i = 1; i < 32; ++i) {
-    odd[i] = row;
-    row <<= 1;
-  }
-  Gf2MatrixSquare(even, odd);
-  Gf2MatrixSquare(odd, even);
-
+  // Walk len2's bits, squaring the operator each step; even/odd alternate
+  // as source and destination.
   size_t len = len2;
   do {
     Gf2MatrixSquare(even, odd);

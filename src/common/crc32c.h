@@ -27,21 +27,15 @@ inline uint32_t Crc32c(const void* data, size_t n) {
   return Crc32cExtend(0, data, n);
 }
 
-// Combines the CRCs of two adjacent buffers: given crc1 = Crc32c(A) and
-// crc2 = Crc32c(B), returns Crc32c(A || B) where len2 = |B|, without
-// touching the data. O(log len2) via GF(2) matrix squaring (zlib's
-// crc32_combine construction). This is what lets a checksum be computed
-// from independently-checksummed pieces and merged in order —
-// bit-identical to a single sequential pass.
-uint32_t Crc32cCombine(uint32_t crc1, uint32_t crc2, size_t len2);
-
-// The "append len2 bytes" combine, precompiled to a single 32x32 GF(2)
-// matrix at construction. Combine() is then one matrix-vector product
-// (~32 xors) instead of Crc32cCombine's O(log len2) matrix SQUARINGS
-// (tens of microseconds — more than CRCing a 64 KiB chunk takes with the
-// hardware kernel). Build one op per fixed piece size and reuse it for
-// every join (the 3-way kernel's lane merge does); fall back to
-// Crc32cCombine for one-off tail lengths.
+// Combines the CRCs of two adjacent buffers whose second part is `len2`
+// bytes long: given crc1 = Crc32c(A) and crc2 = Crc32c(B) with |B| == len2,
+// Combine() returns Crc32c(A || B) without touching the data, bit-identical
+// to a single sequential pass. The constructor precompiles the "append
+// len2 bytes" operator (zlib's crc32_combine construction: O(log len2)
+// GF(2) matrix squarings, tens of microseconds) into one 32x32 matrix, so
+// each Combine() is one matrix-vector product (~32 xors). Build one op per
+// fixed piece size and reuse it for every join, as the 3-way kernel's lane
+// merge does.
 //   Crc32cCombineOp op(kCrcLane);              // once
 //   crc = op.Combine(crc, lane_crc);           // per join, O(1)
 class Crc32cCombineOp {

@@ -290,7 +290,7 @@ class JournalVolume {
   // and retries resync until the media heals — the journal-volume leg of
   // the at-rest fault lane. Already-stored records stay readable.
   void SetMediaError(bool failed) { media_failed_ = failed; }
-  bool media_failed() const { return media_failed_; }
+  bool media_error_active() const { return media_failed_; }
   uint64_t media_errors() const { return media_errors_; }
 
   // --- Observability ---------------------------------------------------------

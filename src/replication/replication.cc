@@ -719,6 +719,7 @@ void ReplicationEngine::OnSyncHostWrite(
   // refcount instead of re-copying the bytes at each hop.
   journal::PayloadBuffer payload = CapturePayload(*volume, lba, count, data);
   const PairId pair_id = pair->id_;
+  const uint64_t copy_epoch = pair->copy_.epoch;
   // The host ack fires once: from the remote ack, or locally when the pair
   // gives up on the remote site (fence level "never": suspend, dirty-mark
   // the blocks for the next resync, keep serving the host).
@@ -736,7 +737,7 @@ void ReplicationEngine::OnSyncHostWrite(
   Status sent = to_secondary_->SendOnChannel(
       SyncChannel(pair_id), bytes,
       [this, pair_id, lba, count, payload = std::move(payload), op,
-       write_locally] {
+       write_locally, copy_epoch] {
         if (op->done) return;  // The deadline already acked it locally.
         Pair* p = FindPair(pair_id);
         if (p == nullptr || p->state_ == PairState::kSwapped) {
@@ -746,10 +747,12 @@ void ReplicationEngine::OnSyncHostWrite(
         // The write lands at arrival, in channel order with the pair's bulk
         // frames (a resync frame sent after it lands after it); the backup
         // array's media write cost delays only the remote ack. A write
-        // that cannot land is never acked as replicated: the deadline
-        // acks it locally, suspends the pair and dirty-marks the blocks.
+        // that cannot land, or that was sent behind a copy that never
+        // landed, is never acked as replicated: the deadline acks it
+        // locally, suspends the pair and dirty-marks the blocks.
+        if (p->resync_fence_ != 0 && copy_epoch >= p->resync_fence_) return;
         storage::Volume* svol = secondary_->GetVolume(p->config_.secondary);
-        if (svol == nullptr || secondary_->failed()) return;
+        if (svol == nullptr) return;
         const block::BlockRun run{lba, count, payload.view(), payload.crcs()};
         Status ws = svol->WriteRun(&run, 1);
         if (!ws.ok()) {
@@ -903,6 +906,11 @@ PumpOutcome ReplicationEngine::PumpGroup(Group* group, uint64_t max_bytes) {
                            group_id, g->checksum_rejects);
           }
           SendWireNack(g);
+          return;
+        }
+        // Sent behind a resync that never landed (lost, rejected or
+        // refused by a failed array): the ack deadline recovers it.
+        if (!decoded->empty() && decoded->front().sequence > g->resync_fence) {
           return;
         }
         for (auto& rec : *decoded) {
@@ -1100,11 +1108,8 @@ void ReplicationEngine::ArmCopyDeadline(const CopyRef& ref) {
   if (grace == 0) return;
   // The copy is the newest message on its channel, so EstimateArrival
   // bounds its arrival.
-  const sim::NetworkLink* link = ref.giveback ? to_primary_ : to_secondary_;
   copy->deadline =
-      link->EstimateArrival(
-          0, group == nullptr ? SyncChannel(ref.pair) : ref.group) +
-      grace;
+      CopyLink(ref)->EstimateArrival(0, CopyChannel(ref)) + grace;
   const uint64_t epoch = copy->epoch;
   env_->ScheduleAt(copy->deadline, [this, ref, epoch] {
     const internal::CopyInFlight* c = FindCopy(ref);
@@ -1188,7 +1193,7 @@ void ReplicationEngine::TryAutoResync(Group* group) {
     // Stay suspended and keep backing off until the hardware heals; a
     // link edge leaves a pending backoff alone.
     auto* jnl = primary_->GetJournal(group->primary_journal);
-    if (jnl != nullptr && jnl->media_failed()) {
+    if (jnl != nullptr && jnl->media_error_active()) {
       if (!group->resync_retry_pending) {
         ScheduleResyncRetry(group, /*reset_backoff=*/false);
       }
@@ -1431,17 +1436,21 @@ void ReplicationEngine::StartInitialCopy(Pair* pair, Group* group) {
           // A suspension or failover superseded the copy; its bits stay.
           if (p == nullptr || !IsLive(p->copy_, epoch)) return;
           storage::Volume* svol = secondary_->GetVolume(p->config_.secondary);
-          // A failed array lands nothing, as with a journal batch: the
-          // copy stays in flight and its deadline suspends the owner.
-          if (svol == nullptr || secondary_->failed()) return;
+          // An image that cannot land (a failed array refuses it) lands
+          // nothing, as with a journal batch: the copy stays in flight and
+          // its deadline suspends the owner.
+          if (svol == nullptr || !svol->AdoptImage(std::move(*frozen)).ok()) {
+            return;
+          }
           p->copy_.active = false;
+          p->resync_fence_ = 0;
           // The image is the whole owed set (the bits froze at the send).
-          ZB_CHECK(svol->AdoptImage(std::move(*frozen)).ok());
           p->dirty_.ClearAll();
           p->state_ = PairState::kPaired;
           if (Group* g = FindGroup(group_id)) ApplyPending(g);
         });
   }
+  if (sent.ok() && group == nullptr) pair->resync_fence_ = epoch;
   if (!sent.ok()) {
     // The pair starts suspended with its owed bits dirty; a later resync
     // performs the initial copy.
@@ -1544,17 +1553,36 @@ Status ReplicationEngine::SuspendSyncPair(PairId id) {
   return OkStatus();
 }
 
+storage::Volume* ReplicationEngine::CopyVolume(const CopyRef& ref,
+                                               const Pair& pair,
+                                               bool source) {
+  // A giveback reads the S-VOLs and lands on the P-VOLs; every other copy
+  // goes the forward way.
+  return source != ref.giveback ? primary_->GetVolume(pair.config_.primary)
+                                : secondary_->GetVolume(pair.config_.secondary);
+}
+
 ReplicationEngine::BulkFrame ReplicationEngine::CaptureBulk(
-    const std::vector<Pair*>& pairs, DirtyBitmap Pair::*bits,
-    bool from_primary, bool compress) {
+    const CopyRef& ref, bool compress) {
+  // The owed pairs: the copy's own pair, or its group's pairs that are not
+  // kSwapped.
+  std::vector<Pair*> pairs;
+  if (ref.pair != 0) {
+    if (Pair* pair = FindPair(ref.pair)) pairs.push_back(pair);
+  } else if (Group* group = FindGroup(ref.group)) {
+    for (PairId pid : group->pairs) {
+      Pair* pair = FindPair(pid);
+      if (pair != nullptr && pair->state_ != PairState::kSwapped) {
+        pairs.push_back(pair);
+      }
+    }
+  }
   BulkFrame bulk;
   std::vector<wire::Extent> extents;
   for (Pair* pair : pairs) {
-    storage::Volume* vol =
-        from_primary ? primary_->GetVolume(pair->config_.primary)
-                     : secondary_->GetVolume(pair->config_.secondary);
+    storage::Volume* vol = CopyVolume(ref, *pair, /*source=*/true);
     if (vol == nullptr) continue;
-    (pair->*bits).ForEachRun(
+    (pair->*OwedBits(ref)).ForEachRun(
         [&](DirtyBitmap::Run run) {
           extents.push_back(wire::Extent{pair->config_.primary, run.lba,
                                          static_cast<uint32_t>(run.count),
@@ -1573,23 +1601,23 @@ ReplicationEngine::BulkFrame ReplicationEngine::CaptureBulk(
 }
 
 bool ReplicationEngine::LandBulk(
-    const std::vector<journal::JournalRecord>& records, Group* group,
-    Pair* pair, DirtyBitmap Pair::*bits, bool to_primary) {
+    const std::vector<journal::JournalRecord>& records, const CopyRef& ref) {
+  Group* group = FindGroup(ref.group);
   bool landed = true;
   for (const journal::JournalRecord& rec : records) {
-    Pair* p = pair;
-    if (group != nullptr) {
+    Pair* p = nullptr;
+    if (ref.pair != 0) {
+      p = FindPair(ref.pair);
+    } else if (group != nullptr) {
       auto pit = group->by_primary.find(rec.volume_id);
       p = pit == group->by_primary.end() ? nullptr : FindPair(pit->second);
     }
     if (p == nullptr) continue;
-    storage::Volume* vol = to_primary
-                               ? primary_->GetVolume(p->config_.primary)
-                               : secondary_->GetVolume(p->config_.secondary);
+    storage::Volume* vol = CopyVolume(ref, *p, /*source=*/false);
     if (vol == nullptr) continue;
     // A block whose bit is clear was rewritten after the capture (a
     // main-site write during a giveback) and is newer than this copy.
-    DirtyBitmap& owed = p->*bits;
+    DirtyBitmap& owed = p->*OwedBits(ref);
     const uint64_t end = rec.lba + rec.block_count;
     const size_t bs = vol->block_size();
     for (uint64_t at = rec.lba; at < end;) {
@@ -1606,14 +1634,51 @@ bool ReplicationEngine::LandBulk(
       if (ws.ok()) {
         owed.ClearRange(run.lba, n);
       } else {
-        // The run stays owed; the caller leaves the copy in flight.
-        ZB_LOG(Warning) << "bulk copy apply failed: " << ws;
+        // The run stays owed (a failed array refuses every write); the
+        // copy stays in flight.
+        if (landed) ZB_LOG(Warning) << "bulk copy apply failed: " << ws;
         landed = false;
       }
       at = run.lba + n;
     }
   }
   return landed;
+}
+
+ReplicationEngine::BulkSend ReplicationEngine::SendBulk(
+    const CopyRef& ref, bool compress, std::function<void()> on_landed) {
+  BulkFrame bulk = CaptureBulk(ref, compress);
+  const uint64_t epoch = ++FindCopy(ref)->epoch;
+  const uint64_t wire_bytes =
+      std::max<uint64_t>(bulk.frame.size(), kAckMessageBytes);
+  Status sent = CopyLink(ref)->SendOnChannel(
+      CopyChannel(ref), wire_bytes, bulk.logical_bytes,
+      [this, ref, epoch, frame = std::move(bulk.frame),
+       on_landed = std::move(on_landed)]() mutable {
+        internal::CopyInFlight* copy = FindCopy(ref);
+        // A re-send, a suspension or a failover superseded this frame.
+        if (copy == nullptr || !IsLive(*copy, epoch)) return;
+        // A frame that is rejected or does not land whole stays in flight:
+        // its deadline recovers what is still owed.
+        auto records = ReceiveFrame(&frame);
+        if (!records.ok()) {
+          if (Group* g = FindGroup(ref.group)) {
+            NoteRejectedFrame(
+                g, ref.giveback ? "giveback frame" : "resync frame",
+                records.status());
+          } else {
+            ZB_LOG(Warning) << "sync pair " << ref.pair
+                            << " rejected resync frame: " << records.status();
+          }
+          return;
+        }
+        if (!LandBulk(*records, ref)) return;
+        copy->active = false;
+        if (on_landed) on_landed();
+      });
+  // The frame can die in a partition; its deadline watches for that.
+  if (sent.ok()) ArmCopyDeadline(ref);
+  return BulkSend{std::move(sent), bulk.extent_count, bulk.blocks};
 }
 
 Status ReplicationEngine::ResyncGroup(GroupId id) {
@@ -1637,46 +1702,13 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
   // or rejected in flight — loses no part of the delta. The bitmap walk is
   // in ascending LBA order, so the frame is canonical and adjacent dirty
   // blocks merge into one extent each.
-  std::vector<Pair*> pairs;
-  for (PairId pid : group->pairs) {
-    Pair* pair = FindPair(pid);
-    if (pair != nullptr && pair->state_ != PairState::kSwapped) {
-      pairs.push_back(pair);
-    }
-  }
-  BulkFrame bulk = CaptureBulk(pairs, &Pair::dirty_, /*from_primary=*/true,
-                               group->config.compress_transfers);
-
   auto* pj = primary_->GetJournal(group->primary_journal);
   const journal::SequenceNumber resume_seq =
       pj == nullptr ? 0 : pj->written();
-  const uint64_t resync_id = ++group->resync.epoch;
-
-  const GroupId group_id = id;
-  const uint64_t wire_bytes =
-      std::max<uint64_t>(bulk.frame.size(), kAckMessageBytes);
-  Status sent = to_secondary_->SendOnChannel(
-      group_id, wire_bytes, bulk.logical_bytes,
-      [this, group_id, frame = std::move(bulk.frame), resume_seq,
-       resync_id]() mutable {
-        Group* g = FindGroup(group_id);
-        // A suspension or failover superseded this frame.
-        if (g == nullptr || !IsLive(g->resync, resync_id)) return;
-        // A frame that cannot land counts as lost, as a rejected one
-        // does: it stays in flight with its deadline armed, and the
-        // deadline re-suspends the group and reships the bits it still
-        // owes.
-        if (secondary_->failed()) return;
-        auto records = ReceiveFrame(&frame);
-        if (!records.ok()) {
-          NoteRejectedFrame(g, "resync frame", records.status());
-          return;
-        }
-        if (!LandBulk(*records, g, nullptr, &Pair::dirty_,
-                      /*to_primary=*/false)) {
-          return;
-        }
-        g->resync.active = false;
+  const BulkSend bulk = SendBulk(
+      {.group = id}, group->config.compress_transfers, [this, id, resume_seq] {
+        Group* g = FindGroup(id);
+        g->resync_fence = kNoResyncFence;
         auto* sj = secondary_->GetJournal(g->secondary_journal);
         if (sj != nullptr) {
           // Records this journal holds but never applied (a batch that
@@ -1711,19 +1743,19 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
         }
         if (!residue) g->oldest_unsynced_time = -1;
         if (trace_ != nullptr) {
-          trace_->Record(env_->now(), obs::TraceEvent::kResyncDone, group_id,
-                         resync_id);
+          trace_->Record(env_->now(), obs::TraceEvent::kResyncDone, id,
+                         g->resync.epoch);
         }
         g->suspend_reason = SuspendReason::kNone;
         ApplyPending(g);
         // Records journaled while the resync frame was in flight are an
         // existing backlog with no future arm edge; resume shipping now.
-        ArmIfPending(group_id);
+        ArmIfPending(id);
       });
-  if (!sent.ok()) {
-    // Dirty bitmaps are untouched; the group simply stays suspended.
-    return sent;
-  }
+  // A refused send leaves the dirty bitmaps untouched; the group simply
+  // stays suspended.
+  ZB_RETURN_IF_ERROR(bulk.sent);
+  group->resync_fence = std::min(group->resync_fence, resume_seq);
   group->suspended = false;
   group->resync_extents += bulk.extent_count;
   group->resync_blocks += bulk.blocks;
@@ -1732,8 +1764,6 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
     trace_->Record(env_->now(), obs::TraceEvent::kResyncStart, id,
                    bulk.extent_count, bulk.blocks);
   }
-  // The resync frame itself can be dropped by a partition; watch for it.
-  ArmCopyDeadline({.group = id});
   return OkStatus();
 }
 
@@ -1749,42 +1779,16 @@ Status ReplicationEngine::ResyncSyncPair(PairId id) {
   if (primary_->GetVolume(pair->config_.primary) == nullptr) {
     return NotFoundError("P-VOL vanished");
   }
-
-  // The group resync's capture, send and landing: a standalone pair has
-  // no group config, so its frames are always compressed (the stored
-  // variant still wins when the blocks do not shrink).
-  BulkFrame bulk = CaptureBulk({pair}, &Pair::dirty_, /*from_primary=*/true,
-                               /*compress=*/true);
-  const PairId pair_id = id;
-  const uint64_t epoch = ++pair->copy_.epoch;
-  const uint64_t wire_bytes =
-      std::max<uint64_t>(bulk.frame.size(), kAckMessageBytes);
-  ZB_RETURN_IF_ERROR(to_secondary_->SendOnChannel(
-      SyncChannel(pair_id), wire_bytes, bulk.logical_bytes,
-      [this, pair_id, frame = std::move(bulk.frame), epoch]() mutable {
-        Pair* p = FindPair(pair_id);
-        // A suspension (the operator, or a write acked locally)
-        // superseded the frame.
-        if (p == nullptr || !IsLive(p->copy_, epoch)) return;
-        // A frame that is rejected or cannot land leaves the copy in
-        // flight; the deadline re-suspends the pair with the blocks it
-        // still owes dirty.
-        if (secondary_->failed()) return;
-        auto records = ReceiveFrame(&frame);
-        if (!records.ok()) {
-          ZB_LOG(Warning) << "sync pair " << pair_id
-                          << " rejected resync frame: " << records.status();
-          return;
-        }
-        if (LandBulk(*records, nullptr, p, &Pair::dirty_,
-                     /*to_primary=*/false)) {
-          p->copy_.active = false;
-        }
-      }));
+  // A standalone pair has no group config, so its frames are always
+  // compressed (the stored variant still wins when the blocks do not
+  // shrink).
+  ZB_RETURN_IF_ERROR(SendBulk({.pair = id}, /*compress=*/true, [this, id] {
+                       FindPair(id)->resync_fence_ = 0;
+                     }).sent);
+  if (pair->resync_fence_ == 0) pair->resync_fence_ = pair->copy_.epoch;
   // The pair re-pairs at the send: later writes ship inline behind the
   // frame on the FIFO channel, so none of them touches the bits it owes.
   pair->state_ = PairState::kPaired;
-  ArmCopyDeadline({.pair = pair_id});
   return OkStatus();
 }
 
@@ -1911,6 +1915,7 @@ StatusOr<FailbackReport> ReplicationEngine::FailbackGroup(GroupId id,
   auto* sj = secondary_->GetJournal(group->secondary_journal);
   if (pj != nullptr) pj->Reset();
   if (sj != nullptr) sj->Reset();
+  group->resync_fence = kNoResyncFence;
   group->failed_over = false;
   group->suspended = false;
   group->suspend_reason = SuspendReason::kNone;
@@ -1938,43 +1943,11 @@ uint64_t ReplicationEngine::SendGiveback(Group* group) {
   // Re-captured at every send from the bits still owed: an owed block is
   // one the main site has not rewritten since failback, so its S-VOL
   // content (never touched by forward apply) is the same at every send.
-  std::vector<Pair*> pairs;
-  for (PairId pid : group->pairs) {
-    if (Pair* pair = FindPair(pid)) pairs.push_back(pair);
-  }
-  BulkFrame bulk = CaptureBulk(pairs, &Pair::reverse_dirty_,
-                               /*from_primary=*/false,
-                               group->config.compress_transfers);
-  const uint64_t epoch = ++group->giveback.epoch;
-  const GroupId group_id = group->id;
-  const uint64_t wire_bytes =
-      std::max<uint64_t>(bulk.frame.size(), kAckMessageBytes);
+  // A refused send stays owed until the reverse link's ready edge.
   group->giveback.active = true;
-  Status sent = to_primary_->SendOnChannel(
-      group_id, wire_bytes, bulk.logical_bytes,
-      [this, group_id, frame = std::move(bulk.frame), epoch]() mutable {
-        Group* g = FindGroup(group_id);
-        // A re-send superseded this copy, or a failover cancelled it.
-        if (g == nullptr || !IsLive(g->giveback, epoch)) return;
-        // A frame that is rejected or cannot land fully stays owed; its
-        // loss deadline (or the reverse link's ready edge) re-sends what
-        // is still owed.
-        if (primary_->failed()) return;
-        auto records = ReceiveFrame(&frame);
-        if (!records.ok()) {
-          NoteRejectedFrame(g, "giveback frame", records.status());
-          return;
-        }
-        if (LandBulk(*records, g, nullptr, &Pair::reverse_dirty_,
-                     /*to_primary=*/true)) {
-          g->giveback.active = false;
-        }
-      });
-  // A refused send stays owed until the reverse link's ready edge. A sent
-  // one can die in a partition: re-send it if it has not landed by its
-  // latest possible arrival plus the ack grace (the resync rule).
-  if (sent.ok()) ArmCopyDeadline({.group = group_id, .giveback = true});
-  return bulk.blocks;
+  return SendBulk({.group = group->id, .giveback = true},
+                  group->config.compress_transfers, nullptr)
+      .blocks;
 }
 
 bool ReplicationEngine::GroupInitialCopyDone(GroupId id) const {

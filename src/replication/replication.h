@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -316,6 +317,10 @@ class Pair {
   DirtyBitmap reverse_dirty_;
   // The pair's own bulk copy: its initial copy, or a sync pair's resync.
   internal::CopyInFlight copy_;
+  // A sync pair's resync fence: the epoch of the oldest of its copies that
+  // was sent and has not landed (0: none). A write sent behind it would
+  // land over the delta that copy owes, so it does not land.
+  uint64_t resync_fence_ = 0;
 };
 
 // The remote-copy feature of a main/backup array pair: creates and drives
@@ -501,6 +506,11 @@ class ReplicationEngine {
     // The group resync on the wire, superseded by a new suspension or a
     // failover.
     internal::CopyInFlight resync;
+    // The primary journal's written watermark when the oldest resync that
+    // has not landed was sent; kNoResyncFence once one lands. A journal
+    // batch past it reaching the backup first would apply over the delta
+    // that resync owes, so it is dropped like a lost batch.
+    journal::SequenceNumber resync_fence = kNoResyncFence;
     // Auto-resync triggers: parked for the forward link's ready edge since
     // `link_wait_since` (-1 = not parked), or the backoff timer.
     SimTime link_wait_since = -1;
@@ -587,34 +597,59 @@ class ReplicationEngine {
   // rejected.
   void NoteRejectedFrame(Group* group, const char* what, const Status& why);
 
-  // The one bulk-transfer capture: every run of `bits` on each of `pairs`
-  // (ascending LBA, at most kResyncMaxExtentBlocks per extent), read from
-  // the pair's P-VOL (`from_primary`) or S-VOL straight into one frame.
-  // Records name the pair's P-VOL. The bits are left set; delivery clears
-  // what landed.
-  BulkFrame CaptureBulk(const std::vector<Pair*>& pairs,
-                        DirtyBitmap Pair::*bits, bool from_primary,
-                        bool compress);
-  // The one bulk-transfer landing: each decoded record goes to the pair
-  // whose P-VOL it names (a pair of `group`, or the standalone `pair`),
-  // onto its P-VOL (`to_primary`) or S-VOL, with the CRCs it carries.
-  // Only the sub-runs whose `bits` are still set are written, and exactly
-  // the bits of the sub-runs that were written are cleared. Returns false
-  // when any write failed: the caller then leaves the copy in flight, and
-  // its deadline owns the recovery of what is still owed.
-  bool LandBulk(const std::vector<journal::JournalRecord>& records,
-                Group* group, Pair* pair, DirtyBitmap Pair::*bits,
-                bool to_primary);
-
   // Names one bulk copy by its owner: a pair's own copy (`pair` set), else
-  // the group's resync or, with `giveback`, its failback giveback.
+  // the group's resync or, with `giveback`, its failback giveback. Every
+  // other fact about the copy follows from the name: what it owes (the
+  // owner's pairs that are not kSwapped, their dirty_ bits or, for a
+  // giveback, their reverse_dirty_ bits), its direction (a giveback reads
+  // the S-VOLs and lands on the P-VOLs), its link and its channel.
   struct CopyRef {
     GroupId group = 0;
     PairId pair = 0;
     bool giveback = false;
   };
+  static DirtyBitmap Pair::*OwedBits(const CopyRef& ref) {
+    return ref.giveback ? &Pair::reverse_dirty_ : &Pair::dirty_;
+  }
+  // The pair's volume the copy reads (`source`) or lands on.
+  storage::Volume* CopyVolume(const CopyRef& ref, const Pair& pair,
+                              bool source);
+  sim::NetworkLink* CopyLink(const CopyRef& ref) const {
+    return ref.giveback ? to_primary_ : to_secondary_;
+  }
+  static uint64_t CopyChannel(const CopyRef& ref) {
+    return ref.group == 0 ? SyncChannel(ref.pair) : ref.group;
+  }
   // The copy's in-flight record, or null once its owner is gone.
   internal::CopyInFlight* FindCopy(const CopyRef& ref);
+
+  // The one bulk-transfer capture: every owed run of the copy (ascending
+  // LBA, at most kResyncMaxExtentBlocks per extent), read from its source
+  // volumes straight into one frame. Records name the pair's P-VOL. The
+  // bits are left set; delivery clears what landed.
+  BulkFrame CaptureBulk(const CopyRef& ref, bool compress);
+  // The one bulk-transfer landing: each decoded record goes to the pair
+  // whose P-VOL it names (the copy's own pair, or a pair of its group), onto
+  // the copy's target volume, with the CRCs it carries. Only the sub-runs
+  // whose owed bits are still set are written, and exactly the bits of the
+  // sub-runs that were written are cleared. Returns false when any write
+  // failed (a failed array refuses them all): the copy then stays in
+  // flight, and its deadline owns the recovery of what is still owed.
+  bool LandBulk(const std::vector<journal::JournalRecord>& records,
+                const CopyRef& ref);
+  // What SendBulk captured, and whether the link took the frame.
+  struct BulkSend {
+    Status sent;
+    uint64_t extent_count = 0;
+    uint64_t blocks = 0;
+  };
+  // The one bulk send of a resync, a sync-pair resync and a giveback:
+  // captures what the copy owes, sends it under a fresh epoch and arms its
+  // loss deadline. At delivery a live frame is decoded (a corrupt one is
+  // counted and logged) and landed; once it lands whole the copy is no
+  // longer in flight and `on_landed` runs.
+  BulkSend SendBulk(const CopyRef& ref, bool compress,
+                    std::function<void()> on_landed);
   // Marks the copy in flight from now and arms its loss deadline: its
   // latest possible arrival plus the owner's grace (the group's
   // ack_timeout, 0 = none; kSyncAckTimeout for a sync pair). Unless that
@@ -657,9 +692,8 @@ class ReplicationEngine {
   // group until the ready edge.
   void TryAutoResync(Group* group);
 
-  // Captures what the group's giveback still owes and sends it on the
-  // reverse link under a fresh epoch with its loss deadline; returns the
-  // blocks captured.
+  // Marks the group's giveback owed and sends what it still owes
+  // (SendBulk); returns the blocks captured.
   uint64_t SendGiveback(Group* group);
 
   // A synchronous host write whose remote ack is outstanding.
@@ -768,6 +802,7 @@ class ReplicationEngine {
   // Longest extent (in blocks) a single resync record may carry, for
   // group and standalone sync-pair resyncs alike.
   static constexpr uint64_t kResyncMaxExtentBlocks = 256;
+  static constexpr journal::SequenceNumber kNoResyncFence = UINT64_MAX;
 
   // Channel scheme on the inter-site links: a consistency group's traffic
   // uses channel == its group id (one ordered stream per group — the

@@ -41,7 +41,8 @@ StatusOr<VolumeId> StorageArray::CreateVolume(const std::string& name,
     return AlreadyExistsError("volume name in use: " + name);
   }
   const VolumeId id = next_volume_id_++;
-  auto vol = std::make_unique<Volume>(id, name, block_count, block_size);
+  auto vol = std::make_unique<Volume>(id, name, block_count, block_size,
+                                      /*pool=*/nullptr, &failed_);
   vol->AttachFootprint(slab_bytes_gauge_, written_blocks_gauge_);
   volumes_.emplace(id, std::move(vol));
   return id;
@@ -59,7 +60,8 @@ StatusOr<VolumeId> StorageArray::CreateVolumeInPool(const std::string& name,
   StoragePool* p = GetPool(pool);
   if (p == nullptr) return NotFoundError("pool " + std::to_string(pool));
   const VolumeId id = next_volume_id_++;
-  auto vol = std::make_unique<Volume>(id, name, block_count, block_size, p);
+  auto vol = std::make_unique<Volume>(id, name, block_count, block_size, p,
+                                      &failed_);
   vol->AttachFootprint(slab_bytes_gauge_, written_blocks_gauge_);
   volumes_.emplace(id, std::move(vol));
   return id;

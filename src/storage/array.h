@@ -142,7 +142,9 @@ class StorageArray {
                   std::string* out);
 
   // --- Failure injection ---------------------------------------------------
-  // A failed array rejects all host and management IO (site disaster).
+  // A failed array rejects all host and management IO (site disaster),
+  // and its volumes accept no write from any path: each one reads this
+  // flag (see Volume), so a replication landing fails with kUnavailable.
   void SetFailed(bool failed) { failed_ = failed; }
   bool failed() const { return failed_; }
 

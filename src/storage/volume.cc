@@ -3,13 +3,19 @@
 #include <utility>
 
 namespace zerobak::storage {
+namespace {
+// The failure flag of a volume that belongs to no array.
+constexpr bool kNeverFailed = false;
+}  // namespace
 
 Volume::Volume(VolumeId id, std::string name, uint64_t block_count,
-               uint32_t block_size, StoragePool* pool)
+               uint32_t block_size, StoragePool* pool,
+               const bool* array_failed)
     : id_(id),
       name_(std::move(name)),
       store_(block_count, block_size),
-      pool_(pool) {
+      pool_(pool),
+      array_failed_(array_failed != nullptr ? array_failed : &kNeverFailed) {
   // Every array LDEV carries the per-block CRC32C sidecar: silent at-rest
   // corruption surfaces as kDataLoss on read instead of bad data, and the
   // scrubber can fingerprint extents without a second source of truth.
@@ -20,12 +26,19 @@ Status Volume::Read(block::Lba lba, uint32_t count, std::string* out) {
   return store_.Read(lba, count, out);
 }
 
+Status Volume::CheckArrayUp() const {
+  if (!*array_failed_) return OkStatus();
+  return UnavailableError("volume " + name_ + ": its array has failed");
+}
+
 Status Volume::Write(block::Lba lba, uint32_t count, std::string_view data) {
+  ZB_RETURN_IF_ERROR(CheckArrayUp());
   ZB_RETURN_IF_ERROR(store_.CheckRange(lba, count));
   return WriteChecked(block::BlockRun{lba, count, data});
 }
 
 Status Volume::WriteRun(const block::BlockRun* runs, size_t n) {
+  ZB_RETURN_IF_ERROR(CheckArrayUp());
   for (size_t i = 0; i < n; ++i) {
     ZB_RETURN_IF_ERROR(store_.CheckRange(runs[i].lba, runs[i].count));
   }
@@ -66,6 +79,7 @@ Status Volume::WriteChecked(const block::BlockRun& run) {
 }
 
 Status Volume::AdoptImage(block::MemVolume&& image) {
+  ZB_RETURN_IF_ERROR(CheckArrayUp());
   Status status = store_.AdoptFrom(std::move(image));
   PublishFootprint();
   return status;

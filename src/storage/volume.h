@@ -30,9 +30,13 @@ class Volume : public block::BlockDevice {
   using PreOverwriteHook =
       std::function<void(block::Lba lba, std::string_view old_block)>;
 
+  // `array_failed` is the owning array's one failure flag (read, never
+  // written, here): while it is set, Write, WriteRun and AdoptImage refuse
+  // with kUnavailable before touching anything. A volume outside an array
+  // never fails.
   Volume(VolumeId id, std::string name, uint64_t block_count,
          uint32_t block_size = block::kDefaultBlockSize,
-         StoragePool* pool = nullptr);
+         StoragePool* pool = nullptr, const bool* array_failed = nullptr);
 
   VolumeId id() const { return id_; }
   const std::string& name() const { return name_; }
@@ -80,6 +84,8 @@ class Volume : public block::BlockDevice {
   }
 
  private:
+  // kUnavailable while the owning array is failed.
+  Status CheckArrayUp() const;
   // Pool accounting + hooks + store write, after range validation.
   Status WriteChecked(const block::BlockRun& run);
   // Adds the store's footprint change since the last call to the gauges.
@@ -89,6 +95,7 @@ class Volume : public block::BlockDevice {
   std::string name_;
   block::MemVolume store_;
   StoragePool* pool_;
+  const bool* array_failed_;
   std::vector<std::pair<uint64_t, PreOverwriteHook>> hooks_;
   uint64_t next_hook_token_ = 1;
   obs::Gauge* slab_bytes_gauge_ = nullptr;

@@ -1,6 +1,7 @@
 #include "common/crc32c.h"
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -209,8 +210,9 @@ TEST_F(Crc32cClmulTest, MatchesKnownVectors) {
   // The same vectors long enough to take the fold path: 256 zero bytes
   // are eight 32-zero runs, which the combine stitches back together.
   const std::string zeros256(256, '\0');
+  const Crc32cCombineOp append32(32);
   uint32_t want = 0;
-  for (int i = 0; i < 8; ++i) want = Crc32cCombine(want, 0x8a9136aau, 32);
+  for (int i = 0; i < 8; ++i) want = append32.Combine(want, 0x8a9136aau);
   EXPECT_EQ(internal::Crc32cClmul(0, zeros256.data(), zeros256.size()), want);
 }
 
@@ -299,8 +301,8 @@ TEST(Crc32cKernelTest, ConcurrentFirstCallsAgree) {
   for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], want) << i;
 }
 
-// Crc32cCombine folds two independently computed CRCs into the CRC of the
-// concatenation — the primitive behind the 3-way kernel's lane merge.
+// Crc32cCombineOp folds two independently computed CRCs into the CRC of
+// the concatenation — the primitive behind the 3-way kernel's lane merge.
 TEST(Crc32cCombineTest, PinnedVectors) {
   // Split the RFC 3720 vector "123456789" and recombine: the result must
   // be the well-known whole-string CRC regardless of the split point.
@@ -308,74 +310,75 @@ TEST(Crc32cCombineTest, PinnedVectors) {
   for (size_t split = 0; split <= digits.size(); ++split) {
     const uint32_t a = Crc32c(digits.data(), split);
     const uint32_t b = Crc32c(digits.data() + split, digits.size() - split);
-    EXPECT_EQ(Crc32cCombine(a, b, digits.size() - split), 0xe3069283u)
+    EXPECT_EQ(Crc32cCombineOp(digits.size() - split).Combine(a, b),
+              0xe3069283u)
         << "split " << split;
   }
   // 64 zeros = two combined 32-zero halves, against the pinned 32-zero CRC.
   std::string zeros(64, '\0');
-  EXPECT_EQ(Crc32cCombine(0x8a9136aau, 0x8a9136aau, 32),
+  EXPECT_EQ(Crc32cCombineOp(32).Combine(0x8a9136aau, 0x8a9136aau),
             Crc32c(zeros.data(), zeros.size()));
 }
 
 TEST(Crc32cCombineTest, ZeroLengthSecondPartIsIdentity) {
+  const Crc32cCombineOp op(0);
+  EXPECT_EQ(op.len2(), 0u);
   for (uint32_t crc : {0u, 1u, 0xdeadbeefu, 0xffffffffu}) {
     // Appending nothing changes nothing, whatever crc2 holds.
-    EXPECT_EQ(Crc32cCombine(crc, 0u, 0), crc);
-    EXPECT_EQ(Crc32cCombine(crc, 0x12345678u, 0), crc);
+    EXPECT_EQ(op.Combine(crc, 0u), crc);
+    EXPECT_EQ(op.Combine(crc, 0x12345678u), crc);
   }
 }
 
 TEST(Crc32cCombineTest, MatchesExtendAtRandomSplits) {
   Rng rng(0xc0813);
+  auto check = [](const std::string& data, size_t split) {
+    const size_t len2 = data.size() - split;
+    const Crc32cCombineOp op(len2);
+    EXPECT_EQ(op.len2(), len2);
+    const uint32_t a = Crc32c(data.data(), split);
+    const uint32_t b = Crc32c(data.data() + split, len2);
+    EXPECT_EQ(op.Combine(a, b), Crc32c(data.data(), data.size()))
+        << "len " << data.size() << " split " << split;
+  };
   for (int trial = 0; trial < 50; ++trial) {
     const size_t len = 1 + rng.Uniform(100000);
     std::string data(len, '\0');
     for (char& c : data) c = static_cast<char>(rng.Uniform(256));
-    const uint32_t whole = Crc32c(data.data(), data.size());
-    const size_t split = rng.Uniform(static_cast<uint32_t>(len + 1));
-    const uint32_t a = Crc32c(data.data(), split);
-    const uint32_t b = Crc32c(data.data() + split, len - split);
-    EXPECT_EQ(Crc32cCombine(a, b, len - split), whole)
-        << "len " << len << " split " << split;
+    check(data, rng.Uniform(static_cast<uint32_t>(len + 1)));
+  }
+  // Second parts at the edges of the squaring walk: one byte, odd and
+  // power-of-two lengths, one past a power of two, and a long one.
+  for (size_t len2 : {size_t{1}, size_t{9}, size_t{4096}, size_t{65536},
+                      size_t{65537}, size_t{300000}}) {
+    std::string data(1 + rng.Uniform(5000) + len2, '\0');
+    for (char& c : data) c = static_cast<char>(rng.Uniform(256));
+    check(data, data.size() - len2);
   }
 }
 
 TEST(Crc32cCombineTest, FoldsManyChunksLikeOnePass) {
-  // The wire path's exact usage: CRC fixed-size chunks independently, then
-  // left-fold with Combine. Chunk size chosen to leave a ragged tail.
+  // Many small chunks of random sizes, CRC'd independently and left-folded
+  // with one op per chunk size.
   Rng rng(0xfeed);
   std::string data(300000, '\0');
   for (char& c : data) c = static_cast<char>(rng.Uniform(256));
-  constexpr size_t kChunk = 65536;
+  std::map<size_t, Crc32cCombineOp> ops;
   uint32_t folded = 0;
-  bool first = true;
-  for (size_t off = 0; off < data.size(); off += kChunk) {
-    const size_t n = std::min(kChunk, data.size() - off);
+  for (size_t off = 0; off < data.size();) {
+    const size_t n = std::min<size_t>(1 + rng.Uniform(4096), data.size() - off);
     const uint32_t part = Crc32c(data.data() + off, n);
-    folded = first ? part : Crc32cCombine(folded, part, n);
-    first = false;
+    auto it = ops.try_emplace(n, n).first;
+    folded = off == 0 ? part : it->second.Combine(folded, part);
+    off += n;
   }
+  EXPECT_GT(ops.size(), 1u);
   EXPECT_EQ(folded, Crc32c(data.data(), data.size()));
 }
 
-TEST(Crc32cCombineTest, PrecompiledOpMatchesGeneralCombine) {
-  Rng rng(0x0b5e55);
-  for (size_t len2 : {size_t{0}, size_t{1}, size_t{9}, size_t{4096},
-                      size_t{65536}, size_t{65537}, size_t{300000}}) {
-    const Crc32cCombineOp op(len2);
-    EXPECT_EQ(op.len2(), len2);
-    for (int trial = 0; trial < 10; ++trial) {
-      const uint32_t a = rng.Uniform(0xffffffffu);
-      const uint32_t b = rng.Uniform(0xffffffffu);
-      EXPECT_EQ(op.Combine(a, b), Crc32cCombine(a, b, len2))
-          << "len2 " << len2 << " a " << a << " b " << b;
-    }
-  }
-}
-
 TEST(Crc32cCombineTest, PrecompiledOpFoldsRealData) {
-  // End-to-end: fold real per-chunk CRCs with the op, as the wire path
-  // does, and land on the single-pass CRC.
+  // Fixed 64 KiB chunks folded with one reused op and a ragged tail with
+  // its own, landing on the single-pass CRC.
   Rng rng(0x0b5e56);
   std::string data(5 * 65536 + 123, '\0');
   for (char& c : data) c = static_cast<char>(rng.Uniform(256));
@@ -386,7 +389,7 @@ TEST(Crc32cCombineTest, PrecompiledOpFoldsRealData) {
     const size_t n = std::min<size_t>(65536, data.size() - off);
     const uint32_t part = Crc32c(data.data() + off, n);
     folded = n == 65536 ? op.Combine(folded, part)
-                        : Crc32cCombine(folded, part, n);
+                        : Crc32cCombineOp(n).Combine(folded, part);
     off += n;
   }
   EXPECT_EQ(folded, Crc32c(data.data(), data.size()));

@@ -295,7 +295,7 @@ TEST(FaultScheduleTest, MediaLaneDrivesVolumeAndJournalTargets) {
     env.RunUntil(event.at);
     env.RunFor(0);  // Let same-instant events fire.
     volume_failed |= volume.media_error_armed();
-    journal_failed |= journal.media_failed();
+    journal_failed |= journal.media_error_active();
   }
   EXPECT_TRUE(volume_failed);
   EXPECT_TRUE(journal_failed);
@@ -303,7 +303,7 @@ TEST(FaultScheduleTest, MediaLaneDrivesVolumeAndJournalTargets) {
   // After the horizon every episode has closed: targets healthy again.
   env.RunUntilIdle();
   EXPECT_FALSE(volume.media_error_armed());
-  EXPECT_FALSE(journal.media_failed());
+  EXPECT_FALSE(journal.media_error_active());
 }
 
 TEST(FaultScheduleTest, RotLaneFlipsBitsOnlyInWrittenBlocks) {

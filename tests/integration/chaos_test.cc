@@ -2,7 +2,8 @@
 // hardened): a multi-volume consistency group runs a tagged-block workload
 // while a seeded FaultSchedule flaps the inter-site links, spikes their
 // latency, randomly drops messages and flips bits in in-flight wire
-// frames (caught by the batch CRC). The group must (a) auto-recover to
+// frames (caught by the batch CRC); one lane also crashes the backup
+// array. The group must (a) auto-recover to
 // kPaired and full convergence once the faults clear — journal overflows
 // included — and (b) after a failover at a random instant mid-chaos, leave
 // backup images that equal the primary write-order history truncated at
@@ -47,6 +48,32 @@ sim::NetworkLinkConfig ChaosLink(uint64_t seed) {
   cfg.bandwidth_bytes_per_sec = 0;
   cfg.seed = seed;
   return cfg;
+}
+
+// Backup-array crash/repair cycles alongside link flaps: while the array
+// is down every landing on it fails, so each crash ends as a copy or a
+// batch that did not land, and the recovery machinery must ship it again.
+fault::FaultScheduleConfig ArrayCrashChaos(uint64_t fault_seed,
+                                           SimDuration horizon) {
+  fault::FaultScheduleConfig fcfg;
+  fcfg.seed = fault_seed;
+  fcfg.horizon = horizon;
+  fcfg.mean_flap_interval = Milliseconds(15);
+  fcfg.min_outage = Milliseconds(2);
+  fcfg.max_outage = Milliseconds(8);
+  fcfg.mean_crash_interval = Milliseconds(15);
+  fcfg.min_repair = Milliseconds(1);
+  fcfg.max_repair = Milliseconds(10);
+  return fcfg;
+}
+
+// Array crashes of `schedule` that fired by `now`.
+uint64_t CrashesFired(const fault::FaultSchedule& schedule, SimTime now) {
+  uint64_t n = 0;
+  for (const fault::FaultEvent& e : schedule.events()) {
+    n += e.kind == fault::FaultKind::kArrayFail && e.at <= now;
+  }
+  return n;
 }
 
 // One write of the totally ordered primary history: the block's first 8
@@ -147,6 +174,17 @@ class ChaosRun {
     to_main_.set_drop_probability(0.0);
   }
 
+  // Link flaps and backup-array crashes (ArrayCrashChaos); HealChaos ends
+  // them.
+  void ArmArrayChaos(uint64_t fault_seed, SimDuration horizon) {
+    schedule_ = std::make_unique<fault::FaultSchedule>(
+        &env_, ArrayCrashChaos(fault_seed, horizon));
+    schedule_->AddLink(&to_backup_);
+    schedule_->AddLink(&to_main_);
+    schedule_->AddArray(&backup_);
+    schedule_->Arm();
+  }
+
   // The at-rest media lane: seeded error episodes on the primary journal
   // LDEV (every append fails -> kMediaError suspension) and silent bit
   // rot on the S-VOL stores. Two schedules because the lanes target
@@ -213,7 +251,10 @@ class ChaosRun {
   }
 
   // One tagged host write on the main site, or (after a failover) on the
-  // backup site, where the business then runs.
+  // backup site, where the business then runs. It goes through the host
+  // front end; with zero media latency it lands at submission, so the
+  // history is in submission order. acks_[i] counts the acks of the i-th
+  // write.
   void WriteTagged(bool on_backup = false) {
     const int vol = static_cast<int>(rng_.Uniform(kVolumes));
     const uint64_t lba = rng_.Zipf(kBlocks, 0.8);  // Hot blocks rewrite.
@@ -223,10 +264,26 @@ class ChaosRun {
     EncodeFixed64(data.data(), tag);
     storage::StorageArray& array = on_backup ? backup_ : main_;
     const auto& vols = on_backup ? svols_ : pvols_;
-    ASSERT_TRUE(array.WriteSync(vols[static_cast<size_t>(vol)], lba, data)
-                    .ok())
-        << "host writes must never fail, tag " << tag;
+    const size_t w = acks_.size();
+    acks_.push_back(0);
+    array.SubmitHostWrite(vols[static_cast<size_t>(vol)], lba,
+                          std::move(data), [this, w, tag](block::IoResult r) {
+                            EXPECT_TRUE(r.status.ok())
+                                << "host writes must never fail, tag " << tag
+                                << ": " << r.status;
+                            ++acks_[w];
+                          });
     history_.push_back(WriteEvent{vol, lba, tag});
+  }
+
+  ::testing::AssertionResult EveryWriteAckedOnce() const {
+    for (size_t w = 0; w < acks_.size(); ++w) {
+      if (acks_[w] != 1) {
+        return ::testing::AssertionFailure()
+               << "host write " << w << " acked " << acks_[w] << " times";
+      }
+    }
+    return ::testing::AssertionSuccess();
   }
 
   void RunWrites(int n, bool on_backup = false) {
@@ -396,6 +453,7 @@ class ChaosRun {
   std::unique_ptr<fault::FaultSchedule> media_schedule_;
   std::unique_ptr<fault::FaultSchedule> rot_schedule_;
   std::vector<WriteEvent> history_;
+  std::vector<int> acks_;
   uint64_t next_tag_ = 0;
 };
 
@@ -426,6 +484,7 @@ ScenarioResult RunScenario(uint64_t seed, bool coalesce = true) {
   FailoverReport report = run.Failover();
   result.recovery_point = report.recovery_point;
   EXPECT_TRUE(run.BackupIsWriteOrderPrefix()) << "seed " << seed;
+  EXPECT_TRUE(run.EveryWriteAckedOnce()) << "seed " << seed;
   result.fingerprint = run.BackupFingerprint();
   return result;
 }
@@ -466,6 +525,7 @@ EdgeLaneResult RunEdgeRepartitionLane(uint64_t seed) {
   EXPECT_TRUE(run.IsWriteOrderPrefix(run.backup_, run.svols_,
                                      /*require_all=*/true))
       << "seed " << seed;
+  EXPECT_TRUE(run.EveryWriteAckedOnce()) << "seed " << seed;
   result.fingerprint = run.BackupFingerprint();
   return result;
 }
@@ -515,6 +575,34 @@ EdgeLaneResult RunFailbackPartitionLane(uint64_t seed) {
   EXPECT_TRUE(run.IsWriteOrderPrefix(run.backup_, run.svols_,
                                      /*require_all=*/true))
       << "seed " << seed;
+  EXPECT_TRUE(run.EveryWriteAckedOnce()) << "seed " << seed;
+  result.fingerprint = run.BackupFingerprint();
+  return result;
+}
+
+// Array-crash lane, group half: the backup array crashes and is repaired
+// on a seeded timeline while the links flap. The group must reconverge
+// after the heal; a second crash phase is healed and failed over 0-1.2 ms
+// later, often mid-recovery, and the backup must be a write-order prefix
+// at that cut. `hits` counts the crashes that fired.
+EdgeLaneResult RunArrayCrashLane(uint64_t seed) {
+  ChaosRun run(seed);
+  EdgeLaneResult result;
+  run.ArmArrayChaos(seed * 101 + 11, Milliseconds(150));
+  run.RunWrites(350);
+  result.hits = CrashesFired(*run.schedule_, run.env_.now());
+  run.HealChaos();
+  EXPECT_TRUE(run.DrainToConverged()) << "seed " << seed;
+
+  run.ArmArrayChaos(seed * 101 + 17, Milliseconds(100));
+  run.RunWrites(30 + static_cast<int>(run.rng_.Uniform(150)));
+  result.hits += CrashesFired(*run.schedule_, run.env_.now());
+  run.HealChaos();
+  run.env_.RunFor(
+      static_cast<SimDuration>(run.rng_.Uniform(4)) * Microseconds(400));
+  run.Failover();
+  EXPECT_TRUE(run.BackupIsWriteOrderPrefix()) << "seed " << seed;
+  EXPECT_TRUE(run.EveryWriteAckedOnce()) << "seed " << seed;
   result.fingerprint = run.BackupFingerprint();
   return result;
 }
@@ -536,8 +624,10 @@ struct SdcLaneResult {
 // operator resyncs every suspended pair, and the next cut often lands
 // while that resync frame is still on the wire. Every host write must be
 // acked exactly once, and once the link stays up every S-VOL must equal
-// its P-VOL.
-SdcLaneResult RunSdcPartitionLane(uint64_t seed) {
+// its P-VOL. With `array_crashes` the partitions and drops give way to
+// the array-crash lane's seeded link flaps and backup-array crashes, and
+// `hits` counts the crashes that fired.
+SdcLaneResult RunSdcPartitionLane(uint64_t seed, bool array_crashes = false) {
   sim::SimEnvironment env;
   storage::StorageArray main(&env, ZeroLatency("MAIN"));
   storage::StorageArray backup(&env, ZeroLatency("BKUP"));
@@ -600,31 +690,44 @@ SdcLaneResult RunSdcPartitionLane(uint64_t seed) {
     to_main.SetConnected(up);
   };
 
-  to_backup.set_drop_probability(0.02);
-  to_main.set_drop_probability(0.02);
-  for (int cycle = 0; cycle < 6; ++cycle) {
-    run_writes(40);
-    set_links(false);
-    run_writes(10 + static_cast<int>(rng.Uniform(60)));
-    set_links(true);
+  if (array_crashes) {
+    fault::FaultSchedule crashes(
+        &env, ArrayCrashChaos(seed * 101 + 13, Milliseconds(150)));
+    crashes.AddLink(&to_backup);
+    crashes.AddLink(&to_main);
+    crashes.AddArray(&backup);
+    crashes.Arm();
+    run_writes(400);
+    result.hits = CrashesFired(crashes, env.now());
+    crashes.Heal();
     resync_suspended();
-    env.RunFor(
-        static_cast<SimDuration>(rng.Uniform(4)) * Microseconds(400));
-    for (PairId id : pairs) {
-      // Re-paired at the send with bits still owed: the frame is on the
-      // wire.
-      const Pair* pair = engine.GetPair(id);
-      if (pair->state() == PairState::kPaired && pair->dirty_blocks() > 0) {
-        ++result.hits;
+  } else {
+    to_backup.set_drop_probability(0.02);
+    to_main.set_drop_probability(0.02);
+    for (int cycle = 0; cycle < 6; ++cycle) {
+      run_writes(40);
+      set_links(false);
+      run_writes(10 + static_cast<int>(rng.Uniform(60)));
+      set_links(true);
+      resync_suspended();
+      env.RunFor(
+          static_cast<SimDuration>(rng.Uniform(4)) * Microseconds(400));
+      for (PairId id : pairs) {
+        // Re-paired at the send with bits still owed: the frame is on the
+        // wire.
+        const Pair* pair = engine.GetPair(id);
+        if (pair->state() == PairState::kPaired && pair->dirty_blocks() > 0) {
+          ++result.hits;
+        }
       }
+      set_links(false);
+      run_writes(5);
+      set_links(true);
+      resync_suspended();
     }
-    set_links(false);
-    run_writes(5);
-    set_links(true);
-    resync_suspended();
+    to_backup.set_drop_probability(0.0);
+    to_main.set_drop_probability(0.0);
   }
-  to_backup.set_drop_probability(0.0);
-  to_main.set_drop_probability(0.0);
   run_writes(40);
 
   // Drain: late deadlines may still suspend a pair; resync until every
@@ -671,6 +774,27 @@ TEST(ChaosTest, SdcPairsUnderPartitionAcrossSeeds) {
     hits += a.hits;
   }
   EXPECT_GT(hits, 0u) << "no cut landed on a sync-pair resync in flight";
+}
+
+// The array-crash lane, for one consistency group and for SDC pairs:
+// every host write acked once, convergence after the heal, a write-order
+// prefix at the group's failover cut, and two runs per seed identical.
+TEST(ChaosTest, BackupArrayCrashesAcrossSeeds) {
+  for (uint64_t seed : {11, 12, 13, 14, 15, 16, 17, 18}) {
+    EdgeLaneResult a = RunArrayCrashLane(seed);
+    EdgeLaneResult b = RunArrayCrashLane(seed);
+    EXPECT_EQ(a.fingerprint, b.fingerprint) << "seed " << seed;
+    EXPECT_EQ(a.hits, b.hits) << "seed " << seed;
+    EXPECT_GT(a.hits, 0u) << "seed " << seed << ": no group-lane crash";
+
+    SdcLaneResult sa = RunSdcPartitionLane(seed, /*array_crashes=*/true);
+    SdcLaneResult sb = RunSdcPartitionLane(seed, /*array_crashes=*/true);
+    EXPECT_EQ(sa.fingerprint, sb.fingerprint) << "seed " << seed;
+    EXPECT_EQ(sa.hits, sb.hits) << "seed " << seed;
+    EXPECT_EQ(sa.resyncs, sb.resyncs) << "seed " << seed;
+    EXPECT_EQ(sa.wire_bytes, sb.wire_bytes) << "seed " << seed;
+    EXPECT_GT(sa.hits, 0u) << "seed " << seed << ": no SDC-lane crash";
+  }
 }
 
 TEST(ChaosTest, RepartitionDuringEdgeResyncAcrossSeeds) {

@@ -1039,6 +1039,42 @@ TEST_F(FaultRecoveryTest, GroupResyncOntoFailedArrayLandsNothing) {
   EXPECT_TRUE(Converged(p, s));
 }
 
+// A resync that does not land (refused by a failed array, or dropped in a
+// partition) leaves the backup journal where it was, so the first journal
+// batch sent behind it would be contiguous and apply over the delta the
+// resync owes: write 6 on the backup without writes 1-5. The batch is
+// dropped instead, and the deadlines bring the group back.
+TEST_F(FaultRecoveryTest, BatchBehindAnUnlandedResyncDoesNotApply) {
+  for (const bool drop_frame : {false, true}) {
+    SCOPED_TRACE(drop_frame ? "frame dropped" : "array failed");
+    auto [p, s] = MakeVolumes(drop_frame ? "dropped" : "failed");
+    GroupId g = MakeGroup();
+    MakeAsyncPair(p, s, g);
+    env_.RunFor(Milliseconds(4));
+    ASSERT_TRUE(engine_.SuspendGroup(g).ok());
+    for (uint64_t lba = 0; lba < 5; ++lba) {
+      ASSERT_TRUE(main_.WriteSync(p, lba, BlockOf('a' + lba)).ok());
+    }
+    backup_.SetFailed(!drop_frame);
+    ASSERT_TRUE(engine_.ResyncGroup(g).ok());
+    if (drop_frame) {
+      Partition();
+      Heal();
+    }
+    env_.RunFor(Milliseconds(6));  // The frame is gone or refused.
+    backup_.SetFailed(false);
+    ASSERT_TRUE(main_.WriteSync(p, 10, BlockOf('z')).ok());
+    env_.RunFor(Milliseconds(9));  // Its batch arrived at 5 ms.
+    const block::MemVolume& sstore = backup_.GetVolume(s)->store();
+    EXPECT_FALSE(sstore.IsAllocated(10)) << "write 6 applied without 1-5";
+    EXPECT_FALSE(sstore.IsAllocated(0));
+
+    env_.RunFor(Seconds(1));
+    EXPECT_FALSE(Stats(g).suspended);
+    EXPECT_TRUE(Converged(p, s));
+  }
+}
+
 // The same rule when the array is up but the S-VOL's media fails every
 // write: a run that does not land keeps its owed bits, and the copy stays
 // in flight for its deadline.
@@ -1141,6 +1177,47 @@ TEST_F(FaultRecoveryTest, SyncPairResyncOntoFailedArrayLandsNothing) {
   EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
   EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 0u);
   EXPECT_TRUE(Converged(p, s));
+}
+
+// The same rule for a sync pair: a write sent behind a resync that never
+// landed (refused by a failed array, or dropped) lands nothing and is
+// acked once, locally; the pair suspends with every block owed.
+TEST_F(FaultRecoveryTest, SyncWriteBehindAnUnlandedResyncDoesNotLand) {
+  for (const bool drop_frame : {false, true}) {
+    SCOPED_TRACE(drop_frame ? "frame dropped" : "array failed");
+    auto [p, s] = MakeVolumes(drop_frame ? "dropped" : "failed");
+    PairId pair = MakeSyncPair(p, s);
+    env_.RunFor(Milliseconds(20));
+    ASSERT_TRUE(engine_.SuspendSyncPair(pair).ok());
+    for (uint64_t lba = 0; lba < 5; ++lba) {
+      ASSERT_TRUE(main_.WriteSync(p, lba, BlockOf('a' + lba)).ok());
+    }
+    backup_.SetFailed(!drop_frame);
+    ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+    if (drop_frame) {
+      Partition();
+      Heal();
+    }
+    env_.RunFor(Milliseconds(6));  // The frame is gone or refused.
+    backup_.SetFailed(false);
+    int acks = 0;
+    main_.SubmitHostWrite(p, 10, BlockOf('z'), [&](block::IoResult r) {
+      EXPECT_TRUE(r.status.ok()) << r.status;
+      ++acks;
+    });
+    env_.RunFor(Milliseconds(9));  // The write arrived at 5 ms.
+    EXPECT_FALSE(backup_.GetVolume(s)->store().IsAllocated(10))
+        << "write 6 landed without 1-5";
+    env_.RunFor(Milliseconds(100));  // Past both deadlines.
+    EXPECT_EQ(acks, 1);
+    EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kSuspended);
+    EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 6u);
+
+    ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+    env_.RunFor(Milliseconds(20));
+    EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+    EXPECT_TRUE(Converged(p, s));
+  }
 }
 
 // A giveback that reaches a failed main array lands nothing and stays

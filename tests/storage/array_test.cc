@@ -129,7 +129,33 @@ TEST_F(ArrayTest, UnalignedSyncWriteRejected) {
 TEST_F(ArrayTest, FailedArrayRejectsEverything) {
   auto id = array_.CreateVolume("v", 10);
   ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(array_.WriteSync(*id, 1, BlockOf('a')).ok());
+  obs::MetricRegistry registry;
+  array_.AttachObservability(&registry, "storage.t");
+  const obs::Gauge* slab_bytes = registry.GetGauge("storage.t.slab_bytes");
+  const obs::Gauge* written = registry.GetGauge("storage.t.written_blocks");
+  const int64_t slab_before = slab_bytes->value();
+  const int64_t written_before = written->value();
+  Volume* vol = array_.GetVolume(*id);
   array_.SetFailed(true);
+
+  // The storage rule: no write path into a failed array's volumes, the
+  // replication landings (WriteRun, AdoptImage) included, changes a thing.
+  const std::string two = BlockOf('y') + BlockOf('z');
+  const block::BlockRun run{2, 2, two, nullptr};
+  block::MemVolume image(10);
+  ASSERT_TRUE(image.Write(5, 1, BlockOf('i')).ok());
+  EXPECT_EQ(vol->Write(1, 1, BlockOf('w')).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(vol->WriteRun(&run, 1).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(vol->AdoptImage(std::move(image)).code(),
+            StatusCode::kUnavailable);
+  EXPECT_TRUE(vol->store().ReadBlock(1) == BlockOf('a'));
+  for (block::Lba lba : {0, 2, 3, 5}) {
+    EXPECT_FALSE(vol->store().IsAllocated(lba)) << lba;
+  }
+  EXPECT_EQ(slab_bytes->value(), slab_before);
+  EXPECT_EQ(written->value(), written_before);
+
   EXPECT_EQ(array_.WriteSync(*id, 0, BlockOf('x')).code(),
             StatusCode::kUnavailable);
   std::string out;
@@ -146,6 +172,13 @@ TEST_F(ArrayTest, FailedArrayRejectsEverything) {
 
   array_.SetFailed(false);
   EXPECT_TRUE(array_.WriteSync(*id, 0, BlockOf('x')).ok());
+  EXPECT_TRUE(vol->Write(1, 1, BlockOf('w')).ok());
+  EXPECT_TRUE(vol->WriteRun(&run, 1).ok());
+  block::MemVolume healed(10);
+  ASSERT_TRUE(healed.Write(5, 1, BlockOf('i')).ok());
+  EXPECT_TRUE(vol->AdoptImage(std::move(healed)).ok());
+  EXPECT_TRUE(vol->store().ReadBlock(5) == BlockOf('i'));
+  EXPECT_EQ(written->value(), 1);
 }
 
 TEST_F(ArrayTest, JournalLifecycle) {
