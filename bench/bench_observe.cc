@@ -19,11 +19,11 @@
 // Writes the results as JSON (default BENCH_observe.json; --out PATH to
 // override). --quick shrinks durations for the ctest smoke run; the
 // committed JSON comes from the full run via scripts/run_benches.sh.
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -205,54 +205,18 @@ RunResult RunFoldWorkload(SimDuration link_latency, bool observed,
 // cannot resolve 2%).
 constexpr double kMaxOverheadPct = 2.0;
 
-struct OverheadResult {
-  // The median-time run of each arm.
-  RunResult detached;
-  RunResult attached;
-  // Host-throughput loss from instrumentation, one sample per round.
-  Spread overhead_pct;
-  int repeats = 0;
-  bool deterministic = false;
-};
+// Off is fully detached, on fully attached.
+using OverheadResult = OnOffOverhead<RunResult>;
 
 OverheadResult MeasureOverhead(bool quick) {
-  // Detached and attached runs alternate in interleaved rounds, so a drift
-  // in host load lands on both arms alike; each round's pair gives one
-  // overhead sample, and the median of those is what the gate judges. A
-  // window is only ~30 ms of host time, so the full run takes 101 rounds
-  // (about 8 s) to pin the median to within about a percent; one untimed
-  // round of each arm warms caches and the allocator first.
-  OverheadResult out;
-  out.repeats = quick ? 3 : 101;
-  for (const bool observed : {false, true}) {
-    RunFoldWorkload(Milliseconds(5), observed, Milliseconds(10), quick);
-  }
-  std::vector<RunResult> runs[2];
-  TimeInterleaved(2, out.repeats, [&](size_t arm) {
-    runs[arm].push_back(RunFoldWorkload(Milliseconds(5), arm == 1,
-                                        Milliseconds(10), quick));
-  });
-  std::vector<double> overhead;
-  out.deterministic = true;
-  for (int r = 0; r < out.repeats; ++r) {
-    const RunResult& off = runs[0][r];
-    const RunResult& on = runs[1][r];
-    out.deterministic &= off.applied == on.applied &&
-                         off.wire_bytes == on.wire_bytes &&
-                         off.applied == runs[0][0].applied;
-    overhead.push_back(100.0 * (1.0 - on.applies_per_host_sec /
-                                          off.applies_per_host_sec));
-  }
-  out.overhead_pct = Summarize(std::move(overhead));
-  for (std::vector<RunResult>& arm : runs) {
-    std::sort(arm.begin(), arm.end(), [](const RunResult& a,
-                                         const RunResult& b) {
-      return a.host_seconds < b.host_seconds;
-    });
-  }
-  out.detached = runs[0][runs[0].size() / 2];
-  out.attached = runs[1][runs[1].size() / 2];
-  return out;
+  // The gate judges the median of the per-round overheads. A window is
+  // only ~30 ms of host time, so the full run takes 101 rounds (about 8 s)
+  // to pin the median to within about a percent.
+  return MeasureOnOffOverhead<RunResult>(
+      quick ? 3 : 101, [quick](bool observed) {
+        return RunFoldWorkload(Milliseconds(5), observed, Milliseconds(10),
+                               quick);
+      });
 }
 
 // ---- E12b: RPO vs link latency ----------------------------------------------
@@ -283,6 +247,8 @@ void WriteJson(const std::string& path, bool quick, const OverheadResult& ov,
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"bench_observe\",\n");
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
+  std::fprintf(f, "  \"hardware_lanes\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"overhead\": {\n");
   auto run_obj = [&](const char* key, const RunResult& r, const char* tail) {
     std::fprintf(f,
@@ -293,10 +259,10 @@ void WriteJson(const std::string& path, bool quick, const OverheadResult& ov,
                  (unsigned long long)r.wire_bytes, r.host_seconds,
                  r.applies_per_sim_sec, r.applies_per_host_sec, tail);
   };
-  run_obj("detached", ov.detached, ",");
-  run_obj("attached", ov.attached, ",");
+  run_obj("detached", ov.off, ",");
+  run_obj("attached", ov.on, ",");
   std::fprintf(f, "    \"sim_results_identical\": %s,\n",
-               ov.deterministic ? "true" : "false");
+               ov.identical ? "true" : "false");
   std::fprintf(f, "    \"repeats\": %d,\n", ov.repeats);
   std::fprintf(f, "    \"overhead_pct\": %.3f,\n", ov.overhead_pct.median);
   std::fprintf(f, "    \"overhead_pct_q1\": %.3f,\n", ov.overhead_pct.q1);
@@ -328,8 +294,8 @@ int Run(bool quick, const std::string& out_path) {
   PrintRule();
   OverheadResult ov = MeasureOverhead(quick);
   for (const auto& [label, r] :
-       {std::pair<const char*, const RunResult&>{"detached", ov.detached},
-        {"attached", ov.attached}}) {
+       {std::pair<const char*, const RunResult&>{"detached", ov.off},
+        {"attached", ov.on}}) {
     PrintLine("%12s %12llu %14.2f %18.0f %18.0f", label,
               (unsigned long long)r.applied, r.host_seconds * 1e3,
               r.applies_per_sim_sec, r.applies_per_host_sec);
@@ -338,10 +304,10 @@ int Run(bool quick, const std::string& out_path) {
   PrintLine("sim results identical: %s   host overhead: median %.2f%% "
             "[IQR %.2f to %.2f%%] over %d interleaved rounds "
             "(acceptance: median < %.0f%%)",
-            ov.deterministic ? "yes" : "NO", ov.overhead_pct.median,
+            ov.identical ? "yes" : "NO", ov.overhead_pct.median,
             ov.overhead_pct.q1, ov.overhead_pct.q3, ov.repeats,
             kMaxOverheadPct);
-  ZB_CHECK(ov.deterministic);  // Instruments must not perturb the sim.
+  ZB_CHECK(ov.identical);  // Instruments must not perturb the sim.
   if (!quick) {
     ZB_CHECK(ov.overhead_pct.median < kMaxOverheadPct)
         << "instrumentation costs " << ov.overhead_pct.median

@@ -87,6 +87,50 @@ std::vector<std::vector<double>> TimeInterleaved(size_t arms, int repeats,
   return seconds;
 }
 
+// The host cost of switching a feature on, for a deterministic workload:
+// one untimed run of each arm warms caches and the allocator, then
+// `repeats` interleaved off/on rounds each give one overhead sample (the
+// loss in applies per host-second). `Run` is any result with `applied`,
+// `wire_bytes`, `host_seconds` and `applies_per_host_sec`.
+template <typename Run>
+struct OnOffOverhead {
+  Run off;  // The median-time run of each arm.
+  Run on;
+  Spread overhead_pct;  // One sample per round.
+  int repeats = 0;
+  bool identical = false;  // Simulated results equal in every run.
+};
+
+template <typename Run, typename Fn>
+OnOffOverhead<Run> MeasureOnOffOverhead(int repeats, Fn&& run /* (bool on) */) {
+  OnOffOverhead<Run> out;
+  out.repeats = repeats;
+  for (const bool on : {false, true}) run(on);
+  std::vector<Run> runs[2];
+  TimeInterleaved(2, repeats,
+                  [&](size_t arm) { runs[arm].push_back(run(arm == 1)); });
+  std::vector<double> overhead;
+  out.identical = true;
+  for (int r = 0; r < repeats; ++r) {
+    const Run& off = runs[0][r];
+    const Run& on = runs[1][r];
+    out.identical &= off.applied == on.applied &&
+                     off.wire_bytes == on.wire_bytes &&
+                     off.applied == runs[0][0].applied;
+    overhead.push_back(100.0 * (1.0 - on.applies_per_host_sec /
+                                          off.applies_per_host_sec));
+  }
+  out.overhead_pct = Summarize(std::move(overhead));
+  for (std::vector<Run>& arm : runs) {
+    std::sort(arm.begin(), arm.end(), [](const Run& a, const Run& b) {
+      return a.host_seconds < b.host_seconds;
+    });
+  }
+  out.off = runs[0][runs[0].size() / 2];
+  out.on = runs[1][runs[1].size() / 2];
+  return out;
+}
+
 // ---- A deployed business process on a DemoSystem ----------------------------
 
 inline db::DbOptions BenchDbOptions() {

@@ -3,43 +3,34 @@
 #include <algorithm>
 
 namespace zerobak::exec {
-namespace {
 
-// Set while a pool worker is executing a task, so a nested ParallelFor
-// from inside a block runs inline instead of re-entering the queues (which
-// could deadlock the join barrier on a full pool).
-thread_local bool t_inside_pool_worker = false;
+// Set while a thread runs blocks, so a nested ParallelFor runs inline
+// instead of waiting on the section it is part of.
+static thread_local bool t_inside_pool_worker = false;
 
-}  // namespace
-
-// One parallel section in flight. Lives on the caller's stack for the
-// duration of its ParallelFor; tasks hold a raw pointer, which is safe
-// because the final pending decrement happens under mu (see RunTask), so
-// the join barrier cannot release the caller before the last task is
-// completely done with the Job.
+// One section, on the caller's stack. Workers touch it only while counted
+// in holders_, which the caller drains before returning.
 struct ThreadPool::Job {
-  const std::function<void(size_t, size_t)>* body = nullptr;
-  std::atomic<size_t> pending{0};
-  std::mutex mu;
-  std::condition_variable cv;
+  const std::function<void(size_t, size_t)>& body;
+  const size_t n, grain, blocks;
+  std::atomic<size_t> next{0};  // The shared cursor: next unclaimed block.
+  void RunBlocks() {
+    for (size_t b; (b = next.fetch_add(1)) < blocks;) {
+      body(b * grain, std::min(n, (b + 1) * grain));
+    }
+  }
 };
 
 ThreadPool::ThreadPool(unsigned lanes) : lanes_(lanes == 0 ? 1 : lanes) {
-  shards_.reserve(lanes_);
-  for (unsigned i = 0; i < lanes_; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  workers_.reserve(lanes_ - 1);
   for (unsigned i = 1; i < lanes_; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    stop_ = true;
-  }
+  std::unique_lock<std::mutex> lock(wake_mu_);
+  stop_ = true;
+  lock.unlock();
   wake_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
@@ -59,129 +50,44 @@ void ThreadPool::ParallelFor(
     body(0, n);
     return;
   }
-
   sections_.fetch_add(1, std::memory_order_relaxed);
   tasks_.fetch_add(blocks, std::memory_order_relaxed);
 
-  Job job;
-  job.body = &body;
-  job.pending.store(blocks, std::memory_order_relaxed);
-
-  // Deal blocks round-robin across the shards (shard 0 is the caller's),
-  // so every lane has local work before anyone needs to steal.
-  for (size_t b = 0; b < blocks; ++b) {
-    const size_t begin = b * grain;
-    Task task{&job, begin, std::min(n, begin + grain)};
-    Shard& shard = *shards_[b % lanes_];
-    uint64_t depth;
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.queue.push_back(task);
-      depth = shard.queue.size();
-      // Count the task before releasing the shard lock: it is claimable
-      // the moment the lock drops, and an already-awake worker's
-      // decrement must never outrun the increment (ready_ is unsigned).
-      ready_.fetch_add(1, std::memory_order_relaxed);
-    }
-    uint64_t seen = max_queue_depth_.load(std::memory_order_relaxed);
-    while (depth > seen && !max_queue_depth_.compare_exchange_weak(
-                               seen, depth, std::memory_order_relaxed)) {
-    }
-  }
-  {
-    // Empty critical section ordering the ready_ increments against a
-    // worker's wait predicate: a worker either sees the new count while
-    // holding wake_mu_, or is already parked and the notify reaches it.
-    std::lock_guard<std::mutex> lock(wake_mu_);
-  }
+  std::lock_guard<std::mutex> section(section_mu_);
+  Job job{body, n, grain, blocks};
+  std::unique_lock<std::mutex> lock(wake_mu_);
+  job_ = &job;
+  ++generation_;
+  lock.unlock();
   wake_cv_.notify_all();
-
-  // The caller is lane 0: drain until no task is claimable anywhere, then
-  // park on the join barrier for blocks still running on workers.
-  while (TryRunOne(0)) {
-  }
-  std::unique_lock<std::mutex> lock(job.mu);
-  job.cv.wait(lock, [&job] {
-    return job.pending.load(std::memory_order_acquire) == 0;
-  });
+  t_inside_pool_worker = true;
+  job.RunBlocks();
+  t_inside_pool_worker = false;
+  // The cursor is spent: every block is done or runs on a holder. Retract
+  // the job once no holder is left, under the lock a late worker needs to
+  // take it. The mutex hand-off also publishes the workers' writes.
+  lock.lock();
+  done_cv_.wait(lock, [this] { return holders_ == 0; });
+  job_ = nullptr;
 }
 
-void ThreadPool::WorkerLoop(unsigned self) {
+void ThreadPool::WorkerLoop() {
   t_inside_pool_worker = true;
+  uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(wake_mu_);
   for (;;) {
-    if (TryRunOne(self)) continue;
-    std::unique_lock<std::mutex> lock(wake_mu_);
-    wake_cv_.wait(lock, [this] {
-      return stop_ || ready_.load(std::memory_order_relaxed) > 0;
+    wake_cv_.wait(lock, [this, &seen] {
+      return stop_ || (job_ != nullptr && generation_ != seen);
     });
-    if (stop_) {
-      // Sections join before ~ThreadPool runs, so the queues are
-      // necessarily empty here.
-      return;
-    }
-  }
-}
-
-bool ThreadPool::TryRunOne(unsigned self) {
-  // Own shard first, oldest task first.
-  {
-    Shard& own = *shards_[self];
-    std::unique_lock<std::mutex> lock(own.mu);
-    if (!own.queue.empty()) {
-      Task task = own.queue.front();
-      own.queue.pop_front();
-      lock.unlock();
-      ready_.fetch_sub(1, std::memory_order_relaxed);
-      RunTask(task);
-      return true;
-    }
-  }
-  // Steal newest-first from the other shards: the back of a foreign deque
-  // is the block its owner would reach last.
-  for (unsigned i = 1; i < lanes_; ++i) {
-    Shard& victim = *shards_[(self + i) % lanes_];
-    std::unique_lock<std::mutex> lock(victim.mu);
-    if (victim.queue.empty()) continue;
-    Task task = victim.queue.back();
-    victim.queue.pop_back();
+    if (stop_) return;  // Sections join before ~ThreadPool runs.
+    seen = generation_;
+    Job* job = job_;
+    ++holders_;
     lock.unlock();
-    ready_.fetch_sub(1, std::memory_order_relaxed);
-    steals_.fetch_add(1, std::memory_order_relaxed);
-    RunTask(task);
-    return true;
+    job->RunBlocks();
+    lock.lock();
+    if (--holders_ == 0) done_cv_.notify_one();
   }
-  return false;
-}
-
-void ThreadPool::RunTask(const Task& task) {
-  // Mark the executing thread (worker OR the caller draining its shard)
-  // as inside a task, so a nested ParallelFor from the body degrades to
-  // an inline loop instead of re-entering the queues.
-  const bool prev = t_inside_pool_worker;
-  t_inside_pool_worker = true;
-  (*task.job->body)(task.begin, task.end);
-  t_inside_pool_worker = prev;
-  // Decrement while holding job->mu. The Job lives on the caller's stack,
-  // and the caller's wait predicate only reads pending under this mutex —
-  // so it cannot observe zero, return, and destroy the Job while this
-  // thread is still about to touch job->mu/cv. The release in fetch_sub
-  // additionally pairs with the acquire load in the predicate, making the
-  // task's writes visible to the caller.
-  Job* job = task.job;
-  std::lock_guard<std::mutex> lock(job->mu);
-  if (job->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    job->cv.notify_all();
-  }
-}
-
-ThreadPool::Stats ThreadPool::stats() const {
-  Stats s;
-  s.sections = sections_.load(std::memory_order_relaxed);
-  s.inline_sections = inline_sections_.load(std::memory_order_relaxed);
-  s.tasks = tasks_.load(std::memory_order_relaxed);
-  s.steals = steals_.load(std::memory_order_relaxed);
-  s.max_queue_depth = max_queue_depth_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace zerobak::exec

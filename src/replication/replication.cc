@@ -130,34 +130,23 @@ Status ConsistencyGroupConfig::Validate() const {
 
 namespace internal {
 
-// Interceptor installed on an async P-VOL: journals the write, acks.
-class AdcInterceptor : public storage::WriteInterceptor {
+// Interceptor installed on a P-VOL. An async pair journals the write and
+// acks; a sync pair ships it and delays the host ack until the remote site
+// persisted it.
+class PrimaryInterceptor : public storage::WriteInterceptor {
  public:
-  AdcInterceptor(ReplicationEngine* engine, Pair* pair)
+  PrimaryInterceptor(ReplicationEngine* engine, Pair* pair)
       : engine_(engine), pair_(pair) {}
 
   void OnHostWrite(storage::Volume* volume, block::Lba lba, uint32_t count,
                    std::string_view data, AckFn ack) override {
-    engine_->OnAsyncHostWrite(pair_, volume, lba, count, data,
-                              std::move(ack));
-  }
-
- private:
-  ReplicationEngine* engine_;
-  Pair* pair_;
-};
-
-// Interceptor installed on a sync P-VOL: ships the write and delays the
-// host ack until the remote site persisted it.
-class SyncInterceptor : public storage::WriteInterceptor {
- public:
-  SyncInterceptor(ReplicationEngine* engine, Pair* pair)
-      : engine_(engine), pair_(pair) {}
-
-  void OnHostWrite(storage::Volume* volume, block::Lba lba, uint32_t count,
-                   std::string_view data, AckFn ack) override {
-    engine_->OnSyncHostWrite(pair_, volume, lba, count, data,
-                             std::move(ack));
+    if (pair_->config_.mode == ReplicationMode::kSynchronous) {
+      engine_->OnSyncHostWrite(pair_, volume, lba, count, data,
+                               std::move(ack));
+    } else {
+      engine_->OnAsyncHostWrite(pair_, volume, lba, count, data,
+                                std::move(ack));
+    }
   }
 
  private:
@@ -261,11 +250,11 @@ ReplicationEngine::~ReplicationEngine() {
     if (pj != nullptr) pj->SetAppendCallback({});
   }
   // Unregister interceptors so arrays outliving the engine behave.
-  for (auto& [vid, ic] : primary_interceptors_) {
-    primary_->UnregisterInterceptor(vid);
-  }
-  for (auto& [vid, ic] : secondary_guards_) {
-    secondary_->UnregisterInterceptor(vid);
+  for (auto& [id, pair] : pairs_) {
+    primary_->UnregisterInterceptor(pair->config_.primary);
+    if (pair->svol_interceptor_ != nullptr) {
+      secondary_->UnregisterInterceptor(pair->config_.secondary);
+    }
   }
 }
 
@@ -330,10 +319,8 @@ StatusOr<GroupStats> ReplicationEngine::GetGroupStats(GroupId id) const {
   if (group == nullptr) return NotFoundError("group " + std::to_string(id));
   GroupStats stats;
   // The engine keeps handles to the journal objects through the arrays.
-  auto* pj = const_cast<storage::StorageArray*>(primary_)->GetJournal(
-      group->primary_journal);
-  auto* sj = const_cast<storage::StorageArray*>(secondary_)->GetJournal(
-      group->secondary_journal);
+  auto* pj = primary_->GetJournal(group->primary_journal);
+  auto* sj = secondary_->GetJournal(group->secondary_journal);
   if (pj != nullptr) {
     stats.written = pj->written();
     stats.shipped = pj->shipped();
@@ -451,8 +438,6 @@ void ReplicationEngine::AttachObservability(obs::MetricRegistry* registry,
     ins_.exec_sections = registry->GetCounter("exec.sections");
     ins_.exec_inline_sections = registry->GetCounter("exec.inline_sections");
     ins_.exec_tasks = registry->GetCounter("exec.tasks");
-    ins_.exec_steals = registry->GetCounter("exec.steals");
-    ins_.exec_queue_depth_max = registry->GetGauge("exec.max_queue_depth");
     // Baseline the delta source so a re-attach does not double-count
     // sections that ran while detached.
     exec_synced_ = compute_pool_->stats();
@@ -485,9 +470,6 @@ void ReplicationEngine::SyncExecStats() {
   ins_.exec_inline_sections->Increment(now.inline_sections -
                                        exec_synced_.inline_sections);
   ins_.exec_tasks->Increment(now.tasks - exec_synced_.tasks);
-  ins_.exec_steals->Increment(now.steals - exec_synced_.steals);
-  ins_.exec_queue_depth_max->Set(
-      static_cast<int64_t>(now.max_queue_depth));
   exec_synced_ = now;
 }
 
@@ -563,22 +545,17 @@ StatusOr<PairId> ReplicationEngine::CreatePair(const PairConfig& config) {
   }
   Pair* raw = pair.get();
 
-  std::unique_ptr<storage::WriteInterceptor> interceptor;
-  if (synchronous) {
-    interceptor = std::make_unique<internal::SyncInterceptor>(this, raw);
-  } else {
-    interceptor = std::make_unique<internal::AdcInterceptor>(this, raw);
-  }
-  ZB_RETURN_IF_ERROR(
-      primary_->RegisterInterceptor(config.primary, interceptor.get()));
-  auto guard = std::make_unique<internal::SecondaryGuard>(raw);
-  Status gs = secondary_->RegisterInterceptor(config.secondary, guard.get());
+  pair->pvol_interceptor_ =
+      std::make_unique<internal::PrimaryInterceptor>(this, raw);
+  ZB_RETURN_IF_ERROR(primary_->RegisterInterceptor(
+      config.primary, pair->pvol_interceptor_.get()));
+  pair->svol_interceptor_ = std::make_unique<internal::SecondaryGuard>(raw);
+  Status gs = secondary_->RegisterInterceptor(config.secondary,
+                                              pair->svol_interceptor_.get());
   if (!gs.ok()) {
     primary_->UnregisterInterceptor(config.primary);
     return gs;
   }
-  primary_interceptors_.emplace(config.primary, std::move(interceptor));
-  secondary_guards_.emplace(config.secondary, std::move(guard));
 
   if (group != nullptr) {
     group->pairs.push_back(id);
@@ -594,9 +571,9 @@ Status ReplicationEngine::DeletePair(PairId id) {
   Pair* pair = FindPair(id);
   if (pair == nullptr) return NotFoundError("pair " + std::to_string(id));
   primary_->UnregisterInterceptor(pair->config_.primary);
-  secondary_->UnregisterInterceptor(pair->config_.secondary);
-  primary_interceptors_.erase(pair->config_.primary);
-  secondary_guards_.erase(pair->config_.secondary);
+  if (pair->svol_interceptor_ != nullptr) {
+    secondary_->UnregisterInterceptor(pair->config_.secondary);
+  }
   if (pair->group_ == 0) {
     // A sync pair owns its per-pair channel on both links; drop the FIFO
     // state or every pair ever created leaks an entry.
@@ -1136,13 +1113,7 @@ void ReplicationEngine::OnCopyLost(const CopyRef& ref) {
 }
 
 void ReplicationEngine::SuspendOnFailure(Group* group, SuspendReason reason) {
-  MarkGroupSuspended(group);
-  group->suspend_reason = reason;
-  if (ins_.suspends != nullptr) ins_.suspends->Increment();
-  if (trace_ != nullptr) {
-    trace_->Record(env_->now(), obs::TraceEvent::kSuspend, group->id,
-                   static_cast<uint64_t>(reason));
-  }
+  MarkGroupSuspended(group, reason);
   if (!group->config.auto_resync) return;
   if (!to_secondary_->connected()) {
     // No timer can help while the link is down: wait for its ready edge.
@@ -1461,7 +1432,8 @@ void ReplicationEngine::StartInitialCopy(Pair* pair, Group* group) {
   ArmCopyDeadline({.group = group_id, .pair = pair_id});
 }
 
-void ReplicationEngine::MarkGroupSuspended(Group* group) {
+void ReplicationEngine::MarkGroupSuspended(Group* group,
+                                           SuspendReason reason) {
   group->suspended = true;
   // A suspended group ships nothing; it re-arms on resync completion.
   scheduler_.Disarm(group->id);
@@ -1514,6 +1486,12 @@ void ReplicationEngine::MarkGroupSuspended(Group* group) {
       }
     }
   }
+  group->suspend_reason = reason;
+  if (ins_.suspends != nullptr) ins_.suspends->Increment();
+  if (trace_ != nullptr) {
+    trace_->Record(env_->now(), obs::TraceEvent::kSuspend, group->id,
+                   static_cast<uint64_t>(reason));
+  }
 }
 
 Status ReplicationEngine::SuspendGroup(GroupId id) {
@@ -1529,13 +1507,7 @@ Status ReplicationEngine::SuspendGroup(GroupId id) {
     CancelResyncRetry(group);
     return OkStatus();
   }
-  MarkGroupSuspended(group);
-  group->suspend_reason = SuspendReason::kOperator;
-  if (ins_.suspends != nullptr) ins_.suspends->Increment();
-  if (trace_ != nullptr) {
-    trace_->Record(env_->now(), obs::TraceEvent::kSuspend, group->id,
-                   static_cast<uint64_t>(SuspendReason::kOperator));
-  }
+  MarkGroupSuspended(group, SuspendReason::kOperator);
   CancelResyncRetry(group);
   return OkStatus();
 }
@@ -1835,20 +1807,24 @@ StatusOr<FailoverReport> ReplicationEngine::FailoverGroup(GroupId id) {
   for (PairId pid : group->pairs) {
     Pair* pair = FindPair(pid);
     if (pair == nullptr) continue;
-    secondary_->UnregisterInterceptor(pair->config_.secondary);
-    secondary_guards_.erase(pair->config_.secondary);
-    auto tracker = std::make_unique<internal::ReverseDirtyTracker>(pair);
-    if (secondary_->RegisterInterceptor(pair->config_.secondary,
-                                        tracker.get())
-            .ok()) {
-      secondary_guards_.emplace(pair->config_.secondary,
-                                std::move(tracker));
-    }
+    ReplaceSvolInterceptor(
+        pair, std::make_unique<internal::ReverseDirtyTracker>(pair));
     pair->state_ = PairState::kSwapped;
     Supersede(&pair->copy_);
     pair->dirty_.ClearAll();
   }
   return report;
+}
+
+void ReplicationEngine::ReplaceSvolInterceptor(
+    Pair* pair, std::unique_ptr<storage::WriteInterceptor> next) {
+  secondary_->UnregisterInterceptor(pair->config_.secondary);
+  pair->svol_interceptor_ = std::move(next);
+  if (!secondary_->RegisterInterceptor(pair->config_.secondary,
+                                       pair->svol_interceptor_.get())
+           .ok()) {
+    pair->svol_interceptor_.reset();
+  }
 }
 
 StatusOr<FailbackReport> ReplicationEngine::FailbackGroup(GroupId id,
@@ -1900,14 +1876,8 @@ StatusOr<FailbackReport> ReplicationEngine::FailbackGroup(GroupId id,
   for (PairId pid : group->pairs) {
     Pair* pair = FindPair(pid);
     if (pair == nullptr) continue;
-    secondary_->UnregisterInterceptor(pair->config_.secondary);
-    secondary_guards_.erase(pair->config_.secondary);
-    auto guard = std::make_unique<internal::SecondaryGuard>(pair);
-    if (secondary_->RegisterInterceptor(pair->config_.secondary,
-                                        guard.get())
-            .ok()) {
-      secondary_guards_.emplace(pair->config_.secondary, std::move(guard));
-    }
+    ReplaceSvolInterceptor(pair,
+                           std::make_unique<internal::SecondaryGuard>(pair));
     pair->state_ = PairState::kPaired;
     pair->dirty_.ClearAll();
   }

@@ -262,8 +262,7 @@ class Scrubber;
 struct ScrubConfig;
 
 namespace internal {
-class AdcInterceptor;
-class SyncInterceptor;
+class PrimaryInterceptor;
 class SecondaryGuard;
 class ReverseDirtyTracker;
 
@@ -301,8 +300,7 @@ class Pair {
  private:
   friend class ReplicationEngine;
   friend class Scrubber;
-  friend class internal::AdcInterceptor;
-  friend class internal::SyncInterceptor;
+  friend class internal::PrimaryInterceptor;
   friend class internal::ReverseDirtyTracker;
 
   PairId id_ = 0;
@@ -321,6 +319,11 @@ class Pair {
   // was sent and has not landed (0: none). A write sent behind it would
   // land over the delta that copy owes, so it does not land.
   uint64_t resync_fence_ = 0;
+  // The interceptors registered on the P-VOL and on the S-VOL (a write
+  // guard, or a dirty tracker after failover; null if none registered).
+  // Unregistered before the pair is destroyed.
+  std::unique_ptr<storage::WriteInterceptor> pvol_interceptor_;
+  std::unique_ptr<storage::WriteInterceptor> svol_interceptor_;
 };
 
 // The remote-copy feature of a main/backup array pair: creates and drives
@@ -457,8 +460,7 @@ class ReplicationEngine {
 
  private:
   friend class Scrubber;
-  friend class internal::AdcInterceptor;
-  friend class internal::SyncInterceptor;
+  friend class internal::PrimaryInterceptor;
 
   // A bulk transfer (resync or failback giveback) captured at one instant
   // into one wire frame: compressed when the group compresses transfers,
@@ -549,6 +551,11 @@ class ReplicationEngine {
   void OnSyncHostWrite(Pair* pair, storage::Volume* volume, uint64_t lba,
                        uint32_t count, std::string_view data,
                        storage::WriteInterceptor::AckFn ack);
+  // Swaps the interceptor on the pair's S-VOL (guard <-> dirty tracker at
+  // failover and failback). If registering `next` fails, the S-VOL is left
+  // without one.
+  void ReplaceSvolInterceptor(Pair* pair,
+                              std::unique_ptr<storage::WriteInterceptor> next);
 
   // Transfer engine: ships one batch (capped at `max_bytes`, though the
   // journal's one-record progress guarantee may overshoot) from the
@@ -675,7 +682,9 @@ class ReplicationEngine {
   }
 
   void StartInitialCopy(Pair* pair, Group* group);
-  void MarkGroupSuspended(Group* group);
+  // Enters bitmap mode (journal backlog -> dirty bits, copies superseded)
+  // and records why: the reason, the suspends counter and the trace.
+  void MarkGroupSuspended(Group* group, SuspendReason reason);
 
   // Failure detection: schedules a check that the batch ending at `expect`
   // is acked within ack_timeout of its latest possible arrival.
@@ -738,14 +747,6 @@ class ReplicationEngine {
   std::map<PairId, std::unique_ptr<Pair>> pairs_;
   PairId next_pair_id_ = 1;
 
-  // Interceptors owned by the engine, one per protected P-VOL / S-VOL.
-  std::unordered_map<storage::VolumeId,
-                     std::unique_ptr<storage::WriteInterceptor>>
-      primary_interceptors_;
-  std::unordered_map<storage::VolumeId,
-                     std::unique_ptr<storage::WriteInterceptor>>
-      secondary_guards_;
-
   uint64_t records_shipped_ = 0;
   uint64_t records_applied_ = 0;
 
@@ -774,17 +775,14 @@ class ReplicationEngine {
     obs::Counter* failbacks = nullptr;
     Histogram* batch_wire_bytes = nullptr;
     Histogram* batch_records = nullptr;
-    // Compute-pool health ("exec.*"). These describe HOST-side execution
-    // (scheduling, stealing), not simulated behavior: they vary run to
-    // run and with the lane count, so determinism comparisons must
-    // exclude the exec.* prefix. Updated by SyncExecStats on the sim
-    // thread after join barriers — never from workers, because the
-    // registry is not thread-safe.
+    // Compute-pool health ("exec.*"). These describe HOST-side execution,
+    // not simulated behavior: they vary with the lane count, so
+    // determinism comparisons must exclude the exec.* prefix. Updated by
+    // SyncExecStats on the sim thread after join barriers — never from
+    // workers, because the registry is not thread-safe.
     obs::Counter* exec_sections = nullptr;
     obs::Counter* exec_inline_sections = nullptr;
     obs::Counter* exec_tasks = nullptr;
-    obs::Counter* exec_steals = nullptr;
-    obs::Gauge* exec_queue_depth_max = nullptr;
   };
   EngineInstruments ins_;
   // Last pool stats folded into the exec.* counters (delta source).
