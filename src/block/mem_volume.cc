@@ -1,5 +1,6 @@
 #include "block/mem_volume.h"
 
+#include <bit>
 #include <cstring>
 #include <utility>
 
@@ -90,6 +91,23 @@ std::string_view MemVolume::ReadBlockView(Lba lba) const {
   const uint64_t slot = lba % kBlocksPerChunk;
   return std::string_view(chunks_[ci].data.get() + slot * block_size_,
                           block_size_);
+}
+
+bool MemVolume::ViewRun(Lba lba, uint32_t count, std::string_view* data,
+                        const char** crcs) const {
+  // The sidecar words are the CRCs' wire form only on a little-endian host.
+  static_assert(std::endian::native == std::endian::little);
+  const size_t ci = static_cast<size_t>(lba / kBlocksPerChunk);
+  const uint64_t slot = lba % kBlocksPerChunk;
+  if (!checksums_enabled_ || count == 0 || chunks_[ci].data == nullptr ||
+      slot + count > ChunkBlocks(ci)) {
+    return false;
+  }
+  const Chunk& chunk = chunks_[ci];
+  *data = std::string_view(chunk.data.get() + slot * block_size_,
+                           static_cast<size_t>(count) * block_size_);
+  *crcs = reinterpret_cast<const char*>(chunk.crcs.data() + slot);
+  return true;
 }
 
 Status MemVolume::Read(Lba lba, uint32_t count, std::string* out) {

@@ -64,6 +64,15 @@ class MemVolume : public BlockDevice {
   // blocks yield a view of a shared zero block.
   std::string_view ReadBlockView(Lba lba) const;
 
+  // Zero-copy view of the run [lba, lba+count) and of its sidecar CRC
+  // words (`count` little-endian 32-bit words), when the run lies inside
+  // one allocated slab of a checksummed volume; false otherwise. Both stay
+  // valid until the next Write/WriteRun, CloneFrom, AdoptFrom or Reset of
+  // this volume (FlipBit changes the bytes but not the CRCs). The caller
+  // must have range-checked.
+  bool ViewRun(Lba lba, uint32_t count, std::string_view* data,
+               const char** crcs) const;
+
   // Copies [lba, lba+count) into `dst` (count * block_size() bytes,
   // holes as zeros) without touching the read counter. Const and free of
   // any shared-state mutation, so concurrent ReadInto calls are safe and

@@ -160,6 +160,16 @@ std::string DescribeReplication(replication::ReplicationEngine* engine) {
                stats->compression_ratio, stats->compression_ratio_window);
     const std::string recovery = DescribeRecovery(*stats);
     if (!recovery.empty()) AppendLine(&out, "    %s", recovery.c_str());
+    if (stats->captures_borrowed > 0) {
+      // The share of zero-copy captures that still paid the copy because
+      // their blocks were overwritten before they shipped.
+      AppendLine(&out,
+                 "    capture: borrowed=%" PRIu64 " materialized=%" PRIu64
+                 " (%.1f%%)",
+                 stats->captures_borrowed, stats->captures_materialized,
+                 100.0 * static_cast<double>(stats->captures_materialized) /
+                     static_cast<double>(stats->captures_borrowed));
+    }
     for (replication::PairId pid : engine->ListGroupPairs(gid)) {
       const replication::Pair* pair = engine->GetPair(pid);
       if (pair == nullptr) continue;

@@ -26,8 +26,21 @@ PayloadBuffer PayloadBuffer::Allocate(size_t size, uint32_t crc_count,
   auto owner =
       std::make_shared_for_overwrite<char[]>(size + size_t{4} * crc_count);
   *bytes = owner.get();
-  return PayloadBuffer(std::shared_ptr<const char>(std::move(owner), *bytes),
-                       0, size, size, crc_count);
+  PayloadBuffer buf;
+  buf.buf_ = std::shared_ptr<const char>(std::move(owner), *bytes);
+  buf.data_ = *bytes;
+  buf.len_ = size;
+  buf.crcs_ = crc_count == 0 ? nullptr : *bytes + size;
+  buf.crc_count_ = crc_count;
+  return buf;
+}
+
+PayloadBuffer PayloadBuffer::ToOwned() const {
+  char* bytes = nullptr;
+  PayloadBuffer owned = Allocate(len_, crc_count_, &bytes);
+  if (len_ > 0) std::memcpy(bytes, data_, len_);
+  if (crc_count_ > 0) std::memcpy(bytes + len_, crcs_, size_t{4} * crc_count_);
+  return owned;
 }
 
 PayloadBuffer PayloadBuffer::Slice(size_t offset, size_t length,
@@ -36,8 +49,13 @@ PayloadBuffer PayloadBuffer::Slice(size_t offset, size_t length,
   ZB_CHECK(offset + length <= len_ &&
            crc_offset + size_t{4} * crc_count <= len_)
       << "PayloadBuffer::Slice out of range";
-  return PayloadBuffer(buf_, offset_ + offset, length, offset_ + crc_offset,
-                       crc_count);
+  PayloadBuffer sub;
+  sub.buf_ = buf_;
+  sub.data_ = data_ + offset;
+  sub.len_ = length;
+  sub.crcs_ = crc_count == 0 ? nullptr : data_ + crc_offset;
+  sub.crc_count_ = crc_count;
+  return sub;
 }
 
 uint64_t PayloadBuffer::TotalAllocations() {
@@ -73,7 +91,6 @@ StatusOr<SequenceNumber> JournalVolume::Append(JournalRecord record) {
     instruments_.used_bytes->Set(static_cast<int64_t>(used_bytes_));
   }
   records_.push_back(std::move(record));
-  if (append_callback_) append_callback_(written_);
   return written_;
 }
 
@@ -138,6 +155,15 @@ const JournalRecord* JournalVolume::Find(SequenceNumber seq) const {
 
 void JournalVolume::MarkShipped(SequenceNumber seq) {
   shipped_ = std::max(shipped_, std::min(seq, written_));
+}
+
+void JournalVolume::ReplacePayload(SequenceNumber seq, PayloadBuffer payload) {
+  if (records_.empty() || seq < first_seq_ || seq > written_) return;
+  JournalRecord& rec = records_[seq - first_seq_];
+  ZB_CHECK(payload.size() == rec.payload.size() &&
+           payload.crc_count() == rec.payload.crc_count())
+      << "ReplacePayload must keep the record's bytes";
+  rec.payload = std::move(payload);
 }
 
 uint64_t JournalVolume::FoldPayload(SequenceNumber seq) {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -22,15 +21,22 @@ using SequenceNumber = uint64_t;
 
 inline constexpr SequenceNumber kNoSequence = 0;
 
-// A refcounted, immutable payload buffer with an offset/length view.
+// An immutable payload view in one of two forms.
 //
-// The ADC write path allocates the payload exactly once, when the
-// interceptor captures the host write; every downstream stage — primary
-// journal, ship batch, secondary journal, apply — shares the same backing
-// bytes by copying the (cheap) view. Copying a PayloadBuffer bumps a
-// refcount; it never copies payload bytes. The backing buffer is freed
-// when the last view drops, so trimming the primary journal cannot
-// invalidate a batch that is still on the wire.
+// Owned: a refcounted backing buffer with an offset/length view. Copying
+// an owned PayloadBuffer bumps a refcount; it never copies payload bytes.
+// The backing buffer is freed when the last view drops, so trimming the
+// primary journal cannot invalidate a batch that is still on the wire.
+//
+// Borrowed: a non-owning view of bytes that live elsewhere — an ADC
+// record's blocks and CRC sidecar words in the P-VOL slab the host write
+// just filled (Borrow). It allocates nothing and pins nothing, so it is
+// only valid while its owner keeps those bytes unchanged. A borrowed view
+// never leaves the primary journal: the replication engine copies the
+// record into an owned buffer (ToOwned) before anything overwrites the
+// blocks, and rebinds it to the shipped batch's body once it ships, so
+// no ship batch past encode, link closure, backup journal or SDC message
+// ever holds one.
 class PayloadBuffer {
  public:
   PayloadBuffer() = default;
@@ -43,58 +49,62 @@ class PayloadBuffer {
   // points `*bytes` at it; the caller fills all size + 4 * crc_count
   // bytes before it shares the buffer. The view covers the payload
   // bytes, so the CRCs ride along without changing size(). Buffer and
-  // reference count are one heap block: this is the one allocation a
-  // replicated host write performs.
+  // reference count are one heap block.
   static PayloadBuffer Allocate(size_t size, uint32_t crc_count,
                                 char** bytes);
 
-  // A sub-view sharing the same backing buffer (no allocation). `offset`
-  // and `length` must lie within this view. With `crc_count`, the
-  // 4 * crc_count bytes at `crc_offset` of this view (also within it)
-  // are the sub-view's CRCs.
+  // A borrowed view of `data` and of the `crc_count` little-endian CRC
+  // words at `crcs` (nullptr when crc_count is 0). No allocation; the
+  // caller guarantees both stay unchanged for as long as the view is used.
+  static PayloadBuffer Borrow(std::string_view data, const char* crcs,
+                              uint32_t crc_count) {
+    PayloadBuffer buf;
+    buf.data_ = data.data();
+    buf.len_ = data.size();
+    buf.crcs_ = crc_count == 0 ? nullptr : crcs;
+    buf.crc_count_ = crc_count;
+    return buf;
+  }
+
+  // An owned copy of this view and its CRCs, in one allocation
+  // (Allocate). This is how a borrowed record is materialized.
+  PayloadBuffer ToOwned() const;
+
+  // A sub-view of the same bytes (no allocation; a slice of a borrowed
+  // view is borrowed). `offset` and `length` must lie within this view.
+  // With `crc_count`, the 4 * crc_count bytes at `crc_offset` of this view
+  // (also within it) are the sub-view's CRCs.
   PayloadBuffer Slice(size_t offset, size_t length, size_t crc_offset = 0,
                       uint32_t crc_count = 0) const;
 
-  std::string_view view() const {
-    return buf_ == nullptr ? std::string_view()
-                           : std::string_view(buf_.get() + offset_, len_);
-  }
+  std::string_view view() const { return std::string_view(data_, len_); }
   size_t size() const { return len_; }
   bool empty() const { return len_ == 0; }
+  // True for a non-owning view (Borrow); false for an owned or empty one.
+  bool borrowed() const { return data_ != nullptr && buf_ == nullptr; }
 
   // The CRCs that travel with the view: crc_count() little-endian 32-bit
-  // words in the same backing buffer, outside the view (no alignment),
-  // or nullptr when there are none.
-  const char* crcs() const {
-    return crc_count_ == 0 ? nullptr : buf_.get() + crc_offset_;
-  }
+  // words outside the view (no alignment), or nullptr when there are
+  // none.
+  const char* crcs() const { return crcs_; }
   uint32_t crc_count() const { return crc_count_; }
 
-  // Number of PayloadBuffer views sharing the backing buffer (0 for a
-  // default-constructed, empty buffer).
+  // Number of owned PayloadBuffer views sharing the backing buffer (0 for
+  // an empty or a borrowed buffer).
   long use_count() const { return buf_.use_count(); }
 
-  // Process-wide count of backing-buffer allocations (Copy/Allocate
-  // calls).
-  // Tests use deltas of this to assert the zero-copy property of the
-  // replication data path.
+  // Process-wide count of backing-buffer allocations (Copy, Allocate and
+  // ToOwned calls). Tests use deltas of this to assert the zero-copy
+  // property of the replication data path.
   static uint64_t TotalAllocations();
 
  private:
-  PayloadBuffer(std::shared_ptr<const char> buf, size_t offset, size_t len,
-                size_t crc_offset, uint32_t crc_count)
-      : buf_(std::move(buf)),
-        offset_(offset),
-        len_(len),
-        crc_offset_(crc_offset),
-        crc_count_(crc_count) {}
-
-  // The backing bytes; the reference count is the owner's.
+  // The backing bytes' owner (null when borrowed or empty); the reference
+  // count is the owner's.
   std::shared_ptr<const char> buf_;
-  size_t offset_ = 0;
+  const char* data_ = nullptr;
   size_t len_ = 0;
-  // Where the CRCs start in the backing buffer, when crc_count_ > 0.
-  size_t crc_offset_ = 0;
+  const char* crcs_ = nullptr;
   uint32_t crc_count_ = 0;
 };
 
@@ -104,6 +114,15 @@ class PayloadBuffer {
 // property that consistency groups extend across multiple volumes
 // (Section III-A-1). Records share their payload bytes through
 // PayloadBuffer, so copying a record is O(1) and never touches the data.
+//
+// On the main site an ADC record starts borrowed when its blocks lie in
+// one P-VOL slab: its payload views the slab bytes and CRC sidecar words
+// (PayloadBuffer::Borrow), so the host write allocates and copies nothing.
+// The replication engine keeps that view valid: a write that would
+// overwrite a borrowed block first makes the record owned (ToOwned), and
+// a shipped record is rebound to its slice of the batch's encoded body.
+// Records that arrive on the backup site, and every record of an SDC pair
+// or of a write across slabs, are owned from the start.
 struct JournalRecord {
   SequenceNumber sequence = kNoSequence;
   uint64_t volume_id = 0;
@@ -186,17 +205,6 @@ class JournalVolume {
   // returns the assigned sequence.
   StatusOr<SequenceNumber> Append(JournalRecord record);
 
-  // Registers a callback fired after every successful Append (write-path
-  // side only; AppendWithSequence — the receive side — does not notify).
-  // The transfer scheduler uses this edge to arm a group the instant new
-  // work exists instead of polling the journal on a timer. Pass an empty
-  // function to detach. The callback runs inline inside Append, so it must
-  // not mutate the journal.
-  using AppendCallback = std::function<void(SequenceNumber)>;
-  void SetAppendCallback(AppendCallback callback) {
-    append_callback_ = std::move(callback);
-  }
-
   // Appends a record that already carries a sequence number (backup-site
   // journal receiving shipped records). Sequences must arrive densely.
   Status AppendWithSequence(JournalRecord record);
@@ -234,6 +242,12 @@ class JournalVolume {
   // suspension only needs the header to dirty-mark the blocks). Returns
   // the payload bytes freed (0 if the record is gone or already folded).
   uint64_t FoldPayload(SequenceNumber seq);
+
+  // Replaces the payload of live record `seq` with `payload`, a view of
+  // the same bytes and CRCs held elsewhere (an owned copy of a borrowed
+  // record, or its slice of a shipped batch body). Sizes and capacity
+  // accounting do not change. No-op when the record is gone.
+  void ReplacePayload(SequenceNumber seq, PayloadBuffer payload);
 
   // Cumulative records folded / payload bytes freed by FoldPayload.
   uint64_t folded_records() const { return folded_records_; }
@@ -327,7 +341,6 @@ class JournalVolume {
   bool media_failed_ = false;
   uint64_t media_errors_ = 0;
   Instruments instruments_;
-  AppendCallback append_callback_;
 };
 
 }  // namespace zerobak::journal

@@ -22,11 +22,12 @@ constexpr SimDuration kSchedulerHeartbeat = Milliseconds(50);
 // ack_timeout. A miss suspends the pair and acks the host locally.
 constexpr SimDuration kSyncAckTimeout = Milliseconds(50);
 
-// The one payload allocation of a replicated host write: its bytes, with
-// the CRCs the P-VOL write just computed for them as a trailer. The S-VOL
-// stores those CRCs instead of computing them again, so the block is
-// checksummed once, at intercept, and damage on the way reads back as
-// kDataLoss on the S-VOL.
+// The owned capture of a replicated host write (an SDC write, or an ADC
+// write across slabs): its bytes, with the CRCs the P-VOL write just
+// computed for them as a trailer, in one allocation. The S-VOL stores
+// those CRCs instead of computing them again, so the block is checksummed
+// once, at intercept, and damage on the way reads back as kDataLoss on the
+// S-VOL.
 journal::PayloadBuffer CapturePayload(const storage::Volume& volume,
                                       uint64_t lba, uint32_t count,
                                       std::string_view data) {
@@ -242,15 +243,14 @@ ReplicationEngine::ReplicationEngine(sim::SimEnvironment* env,
 ReplicationEngine::~ReplicationEngine() {
   to_secondary_->SetReadyCallback({});
   to_primary_->SetReadyCallback({});
-  for (auto& [id, group] : groups_) {
-    CancelResyncRetry(group.get());
-    // The arrays (and their journals) may outlive the engine; detach the
-    // arm hooks pointed at us.
-    auto* pj = primary_->GetJournal(group->primary_journal);
-    if (pj != nullptr) pj->SetAppendCallback({});
-  }
-  // Unregister interceptors so arrays outliving the engine behave.
+  for (auto& [id, group] : groups_) CancelResyncRetry(group.get());
+  // The metric registry may already be gone; the materializations below
+  // count only in the groups.
+  ins_ = EngineInstruments{};
+  // Unregister interceptors and hooks so arrays outliving the engine
+  // behave.
   for (auto& [id, pair] : pairs_) {
+    ReleasePvol(pair.get());
     primary_->UnregisterInterceptor(pair->config_.primary);
     if (pair->svol_interceptor_ != nullptr) {
       secondary_->UnregisterInterceptor(pair->config_.secondary);
@@ -276,13 +276,9 @@ StatusOr<GroupId> ReplicationEngine::CreateConsistencyGroup(
   group->secondary_journal = *sj_or;
   group->batch_bytes_now = group->config.transfer_batch_bytes;
   Group* raw = group.get();
-  // The group idles until a journal append (the hook below), an
+  // The group idles until a journal append (OnAsyncHostWrite), an
   // apply-ack, a link reconnect or a resync completion arms it.
   scheduler_.Register(id, raw->config.transfer_interval, raw->batch_bytes_now);
-  auto* pjv = primary_->GetJournal(pj);
-  ZB_CHECK(pjv != nullptr);
-  pjv->SetAppendCallback(
-      [this, id](journal::SequenceNumber) { OnPrimaryJournalAppend(id); });
   groups_.emplace(id, std::move(group));
   if (registry_ != nullptr) InstrumentGroupJournals(raw);
   return id;
@@ -295,8 +291,6 @@ Status ReplicationEngine::DeleteConsistencyGroup(GroupId id) {
     return FailedPreconditionError("group still has pairs");
   }
   scheduler_.Unregister(id);
-  auto* pjv = primary_->GetJournal(group->primary_journal);
-  if (pjv != nullptr) pjv->SetAppendCallback({});
   CancelResyncRetry(group);
   (void)primary_->DeleteJournal(group->primary_journal);
   (void)secondary_->DeleteJournal(group->secondary_journal);
@@ -373,6 +367,8 @@ StatusOr<GroupStats> ReplicationEngine::GetGroupStats(GroupId id) const {
     stats.giveback_in_flight = true;
     stats.giveback_age = now - group->giveback_since;
   }
+  stats.captures_borrowed = group->captures_borrowed;
+  stats.captures_materialized = group->captures_materialized;
   return stats;
 }
 
@@ -431,6 +427,10 @@ void ReplicationEngine::AttachObservability(obs::MetricRegistry* registry,
   ins_.resyncs = registry->GetCounter("replication.resyncs");
   ins_.failovers = registry->GetCounter("replication.failovers");
   ins_.failbacks = registry->GetCounter("replication.failbacks");
+  ins_.capture_borrowed =
+      registry->GetCounter("replication.capture_borrowed");
+  ins_.capture_materialized =
+      registry->GetCounter("replication.capture_materialized");
   ins_.batch_wire_bytes =
       registry->GetHistogram("replication.batch_wire_bytes");
   ins_.batch_records = registry->GetHistogram("replication.batch_records");
@@ -560,6 +560,13 @@ StatusOr<PairId> ReplicationEngine::CreatePair(const PairConfig& config) {
   if (group != nullptr) {
     group->pairs.push_back(id);
     group->by_primary.emplace(config.primary, id);
+    // The async P-VOL's journal records borrow its blocks; every write to
+    // it, from any path, materializes a borrower first.
+    pair->borrowed_.Reset(pvol->block_count());
+    pair->pvol_hook_ = pvol->AddPreOverwriteHook(
+        [this, raw](block::Lba lba, std::string_view) {
+          MaterializeBorrower(raw, lba);
+        });
   }
   pairs_.emplace(id, std::move(pair));
 
@@ -570,6 +577,7 @@ StatusOr<PairId> ReplicationEngine::CreatePair(const PairConfig& config) {
 Status ReplicationEngine::DeletePair(PairId id) {
   Pair* pair = FindPair(id);
   if (pair == nullptr) return NotFoundError("pair " + std::to_string(id));
+  ReleasePvol(pair);
   primary_->UnregisterInterceptor(pair->config_.primary);
   if (pair->svol_interceptor_ != nullptr) {
     secondary_->UnregisterInterceptor(pair->config_.secondary);
@@ -644,14 +652,27 @@ void ReplicationEngine::OnAsyncHostWrite(
   record.volume_id = volume->id();
   record.lba = lba;
   record.block_count = count;
-  // The single payload allocation of the ADC path: every downstream stage
-  // (ship batch, secondary journal, apply) shares this buffer.
-  record.payload = CapturePayload(*volume, lba, count, data);
+  // A write inside one slab is journaled as a borrowed view of the bytes
+  // and CRCs it just stored: no allocation, no copy. MaterializeBorrower
+  // copies it only if the blocks change before it ships.
+  std::string_view stored;
+  const char* crcs = nullptr;
+  const bool borrow = volume->store().ViewRun(lba, count, &stored, &crcs);
+  record.payload = borrow ? journal::PayloadBuffer::Borrow(stored, crcs, count)
+                          : CapturePayload(*volume, lba, count, data);
   record.ack_time = env_->now();
   auto* jnl = primary_->GetJournal(group->primary_journal);
   ZB_CHECK(jnl != nullptr);
   auto seq_or = jnl->Append(std::move(record));
-  if (!seq_or.ok()) {
+  if (seq_or.ok()) {
+    if (borrow) {
+      pair->borrowed_.Set(lba, count, *seq_or);
+      ++group->captures_borrowed;
+      if (ins_.capture_borrowed != nullptr) ins_.capture_borrowed->Increment();
+    }
+    // New work exists: the group's arm edge.
+    scheduler_.Arm(group->id);
+  } else {
     // The two ADC journal failure modes: a full journal (classic
     // overflow) or a journal-LDEV media error (kDataLoss). Either way the
     // whole group suspends (it shares the journal) and the host keeps
@@ -767,6 +788,41 @@ void ReplicationEngine::OnSyncHostWrite(
                         << " missed its remote ack; suspending";
         write_locally();
       });
+}
+
+void ReplicationEngine::MaterializeBorrower(Pair* pair, uint64_t lba) {
+  const journal::SequenceNumber seq = pair->borrowed_.Get(lba);
+  if (seq == journal::kNoSequence) return;
+  // The entry is live only while its record is unshipped, still borrowed
+  // and covers this block of this P-VOL; anything else (shipped, trimmed
+  // by a suspension, a journal restarted by failback) is a stale hint.
+  Group* group = FindGroup(pair->group_);
+  journal::JournalVolume* jnl =
+      group == nullptr ? nullptr : primary_->GetJournal(group->primary_journal);
+  const journal::JournalRecord* rec =
+      jnl == nullptr || seq <= jnl->shipped() ? nullptr : jnl->Find(seq);
+  if (rec == nullptr || !rec->payload.borrowed() ||
+      rec->volume_id != pair->config_.primary || lba < rec->lba ||
+      lba >= rec->lba + rec->block_count) {
+    pair->borrowed_.Clear(lba, 1, seq);
+    return;
+  }
+  pair->borrowed_.Clear(rec->lba, rec->block_count, seq);
+  jnl->ReplacePayload(seq, rec->payload.ToOwned());
+  ++group->captures_materialized;
+  if (ins_.capture_materialized != nullptr) {
+    ins_.capture_materialized->Increment();
+  }
+}
+
+void ReplicationEngine::ReleasePvol(Pair* pair) {
+  if (pair->pvol_hook_ == 0) return;
+  pair->borrowed_.ForEach(
+      [this, pair](uint64_t lba) { MaterializeBorrower(pair, lba); });
+  if (storage::Volume* pvol = primary_->GetVolume(pair->config_.primary)) {
+    pvol->RemovePreOverwriteHook(pair->pvol_hook_);
+  }
+  pair->pvol_hook_ = 0;
 }
 
 void ReplicationEngine::CompleteSyncWrite(SyncWrite* op) {
@@ -911,6 +967,26 @@ PumpOutcome ReplicationEngine::PumpGroup(Group* group, uint64_t max_bytes) {
       group->folded_bytes_saved += payload_bytes;
       (void)jnl->FoldPayload(seq);
     }
+    // The shipped records now view their slices of the encoded body: no
+    // record keeps a P-VOL block (a borrowed view, whose index entry goes
+    // too) or a per-record buffer alive until the ack trims it.
+    wire::RebindPayloads(enc.body, &batch);
+    Pair* pair = nullptr;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      journal::JournalRecord& rec = batch[i];
+      if (rec.payload.empty()) continue;
+      if (views[i]->payload.borrowed()) {
+        if (pair == nullptr || pair->config_.primary != rec.volume_id) {
+          auto pit = group->by_primary.find(rec.volume_id);
+          pair = pit == group->by_primary.end() ? nullptr
+                                                : FindPair(pit->second);
+        }
+        if (pair != nullptr) {
+          pair->borrowed_.Clear(rec.lba, rec.block_count, rec.sequence);
+        }
+      }
+      jnl->ReplacePayload(rec.sequence, std::move(rec.payload));
+    }
     jnl->MarkShipped(last);
     records_shipped_ += views.size();
     group->wire_bytes_shipped += wire_bytes;
@@ -957,12 +1033,6 @@ PumpOutcome ReplicationEngine::PumpGroup(Group* group, uint64_t max_bytes) {
   // edge re-arms it. The journal absorbs the backlog until it overflows
   // and the group suspends.
   return out;
-}
-
-void ReplicationEngine::OnPrimaryJournalAppend(GroupId id) {
-  Group* group = FindGroup(id);
-  if (group == nullptr || group->suspended || group->failed_over) return;
-  scheduler_.Arm(id);
 }
 
 void ReplicationEngine::OnForwardLinkUp() {
@@ -1896,8 +1966,8 @@ StatusOr<FailbackReport> ReplicationEngine::FailbackGroup(GroupId id,
   // The giveback's blocks already live on the S-VOLs, so nothing is
   // unsynced towards the backup site; the journal bound covers new writes.
   group->oldest_unsynced_time = -1;
-  // No explicit scheduler restart: the journals were Reset in place, so
-  // the append hook survives and the next P-VOL write arms the group.
+  // No explicit scheduler restart: the next P-VOL write's append arms the
+  // group.
 
   group->giveback_since = env_->now();
   report.blocks_shipped = SendGiveback(group);

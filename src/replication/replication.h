@@ -20,6 +20,7 @@
 #include "journal/journal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "replication/borrow_index.h"
 #include "replication/dirty_bitmap.h"
 #include "replication/group_scheduler.h"
 #include "sim/environment.h"
@@ -235,6 +236,12 @@ struct GroupStats {
   // long ago FailbackGroup captured it.
   bool giveback_in_flight = false;
   SimDuration giveback_age = 0;
+  // --- Journal capture ---
+  // Host writes journaled as borrowed views of their P-VOL blocks, and
+  // borrowed records copied into an owned buffer because a write was
+  // about to overwrite their blocks before they shipped.
+  uint64_t captures_borrowed = 0;
+  uint64_t captures_materialized = 0;
 };
 
 // Result of a failover (disaster recovery takeover) on a group.
@@ -324,6 +331,11 @@ class Pair {
   // Unregistered before the pair is destroyed.
   std::unique_ptr<storage::WriteInterceptor> pvol_interceptor_;
   std::unique_ptr<storage::WriteInterceptor> svol_interceptor_;
+  // An async pair's unshipped records that borrow P-VOL blocks, and the
+  // token of the P-VOL pre-overwrite hook that materializes them (0: no
+  // hook; sync pairs never borrow).
+  BorrowIndex borrowed_;
+  uint64_t pvol_hook_ = 0;
 };
 
 // The remote-copy feature of a main/backup array pair: creates and drives
@@ -533,6 +545,8 @@ class ReplicationEngine {
     uint64_t folded_bytes_saved = 0;
     uint64_t resync_extents = 0;
     uint64_t resync_blocks = 0;
+    uint64_t captures_borrowed = 0;
+    uint64_t captures_materialized = 0;
     // --- Wire-format accounting ---
     uint64_t wire_bytes_shipped = 0;
     uint64_t logical_bytes_shipped = 0;
@@ -551,6 +565,17 @@ class ReplicationEngine {
   void OnSyncHostWrite(Pair* pair, storage::Volume* volume, uint64_t lba,
                        uint32_t count, std::string_view data,
                        storage::WriteInterceptor::AckFn ack);
+  // The async P-VOL pre-overwrite hook: if an unshipped journal record
+  // borrows block `lba` of the pair's P-VOL, copies that whole record
+  // (bytes and CRCs) into an owned buffer before the block changes. O(1):
+  // one BorrowIndex lookup and one journal Find. Every P-VOL writer (host
+  // front end, scrub repair, snapshot restore, giveback landing) reaches
+  // it through storage::Volume, so none calls it itself.
+  void MaterializeBorrower(Pair* pair, uint64_t lba);
+  // Materializes every record that still borrows the pair's P-VOL and
+  // removes the hook: the pair is going away, and with it the guarantee
+  // that keeps a borrowed view valid.
+  void ReleasePvol(Pair* pair);
   // Swaps the interceptor on the pair's S-VOL (guard <-> dirty tracker at
   // failover and failback). If registering `next` fails, the S-VOL is left
   // without one.
@@ -562,8 +587,7 @@ class ReplicationEngine {
   // group's primary journal. The outcome feeds the scheduler's DRR and
   // re-arm decisions.
   PumpOutcome PumpGroup(Group* group, uint64_t max_bytes);
-  // Scheduler glue: arm edges and the slow-heartbeat rescue scan.
-  void OnPrimaryJournalAppend(GroupId id);
+  // Scheduler glue: the slow-heartbeat rescue scan.
   uint64_t HeartbeatScan();
   // Link ready edges. Each is posted as one event (never run inside
   // NetworkLink::SetConnected): the forward edge starts the resync of
@@ -773,6 +797,8 @@ class ReplicationEngine {
     obs::Counter* resyncs = nullptr;
     obs::Counter* failovers = nullptr;
     obs::Counter* failbacks = nullptr;
+    obs::Counter* capture_borrowed = nullptr;
+    obs::Counter* capture_materialized = nullptr;
     Histogram* batch_wire_bytes = nullptr;
     Histogram* batch_records = nullptr;
     // Compute-pool health ("exec.*"). These describe HOST-side execution,

@@ -133,22 +133,22 @@ void SealFrame(std::string_view body, const PackedChunks* packed,
 EncodedBatch EncodeBatch(const std::vector<journal::JournalRecord>& records,
                          bool compress, std::nullptr_t) {
   EncodedBatch out;
-  std::string& frame = out.frame;
-  frame.resize(kFrameHeaderSize);
-  PutVarint64(&frame, records.size());
+  std::string headers;
+  PutVarint64(&headers, records.size());
   // Bytes after the record headers: the payloads, then the CRCs.
-  uint64_t tail_bytes = 0;
+  size_t payload_total = 0;
+  size_t crc_total = 0;
   journal::SequenceNumber prev_seq = 0;
   SimTime prev_ack = 0;
   for (const journal::JournalRecord& rec : records) {
     out.logical_bytes += rec.EncodedSize();
-    tail_bytes += rec.payload.size();
+    payload_total += rec.payload.size();
     uint64_t flags = rec.folded ? kFlagFolded : 0;
     if (CarriesCrcs(rec)) {
       flags |= kFlagCrcs;
-      tail_bytes += size_t{4} * rec.block_count;
+      crc_total += size_t{4} * rec.block_count;
     }
-    PutRecordHeader(&frame, rec.sequence - prev_seq, rec.volume_id, rec.lba,
+    PutRecordHeader(&headers, rec.sequence - prev_seq, rec.volume_id, rec.lba,
                     rec.block_count, flags, rec.payload.size(),
                     ZigZag(rec.ack_time - prev_ack),
                     ZigZag(static_cast<int64_t>(rec.atomic_through) -
@@ -156,25 +156,53 @@ EncodedBatch EncodeBatch(const std::vector<journal::JournalRecord>& records,
     prev_seq = rec.sequence;
     prev_ack = rec.ack_time;
   }
-  frame.reserve(frame.size() + tail_bytes);
+  char* body = nullptr;
+  out.body = journal::PayloadBuffer::Allocate(
+      headers.size() + payload_total + crc_total, 0, &body);
+  std::memcpy(body, headers.data(), headers.size());
+  char* at = body + headers.size();
   for (const journal::JournalRecord& rec : records) {
     const std::string_view payload = rec.payload.view();
-    frame.append(payload.data(), payload.size());
+    if (!payload.empty()) std::memcpy(at, payload.data(), payload.size());
+    at += payload.size();
   }
   for (const journal::JournalRecord& rec : records) {
     if (CarriesCrcs(rec)) {
-      frame.append(rec.block_crcs(), size_t{4} * rec.block_count);
+      std::memcpy(at, rec.block_crcs(), size_t{4} * rec.block_count);
+      at += size_t{4} * rec.block_count;
     }
   }
-  const std::string_view body =
-      std::string_view(frame).substr(kFrameHeaderSize);
+  const std::string_view plain = out.body.view();
   std::optional<PackedChunks> packed;
   if (compress) {
-    packed.emplace(body);
+    packed.emplace(plain);
     packed->Pack(0, packed->count);
   }
-  SealFrame(body, packed ? &*packed : nullptr, &out);
+  out.frame.resize(kFrameHeaderSize);
+  SealFrame(plain, packed ? &*packed : nullptr, &out);
   return out;
+}
+
+void RebindPayloads(const journal::PayloadBuffer& body,
+                    std::vector<journal::JournalRecord>* records) {
+  // The body ends with every payload, then every carried CRC run, in
+  // record order (see the body layout above).
+  size_t payload_total = 0;
+  size_t crc_total = 0;
+  for (const journal::JournalRecord& rec : *records) {
+    payload_total += rec.payload.size();
+    if (CarriesCrcs(rec)) crc_total += size_t{4} * rec.block_count;
+  }
+  size_t offset = body.size() - payload_total - crc_total;
+  size_t crc_offset = offset + payload_total;
+  for (journal::JournalRecord& rec : *records) {
+    if (rec.payload.empty()) continue;
+    const uint32_t crc_count = CarriesCrcs(rec) ? rec.block_count : 0;
+    const size_t len = rec.payload.size();
+    rec.payload = body.Slice(offset, len, crc_offset, crc_count);
+    offset += len;
+    crc_offset += size_t{4} * crc_count;
+  }
 }
 
 EncodedBatch EncodeExtents(const std::vector<Extent>& extents, bool compress,

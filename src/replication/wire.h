@@ -95,9 +95,9 @@ namespace zerobak::replication::wire {
 // keeps a checksum sidecar, flags are bit1 and the CRC section holds the
 // sidecar's CRCs for those blocks.
 //
-// Both encoders only write the plain body (EncodeBatch behind room for the
-// frame header, EncodeExtents into a buffer it never zero-fills) and share
-// one seal step: compress (kept only if it shrank), checksum, fill in the
+// Both encoders only write the plain body (EncodeBatch into the
+// PayloadBuffer it returns beside the frame, EncodeExtents into a buffer
+// it never zero-fills) and share one seal step: compress (kept only if it shrank), checksum, fill in the
 // header. EncodeExtents is the one call that takes a compute pool: a
 // journal batch (tens of records, a few chunks) and every decode run
 // inline, because fanning them out measured slower than one lane.
@@ -117,6 +117,10 @@ inline constexpr size_t kChunkBytes = 64 * 1024;
 struct EncodedBatch {
   // The frame to put on the wire.
   std::string frame;
+  // EncodeBatch only: the plain body the frame was sealed from, in one
+  // owned buffer. RebindPayloads points the batch's records at their
+  // slices of it, as DecodeBatch does on the backup site.
+  journal::PayloadBuffer body;
   // Journal bytes the frame represents (sum of JournalRecord::
   // EncodedSize()); feeds logical-byte accounting.
   uint64_t logical_bytes = 0;
@@ -133,6 +137,14 @@ struct EncodedBatch {
 // one.
 EncodedBatch EncodeBatch(const std::vector<journal::JournalRecord>& records,
                          bool compress, std::nullptr_t = nullptr);
+
+// Points every record of `records` that carries a payload at its slice
+// of `body`, the EncodedBatch::body that EncodeBatch(*records) returned:
+// the same bytes and CRCs, now owned by the body (no allocation). The
+// primary journal rebinds shipped records this way, so none of them keeps
+// a P-VOL block or a per-record buffer alive after the ship.
+void RebindPayloads(const journal::PayloadBuffer& body,
+                    std::vector<journal::JournalRecord>* records);
 
 // One record of a bulk frame: `block_count` blocks from `lba` of
 // `source`, read into the frame body while the frame is built (so the

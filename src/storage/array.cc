@@ -73,7 +73,7 @@ Status StorageArray::DeleteVolume(VolumeId id) {
   if (it == volumes_.end()) {
     return NotFoundError("volume " + std::to_string(id));
   }
-  if (interceptors_.contains(id)) {
+  if (it->second->interceptor() != nullptr) {
     return FailedPreconditionError(
         "volume " + std::to_string(id) +
         " is part of a replication pair; delete the pair first");
@@ -176,23 +176,25 @@ std::vector<JournalId> StorageArray::ListJournals() const {
 
 Status StorageArray::RegisterInterceptor(VolumeId id,
                                          WriteInterceptor* interceptor) {
-  if (GetVolume(id) == nullptr) {
+  Volume* volume = GetVolume(id);
+  if (volume == nullptr) {
     return NotFoundError("volume " + std::to_string(id));
   }
-  auto [it, inserted] = interceptors_.emplace(id, interceptor);
-  if (!inserted) {
+  if (volume->interceptor() != nullptr) {
     return AlreadyExistsError("volume " + std::to_string(id) +
                               " already has a replication interceptor");
   }
+  volume->set_interceptor(interceptor);
   return OkStatus();
 }
 
 void StorageArray::UnregisterInterceptor(VolumeId id) {
-  interceptors_.erase(id);
+  if (Volume* volume = GetVolume(id)) volume->set_interceptor(nullptr);
 }
 
 bool StorageArray::HasInterceptor(VolumeId id) const {
-  return interceptors_.contains(id);
+  const Volume* volume = GetVolume(id);
+  return volume != nullptr && volume->interceptor() != nullptr;
 }
 
 void StorageArray::AdmitIo(std::function<void()> start) {
@@ -268,9 +270,9 @@ void StorageArray::SubmitHostWrite(VolumeId id, block::Lba lba,
                     std::move(callback));
       return;
     }
-    auto it = interceptors_.find(volume->id());
-    if (it != interceptors_.end()) {
-      Status pre = it->second->PreCheck(volume, lba, count);
+    WriteInterceptor* interceptor = volume->interceptor();
+    if (interceptor != nullptr) {
+      Status pre = interceptor->PreCheck(volume, lba, count);
       if (!pre.ok()) {
         CompleteWrite(start, std::move(pre), std::move(callback));
         return;
@@ -281,11 +283,11 @@ void StorageArray::SubmitHostWrite(VolumeId id, block::Lba lba,
       CompleteWrite(start, std::move(status), std::move(callback));
       return;
     }
-    if (it == interceptors_.end()) {
+    if (interceptor == nullptr) {
       CompleteWrite(start, OkStatus(), std::move(callback));
       return;
     }
-    it->second->OnHostWrite(
+    interceptor->OnHostWrite(
         volume, lba, count, data,
         [this, start, callback = std::move(callback)](Status s) mutable {
           CompleteWrite(start, std::move(s), std::move(callback));
@@ -358,16 +360,16 @@ Status StorageArray::WriteSync(VolumeId id, block::Lba lba,
   }
   const uint32_t count =
       static_cast<uint32_t>(data.size() / volume->block_size());
-  auto it = interceptors_.find(id);
-  if (it != interceptors_.end()) {
-    ZB_RETURN_IF_ERROR(it->second->PreCheck(volume, lba, count));
+  WriteInterceptor* interceptor = volume->interceptor();
+  if (interceptor != nullptr) {
+    ZB_RETURN_IF_ERROR(interceptor->PreCheck(volume, lba, count));
   }
   ZB_RETURN_IF_ERROR(volume->Write(lba, count, data));
 
   Status final_status = OkStatus();
-  if (it != interceptors_.end()) {
+  if (interceptor != nullptr) {
     bool acked = false;
-    it->second->OnHostWrite(volume, lba, count, data,
+    interceptor->OnHostWrite(volume, lba, count, data,
                             [&acked, &final_status](Status s) {
                               acked = true;
                               final_status = std::move(s);

@@ -120,6 +120,8 @@ class StorageArray {
   std::vector<JournalId> ListJournals() const;
 
   // --- Replication hook --------------------------------------------------
+  // At most one interceptor per volume; the volume holds it
+  // (Volume::interceptor), so a host write finds it with no lookup.
   Status RegisterInterceptor(VolumeId id, WriteInterceptor* interceptor);
   void UnregisterInterceptor(VolumeId id);
   bool HasInterceptor(VolumeId id) const;
@@ -187,8 +189,6 @@ class StorageArray {
 
   std::map<JournalId, std::unique_ptr<journal::JournalVolume>> journals_;
   JournalId next_journal_id_ = 1;
-
-  std::map<VolumeId, WriteInterceptor*> interceptors_;
 
   obs::Gauge* slab_bytes_gauge_ = nullptr;
   obs::Gauge* written_blocks_gauge_ = nullptr;

@@ -17,6 +17,8 @@ namespace zerobak::storage {
 // Array-local volume identifier (an LDEV number, in Hitachi terms).
 using VolumeId = uint64_t;
 
+class WriteInterceptor;
+
 // An array data volume: a sparse block store plus metadata and write-path
 // hooks. Hooks enable the two array features the paper relies on:
 //   * pre-overwrite observers — copy-on-write snapshots save the old block
@@ -75,6 +77,13 @@ class Volume : public block::BlockDevice {
   void RemovePreOverwriteHook(uint64_t token);
   size_t pre_overwrite_hook_count() const { return hooks_.size(); }
 
+  // The write interceptor the owning array routes this volume's host
+  // writes through (StorageArray::RegisterInterceptor), or null.
+  WriteInterceptor* interceptor() const { return interceptor_; }
+  void set_interceptor(WriteInterceptor* interceptor) {
+    interceptor_ = interceptor;
+  }
+
   block::MemVolume& store() { return store_; }
   const block::MemVolume& store() const { return store_; }
 
@@ -96,6 +105,7 @@ class Volume : public block::BlockDevice {
   block::MemVolume store_;
   StoragePool* pool_;
   const bool* array_failed_;
+  WriteInterceptor* interceptor_ = nullptr;
   std::vector<std::pair<uint64_t, PreOverwriteHook>> hooks_;
   uint64_t next_hook_token_ = 1;
   obs::Gauge* slab_bytes_gauge_ = nullptr;
