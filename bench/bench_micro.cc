@@ -5,6 +5,9 @@
 // itself, complementing the simulated-time experiment benches E1-E7.
 #include <benchmark/benchmark.h>
 
+#include <malloc.h>
+
+#include <climits>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -499,6 +502,61 @@ void BM_HistogramAdd(benchmark::State& state) {
   benchmark::DoNotOptimize(h.Percentile(99));
 }
 BENCHMARK(BM_HistogramAdd);
+
+// The two benchmarks below run last: their mallopt holds for the rest of
+// the process.
+constexpr uint64_t kTouchSlabs = 128;
+
+// First writes into fresh slabs: one 4 KiB write at the start of each of
+// 128 slabs of a checksummed volume (as every array LDEV is). The heap
+// keeps freed slabs (the same mallopt as e2ebench's zbbench), so after the
+// first iteration every slab is recycled memory, as in a long-running
+// array process; Reset between iterations, untimed, frees them.
+void BM_MemVolumeFirstTouch(benchmark::State& state) {
+  mallopt(M_MMAP_THRESHOLD, 1 << 30);
+  mallopt(M_TRIM_THRESHOLD, INT_MAX);
+  block::MemVolume vol(kTouchSlabs * block::MemVolume::kBlocksPerChunk);
+  vol.EnableChecksums();
+  const std::string payload(block::kDefaultBlockSize, 'x');
+  for (auto _ : state) {
+    state.PauseTiming();
+    vol.Reset();
+    state.ResumeTiming();
+    for (uint64_t s = 0; s < kTouchSlabs; ++s) {
+      benchmark::DoNotOptimize(
+          vol.Write(s * block::MemVolume::kBlocksPerChunk, 1, payload));
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kTouchSlabs));
+}
+BENCHMARK(BM_MemVolumeFirstTouch);
+
+// CloneFrom (the initial copy's frozen image) of a checksummed volume of
+// 128 slabs with Arg(0) written blocks at the start of each slab: sparse
+// slabs (1 block) against full ones (64).
+void BM_MemVolumeClone(benchmark::State& state) {
+  const uint64_t blocks = kTouchSlabs * block::MemVolume::kBlocksPerChunk;
+  block::MemVolume src(blocks);
+  block::MemVolume dst(blocks);
+  src.EnableChecksums();
+  dst.EnableChecksums();
+  const auto per_slab = static_cast<uint32_t>(state.range(0));
+  const std::string payload(per_slab * block::kDefaultBlockSize, 'x');
+  for (uint64_t s = 0; s < kTouchSlabs; ++s) {
+    ZB_CHECK(src.Write(s * block::MemVolume::kBlocksPerChunk, per_slab,
+                       payload)
+                 .ok());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dst.CloneFrom(src));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kTouchSlabs));
+}
+BENCHMARK(BM_MemVolumeClone)->Arg(1)->Arg(64);
 
 }  // namespace
 }  // namespace zerobak

@@ -27,6 +27,14 @@ inline uint64_t RunMask(uint64_t slot, uint64_t run) {
   return (run == 64 ? ~0ull : ((uint64_t{1} << run) - 1)) << slot;
 }
 
+// Length of the run of blocks from `slot` whose bit in `word` equals the
+// bit at `slot`, capped at `limit`.
+inline uint32_t SameBitRun(uint64_t word, uint64_t slot, uint64_t limit) {
+  const uint64_t same = ((word >> slot) & 1) != 0 ? word : ~word;
+  return static_cast<uint32_t>(
+      std::min<uint64_t>(std::countr_one(same >> slot), limit));
+}
+
 }  // namespace
 
 Status BlockDevice::WriteRun(const BlockRun* runs, size_t n) {
@@ -65,11 +73,10 @@ MemVolume::Chunk& MemVolume::EnsureChunk(Lba lba) {
   Chunk& chunk = chunks_[ci];
   if (chunk.data == nullptr) {
     const uint64_t blocks = ChunkBlocks(ci);
-    // calloc zero-fills, so unwritten blocks inside an allocated chunk
-    // still read back as zeros. Only pages fresh from the kernel come
-    // zeroed for free; recycled heap memory is memset. Either way a first
-    // write pays for its whole slab, which is why slabs are small.
-    chunk.data.reset(static_cast<char*>(std::calloc(blocks, block_size_)));
+    // Uninitialized: the written mask says which blocks hold data, and
+    // every read path gives zeros for the rest, so a first write pays for
+    // its own blocks and not for clearing the slab.
+    chunk.data.reset(static_cast<char*>(std::malloc(blocks * block_size_)));
     ZB_CHECK(chunk.data != nullptr) << "MemVolume chunk allocation failed";
     slab_bytes_ += blocks * block_size_;
     if (checksums_enabled_) chunk.crcs.assign(blocks, zero_crc_);
@@ -84,13 +91,34 @@ bool MemVolume::IsAllocated(Lba lba) const {
 }
 
 std::string_view MemVolume::ReadBlockView(Lba lba) const {
-  const size_t ci = static_cast<size_t>(lba / kBlocksPerChunk);
-  if (ci >= chunks_.size() || chunks_[ci].data == nullptr) {
-    return zero_block_;
-  }
+  if (!IsAllocated(lba)) return zero_block_;
   const uint64_t slot = lba % kBlocksPerChunk;
-  return std::string_view(chunks_[ci].data.get() + slot * block_size_,
-                          block_size_);
+  return std::string_view(
+      chunks_[static_cast<size_t>(lba / kBlocksPerChunk)].data.get() +
+          slot * block_size_,
+      block_size_);
+}
+
+template <typename Fn>
+void MemVolume::ForEachPiece(Lba lba, uint32_t count, Fn&& fn) const {
+  uint32_t i = 0;
+  while (i < count) {
+    const Lba cur = lba + i;
+    const size_t ci = static_cast<size_t>(cur / kBlocksPerChunk);
+    const uint64_t slot = cur % kBlocksPerChunk;
+    const Chunk& chunk = chunks_[ci];
+    const uint32_t run = SameBitRun(
+        chunk.written, slot,
+        std::min<uint64_t>(count - i, ChunkBlocks(ci) - slot));
+    const bool written = ((chunk.written >> slot) & 1) != 0;
+    if (!fn(cur, run,
+            written ? chunk.data.get() + slot * block_size_ : nullptr,
+            written && checksums_enabled_ ? chunk.crcs.data() + slot
+                                          : nullptr)) {
+      return;
+    }
+    i += run;
+  }
 }
 
 bool MemVolume::ViewRun(Lba lba, uint32_t count, std::string_view* data,
@@ -99,11 +127,14 @@ bool MemVolume::ViewRun(Lba lba, uint32_t count, std::string_view* data,
   static_assert(std::endian::native == std::endian::little);
   const size_t ci = static_cast<size_t>(lba / kBlocksPerChunk);
   const uint64_t slot = lba % kBlocksPerChunk;
-  if (!checksums_enabled_ || count == 0 || chunks_[ci].data == nullptr ||
-      slot + count > ChunkBlocks(ci)) {
+  if (!checksums_enabled_ || count == 0 || slot + count > ChunkBlocks(ci)) {
     return false;
   }
   const Chunk& chunk = chunks_[ci];
+  // Only written blocks hold bytes; a run with an unwritten one is
+  // refused rather than handing out bytes nobody wrote.
+  const uint64_t mask = RunMask(slot, count);
+  if ((chunk.written & mask) != mask) return false;
   *data = std::string_view(chunk.data.get() + slot * block_size_,
                            static_cast<size_t>(count) * block_size_);
   *crcs = reinterpret_cast<const char*>(chunk.crcs.data() + slot);
@@ -120,36 +151,31 @@ Status MemVolume::Read(Lba lba, uint32_t count, std::string* out) {
   // pass over the data that dominates large extent reads.
   out->clear();
   out->reserve(static_cast<size_t>(count) * block_size_);
-  uint32_t i = 0;
-  while (i < count) {
-    const Lba cur = lba + i;
-    const size_t ci = static_cast<size_t>(cur / kBlocksPerChunk);
-    const uint64_t slot = cur % kBlocksPerChunk;
-    // Copy the longest run that stays inside this chunk.
-    const uint32_t run = static_cast<uint32_t>(
-        std::min<uint64_t>(count - i, ChunkBlocks(ci) - slot));
-    if (chunks_[ci].data == nullptr) {
-      out->append(static_cast<size_t>(run) * block_size_, '\0');
-    } else {
-      const char* base = chunks_[ci].data.get() + slot * block_size_;
-      if (checksums_enabled_) {
-        // Verify every resident block before handing its bytes out. An
-        // unwritten block inside an allocated chunk holds zeros and a
-        // zero-CRC sidecar slot, so the uniform compare stays correct.
-        const Chunk& chunk = chunks_[ci];
-        for (uint32_t j = 0; j < run; ++j) {
-          if (Crc32c(base + static_cast<size_t>(j) * block_size_,
-                     block_size_) != chunk.crcs[slot + j]) {
-            ++checksum_failures_;
-            return DataLossError("block checksum mismatch at lba " +
-                                 std::to_string(cur + j));
-          }
-        }
-      }
-      out->append(base, static_cast<size_t>(run) * block_size_);
-    }
-    i += run;
-  }
+  Status status = OkStatus();
+  ForEachPiece(lba, count,
+               [&](Lba cur, uint32_t run, const char* bytes,
+                   const uint32_t* crcs) {
+                 const size_t n = static_cast<size_t>(run) * block_size_;
+                 if (bytes == nullptr) {
+                   out->append(n, '\0');
+                   return true;
+                 }
+                 // Verify every written block before handing its bytes
+                 // out.
+                 for (uint32_t j = 0; crcs != nullptr && j < run; ++j) {
+                   if (Crc32c(bytes + static_cast<size_t>(j) * block_size_,
+                              block_size_) != crcs[j]) {
+                     ++checksum_failures_;
+                     status = DataLossError(
+                         "block checksum mismatch at lba " +
+                         std::to_string(cur + j));
+                     return false;
+                   }
+                 }
+                 out->append(bytes, n);
+                 return true;
+               });
+  ZB_RETURN_IF_ERROR(status);
   ++reads_;
   return OkStatus();
 }
@@ -222,22 +248,17 @@ void MemVolume::WriteUnchecked(const BlockRun& write) {
 }
 
 void MemVolume::ReadInto(Lba lba, uint32_t count, char* dst) const {
-  uint32_t i = 0;
-  while (i < count) {
-    const Lba cur = lba + i;
-    const size_t ci = static_cast<size_t>(cur / kBlocksPerChunk);
-    const uint64_t slot = cur % kBlocksPerChunk;
-    const uint32_t run = static_cast<uint32_t>(
-        std::min<uint64_t>(count - i, ChunkBlocks(ci) - slot));
-    const size_t bytes = static_cast<size_t>(run) * block_size_;
-    if (chunks_[ci].data == nullptr) {
-      std::memset(dst, 0, bytes);
-    } else {
-      std::memcpy(dst, chunks_[ci].data.get() + slot * block_size_, bytes);
-    }
-    dst += bytes;
-    i += run;
-  }
+  ForEachPiece(lba, count,
+               [&](Lba, uint32_t run, const char* bytes, const uint32_t*) {
+                 const size_t n = static_cast<size_t>(run) * block_size_;
+                 if (bytes == nullptr) {
+                   std::memset(dst, 0, n);
+                 } else {
+                   std::memcpy(dst, bytes, n);
+                 }
+                 dst += n;
+                 return true;
+               });
 }
 
 void MemVolume::ReadCrcs(Lba lba, uint32_t count, char* dst) const {
@@ -258,26 +279,33 @@ Status MemVolume::CloneFrom(const MemVolume& src) {
   chunks_.clear();
   chunks_.resize(ChunkCount());
   for (size_t ci = 0; ci < chunks_.size(); ++ci) {
-    if (src.chunks_[ci].data == nullptr) continue;
+    const Chunk& from = src.chunks_[ci];
+    if (from.written == 0) continue;
+    Chunk& to = chunks_[ci];
     const uint64_t blocks = ChunkBlocks(ci);
-    // malloc, not calloc: the full chunk is overwritten by the copy.
-    chunks_[ci].data.reset(
-        static_cast<char*>(std::malloc(blocks * block_size_)));
-    ZB_CHECK(chunks_[ci].data != nullptr) << "MemVolume clone alloc failed";
-    std::memcpy(chunks_[ci].data.get(), src.chunks_[ci].data.get(),
-                blocks * block_size_);
-    chunks_[ci].written = src.chunks_[ci].written;
+    to.data.reset(static_cast<char*>(std::malloc(blocks * block_size_)));
+    ZB_CHECK(to.data != nullptr) << "MemVolume clone alloc failed";
+    to.written = from.written;
+    // Only the written runs are copied: the rest of the slab is as
+    // unwritten here as in the source.
+    const Lba base = static_cast<Lba>(ci) * kBlocksPerChunk;
+    src.ForEachPiece(base, static_cast<uint32_t>(blocks),
+                     [&](Lba cur, uint32_t run, const char* bytes,
+                         const uint32_t*) {
+                       if (bytes != nullptr) {
+                         std::memcpy(to.data.get() + (cur - base) * block_size_,
+                                     bytes,
+                                     static_cast<size_t>(run) * block_size_);
+                       }
+                       return true;
+                     });
     if (checksums_enabled_) {
       if (src.checksums_enabled_) {
         // Copying the source sidecar (not recomputing) preserves any
         // latent mismatch in the source, so cloned rot stays detectable.
-        chunks_[ci].crcs = src.chunks_[ci].crcs;
+        to.crcs = from.crcs;
       } else {
-        chunks_[ci].crcs.resize(blocks);
-        for (uint64_t b = 0; b < blocks; ++b) {
-          chunks_[ci].crcs[b] =
-              Crc32c(chunks_[ci].data.get() + b * block_size_, block_size_);
-        }
+        ComputeCrcs(to, blocks);
       }
     }
   }
@@ -307,13 +335,15 @@ void MemVolume::EnableChecksums() {
   checksums_enabled_ = true;
   zero_crc_ = Crc32c(zero_block_.data(), zero_block_.size());
   for (size_t ci = 0; ci < chunks_.size(); ++ci) {
-    Chunk& chunk = chunks_[ci];
-    if (chunk.data == nullptr) continue;
-    const uint64_t blocks = ChunkBlocks(ci);
-    chunk.crcs.resize(blocks);
-    for (uint64_t b = 0; b < blocks; ++b) {
-      chunk.crcs[b] =
-          Crc32c(chunk.data.get() + b * block_size_, block_size_);
+    if (chunks_[ci].written != 0) ComputeCrcs(chunks_[ci], ChunkBlocks(ci));
+  }
+}
+
+void MemVolume::ComputeCrcs(Chunk& chunk, uint64_t blocks) const {
+  chunk.crcs.assign(blocks, zero_crc_);
+  for (uint64_t b = 0; b < blocks; ++b) {
+    if (((chunk.written >> b) & 1) != 0) {
+      chunk.crcs[b] = Crc32c(chunk.data.get() + b * block_size_, block_size_);
     }
   }
 }
@@ -370,10 +400,9 @@ MemVolume::ExtentHealth MemVolume::VerifyExtent(Lba lba, uint32_t count,
       if (bad_lba != nullptr) *bad_lba = cur;
       return ExtentHealth::kMediaError;
     }
-    if (!checksums_enabled_) continue;
-    const size_t ci = static_cast<size_t>(cur / kBlocksPerChunk);
-    const Chunk& chunk = chunks_[ci];
-    if (chunk.data == nullptr) continue;
+    // An unwritten block has no bytes to verify.
+    if (!checksums_enabled_ || !IsAllocated(cur)) continue;
+    const Chunk& chunk = chunks_[static_cast<size_t>(cur / kBlocksPerChunk)];
     const uint64_t slot = cur % kBlocksPerChunk;
     if (Crc32c(chunk.data.get() + slot * block_size_, block_size_) !=
         chunk.crcs[slot]) {
@@ -421,25 +450,39 @@ bool MemVolume::ContentEquals(const MemVolume& other) const {
       other.block_count_ != block_count_) {
     return false;
   }
-  auto all_zero = [](const char* p, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      if (p[i] != '\0') return false;
+  auto all_zero = [this](const char* p, uint32_t run) {
+    for (uint32_t b = 0; b < run; ++b) {
+      if (std::memcmp(p + static_cast<size_t>(b) * block_size_,
+                      zero_block_.data(), block_size_) != 0) {
+        return false;
+      }
     }
     return true;
   };
   for (size_t ci = 0; ci < chunks_.size(); ++ci) {
-    const char* a = chunks_[ci].data.get();
-    const char* b = other.chunks_[ci].data.get();
-    const size_t bytes = ChunkBlocks(ci) * block_size_;
-    if (a == nullptr && b == nullptr) continue;
-    // A missing chunk reads as zeros, so compare against zeros (a block
-    // explicitly written with zeros equals a hole).
-    if (a == nullptr) {
-      if (!all_zero(b, bytes)) return false;
-    } else if (b == nullptr) {
-      if (!all_zero(a, bytes)) return false;
-    } else if (std::memcmp(a, b, bytes) != 0) {
-      return false;
+    const uint64_t wa = chunks_[ci].written;
+    const uint64_t wb = other.chunks_[ci].written;
+    if ((wa | wb) == 0) continue;
+    const uint64_t blocks = ChunkBlocks(ci);
+    // Walk runs where both sides keep their written state; an unwritten
+    // block reads as zeros, so it equals an explicitly written zero block.
+    for (uint64_t slot = 0; slot < blocks;) {
+      const uint32_t run = std::min(SameBitRun(wa, slot, blocks - slot),
+                                    SameBitRun(wb, slot, blocks - slot));
+      const char* a = ((wa >> slot) & 1) != 0
+                          ? chunks_[ci].data.get() + slot * block_size_
+                          : nullptr;
+      const char* b = ((wb >> slot) & 1) != 0
+                          ? other.chunks_[ci].data.get() + slot * block_size_
+                          : nullptr;
+      if (a != nullptr && b != nullptr) {
+        if (std::memcmp(a, b, static_cast<size_t>(run) * block_size_) != 0) {
+          return false;
+        }
+      } else if (a != nullptr || b != nullptr) {
+        if (!all_zero(a != nullptr ? a : b, run)) return false;
+      }
+      slot += run;
     }
   }
   return true;

@@ -18,16 +18,19 @@ namespace zerobak::block {
 // (LDEV), journal region and snapshot pool.
 //
 // Storage layout: fixed-size slabs ("chunks") of kBlocksPerChunk = 64
-// blocks (256 KiB of 4 KiB blocks), allocated lazily as contiguous
-// zero-filled arrays the first time any block inside them is written.
-// Compared to a per-block hash map this gives O(1) indexed access with no
-// hashing, one allocation per 64 blocks instead of one per block, and
-// sequential scans for apply/resync/snapshot paths. The slab is also the
-// unit a first write, CloneFrom and AdoptFrom pay for, so it stays small
-// enough that a sparse volume costs about what was written: a 20 MiB
-// volume with one written block holds one 256 KiB slab. One 64-bit word
-// per slab records which blocks were ever written, so the sparse
-// footprint (thin provisioning) is counted per block.
+// blocks (256 KiB of 4 KiB blocks), allocated lazily and uninitialized
+// the first time any block inside them is written. Compared to a
+// per-block hash map this gives O(1) indexed access with no hashing, one
+// allocation per 64 blocks instead of one per block, and sequential scans
+// for apply/resync/snapshot paths. The slab is also the unit of the
+// footprint, so it stays small enough that a sparse volume costs about
+// what was written: a 20 MiB volume with one written block holds one
+// 256 KiB slab. One 64-bit word per slab records which blocks were ever
+// written; it is the only authority on which slab bytes hold data. Every
+// read path gives zeros for an unwritten block, as a thin-provisioned
+// array does for an unwritten region, so a first write pays for its own
+// blocks and nothing clears the rest of the slab. The same word counts
+// the sparse footprint (thin provisioning) per block.
 class MemVolume : public BlockDevice {
  public:
   // One written-bit per block in a 64-bit word: see Chunk::written.
@@ -65,23 +68,25 @@ class MemVolume : public BlockDevice {
   std::string_view ReadBlockView(Lba lba) const;
 
   // Zero-copy view of the run [lba, lba+count) and of its sidecar CRC
-  // words (`count` little-endian 32-bit words), when the run lies inside
-  // one allocated slab of a checksummed volume; false otherwise. Both stay
-  // valid until the next Write/WriteRun, CloneFrom, AdoptFrom or Reset of
-  // this volume (FlipBit changes the bytes but not the CRCs). The caller
-  // must have range-checked.
+  // words (`count` little-endian 32-bit words), when every block of the
+  // run is written and lies inside one slab of a checksummed volume;
+  // false otherwise. Both stay valid until the next Write/WriteRun,
+  // CloneFrom, AdoptFrom or Reset of this volume (FlipBit changes the
+  // bytes but not the CRCs). The caller must have range-checked.
   bool ViewRun(Lba lba, uint32_t count, std::string_view* data,
                const char** crcs) const;
 
   // Copies [lba, lba+count) into `dst` (count * block_size() bytes,
-  // holes as zeros) without touching the read counter. Const and free of
-  // any shared-state mutation, so concurrent ReadInto calls are safe and
-  // the parallel bulk-frame capture produces bytes identical to the serial
-  // path at any lane count. The caller must have range-checked.
+  // unwritten blocks as zeros) without touching the read counter. Const
+  // and free of any shared-state mutation, so concurrent ReadInto calls
+  // are safe and the parallel bulk-frame capture produces bytes identical
+  // to the serial path at any lane count. The caller must have
+  // range-checked.
   void ReadInto(Lba lba, uint32_t count, char* dst) const;
 
-  // Copies every allocated block of `src` into this volume (same
-  // geometry required). Used by replication initial copy and tests.
+  // Copies every written block of `src` into this volume (same geometry
+  // required), holding the same slabs; unwritten blocks are not copied.
+  // Used by replication initial copy and tests.
   Status CloneFrom(const MemVolume& src);
 
   // The move counterpart of CloneFrom, for an image nobody reads again:
@@ -92,7 +97,7 @@ class MemVolume : public BlockDevice {
   // and `src` is left empty.
   Status AdoptFrom(MemVolume&& src);
 
-  // Byte-level content equality with another volume (zero-filled holes
+  // Byte-level content equality with another volume (unwritten blocks
   // compare equal to explicit zero blocks).
   bool ContentEquals(const MemVolume& other) const;
 
@@ -170,11 +175,14 @@ class MemVolume : public BlockDevice {
   };
 
   struct Chunk {
-    // blocks * block_size bytes, zero on allocation (see EnsureChunk).
+    // blocks * block_size bytes, uninitialized on allocation: only the
+    // blocks marked in `written` hold data (see EnsureChunk).
     std::unique_ptr<char[], FreeDeleter> data;
-    // Bit b is set once block b of the slab has been written.
+    // Bit b is set once block b of the slab has been written. Nonzero
+    // exactly when `data` is allocated.
     uint64_t written = 0;
     // Per-block CRC32C sidecar; empty unless checksums are enabled.
+    // Unwritten blocks hold the zero-block CRC.
     std::vector<uint32_t> crcs;
   };
   static_assert(kBlocksPerChunk == 64, "Chunk::written is one 64-bit word");
@@ -188,8 +196,18 @@ class MemVolume : public BlockDevice {
     const uint64_t base = static_cast<uint64_t>(ci) * kBlocksPerChunk;
     return std::min<uint64_t>(kBlocksPerChunk, block_count_ - base);
   }
-  // Returns the chunk holding `lba`, allocating it zero-filled on demand.
+  // Returns the chunk holding `lba`, allocating it on demand. A new slab
+  // is not zero-filled; its sidecar starts at the zero-block CRC.
   Chunk& EnsureChunk(Lba lba);
+  // Calls fn(lba, run, bytes, crcs) for each piece of [lba, lba+count)
+  // that stays inside one slab and is all written (`bytes` and, on a
+  // checksummed volume, `crcs` point at the piece) or all unwritten (both
+  // null). Stops early when fn returns false.
+  template <typename Fn>
+  void ForEachPiece(Lba lba, uint32_t count, Fn&& fn) const;
+  // Rebuilds `chunk`'s sidecar: each written block's CRC, the zero-block
+  // CRC for the rest.
+  void ComputeCrcs(Chunk& chunk, uint64_t blocks) const;
   // The copy loop of Write and WriteRun, after range/size validation.
   void WriteUnchecked(const BlockRun& run);
   // Stateless per-LBA media gate (only meaningful while armed).

@@ -182,6 +182,8 @@ StatusOr<uint64_t> SnapshotManager::RestoreVolume(SnapshotId id) {
   // The source can differ from the image only at blocks the source
   // overwrote (preserved_) or the snapshot wrote locally (delta_), so
   // restore cost is proportional to the change set, not the volume size.
+  // Each block takes the host write path, so a replicated source carries
+  // the rewind to its pair like any other write.
   std::unordered_set<block::Lba> touched;
   for (const auto& [lba, data] : snap->preserved_) touched.insert(lba);
   for (const auto& [lba, data] : snap->delta_) touched.insert(lba);
@@ -190,7 +192,7 @@ StatusOr<uint64_t> SnapshotManager::RestoreVolume(SnapshotId id) {
   for (block::Lba lba : touched) {
     ZB_RETURN_IF_ERROR(snap->Read(lba, 1, &block));
     if (block != vol->store().ReadBlock(lba)) {
-      ZB_RETURN_IF_ERROR(vol->Write(lba, 1, block));
+      ZB_RETURN_IF_ERROR(array_->RestoreWrite(vol->id(), lba, block));
       ++rewritten;
     }
   }

@@ -119,8 +119,12 @@ class SnapshotManager {
       storage::VolumeId source) const;
 
   // Rolls the source volume back to the snapshot's point-in-time image
-  // (including snapshot-local writes, which become real). Returns the
-  // number of blocks rewritten.
+  // (including snapshot-local writes, which become real). The rewritten
+  // blocks go through the volume's write interceptor
+  // (StorageArray::RestoreWrite): journaled on an ADC P-VOL, dirty-marked
+  // while its pair is suspended, given back by failback on a promoted
+  // S-VOL, refused on an S-VOL that still receives replication. Returns
+  // the number of blocks rewritten.
   StatusOr<uint64_t> RestoreVolume(SnapshotId id);
 
   size_t snapshot_count() const { return snapshots_.size(); }

@@ -348,8 +348,9 @@ void StorageArray::SubmitHostRead(VolumeId id, block::Lba lba,
   });
 }
 
-Status StorageArray::WriteSync(VolumeId id, block::Lba lba,
-                               std::string_view data) {
+Status StorageArray::WriteIntercepted(VolumeId id, block::Lba lba,
+                                      std::string_view data,
+                                      WriteInterceptor::AckFn ack) {
   if (failed_) return UnavailableError("array " + serial() + " has failed");
   Volume* volume = GetVolume(id);
   if (volume == nullptr) {
@@ -365,22 +366,37 @@ Status StorageArray::WriteSync(VolumeId id, block::Lba lba,
     ZB_RETURN_IF_ERROR(interceptor->PreCheck(volume, lba, count));
   }
   ZB_RETURN_IF_ERROR(volume->Write(lba, count, data));
-
-  Status final_status = OkStatus();
-  if (interceptor != nullptr) {
-    bool acked = false;
-    interceptor->OnHostWrite(volume, lba, count, data,
-                            [&acked, &final_status](Status s) {
-                              acked = true;
-                              final_status = std::move(s);
-                            });
-    ZB_CHECK(acked) << "WriteSync requires an inline-acking interceptor "
-                       "(ADC); synchronous replication must use "
-                       "SubmitHostWrite";
+  if (interceptor == nullptr) {
+    ack(OkStatus());
+  } else {
+    interceptor->OnHostWrite(volume, lba, count, data, std::move(ack));
   }
+  return OkStatus();
+}
+
+Status StorageArray::WriteSync(VolumeId id, block::Lba lba,
+                               std::string_view data) {
+  bool acked = false;
+  Status final_status = OkStatus();
+  ZB_RETURN_IF_ERROR(WriteIntercepted(id, lba, data,
+                                      [&acked, &final_status](Status s) {
+                                        acked = true;
+                                        final_status = std::move(s);
+                                      }));
+  ZB_CHECK(acked) << "WriteSync requires an inline-acking interceptor "
+                     "(ADC); synchronous replication must use "
+                     "SubmitHostWrite";
   ++host_writes_;
   write_latency_.Add(0);
   return final_status;
+}
+
+Status StorageArray::RestoreWrite(VolumeId id, block::Lba lba,
+                                  std::string_view data) {
+  // Every interceptor acks OK once the write is local (an SDC pair that
+  // cannot reach the backup suspends and dirty-marks instead of failing
+  // it), so the ack carries nothing the restore waits for.
+  return WriteIntercepted(id, lba, data, [](Status) {});
 }
 
 Status StorageArray::ReadSync(VolumeId id, block::Lba lba, uint32_t count,

@@ -143,6 +143,14 @@ class StorageArray {
   Status ReadSync(VolumeId id, block::Lba lba, uint32_t count,
                   std::string* out);
 
+  // A snapshot restore's block write: it takes the host write path (the
+  // interceptor's PreCheck may refuse it, and the interceptor sees it once
+  // the volume holds it, so replication journals or dirty-marks it like
+  // any host write) but is not counted as host IO. An interceptor may ack
+  // it later (SDC acks once the backup holds the block, or suspends and
+  // dirty-marks it); the call returns once the local volume holds it.
+  Status RestoreWrite(VolumeId id, block::Lba lba, std::string_view data);
+
   // --- Failure injection ---------------------------------------------------
   // A failed array rejects all host and management IO (site disaster),
   // and its volumes accept no write from any path: each one reads this
@@ -171,6 +179,12 @@ class StorageArray {
  private:
   void CompleteWrite(SimTime start, Status status,
                      block::IoCallback callback);
+  // WriteSync's and RestoreWrite's shared path: the array and volume
+  // checks, PreCheck, the volume write, then the interceptor, which calls
+  // `ack` inline or later; with no interceptor `ack(OK)` fires inline. An
+  // error return means nothing was written and `ack` was not called.
+  Status WriteIntercepted(VolumeId id, block::Lba lba, std::string_view data,
+                          WriteInterceptor::AckFn ack);
 
   // Front-end admission control (max_concurrent_ios).
   void AdmitIo(std::function<void()> start);

@@ -88,6 +88,39 @@ TEST_F(RestoreTest, RansomwareRecoveryViaSnapshotRewind) {
   ASSERT_TRUE(outcome.recovered);
   EXPECT_EQ(outcome.orders, 30u);
   EXPECT_FALSE(outcome.report.collapsed()) << outcome.report.ToString();
+
+  // The rewind wrote the promoted S-VOLs, so failback gives it back: the
+  // main site returns with the restored image, not the attacker's blocks.
+  system_->RepairMainSite();
+  auto failback = system_->Failback("shop");
+  ASSERT_TRUE(failback.ok()) << failback.status();
+  EXPECT_GT(failback->blocks_shipped, 0u);
+  env_.RunFor(Milliseconds(100));
+  for (const char* pvc : {"sales-db", "stock-db"}) {
+    auto main_vol = system_->ResolveMainVolume("shop", pvc);
+    auto backup_vol = system_->ResolveBackupVolume("shop", pvc);
+    ASSERT_TRUE(main_vol.ok() && backup_vol.ok()) << pvc;
+    EXPECT_TRUE(
+        system_->main_site()->array()->GetVolume(*main_vol)->ContentEquals(
+            *system_->backup_site()->array()->GetVolume(*backup_vol)))
+        << pvc << " differs between the sites after failback";
+  }
+  auto sales_vol = system_->ResolveMainVolume("shop", "sales-db");
+  auto stock_vol = system_->ResolveMainVolume("shop", "stock-db");
+  ASSERT_TRUE(sales_vol.ok() && stock_vol.ok());
+  storage::ArrayVolumeDevice sales_dev(system_->main_site()->array(),
+                                       *sales_vol);
+  storage::ArrayVolumeDevice stock_dev(system_->main_site()->array(),
+                                       *stock_vol);
+  db::DbOptions ro = bench::BenchDbOptions();
+  ro.read_only = true;
+  auto sales = db::MiniDb::Open(&sales_dev, ro);
+  auto stock = db::MiniDb::Open(&stock_dev, ro);
+  ASSERT_TRUE(sales.ok()) << sales.status();
+  ASSERT_TRUE(stock.ok()) << stock.status();
+  EXPECT_EQ((*sales)->RowCount(workload::kOrderTable), 30u);
+  EXPECT_FALSE(workload::CheckConsistency(sales->get(), stock->get())
+                   .collapsed());
 }
 
 TEST_F(RestoreTest, MissingGroupIsNotFound) {

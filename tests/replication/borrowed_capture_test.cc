@@ -334,7 +334,9 @@ TEST_F(BorrowedCaptureTest, PvolBitRotBeforeShipReadsAsDataLossOnTheSvol) {
 // --- Every P-VOL writer goes through the hook ---------------------------
 
 // Snapshot restore writes over a block whose record has not shipped: the
-// record is materialized first and ships the host write's bytes.
+// record is materialized first and ships the host write's bytes, and the
+// restore is journaled behind it like a host write, so the S-VOL ends at
+// the restored image.
 TEST_F(BorrowedCaptureTest, SnapshotRestoreMaterializesFirst) {
   MakePair();
   snapshot::SnapshotManager snapshots(&main_);
@@ -344,21 +346,30 @@ TEST_F(BorrowedCaptureTest, SnapshotRestoreMaterializesFirst) {
   ASSERT_TRUE(snap.ok());
   to_backup_.SetConnected(false);
   ASSERT_TRUE(main_.WriteSync(pvol_, 2, BlockOf('n')).ok());
+  const journal::SequenceNumber host_write = NewestRecordOf(2)->sequence;
   ASSERT_TRUE(NewestRecordOf(2)->payload.borrowed());
   auto restored = snapshots.RestoreVolume(*snap);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(*restored, 1u);
   EXPECT_EQ(Materialized(), 1u);
-  EXPECT_EQ(NewestRecordOf(2)->data(), BlockOf('n'));
+  const journal::JournalRecord* old =
+      engine_.primary_journal(group_)->Find(host_write);
+  ASSERT_NE(old, nullptr);
+  EXPECT_FALSE(old->payload.borrowed());
+  EXPECT_EQ(old->data(), BlockOf('n'));
+  const journal::JournalRecord* rewind = NewestRecordOf(2);
+  ASSERT_NE(rewind, nullptr);
+  EXPECT_GT(rewind->sequence, host_write);
+  EXPECT_EQ(rewind->data(), BlockOf('o'));
   to_backup_.SetConnected(true);
   env_.RunFor(Milliseconds(100));
-  // The journal ships the host write; the restore itself is not a host
-  // write and is not journaled.
+  // The journal ships the host write and then the restore.
   std::string out;
   ASSERT_TRUE(svol()->Read(2, 1, &out).ok());
-  EXPECT_EQ(out, BlockOf('n'));
+  EXPECT_EQ(out, BlockOf('o'));
   ASSERT_TRUE(pvol()->Read(2, 1, &out).ok());
   EXPECT_EQ(out, BlockOf('o'));
+  EXPECT_TRUE(Converged());
 }
 
 // Scrub repair restores a rotten P-VOL extent only at a quiescent point
