@@ -74,8 +74,10 @@ CellResult RunCell(Mode mode, SimDuration one_way_delay,
   auto r_sales = backup.CreateVolume("r-sales", 4096);
   ZB_CHECK(stock.ok() && sales.ok() && r_stock.ok() && r_sales.ok());
 
+  // Both copy modes run one two-pair consistency group; the pairs' mode
+  // picks the host-ack policy.
   replication::GroupId group = 0;
-  if (mode == Mode::kAdc) {
+  if (mode != Mode::kNone) {
     replication::ConsistencyGroupConfig cg;
     cg.name = "cg";
     auto g = engine.CreateConsistencyGroup(cg);
@@ -85,16 +87,10 @@ CellResult RunCell(Mode mode, SimDuration one_way_delay,
       replication::PairConfig pc;
       pc.primary = p;
       pc.secondary = s;
-      pc.mode = replication::ReplicationMode::kAsynchronous;
+      pc.mode = mode == Mode::kSdc
+                    ? replication::ReplicationMode::kSynchronous
+                    : replication::ReplicationMode::kAsynchronous;
       pc.group = group;
-      ZB_CHECK(engine.CreatePair(pc).ok());
-    }
-  } else if (mode == Mode::kSdc) {
-    for (auto [p, s] : {std::pair{*stock, *r_stock}, {*sales, *r_sales}}) {
-      replication::PairConfig pc;
-      pc.primary = p;
-      pc.secondary = s;
-      pc.mode = replication::ReplicationMode::kSynchronous;
       ZB_CHECK(engine.CreatePair(pc).ok());
     }
   }

@@ -150,14 +150,23 @@ std::string DescribeReplication(replication::ReplicationEngine* engine) {
     auto stats = engine->GetGroupStats(gid);
     auto name = engine->GetGroupName(gid);
     if (!stats.ok()) continue;
+    // A synchronous group's host writes still waiting for their apply
+    // ack: a count and an age that keeps growing while they are stuck.
+    const std::string sync_acks =
+        stats->pending_sync_acks == 0
+            ? std::string()
+            : " sync_acks=" + std::to_string(stats->pending_sync_acks) +
+                  " (oldest " + FormatDuration(stats->oldest_sync_ack_age) +
+                  ")";
     AppendLine(&out,
                "  group %-3" PRIu64 " %-24s written=%" PRIu64
                " shipped=%" PRIu64 " applied=%" PRIu64
-               " rpo=%s ratio=%.2f (window %.2f)",
+               " rpo=%s ratio=%.2f (window %.2f)%s",
                gid, name.ok() ? name->c_str() : "?", stats->written,
                stats->shipped, stats->applied,
                FormatDuration(stats->apply_lag).c_str(),
-               stats->compression_ratio, stats->compression_ratio_window);
+               stats->compression_ratio, stats->compression_ratio_window,
+               sync_acks.c_str());
     const std::string recovery = DescribeRecovery(*stats);
     if (!recovery.empty()) AppendLine(&out, "    %s", recovery.c_str());
     if (stats->captures_borrowed > 0) {

@@ -115,14 +115,14 @@ class PayloadBuffer {
 // (Section III-A-1). Records share their payload bytes through
 // PayloadBuffer, so copying a record is O(1) and never touches the data.
 //
-// On the main site an ADC record starts borrowed when its blocks lie in
+// On the main site a record starts borrowed when its blocks lie in
 // one P-VOL slab: its payload views the slab bytes and CRC sidecar words
 // (PayloadBuffer::Borrow), so the host write allocates and copies nothing.
 // The replication engine keeps that view valid: a write that would
 // overwrite a borrowed block first makes the record owned (ToOwned), and
 // a shipped record is rebound to its slice of the batch's encoded body.
-// Records that arrive on the backup site, and every record of an SDC pair
-// or of a write across slabs, are owned from the start.
+// Records that arrive on the backup site, and every record of a write
+// across slabs, are owned from the start.
 struct JournalRecord {
   SequenceNumber sequence = kNoSequence;
   uint64_t volume_id = 0;

@@ -17,17 +17,11 @@ namespace {
 // groups with backlog but no pending arm edge.
 constexpr SimDuration kSchedulerHeartbeat = Milliseconds(50);
 
-// Grace for a synchronous write's remote ack, past the latest possible
-// arrival of the write and one unloaded reverse trip: the default group
-// ack_timeout. A miss suspends the pair and acks the host locally.
-constexpr SimDuration kSyncAckTimeout = Milliseconds(50);
-
-// The owned capture of a replicated host write (an SDC write, or an ADC
-// write across slabs): its bytes, with the CRCs the P-VOL write just
-// computed for them as a trailer, in one allocation. The S-VOL stores
-// those CRCs instead of computing them again, so the block is checksummed
-// once, at intercept, and damage on the way reads back as kDataLoss on the
-// S-VOL.
+// The owned capture of a replicated host write across slabs: its bytes,
+// with the CRCs the P-VOL write just computed for them as a trailer, in
+// one allocation. The S-VOL stores those CRCs instead of computing them
+// again, so the block is checksummed once, at intercept, and damage on the
+// way reads back as kDataLoss on the S-VOL.
 journal::PayloadBuffer CapturePayload(const storage::Volume& volume,
                                       uint64_t lba, uint32_t count,
                                       std::string_view data) {
@@ -40,12 +34,6 @@ journal::PayloadBuffer CapturePayload(const storage::Volume& volume,
 }
 
 }  // namespace
-
-struct ReplicationEngine::SyncWrite {
-  storage::WriteInterceptor::AckFn ack;
-  sim::EventId deadline{};
-  bool done = false;
-};
 
 const char* PairStateName(PairState state) {
   switch (state) {
@@ -131,9 +119,8 @@ Status ConsistencyGroupConfig::Validate() const {
 
 namespace internal {
 
-// Interceptor installed on a P-VOL. An async pair journals the write and
-// acks; a sync pair ships it and delays the host ack until the remote site
-// persisted it.
+// Interceptor installed on a P-VOL: hands every host write to the engine,
+// which journals it and acks it by the group's policy.
 class PrimaryInterceptor : public storage::WriteInterceptor {
  public:
   PrimaryInterceptor(ReplicationEngine* engine, Pair* pair)
@@ -141,13 +128,7 @@ class PrimaryInterceptor : public storage::WriteInterceptor {
 
   void OnHostWrite(storage::Volume* volume, block::Lba lba, uint32_t count,
                    std::string_view data, AckFn ack) override {
-    if (pair_->config_.mode == ReplicationMode::kSynchronous) {
-      engine_->OnSyncHostWrite(pair_, volume, lba, count, data,
-                               std::move(ack));
-    } else {
-      engine_->OnAsyncHostWrite(pair_, volume, lba, count, data,
-                                std::move(ack));
-    }
+    engine_->OnHostWrite(pair_, volume, lba, count, data, std::move(ack));
   }
 
  private:
@@ -276,7 +257,7 @@ StatusOr<GroupId> ReplicationEngine::CreateConsistencyGroup(
   group->secondary_journal = *sj_or;
   group->batch_bytes_now = group->config.transfer_batch_bytes;
   Group* raw = group.get();
-  // The group idles until a journal append (OnAsyncHostWrite), an
+  // The group idles until an ADC journal append (OnHostWrite), an
   // apply-ack, a link reconnect or a resync completion arms it.
   scheduler_.Register(id, raw->config.transfer_interval, raw->batch_bytes_now);
   groups_.emplace(id, std::move(group));
@@ -292,6 +273,9 @@ Status ReplicationEngine::DeleteConsistencyGroup(GroupId id) {
   }
   scheduler_.Unregister(id);
   CancelResyncRetry(group);
+  // Its pairs are gone, and with them the apply acks a waiting host write
+  // could still get.
+  AckSyncWrites(group, kNoSequenceLimit);
   (void)primary_->DeleteJournal(group->primary_journal);
   (void)secondary_->DeleteJournal(group->secondary_journal);
   // Forget the group's ordered stream on both links, or the per-channel
@@ -366,6 +350,10 @@ StatusOr<GroupStats> ReplicationEngine::GetGroupStats(GroupId id) const {
   if (group->giveback.active) {
     stats.giveback_in_flight = true;
     stats.giveback_age = now - group->giveback_since;
+  }
+  stats.pending_sync_acks = group->pending_acks.size();
+  if (!group->pending_acks.empty()) {
+    stats.oldest_sync_ack_age = now - group->pending_acks.front().since;
   }
   stats.captures_borrowed = group->captures_borrowed;
   stats.captures_materialized = group->captures_materialized;
@@ -497,25 +485,29 @@ StatusOr<std::string> ReplicationEngine::GetGroupName(GroupId id) const {
 }
 
 StatusOr<PairId> ReplicationEngine::CreatePair(const PairConfig& config) {
-  const bool synchronous = config.mode == ReplicationMode::kSynchronous;
-  Group* group = nullptr;
-  if (synchronous) {
-    if (config.group != 0) {
-      return InvalidArgumentError(
-          "synchronous pairs are standalone; config.group must be 0");
-    }
-  } else {
-    if (config.group == 0) {
-      return InvalidArgumentError(
-          "asynchronous pairs require a consistency group (config.group)");
-    }
-    group = FindGroup(config.group);
-    if (group == nullptr) {
-      return NotFoundError("group " + std::to_string(config.group));
-    }
-    if (group->failed_over) {
-      return FailedPreconditionError("group has been failed over");
-    }
+  if (config.group == 0) {
+    return InvalidArgumentError(
+        "pairs require a consistency group (config.group)");
+  }
+  Group* group = FindGroup(config.group);
+  if (group == nullptr) {
+    return NotFoundError("group " + std::to_string(config.group));
+  }
+  if (group->failed_over) {
+    return FailedPreconditionError("group has been failed over");
+  }
+  if (!group->pairs.empty() && config.mode != group->mode) {
+    return InvalidArgumentError(
+        std::string("pair mode ") + ReplicationModeName(config.mode) +
+        " differs from its group's (" + ReplicationModeName(group->mode) +
+        ")");
+  }
+  if (config.mode == ReplicationMode::kSynchronous &&
+      group->config.ack_timeout == 0) {
+    // The ack deadline is what keeps a sync host write from waiting forever
+    // on a lost batch.
+    return InvalidArgumentError(
+        "a synchronous pair needs a group with a nonzero ack_timeout");
   }
   ZB_ASSIGN_OR_RETURN(storage::Volume * pvol,
                       primary_->FindVolume(config.primary));
@@ -536,7 +528,7 @@ StatusOr<PairId> ReplicationEngine::CreatePair(const PairConfig& config) {
   auto pair = std::make_unique<Pair>();
   pair->id_ = id;
   pair->config_ = config;
-  pair->group_ = synchronous ? 0 : config.group;
+  pair->group_ = config.group;
   pair->state_ = PairState::kCopy;
   pair->dirty_.Reset(pvol->block_count());
   pair->reverse_dirty_.Reset(pvol->block_count());
@@ -557,17 +549,16 @@ StatusOr<PairId> ReplicationEngine::CreatePair(const PairConfig& config) {
     return gs;
   }
 
-  if (group != nullptr) {
-    group->pairs.push_back(id);
-    group->by_primary.emplace(config.primary, id);
-    // The async P-VOL's journal records borrow its blocks; every write to
-    // it, from any path, materializes a borrower first.
-    pair->borrowed_.Reset(pvol->block_count());
-    pair->pvol_hook_ = pvol->AddPreOverwriteHook(
-        [this, raw](block::Lba lba, std::string_view) {
-          MaterializeBorrower(raw, lba);
-        });
-  }
+  group->mode = config.mode;
+  group->pairs.push_back(id);
+  group->by_primary.emplace(config.primary, id);
+  // The P-VOL's journal records borrow its blocks; every write to it, from
+  // any path, materializes a borrower first.
+  pair->borrowed_.Reset(pvol->block_count());
+  pair->pvol_hook_ = pvol->AddPreOverwriteHook(
+      [this, raw](block::Lba lba, std::string_view) {
+        MaterializeBorrower(raw, lba);
+      });
   pairs_.emplace(id, std::move(pair));
 
   StartInitialCopy(raw, group);
@@ -582,18 +573,9 @@ Status ReplicationEngine::DeletePair(PairId id) {
   if (pair->svol_interceptor_ != nullptr) {
     secondary_->UnregisterInterceptor(pair->config_.secondary);
   }
-  if (pair->group_ == 0) {
-    // A sync pair owns its per-pair channel on both links; drop the FIFO
-    // state or every pair ever created leaks an entry.
-    to_secondary_->ReleaseChannel(SyncChannel(id));
-    to_primary_->ReleaseChannel(SyncChannel(id));
-  }
-  if (pair->group_ != 0) {
-    Group* group = FindGroup(pair->group_);
-    if (group != nullptr) {
-      std::erase(group->pairs, id);
-      group->by_primary.erase(pair->config_.primary);
-    }
+  if (Group* group = FindGroup(pair->group_)) {
+    std::erase(group->pairs, id);
+    group->by_primary.erase(pair->config_.primary);
   }
   pairs_.erase(id);
   return OkStatus();
@@ -623,11 +605,12 @@ std::vector<PairId> ReplicationEngine::ListGroupPairs(GroupId id) const {
   return group == nullptr ? std::vector<PairId>{} : group->pairs;
 }
 
-void ReplicationEngine::OnAsyncHostWrite(
-    Pair* pair, storage::Volume* volume, uint64_t lba, uint32_t count,
-    std::string_view data, storage::WriteInterceptor::AckFn ack) {
+void ReplicationEngine::OnHostWrite(Pair* pair, storage::Volume* volume,
+                                    uint64_t lba, uint32_t count,
+                                    std::string_view data,
+                                    storage::WriteInterceptor::AckFn ack) {
   Group* group = FindGroup(pair->group_);
-  ZB_CHECK(group != nullptr) << "async pair without group";
+  ZB_CHECK(group != nullptr) << "pair without group";
   if (group->failed_over) {
     // The group was taken over by the backup site; stop copying but keep
     // serving the host (main-site survivors see no error). Track the
@@ -670,6 +653,17 @@ void ReplicationEngine::OnAsyncHostWrite(
       ++group->captures_borrowed;
       if (ins_.capture_borrowed != nullptr) ins_.capture_borrowed->Increment();
     }
+    if (pair->config_.mode == ReplicationMode::kSynchronous) {
+      // SDC: the record ships now, with no interval wait, and the host ack
+      // waits for the apply ack that covers it. A link that refuses the
+      // batch can send no ack back: the group suspends at once, which acks
+      // this write locally and dirty-marks its blocks.
+      group->pending_acks.push_back({*seq_or, env_->now(), std::move(ack)});
+      if (!PumpGroup(group, UINT64_MAX).sent) {
+        SuspendOnFailure(group, SuspendReason::kAckTimeout);
+      }
+      return;
+    }
     // New work exists: the group's arm edge.
     scheduler_.Arm(group->id);
   } else {
@@ -696,98 +690,6 @@ void ReplicationEngine::OnAsyncHostWrite(
   // The ADC ack does not wait for anything remote: this is the paper's
   // "no system slowdown" property.
   ack(OkStatus());
-}
-
-void ReplicationEngine::OnSyncHostWrite(
-    Pair* pair, storage::Volume* volume, uint64_t lba, uint32_t count,
-    std::string_view data, storage::WriteInterceptor::AckFn ack) {
-  if (pair->state_ == PairState::kSwapped) {
-    ack(OkStatus());
-    return;
-  }
-  if (pair->state_ == PairState::kSuspended) {
-    pair->dirty_.SetRange(lba, count);
-    ack(OkStatus());
-    return;
-  }
-  const uint64_t bytes =
-      journal::JournalRecord::kHeaderSize +
-      static_cast<uint64_t>(count) * volume->block_size();
-  // One payload allocation; the nested send/persist lambdas share it by
-  // refcount instead of re-copying the bytes at each hop.
-  journal::PayloadBuffer payload = CapturePayload(*volume, lba, count, data);
-  const PairId pair_id = pair->id_;
-  const uint64_t copy_epoch = pair->copy_.epoch;
-  // The host ack fires once: from the remote ack, or locally when the pair
-  // gives up on the remote site (fence level "never": suspend, dirty-mark
-  // the blocks for the next resync, keep serving the host).
-  auto op = std::make_shared<SyncWrite>();
-  op->ack = std::move(ack);
-  auto write_locally = [this, pair_id, lba, count, op] {
-    if (op->done) return;
-    Pair* p = FindPair(pair_id);
-    if (p != nullptr && p->state_ != PairState::kSwapped) {
-      SuspendPair(p);
-      p->dirty_.SetRange(lba, count);
-    }
-    CompleteSyncWrite(op.get());
-  };
-  Status sent = to_secondary_->SendOnChannel(
-      SyncChannel(pair_id), bytes,
-      [this, pair_id, lba, count, payload = std::move(payload), op,
-       write_locally, copy_epoch] {
-        if (op->done) return;  // The deadline already acked it locally.
-        Pair* p = FindPair(pair_id);
-        if (p == nullptr || p->state_ == PairState::kSwapped) {
-          CompleteSyncWrite(op.get());
-          return;
-        }
-        // The write lands at arrival, in channel order with the pair's bulk
-        // frames (a resync frame sent after it lands after it); the backup
-        // array's media write cost delays only the remote ack. A write
-        // that cannot land, or that was sent behind a copy that never
-        // landed, is never acked as replicated: the deadline acks it
-        // locally, suspends the pair and dirty-marks the blocks.
-        if (p->resync_fence_ != 0 && copy_epoch >= p->resync_fence_) return;
-        storage::Volume* svol = secondary_->GetVolume(p->config_.secondary);
-        if (svol == nullptr) return;
-        const block::BlockRun run{lba, count, payload.view(), payload.crcs()};
-        Status ws = svol->WriteRun(&run, 1);
-        if (!ws.ok()) {
-          ZB_LOG(Warning) << "sync apply failed: " << ws;
-          return;
-        }
-        const SimDuration cost = secondary_->config().media.Cost(
-            block::IoType::kWrite, count, nullptr);
-        env_->Schedule(cost, [this, pair_id, op, write_locally] {
-          if (op->done) return;
-          Pair* p2 = FindPair(pair_id);
-          if (p2 == nullptr || p2->state_ == PairState::kSwapped) {
-            CompleteSyncWrite(op.get());
-            return;
-          }
-          // Remote ack travels back over the reverse link.
-          Status back = to_primary_->SendOnChannel(
-              SyncChannel(pair_id), kAckMessageBytes,
-              [this, op] { CompleteSyncWrite(op.get()); });
-          if (!back.ok()) write_locally();
-        });
-      });
-  if (!sent.ok()) {
-    write_locally();
-    return;
-  }
-  // The write or its ack can die in a partition: past the latest possible
-  // arrival plus one reverse trip and the grace, stop waiting.
-  const sim::NetworkLinkConfig& rev = to_primary_->config();
-  op->deadline = env_->ScheduleAt(
-      to_secondary_->EstimateArrival(0, SyncChannel(pair_id)) +
-          rev.base_latency + rev.jitter + kSyncAckTimeout,
-      [pair_id, write_locally] {
-        ZB_LOG(Warning) << "sync pair " << pair_id
-                        << " missed its remote ack; suspending";
-        write_locally();
-      });
 }
 
 void ReplicationEngine::MaterializeBorrower(Pair* pair, uint64_t lba) {
@@ -825,11 +727,17 @@ void ReplicationEngine::ReleasePvol(Pair* pair) {
   pair->pvol_hook_ = 0;
 }
 
-void ReplicationEngine::CompleteSyncWrite(SyncWrite* op) {
-  if (op->done) return;
-  op->done = true;
-  env_->Cancel(op->deadline);
-  op->ack(OkStatus());
+void ReplicationEngine::AckSyncWrites(Group* group,
+                                      journal::SequenceNumber through) {
+  // Pop before acking: an ack may submit the next host write, which can
+  // append to this queue.
+  while (!group->pending_acks.empty() &&
+         group->pending_acks.front().seq <= through) {
+    storage::WriteInterceptor::AckFn ack =
+        std::move(group->pending_acks.front().ack);
+    group->pending_acks.pop_front();
+    ack(OkStatus());
+  }
 }
 
 PumpOutcome ReplicationEngine::PumpGroup(Group* group, uint64_t max_bytes) {
@@ -838,7 +746,8 @@ PumpOutcome ReplicationEngine::PumpGroup(Group* group, uint64_t max_bytes) {
   if (primary_->failed()) return out;
   auto* jnl = primary_->GetJournal(group->primary_journal);
   if (jnl == nullptr) return out;
-  if (group->config.enable_adaptive_batching) AdaptBatchSize(group, jnl);
+  const bool adaptive = Adaptive(*group);
+  if (adaptive) AdaptBatchSize(group, jnl);
   // The scheduler's DRR quantum tracks the (possibly just adapted) batch
   // size, so a group's fair share follows its own pacing decisions.
   out.quantum = group->batch_bytes_now;
@@ -846,8 +755,7 @@ PumpOutcome ReplicationEngine::PumpGroup(Group* group, uint64_t max_bytes) {
   // its ack: that is the only window where link backlog is observable, so
   // going fully idle would freeze the controller at its last size.
   auto adaptive_keep_alive = [&] {
-    return group->config.enable_adaptive_batching &&
-           jnl->acked() < jnl->written();
+    return adaptive && jnl->acked() < jnl->written();
   };
   // A dead link would refuse the send: skip the peek and the encode, and
   // report what a failed send reports (see the end of this function).
@@ -1062,8 +970,7 @@ void ReplicationEngine::ArmIfPending(GroupId id) {
   auto* jnl = primary_->GetJournal(group->primary_journal);
   if (jnl == nullptr) return;
   if (jnl->shipped() < jnl->written() ||
-      (group->config.enable_adaptive_batching &&
-       jnl->acked() < jnl->written())) {
+      (Adaptive(*group) && jnl->acked() < jnl->written())) {
     scheduler_.Arm(id);
   }
 }
@@ -1115,9 +1022,15 @@ void ReplicationEngine::ArmAckDeadline(Group* group,
   if (group->config.ack_timeout == 0) return;
   // The batch just sent is the newest message on the group's channel, so
   // EstimateArrival bounds its arrival; the ack must be back within
-  // ack_timeout of that (covering the apply and the reverse trip).
-  const SimTime deadline =
+  // ack_timeout of that (covering the apply and the reverse trip). A
+  // synchronous group's host writes wait for this ack, so its grace starts
+  // after one unloaded reverse trip.
+  SimTime deadline =
       to_secondary_->EstimateArrival(0, group->id) + group->config.ack_timeout;
+  if (group->mode == ReplicationMode::kSynchronous) {
+    deadline += to_primary_->config().base_latency +
+                to_primary_->config().jitter;
+  }
   const GroupId group_id = group->id;
   const uint64_t epoch = group->ship_epoch;
   env_->ScheduleAt(deadline, [this, group_id, expect, epoch] {
@@ -1146,17 +1059,14 @@ internal::CopyInFlight* ReplicationEngine::FindCopy(const CopyRef& ref) {
 
 void ReplicationEngine::ArmCopyDeadline(const CopyRef& ref) {
   internal::CopyInFlight* copy = FindCopy(ref);
-  const Group* group = FindGroup(ref.group);
   copy->active = true;
   copy->sent_at = env_->now();
   copy->deadline = -1;
-  const SimDuration grace =
-      group == nullptr ? kSyncAckTimeout : group->config.ack_timeout;
+  const SimDuration grace = FindGroup(ref.group)->config.ack_timeout;
   if (grace == 0) return;
-  // The copy is the newest message on its channel, so EstimateArrival
-  // bounds its arrival.
-  copy->deadline =
-      CopyLink(ref)->EstimateArrival(0, CopyChannel(ref)) + grace;
+  // The copy is the newest message on the group's channel, so
+  // EstimateArrival bounds its arrival.
+  copy->deadline = CopyLink(ref)->EstimateArrival(0, ref.group) + grace;
   const uint64_t epoch = copy->epoch;
   env_->ScheduleAt(copy->deadline, [this, ref, epoch] {
     const internal::CopyInFlight* c = FindCopy(ref);
@@ -1165,12 +1075,9 @@ void ReplicationEngine::ArmCopyDeadline(const CopyRef& ref) {
 }
 
 void ReplicationEngine::OnCopyLost(const CopyRef& ref) {
+  // A live copy's owner exists, and a pair's group outlives it.
   Group* group = FindGroup(ref.group);
-  if (group == nullptr) {
-    ZB_LOG(Warning) << "sync pair " << ref.pair
-                    << " copy lost in flight; suspending";
-    SuspendPair(FindPair(ref.pair));
-  } else if (ref.giveback) {
+  if (ref.giveback) {
     ZB_LOG(Warning) << "group " << ref.group
                     << " giveback lost in flight; re-sending";
     if (to_primary_->connected()) SendGiveback(group);
@@ -1256,6 +1163,10 @@ void ReplicationEngine::ApplyPending(Group* group) {
   if (sj == nullptr) return;
   journal::SequenceNumber applied = sj->applied();
   bool progressed = false;
+  // A synchronous host write is acked after the backup media write of its
+  // record; the records landed here pay theirs before the ack leaves.
+  const bool sync = group->mode == ReplicationMode::kSynchronous;
+  SimDuration media_cost = 0;
   while (applied < sj->written()) {
     const journal::JournalRecord* first = sj->Find(applied + 1);
     if (first == nullptr) break;
@@ -1270,12 +1181,17 @@ void ReplicationEngine::ApplyPending(Group* group) {
     // still in initial copy stalls the group at this batch boundary to
     // preserve the cross-volume total order.
     bool stalled = false;
+    SimDuration batch_cost = 0;
     journal::JournalVolume::Cursor scan = sj->ScanFrom(applied + 1);
     for (journal::SequenceNumber s = applied + 1; s <= end; ++s) {
       const journal::JournalRecord* rec = scan.Next();
       if (rec == nullptr) {
         stalled = true;
         break;
+      }
+      if (sync && !rec->folded) {
+        batch_cost += secondary_->config().media.Cost(
+            block::IoType::kWrite, rec->block_count, nullptr);
       }
       auto pit = group->by_primary.find(rec->volume_id);
       if (pit == group->by_primary.end()) continue;
@@ -1297,10 +1213,11 @@ void ReplicationEngine::ApplyPending(Group* group) {
     }
     applied = end;
     progressed = true;
+    media_cost += batch_cost;
   }
   if (progressed) {
     ZB_CHECK(sj->TrimThrough(applied).ok());
-    SendApplyAck(group, applied);
+    SendApplyAck(group, applied, media_cost);
   }
 }
 
@@ -1381,28 +1298,44 @@ Status ReplicationEngine::ApplyBatch(Group* group,
 }
 
 void ReplicationEngine::SendApplyAck(Group* group,
-                                     journal::SequenceNumber seq) {
+                                     journal::SequenceNumber seq,
+                                     SimDuration delay) {
   const GroupId group_id = group->id;
-  Status sent = to_primary_->SendOnChannel(
-      group_id, kAckMessageBytes, [this, group_id, seq] {
-        Group* g = FindGroup(group_id);
-        if (g == nullptr) return;
-        auto* pj = primary_->GetJournal(g->primary_journal);
-        if (pj == nullptr) return;
-        // Records applied remotely are safe to trim from the main journal.
-        if (seq <= pj->written()) {
-          (void)pj->TrimThrough(seq);
-          if (ins_.batches_acked != nullptr) ins_.batches_acked->Increment();
-          if (trace_ != nullptr) {
-            trace_->Record(env_->now(), obs::TraceEvent::kBatchAcked,
-                           group_id, seq);
+  const uint64_t epoch = group->ship_epoch;
+  auto send = [this, group_id, seq, epoch] {
+    Status sent = to_primary_->SendOnChannel(
+        group_id, kAckMessageBytes, [this, group_id, seq, epoch] {
+          Group* g = FindGroup(group_id);
+          if (g == nullptr) return;
+          auto* pj = primary_->GetJournal(g->primary_journal);
+          if (pj == nullptr) return;
+          // Records applied remotely are safe to trim from the main
+          // journal, unless the ack names a sequence space a failback has
+          // since restarted.
+          if (g->ship_epoch == epoch && seq <= pj->written()) {
+            (void)pj->TrimThrough(seq);
+            if (ins_.batches_acked != nullptr) {
+              ins_.batches_acked->Increment();
+            }
+            if (trace_ != nullptr) {
+              trace_->Record(env_->now(), obs::TraceEvent::kBatchAcked,
+                             group_id, seq);
+            }
+            AckSyncWrites(g, seq);
           }
-        }
-        // The trim freed journal capacity; if records queued up behind the
-        // in-flight window, this ack is their arm edge.
-        ArmIfPending(group_id);
-      });
-  (void)sent;  // A lost ack only delays trimming.
+          // The trim freed journal capacity; if records queued up behind
+          // the in-flight window, this ack is their arm edge.
+          ArmIfPending(group_id);
+        });
+    // A lost ack only delays trimming (and, for a synchronous group, the
+    // host acks until the ack deadline acks them locally).
+    (void)sent;
+  };
+  if (delay == 0) {
+    send();
+  } else {
+    env_->Schedule(delay, std::move(send));
+  }
 }
 
 void ReplicationEngine::SendWireNack(Group* group) {
@@ -1445,33 +1378,29 @@ void ReplicationEngine::StartInitialCopy(Pair* pair, Group* group) {
   // What the copy owes is the pair's dirty bits, set at CreatePair.
   if (pair->dirty_.empty()) {
     pair->state_ = PairState::kPaired;
-    if (group != nullptr) ApplyPending(group);
+    ApplyPending(group);
     return;
   }
   const PairId pair_id = pair->id_;
-  const GroupId group_id = group == nullptr ? 0 : group->id;
-  // Use the same channel as the pair's subsequent traffic so the base
-  // image is guaranteed to arrive before any update shipped after it.
-  const uint64_t channel =
-      group == nullptr ? SyncChannel(pair_id) : group_id;
+  const GroupId group_id = group->id;
   storage::Volume* pvol = primary_->GetVolume(pair->config_.primary);
   ZB_CHECK(pvol != nullptr);
-  // Freeze the P-VOL image at this instant; updates from now on are
-  // journaled (async) or shipped inline (sync) behind it on the channel,
-  // so no write touches the bits it owes while it is in flight. A group
-  // in bitmap mode (suspended) sends nothing: its resync ships the bits.
+  // Freeze the P-VOL image at this instant and send it on the group's
+  // channel; updates from now on are journaled and ship behind it, so no
+  // write touches the bits it owes while it is in flight. A group in
+  // bitmap mode (suspended) sends nothing: its resync ships the bits.
   // This is the copy's only pass over the bytes: the image carries the
   // P-VOL's checksum sidecar and the S-VOL adopts it whole at landing, so
   // latent rot on the P-VOL stays detectable on the S-VOL.
   const uint64_t epoch = ++pair->copy_.epoch;
   Status sent = FailedPreconditionError("group is suspended");
-  if (group == nullptr || !group->suspended) {
+  if (!group->suspended) {
     auto frozen = std::make_shared<block::MemVolume>(pvol->block_count(),
                                                      pvol->block_size());
     frozen->EnableChecksums();
     ZB_CHECK(frozen->CloneFrom(pvol->store()).ok());
     sent = to_secondary_->SendOnChannel(
-        channel, pvol->store().allocated_blocks() * pvol->block_size(),
+        group_id, pvol->store().allocated_blocks() * pvol->block_size(),
         [this, pair_id, group_id, frozen, epoch] {
           Pair* p = FindPair(pair_id);
           // A suspension or failover superseded the copy; its bits stay.
@@ -1484,19 +1413,17 @@ void ReplicationEngine::StartInitialCopy(Pair* pair, Group* group) {
             return;
           }
           p->copy_.active = false;
-          p->resync_fence_ = 0;
           // The image is the whole owed set (the bits froze at the send).
           p->dirty_.ClearAll();
           p->state_ = PairState::kPaired;
           if (Group* g = FindGroup(group_id)) ApplyPending(g);
         });
   }
-  if (sent.ok() && group == nullptr) pair->resync_fence_ = epoch;
   if (!sent.ok()) {
     // The pair starts suspended with its owed bits dirty; a later resync
     // performs the initial copy.
     pair->state_ = PairState::kSuspended;
-    if (group != nullptr) NoteUnsynced(group, env_->now());
+    NoteUnsynced(group, env_->now());
     return;
   }
   ArmCopyDeadline({.group = group_id, .pair = pair_id});
@@ -1562,6 +1489,9 @@ void ReplicationEngine::MarkGroupSuspended(Group* group,
     trace_->Record(env_->now(), obs::TraceEvent::kSuspend, group->id,
                    static_cast<uint64_t>(reason));
   }
+  // Fence level "never": a synchronous write still waiting for its apply
+  // ack is acked locally; its blocks were just dirty-marked.
+  AckSyncWrites(group, kNoSequenceLimit);
 }
 
 Status ReplicationEngine::SuspendGroup(GroupId id) {
@@ -1582,19 +1512,6 @@ Status ReplicationEngine::SuspendGroup(GroupId id) {
   return OkStatus();
 }
 
-Status ReplicationEngine::SuspendSyncPair(PairId id) {
-  Pair* pair = FindPair(id);
-  if (pair == nullptr) return NotFoundError("pair " + std::to_string(id));
-  if (pair->config_.mode != ReplicationMode::kSynchronous) {
-    return InvalidArgumentError("pair is not synchronous");
-  }
-  if (pair->state_ == PairState::kSwapped) {
-    return FailedPreconditionError("pair has been swapped");
-  }
-  SuspendPair(pair);
-  return OkStatus();
-}
-
 storage::Volume* ReplicationEngine::CopyVolume(const CopyRef& ref,
                                                const Pair& pair,
                                                bool source) {
@@ -1606,22 +1523,12 @@ storage::Volume* ReplicationEngine::CopyVolume(const CopyRef& ref,
 
 ReplicationEngine::BulkFrame ReplicationEngine::CaptureBulk(
     const CopyRef& ref, bool compress) {
-  // The owed pairs: the copy's own pair, or its group's pairs that are not
-  // kSwapped.
-  std::vector<Pair*> pairs;
-  if (ref.pair != 0) {
-    if (Pair* pair = FindPair(ref.pair)) pairs.push_back(pair);
-  } else if (Group* group = FindGroup(ref.group)) {
-    for (PairId pid : group->pairs) {
-      Pair* pair = FindPair(pid);
-      if (pair != nullptr && pair->state_ != PairState::kSwapped) {
-        pairs.push_back(pair);
-      }
-    }
-  }
   BulkFrame bulk;
   std::vector<wire::Extent> extents;
-  for (Pair* pair : pairs) {
+  // The owed pairs: the group's pairs that are not kSwapped.
+  for (PairId pid : FindGroup(ref.group)->pairs) {
+    Pair* pair = FindPair(pid);
+    if (pair == nullptr || pair->state_ == PairState::kSwapped) continue;
     storage::Volume* vol = CopyVolume(ref, *pair, /*source=*/true);
     if (vol == nullptr) continue;
     (pair->*OwedBits(ref)).ForEachRun(
@@ -1644,16 +1551,12 @@ ReplicationEngine::BulkFrame ReplicationEngine::CaptureBulk(
 
 bool ReplicationEngine::LandBulk(
     const std::vector<journal::JournalRecord>& records, const CopyRef& ref) {
-  Group* group = FindGroup(ref.group);
+  // Only a live copy lands, and a live copy's group exists.
+  const Group* group = FindGroup(ref.group);
   bool landed = true;
   for (const journal::JournalRecord& rec : records) {
-    Pair* p = nullptr;
-    if (ref.pair != 0) {
-      p = FindPair(ref.pair);
-    } else if (group != nullptr) {
-      auto pit = group->by_primary.find(rec.volume_id);
-      p = pit == group->by_primary.end() ? nullptr : FindPair(pit->second);
-    }
+    auto pit = group->by_primary.find(rec.volume_id);
+    Pair* p = pit == group->by_primary.end() ? nullptr : FindPair(pit->second);
     if (p == nullptr) continue;
     storage::Volume* vol = CopyVolume(ref, *p, /*source=*/false);
     if (vol == nullptr) continue;
@@ -1694,7 +1597,7 @@ ReplicationEngine::BulkSend ReplicationEngine::SendBulk(
   const uint64_t wire_bytes =
       std::max<uint64_t>(bulk.frame.size(), kAckMessageBytes);
   Status sent = CopyLink(ref)->SendOnChannel(
-      CopyChannel(ref), wire_bytes, bulk.logical_bytes,
+      ref.group, wire_bytes, bulk.logical_bytes,
       [this, ref, epoch, frame = std::move(bulk.frame),
        on_landed = std::move(on_landed)]() mutable {
         internal::CopyInFlight* copy = FindCopy(ref);
@@ -1704,14 +1607,9 @@ ReplicationEngine::BulkSend ReplicationEngine::SendBulk(
         // its deadline recovers what is still owed.
         auto records = ReceiveFrame(&frame);
         if (!records.ok()) {
-          if (Group* g = FindGroup(ref.group)) {
-            NoteRejectedFrame(
-                g, ref.giveback ? "giveback frame" : "resync frame",
-                records.status());
-          } else {
-            ZB_LOG(Warning) << "sync pair " << ref.pair
-                            << " rejected resync frame: " << records.status();
-          }
+          NoteRejectedFrame(FindGroup(ref.group),
+                            ref.giveback ? "giveback frame" : "resync frame",
+                            records.status());
           return;
         }
         if (!LandBulk(*records, ref)) return;
@@ -1809,31 +1707,6 @@ Status ReplicationEngine::ResyncGroup(GroupId id) {
   return OkStatus();
 }
 
-Status ReplicationEngine::ResyncSyncPair(PairId id) {
-  Pair* pair = FindPair(id);
-  if (pair == nullptr) return NotFoundError("pair " + std::to_string(id));
-  if (pair->config_.mode != ReplicationMode::kSynchronous) {
-    return InvalidArgumentError("pair is not synchronous");
-  }
-  if (pair->state_ != PairState::kSuspended) {
-    return FailedPreconditionError("pair is not suspended");
-  }
-  if (primary_->GetVolume(pair->config_.primary) == nullptr) {
-    return NotFoundError("P-VOL vanished");
-  }
-  // A standalone pair has no group config, so its frames are always
-  // compressed (the stored variant still wins when the blocks do not
-  // shrink).
-  ZB_RETURN_IF_ERROR(SendBulk({.pair = id}, /*compress=*/true, [this, id] {
-                       FindPair(id)->resync_fence_ = 0;
-                     }).sent);
-  if (pair->resync_fence_ == 0) pair->resync_fence_ = pair->copy_.epoch;
-  // The pair re-pairs at the send: later writes ship inline behind the
-  // frame on the FIFO channel, so none of them touches the bits it owes.
-  pair->state_ = PairState::kPaired;
-  return OkStatus();
-}
-
 StatusOr<FailoverReport> ReplicationEngine::FailoverGroup(GroupId id) {
   Group* group = FindGroup(id);
   if (group == nullptr) return NotFoundError("group " + std::to_string(id));
@@ -1851,6 +1724,9 @@ StatusOr<FailoverReport> ReplicationEngine::FailoverGroup(GroupId id) {
   // A giveback still in flight can no longer land; its blocks stay in
   // reverse_dirty_ and ship with the next failback.
   Supersede(&group->giveback);
+  // No apply ack reaches a failed-over group's host writes: they complete
+  // locally, and the report counts the ones that never made it.
+  AckSyncWrites(group, kNoSequenceLimit);
 
   // Apply everything that reached the backup site (Section I: "DR systems
   // recover the backup site under the condition of data consistency").

@@ -29,9 +29,11 @@
 
 namespace zerobak::replication {
 
-// Remote-copy mode (Section V: SDC vs ADC).
+// Remote-copy mode (Section V: SDC vs ADC): the host-ack policy of a
+// consistency group, which every pair of the group shares. Both modes ship
+// through the group journal.
 enum class ReplicationMode {
-  kSynchronous,   // SDC: host ack waits for the remote site.
+  kSynchronous,   // SDC: host ack waits for the backup's apply ack.
   kAsynchronous,  // ADC: host ack after the local journal write.
 };
 
@@ -141,9 +143,9 @@ struct PairConfig {
   std::string name;
   storage::VolumeId primary = 0;    // P-VOL on the main array.
   storage::VolumeId secondary = 0;  // S-VOL on the backup array.
+  // Must match the mode of the group's other pairs.
   ReplicationMode mode = ReplicationMode::kAsynchronous;
-  // Consistency group for asynchronous pairs; must be 0 (unset) for
-  // synchronous pairs, which are standalone by definition.
+  // The consistency group the pair joins (required).
   GroupId group = 0;
 };
 
@@ -236,6 +238,10 @@ struct GroupStats {
   // long ago FailbackGroup captured it.
   bool giveback_in_flight = false;
   SimDuration giveback_age = 0;
+  // Host writes of a synchronous group waiting for their apply ack, and
+  // the age of the oldest one (0 when none).
+  uint64_t pending_sync_acks = 0;
+  SimDuration oldest_sync_ack_age = 0;
   // --- Journal capture ---
   // Host writes journaled as borrowed views of their P-VOL blocks, and
   // borrowed records copied into an owned buffer because a write was
@@ -312,7 +318,7 @@ class Pair {
 
   PairId id_ = 0;
   PairConfig config_;
-  GroupId group_ = 0;  // 0 for synchronous pairs.
+  GroupId group_ = 0;
   PairState state_ = PairState::kCopy;
   // Hierarchical (two-level) bitmaps sized to the volume at pair creation;
   // resync walks them as sorted extent runs instead of hash-ordered blocks.
@@ -320,27 +326,23 @@ class Pair {
   // owes.
   DirtyBitmap dirty_;
   DirtyBitmap reverse_dirty_;
-  // The pair's own bulk copy: its initial copy, or a sync pair's resync.
+  // The pair's initial copy.
   internal::CopyInFlight copy_;
-  // A sync pair's resync fence: the epoch of the oldest of its copies that
-  // was sent and has not landed (0: none). A write sent behind it would
-  // land over the delta that copy owes, so it does not land.
-  uint64_t resync_fence_ = 0;
   // The interceptors registered on the P-VOL and on the S-VOL (a write
   // guard, or a dirty tracker after failover; null if none registered).
   // Unregistered before the pair is destroyed.
   std::unique_ptr<storage::WriteInterceptor> pvol_interceptor_;
   std::unique_ptr<storage::WriteInterceptor> svol_interceptor_;
-  // An async pair's unshipped records that borrow P-VOL blocks, and the
-  // token of the P-VOL pre-overwrite hook that materializes them (0: no
-  // hook; sync pairs never borrow).
+  // The pair's unshipped records that borrow P-VOL blocks, and the token
+  // of the P-VOL pre-overwrite hook that materializes them (0: no hook).
   BorrowIndex borrowed_;
   uint64_t pvol_hook_ = 0;
 };
 
 // The remote-copy feature of a main/backup array pair: creates and drives
-// consistency groups (shared-journal ADC), standalone synchronous pairs,
-// initial copy, journal transfer/apply, suspend/resync and failover.
+// consistency groups (a shared journal, shipped the same way whether the
+// host ack waits for the backup or not), initial copy, journal
+// transfer/apply, suspend/resync and failover.
 //
 // One engine instance manages replication in one direction
 // (primary array -> secondary array), like the demonstration system's
@@ -366,14 +368,21 @@ class ReplicationEngine {
   StatusOr<std::string> GetGroupName(GroupId id) const;
 
   // --- Pairs ---------------------------------------------------------------
-  // Creates a replication pair. `config.mode` selects the flavor:
-  //  - kAsynchronous: journal-backed pair inside the consistency group
-  //    named by `config.group` (required). The initial copy starts
-  //    immediately; the pair reaches kPaired once the base image has
-  //    been transferred. In a suspended group the pair starts suspended
-  //    and the group's resync ships the base image.
-  //  - kSynchronous: standalone pair (no journal); `config.group` must
-  //    be 0.
+  // Creates a replication pair inside the consistency group named by
+  // `config.group` (required). The initial copy starts immediately; the
+  // pair reaches kPaired once the base image has been transferred. In a
+  // suspended group the pair starts suspended and the group's resync ships
+  // the base image.
+  //
+  // `config.mode` must match the group's other pairs (any mode joins an
+  // empty group). Both modes journal every host write; they differ only in
+  // the host ack:
+  //  - kAsynchronous: acked after the local journal append; the transfer
+  //    scheduler ships batches at the group's pace.
+  //  - kSynchronous: the record ships at once and the host ack waits for
+  //    the apply ack that covers it. Requires a nonzero ack_timeout: a
+  //    lost batch or ack suspends the group at that deadline and every
+  //    waiting host write is acked locally (fence level "never").
   StatusOr<PairId> CreatePair(const PairConfig& config);
 
   // Dissolves a pair, unregistering all interceptors. The S-VOL keeps its
@@ -387,16 +396,17 @@ class ReplicationEngine {
   std::vector<PairId> ListGroupPairs(GroupId id) const;
 
   // --- Operations ----------------------------------------------------------
-  // Suspends a whole consistency group (all its pairs) or one sync pair.
+  // Suspends a whole consistency group (all its pairs): unacknowledged
+  // journal records become dirty blocks, and the host writes of a
+  // synchronous group still waiting for their apply ack are acked locally.
   Status SuspendGroup(GroupId id);
-  Status SuspendSyncPair(PairId id);
 
   // Re-establishes replication after a suspension by shipping the dirty
-  // blocks. A group's pairs return to kPaired when the resync frame lands;
-  // a sync pair re-pairs when its frame is sent (later writes ship behind
-  // it) and suspends again if the frame is lost.
+  // blocks in one frame. The group leaves bitmap mode at the send (later
+  // writes are journaled and ship behind the frame); its pairs return to
+  // kPaired when the frame lands, and the group suspends again if it is
+  // lost.
   Status ResyncGroup(GroupId id);
-  Status ResyncSyncPair(PairId id);
 
   // Disaster-recovery takeover: stops the group, applies every record that
   // reached the backup site, promotes the S-VOLs to writable and reports
@@ -493,6 +503,9 @@ class ReplicationEngine {
     storage::JournalId primary_journal = 0;
     storage::JournalId secondary_journal = 0;
     std::vector<PairId> pairs;
+    // The host-ack policy of the group's pairs (set by the first pair to
+    // join an empty group).
+    ReplicationMode mode = ReplicationMode::kAsynchronous;
     // P-VOL id -> pair, for the applier.
     std::unordered_map<storage::VolumeId, PairId> by_primary;
     bool suspended = false;
@@ -512,6 +525,15 @@ class ReplicationEngine {
     // group's RPO is the age of the older of this and the primary
     // journal's front record.
     SimTime oldest_unsynced_time = -1;
+    // A synchronous group's host writes waiting for the apply ack that
+    // covers their record, in sequence order. Each is acked exactly once:
+    // by that ack, or locally when the group suspends or fails over.
+    struct PendingAck {
+      journal::SequenceNumber seq = 0;
+      SimTime since = 0;
+      storage::WriteInterceptor::AckFn ack;
+    };
+    std::deque<PendingAck> pending_acks;
 
     // --- Failure detection / auto-resync state ---
     // Bumped when the journal's sequence space restarts (failback resets
@@ -558,14 +580,16 @@ class ReplicationEngine {
     uint64_t window_logical_bytes = 0;
   };
 
-  // Write-path handlers, called by the interceptors.
-  void OnAsyncHostWrite(Pair* pair, storage::Volume* volume,
-                        uint64_t lba, uint32_t count, std::string_view data,
-                        storage::WriteInterceptor::AckFn ack);
-  void OnSyncHostWrite(Pair* pair, storage::Volume* volume, uint64_t lba,
-                       uint32_t count, std::string_view data,
-                       storage::WriteInterceptor::AckFn ack);
-  // The async P-VOL pre-overwrite hook: if an unshipped journal record
+  // The P-VOL write path, called by the interceptor: journals the write,
+  // then acks it (async) or ships it at once and holds the ack for the
+  // covering apply ack (sync).
+  void OnHostWrite(Pair* pair, storage::Volume* volume, uint64_t lba,
+                   uint32_t count, std::string_view data,
+                   storage::WriteInterceptor::AckFn ack);
+  // Acks, in order, the group's waiting host writes whose record is at or
+  // below `through` (all of them for kNoSequenceLimit).
+  void AckSyncWrites(Group* group, journal::SequenceNumber through);
+  // The P-VOL pre-overwrite hook: if an unshipped journal record
   // borrows block `lba` of the pair's P-VOL, copies that whole record
   // (bytes and CRCs) into an owned buffer before the block changes. O(1):
   // one BorrowIndex lookup and one journal Find. Every P-VOL writer (host
@@ -611,8 +635,17 @@ class ReplicationEngine {
                     journal::SequenceNumber last);
   // Adjusts group->batch_bytes_now from journal backlog and link backlog.
   void AdaptBatchSize(Group* group, journal::JournalVolume* jnl);
-  // Sends the applied watermark back to trim the primary journal.
-  void SendApplyAck(Group* group, journal::SequenceNumber seq);
+  // Whether the group paces its batches adaptively. A synchronous group
+  // ships every write at once, so it has no batch size to adapt.
+  static bool Adaptive(const Group& group) {
+    return group.config.enable_adaptive_batching &&
+           group.mode == ReplicationMode::kAsynchronous;
+  }
+  // Sends the applied watermark back to trim the primary journal (and
+  // release the host acks of a synchronous group), `delay` after now: the
+  // backup media write a synchronous host write waits for.
+  void SendApplyAck(Group* group, journal::SequenceNumber seq,
+                    SimDuration delay);
   // Backup-side rejection of a corrupt wire frame: tells the primary to
   // treat the batch as lost (suspend + auto-resync reships the data).
   void SendWireNack(Group* group);
@@ -628,12 +661,13 @@ class ReplicationEngine {
   // rejected.
   void NoteRejectedFrame(Group* group, const char* what, const Status& why);
 
-  // Names one bulk copy by its owner: a pair's own copy (`pair` set), else
-  // the group's resync or, with `giveback`, its failback giveback. Every
-  // other fact about the copy follows from the name: what it owes (the
-  // owner's pairs that are not kSwapped, their dirty_ bits or, for a
+  // Names one bulk copy by its owner: a pair's initial copy (`pair` set),
+  // else the group's resync or, with `giveback`, its failback giveback.
+  // Every other fact about the copy follows from the name: what it owes
+  // (the owner's pairs that are not kSwapped, their dirty_ bits or, for a
   // giveback, their reverse_dirty_ bits), its direction (a giveback reads
-  // the S-VOLs and lands on the P-VOLs), its link and its channel.
+  // the S-VOLs and lands on the P-VOLs), its link, and its channel, the
+  // group's.
   struct CopyRef {
     GroupId group = 0;
     PairId pair = 0;
@@ -648,20 +682,17 @@ class ReplicationEngine {
   sim::NetworkLink* CopyLink(const CopyRef& ref) const {
     return ref.giveback ? to_primary_ : to_secondary_;
   }
-  static uint64_t CopyChannel(const CopyRef& ref) {
-    return ref.group == 0 ? SyncChannel(ref.pair) : ref.group;
-  }
   // The copy's in-flight record, or null once its owner is gone.
   internal::CopyInFlight* FindCopy(const CopyRef& ref);
 
-  // The one bulk-transfer capture: every owed run of the copy (ascending
-  // LBA, at most kResyncMaxExtentBlocks per extent), read from its source
-  // volumes straight into one frame. Records name the pair's P-VOL. The
-  // bits are left set; delivery clears what landed.
+  // The one bulk-transfer capture: every owed run of the group's resync or
+  // giveback (ascending LBA, at most kResyncMaxExtentBlocks per extent),
+  // read from its source volumes straight into one frame. Records name the
+  // pair's P-VOL. The bits are left set; delivery clears what landed.
   BulkFrame CaptureBulk(const CopyRef& ref, bool compress);
-  // The one bulk-transfer landing: each decoded record goes to the pair
-  // whose P-VOL it names (the copy's own pair, or a pair of its group), onto
-  // the copy's target volume, with the CRCs it carries. Only the sub-runs
+  // The one bulk-transfer landing: each decoded record goes to the group's
+  // pair whose P-VOL it names, onto the copy's target volume, with the CRCs
+  // it carries. Only the sub-runs
   // whose owed bits are still set are written, and exactly the bits of the
   // sub-runs that were written are cleared. Returns false when any write
   // failed (a failed array refuses them all): the copy then stays in
@@ -674,7 +705,7 @@ class ReplicationEngine {
     uint64_t extent_count = 0;
     uint64_t blocks = 0;
   };
-  // The one bulk send of a resync, a sync-pair resync and a giveback:
+  // The one bulk send of a resync and a giveback:
   // captures what the copy owes, sends it under a fresh epoch and arms its
   // loss deadline. At delivery a live frame is decoded (a corrupt one is
   // counted and logged) and landed; once it lands whole the copy is no
@@ -682,12 +713,11 @@ class ReplicationEngine {
   BulkSend SendBulk(const CopyRef& ref, bool compress,
                     std::function<void()> on_landed);
   // Marks the copy in flight from now and arms its loss deadline: its
-  // latest possible arrival plus the owner's grace (the group's
-  // ack_timeout, 0 = none; kSyncAckTimeout for a sync pair). Unless that
-  // send landed or was superseded by then, OnCopyLost runs.
+  // latest possible arrival plus the group's ack_timeout (0 = none).
+  // Unless that send landed or was superseded by then, OnCopyLost runs.
   void ArmCopyDeadline(const CopyRef& ref);
-  // A group suspends (auto-resync ships what the copy owed), a sync pair
-  // suspends, a giveback is re-sent.
+  // The group suspends (auto-resync ships what the copy owed), or a
+  // giveback is re-sent.
   void OnCopyLost(const CopyRef& ref);
   // A superseded copy lands nothing; the bits it owed stay set.
   static void Supersede(internal::CopyInFlight* copy) {
@@ -706,12 +736,14 @@ class ReplicationEngine {
   }
 
   void StartInitialCopy(Pair* pair, Group* group);
-  // Enters bitmap mode (journal backlog -> dirty bits, copies superseded)
-  // and records why: the reason, the suspends counter and the trace.
+  // Enters bitmap mode (journal backlog -> dirty bits, copies superseded,
+  // waiting sync host writes acked locally) and records why: the reason,
+  // the suspends counter and the trace.
   void MarkGroupSuspended(Group* group, SuspendReason reason);
 
   // Failure detection: schedules a check that the batch ending at `expect`
-  // is acked within ack_timeout of its latest possible arrival.
+  // is acked within ack_timeout of its latest possible arrival (for a
+  // synchronous group, of that arrival plus one unloaded reverse trip).
   void ArmAckDeadline(Group* group, journal::SequenceNumber expect);
   // Suspends the group for `reason` and kicks off auto-resync.
   void SuspendOnFailure(Group* group, SuspendReason reason);
@@ -728,11 +760,6 @@ class ReplicationEngine {
   // Marks the group's giveback owed and sends what it still owes
   // (SendBulk); returns the blocks captured.
   uint64_t SendGiveback(Group* group);
-
-  // A synchronous host write whose remote ack is outstanding.
-  struct SyncWrite;
-  // Acks `op`'s host write unless it was already acked.
-  void CompleteSyncWrite(SyncWrite* op);
 
   // Folds the age of the primary journal's oldest unacked record with the
   // group's dirty-bitmap backlog into the RPO reported by GroupStats.
@@ -823,21 +850,19 @@ class ReplicationEngine {
   static constexpr size_t kCompressionWindowBatches = 64;
 
   static constexpr uint64_t kAckMessageBytes = 64;
-  // Longest extent (in blocks) a single resync record may carry, for
-  // group and standalone sync-pair resyncs alike.
+  // Longest extent (in blocks) a single resync or giveback record may
+  // carry.
   static constexpr uint64_t kResyncMaxExtentBlocks = 256;
   static constexpr journal::SequenceNumber kNoResyncFence = UINT64_MAX;
+  static constexpr journal::SequenceNumber kNoSequenceLimit = UINT64_MAX;
 
-  // Channel scheme on the inter-site links: a consistency group's traffic
-  // uses channel == its group id (one ordered stream per group — the
-  // essence of the consistency-group guarantee); synchronous pairs use a
-  // disjoint per-pair channel range.
-  static constexpr uint64_t kSyncChannelBase = 1ull << 32;
-  static uint64_t SyncChannel(PairId id) { return kSyncChannelBase + id; }
-
-  // Scheduler pseudo-id space for the scrubber, disjoint from group ids
-  // and the sync-pair channel range: the pump callback dispatches ids at
-  // or above this base to the scrubber instead of a group.
+  // A consistency group's traffic uses channel == its group id on both
+  // links: one ordered stream per group, the essence of the
+  // consistency-group guarantee.
+  //
+  // Scheduler pseudo-id space for the scrubber, disjoint from group ids:
+  // the pump callback dispatches ids at or above this base to the scrubber
+  // instead of a group.
   static constexpr uint64_t kScrubSchedBase = 1ull << 33;
 };
 

@@ -393,7 +393,7 @@ Status StorageArray::WriteSync(VolumeId id, block::Lba lba,
 
 Status StorageArray::RestoreWrite(VolumeId id, block::Lba lba,
                                   std::string_view data) {
-  // Every interceptor acks OK once the write is local (an SDC pair that
+  // Every interceptor acks OK once the write is local (an SDC group that
   // cannot reach the backup suspends and dirty-marks instead of failing
   // it), so the ack carries nothing the restore waits for.
   return WriteIntercepted(id, lba, data, [](Status) {});

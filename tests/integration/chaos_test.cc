@@ -607,9 +607,9 @@ EdgeLaneResult RunArrayCrashLane(uint64_t seed) {
   return result;
 }
 
-// SDC lane result: how often a cut caught a sync-pair resync frame on the
-// wire, the operator resyncs, the forward wire bytes and the final backup
-// image.
+// SDC lane result: how often a cut caught the sync group's resync frame on
+// the wire, the operator resyncs, the forward wire bytes and the final
+// backup image.
 struct SdcLaneResult {
   uint64_t hits = 0;
   uint64_t resyncs = 0;
@@ -617,16 +617,16 @@ struct SdcLaneResult {
   std::vector<uint64_t> fingerprint;
 };
 
-// SDC lane: standalone sync pairs under seeded partitions and message
-// drops, with host writes always in flight (each is submitted without
-// waiting for its ack). A write that dies on the wire falls back to a
-// local ack at its deadline and suspends its pair; after each heal the
-// operator resyncs every suspended pair, and the next cut often lands
-// while that resync frame is still on the wire. Every host write must be
-// acked exactly once, and once the link stays up every S-VOL must equal
-// its P-VOL. With `array_crashes` the partitions and drops give way to
-// the array-crash lane's seeded link flaps and backup-array crashes, and
-// `hits` counts the crashes that fired.
+// SDC lane: one synchronous group of three pairs under seeded partitions
+// and message drops, with host writes always in flight (each is submitted
+// without waiting for its ack). A write that dies on the wire falls back
+// to a local ack at the group's ack deadline and suspends the group; after
+// each heal the operator resyncs it (auto-resync is off), and the next cut
+// often lands while that resync frame is still on the wire. Every host
+// write must be acked exactly once, and once the link stays up every S-VOL
+// must equal its P-VOL. With `array_crashes` the partitions and drops give
+// way to the array-crash lane's seeded link flaps and backup-array
+// crashes, and `hits` counts the crashes that fired.
 SdcLaneResult RunSdcPartitionLane(uint64_t seed, bool array_crashes = false) {
   sim::SimEnvironment env;
   storage::StorageArray main(&env, ZeroLatency("MAIN"));
@@ -636,6 +636,11 @@ SdcLaneResult RunSdcPartitionLane(uint64_t seed, bool array_crashes = false) {
   ReplicationEngine engine(&env, &main, &backup, &to_backup, &to_main);
   Rng rng(seed);
   SdcLaneResult result;
+  ConsistencyGroupConfig gcfg;
+  gcfg.name = "sdc";
+  gcfg.auto_resync = false;
+  auto group = engine.CreateConsistencyGroup(gcfg);
+  EXPECT_TRUE(group.ok());
   std::vector<storage::VolumeId> pvols, svols;
   std::vector<PairId> pairs;
   for (int v = 0; v < kVolumes; ++v) {
@@ -649,6 +654,7 @@ SdcLaneResult RunSdcPartitionLane(uint64_t seed, bool array_crashes = false) {
     pc.primary = *p;
     pc.secondary = *s;
     pc.mode = ReplicationMode::kSynchronous;
+    pc.group = *group;
     auto pair = engine.CreatePair(pc);
     EXPECT_TRUE(pair.ok());
     pairs.push_back(*pair);
@@ -659,11 +665,9 @@ SdcLaneResult RunSdcPartitionLane(uint64_t seed, bool array_crashes = false) {
   std::vector<int> acks;
   uint64_t next_tag = 0;
   auto resync_suspended = [&] {
-    for (PairId id : pairs) {
-      if (engine.GetPair(id)->state() == PairState::kSuspended) {
-        EXPECT_TRUE(engine.ResyncSyncPair(id).ok()) << "seed " << seed;
-        ++result.resyncs;
-      }
+    if (engine.GetGroupStats(*group)->suspended) {
+      EXPECT_TRUE(engine.ResyncGroup(*group).ok()) << "seed " << seed;
+      ++result.resyncs;
     }
   };
   auto run_writes = [&](int n) {
@@ -712,13 +716,9 @@ SdcLaneResult RunSdcPartitionLane(uint64_t seed, bool array_crashes = false) {
       resync_suspended();
       env.RunFor(
           static_cast<SimDuration>(rng.Uniform(4)) * Microseconds(400));
-      for (PairId id : pairs) {
-        // Re-paired at the send with bits still owed: the frame is on the
-        // wire.
-        const Pair* pair = engine.GetPair(id);
-        if (pair->state() == PairState::kPaired && pair->dirty_blocks() > 0) {
-          ++result.hits;
-        }
+      if (engine.GetGroupStats(*group)->recovery_wait ==
+          RecoveryWait::kResyncInFlight) {
+        ++result.hits;
       }
       set_links(false);
       run_writes(5);
@@ -730,7 +730,7 @@ SdcLaneResult RunSdcPartitionLane(uint64_t seed, bool array_crashes = false) {
   }
   run_writes(40);
 
-  // Drain: late deadlines may still suspend a pair; resync until every
+  // Drain: late deadlines may still suspend the group; resync until every
   // pair is paired, clean and equal to its P-VOL with every write acked.
   bool converged = false;
   for (int round = 0; round < 50 && !converged; ++round) {
@@ -773,10 +773,10 @@ TEST(ChaosTest, SdcPairsUnderPartitionAcrossSeeds) {
     EXPECT_GT(a.resyncs, 0u) << "seed " << seed;
     hits += a.hits;
   }
-  EXPECT_GT(hits, 0u) << "no cut landed on a sync-pair resync in flight";
+  EXPECT_GT(hits, 0u) << "no cut landed on a sync-group resync in flight";
 }
 
-// The array-crash lane, for one consistency group and for SDC pairs:
+// The array-crash lane, for an async and a sync consistency group:
 // every host write acked once, convergence after the heal, a write-order
 // prefix at the group's failover cut, and two runs per seed identical.
 TEST(ChaosTest, BackupArrayCrashesAcrossSeeds) {

@@ -1,6 +1,6 @@
 // Control-plane error paths: every mistaken or stale operator action —
 // deleting twice, addressing an unknown id, pairing into a deleted group,
-// driving group verbs at a standalone sync pair — must come back with a
+// mixing sync and async pairs in one group — must come back with a
 // pinned StatusCode, not a crash, a silent no-op, or a code that shifts
 // between releases. Consoles and the CSI controller branch on these codes.
 #include <gtest/gtest.h>
@@ -50,12 +50,12 @@ class ControlPlaneTest : public ::testing::Test {
     return *g;
   }
 
-  PairId MakePair(storage::VolumeId p, storage::VolumeId s, GroupId group) {
+  PairId MakePair(storage::VolumeId p, storage::VolumeId s, GroupId group,
+                  ReplicationMode mode = ReplicationMode::kAsynchronous) {
     PairConfig cfg;
     cfg.primary = p;
     cfg.secondary = s;
-    cfg.mode = group == 0 ? ReplicationMode::kSynchronous
-                          : ReplicationMode::kAsynchronous;
+    cfg.mode = mode;
     cfg.group = group;
     auto id = engine_.CreatePair(cfg);
     EXPECT_TRUE(id.ok()) << id.status();
@@ -85,13 +85,19 @@ TEST_F(ControlPlaneTest, CreatePairModeGroupRulesArePinned) {
   EXPECT_EQ(engine_.CreatePair(async_no_group).status().code(),
             StatusCode::kInvalidArgument);
 
-  // A sync pair with a group is a contradiction: sync pairs are standalone.
-  PairConfig sync_with_group;
-  sync_with_group.primary = p;
-  sync_with_group.secondary = s;
-  sync_with_group.mode = ReplicationMode::kSynchronous;
-  sync_with_group.group = g;
-  EXPECT_EQ(engine_.CreatePair(sync_with_group).status().code(),
+  // Nor does a sync pair: its writes ship through a group journal too.
+  PairConfig sync_no_group = async_no_group;
+  sync_no_group.mode = ReplicationMode::kSynchronous;
+  EXPECT_EQ(engine_.CreatePair(sync_no_group).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // A sync pair in a group with no ack deadline could wait forever.
+  auto no_deadline =
+      engine_.CreateConsistencyGroup({.name = "nd", .ack_timeout = 0});
+  ASSERT_TRUE(no_deadline.ok());
+  PairConfig sync_no_deadline = sync_no_group;
+  sync_no_deadline.group = *no_deadline;
+  EXPECT_EQ(engine_.CreatePair(sync_no_deadline).status().code(),
             StatusCode::kInvalidArgument);
 
   // Neither rejection consumed the volumes.
@@ -113,10 +119,6 @@ TEST_F(ControlPlaneTest, UnknownGroupIdIsNotFoundEverywhere) {
 
 TEST_F(ControlPlaneTest, UnknownPairIdIsNotFoundEverywhere) {
   EXPECT_EQ(engine_.DeletePair(kNoSuchPair).code(), StatusCode::kNotFound);
-  EXPECT_EQ(engine_.SuspendSyncPair(kNoSuchPair).code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(engine_.ResyncSyncPair(kNoSuchPair).code(),
-            StatusCode::kNotFound);
 }
 
 TEST_F(ControlPlaneTest, DeleteTwiceSecondIsNotFound) {
@@ -125,7 +127,8 @@ TEST_F(ControlPlaneTest, DeleteTwiceSecondIsNotFound) {
   EXPECT_EQ(engine_.DeleteConsistencyGroup(g).code(), StatusCode::kNotFound);
 
   auto [p, s] = MakeVolumes("v");
-  PairId pair = MakePair(p, s, /*group=*/0);
+  PairId pair = MakePair(p, s, MakeGroup("sync"),
+                         ReplicationMode::kSynchronous);
   env_.RunFor(Milliseconds(10));
   EXPECT_TRUE(engine_.DeletePair(pair).ok());
   EXPECT_EQ(engine_.DeletePair(pair).code(), StatusCode::kNotFound);
@@ -155,27 +158,43 @@ TEST_F(ControlPlaneTest, GroupWithPairsRefusesDeletion) {
   EXPECT_TRUE(engine_.DeleteConsistencyGroup(g).ok());
 }
 
-TEST_F(ControlPlaneTest, SyncPairVerbsRejectAsyncPairs) {
+// A group's pairs share one host-ack policy: a pair of the other mode is
+// rejected either way round, without consuming its volumes.
+TEST_F(ControlPlaneTest, PairModeMustMatchItsGroup) {
   auto [p, s] = MakeVolumes("v");
-  GroupId g = MakeGroup();
-  PairId async_pair = MakePair(p, s, g);
+  auto [p2, s2] = MakeVolumes("w");
+  GroupId async_group = MakeGroup("async");
+  GroupId sync_group = MakeGroup("sync");
+  MakePair(p, s, async_group);
+  MakePair(p2, s2, sync_group, ReplicationMode::kSynchronous);
   env_.RunFor(Milliseconds(10));
-  EXPECT_EQ(engine_.SuspendSyncPair(async_pair).code(),
+  auto [p3, s3] = MakeVolumes("x");
+  PairConfig cfg;
+  cfg.primary = p3;
+  cfg.secondary = s3;
+  cfg.mode = ReplicationMode::kSynchronous;
+  cfg.group = async_group;
+  EXPECT_EQ(engine_.CreatePair(cfg).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine_.ResyncSyncPair(async_pair).code(),
+  cfg.mode = ReplicationMode::kAsynchronous;
+  cfg.group = sync_group;
+  EXPECT_EQ(engine_.CreatePair(cfg).status().code(),
             StatusCode::kInvalidArgument);
+  EXPECT_NE(MakePair(p3, s3, sync_group, ReplicationMode::kSynchronous), 0u);
 }
 
-TEST_F(ControlPlaneTest, ResyncOfHealthySyncPairIsFailedPrecondition) {
+// A sync pair is driven by its group's verbs: a resync of a healthy group
+// is a no-op, and suspend -> resync is the legal sequence.
+TEST_F(ControlPlaneTest, ResyncOfHealthySyncGroupIsANoOp) {
   auto [p, s] = MakeVolumes("v");
-  PairId pair = MakePair(p, s, /*group=*/0);
+  GroupId g = MakeGroup();
+  PairId pair = MakePair(p, s, g, ReplicationMode::kSynchronous);
   env_.RunFor(Milliseconds(10));
   ASSERT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
-  EXPECT_EQ(engine_.ResyncSyncPair(pair).code(),
-            StatusCode::kFailedPrecondition);
-  // Suspend -> resync is the legal sequence.
-  ASSERT_TRUE(engine_.SuspendSyncPair(pair).ok());
-  EXPECT_TRUE(engine_.ResyncSyncPair(pair).ok());
+  EXPECT_TRUE(engine_.ResyncGroup(g).ok());
+  EXPECT_FALSE(engine_.GetGroupStats(g)->suspended);
+  ASSERT_TRUE(engine_.SuspendGroup(g).ok());
+  EXPECT_TRUE(engine_.ResyncGroup(g).ok());
 }
 
 TEST_F(ControlPlaneTest, FailedOverGroupRejectsForwardVerbs) {

@@ -202,5 +202,34 @@ TEST_F(FailbackTest, FullCycleFailoverFailbackFailover) {
   }
 }
 
+// An apply ack still on the reverse link when the group fails over and
+// straight back names a sequence of the old journal space. Landing after
+// the failback, it must not trim the fresh journal: those records would
+// count as acked, so losing their batch would go unnoticed and the backup
+// would never get them.
+TEST_F(FailbackTest, StaleApplyAckDoesNotTrimTheFreshJournal) {
+  for (uint64_t lba = 0; lba < 3; ++lba) {
+    ASSERT_TRUE(main_.WriteSync(pvol_, lba, BlockOf('a' + lba)).ok());
+  }
+  // Shipped at the 2 ms tick and applied at 7 ms; the ack is out until
+  // 12 ms.
+  env_.RunFor(Milliseconds(9));
+  ASSERT_EQ(backup_.GetVolume(svol_)->store().ReadBlock(2), BlockOf('c'));
+  ASSERT_EQ(engine_.primary_journal(group_)->acked(), 0u);
+  ASSERT_TRUE(engine_.FailoverGroup(group_).ok());
+  ASSERT_TRUE(engine_.FailbackGroup(group_).ok());
+  for (uint64_t lba = 10; lba < 13; ++lba) {
+    ASSERT_TRUE(main_.WriteSync(pvol_, lba, BlockOf('x')).ok());
+  }
+  env_.RunFor(Milliseconds(4));  // Shipped at 10 ms; the stale ack is in.
+  EXPECT_EQ(engine_.primary_journal(group_)->acked(), 0u)
+      << "a stale ack trimmed the fresh journal";
+  // The fresh batch dies on the wire: its ack deadline must notice.
+  to_backup_.SetConnected(false);
+  to_backup_.SetConnected(true);
+  env_.RunFor(Milliseconds(200));
+  EXPECT_TRUE(Converged());
+}
+
 }  // namespace
 }  // namespace zerobak::replication

@@ -76,16 +76,26 @@ class FaultRecoveryTest : public ::testing::Test {
     return id.ok() ? *id : 0;
   }
 
+  // A synchronous pair in a group of its own: the default 50 ms ack
+  // deadline, and auto-resync off so the tests resync by hand.
   PairId MakeSyncPair(storage::VolumeId p, storage::VolumeId s) {
+    ConsistencyGroupConfig gcfg;
+    gcfg.name = "sync-cg";
+    gcfg.auto_resync = false;
+    auto g = engine_.CreateConsistencyGroup(gcfg);
+    EXPECT_TRUE(g.ok());
     PairConfig cfg;
     cfg.name = "sync";
     cfg.primary = p;
     cfg.secondary = s;
     cfg.mode = ReplicationMode::kSynchronous;
+    cfg.group = *g;
     auto id = engine_.CreatePair(cfg);
     EXPECT_TRUE(id.ok()) << id.status();
     return id.ok() ? *id : 0;
   }
+
+  GroupId GroupOf(PairId pair) { return engine_.GetPair(pair)->group(); }
 
   void Partition() {
     to_backup_.SetConnected(false);
@@ -420,20 +430,15 @@ TEST_F(FaultRecoveryTest, InitialCopyOntoFailedArrayIsRecoveredByTheGroup) {
 // Satellite bugfix regression: per-channel FIFO state must not outlive its
 // pair / group (previously last_arrival_ grew forever).
 TEST_F(FaultRecoveryTest, DeletingPairsReleasesLinkChannelState) {
-  // A sync pair uses a dedicated channel on both links.
+  // A sync group uses its group id as the channel on both links.
   auto [p1, s1] = MakeVolumes("sync");
-  PairConfig sync_cfg;
-  sync_cfg.name = "sp";
-  sync_cfg.primary = p1;
-  sync_cfg.secondary = s1;
-  sync_cfg.mode = ReplicationMode::kSynchronous;
-  auto sync_pair = engine_.CreatePair(sync_cfg);
-  ASSERT_TRUE(sync_pair.ok());
+  const PairId sync_pair = MakeSyncPair(p1, s1);
+  const GroupId sync_group = GroupOf(sync_pair);
   env_.RunFor(Milliseconds(20));
   Status acked = InternalError("no ack");
   main_.SubmitHostWrite(p1, 0, BlockOf('s'),
                         [&](block::IoResult r) { acked = r.status; });
-  env_.RunUntilIdle();
+  env_.RunFor(Milliseconds(50));
   ASSERT_TRUE(acked.ok());
 
   // An async group uses its group id as the channel on both links.
@@ -446,8 +451,9 @@ TEST_F(FaultRecoveryTest, DeletingPairsReleasesLinkChannelState) {
   EXPECT_GT(to_backup_.tracked_channels(), 0u);
   EXPECT_GT(to_main_.tracked_channels(), 0u);
 
-  ASSERT_TRUE(engine_.DeletePair(*sync_pair).ok());
+  ASSERT_TRUE(engine_.DeletePair(sync_pair).ok());
   ASSERT_TRUE(engine_.DeletePair(async_pair).ok());
+  ASSERT_TRUE(engine_.DeleteConsistencyGroup(sync_group).ok());
   ASSERT_TRUE(engine_.DeleteConsistencyGroup(g).ok());
   EXPECT_EQ(to_backup_.tracked_channels(), 0u)
       << "forward-link channel state leaked";
@@ -841,7 +847,7 @@ TEST_F(FaultRecoveryTest, SyncWriteInFlightAtPartitionAcksLocally) {
   EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 1u);
 
   to_backup_.SetConnected(true);
-  ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+  ASSERT_TRUE(engine_.ResyncGroup(GroupOf(pair)).ok());
   env_.RunFor(Milliseconds(20));
   EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
   EXPECT_TRUE(Converged(p, s));
@@ -873,18 +879,19 @@ TEST_F(FaultRecoveryTest, LateSyncAckDoesNotCompleteTheWriteTwice) {
   EXPECT_EQ(main_.host_writes(), writes + 1);
 }
 
-// A sync pair re-pairs when its resync frame leaves: a write made while
-// the frame is on the wire ships inline behind it and lands after it. The
-// write used to be dirty-marked locally and its bit then cleared by the
-// frame's landing, leaving the pair PAIR, clean and one write behind.
+// A sync group leaves bitmap mode when its resync frame leaves: a write
+// made while the frame is on the wire is journaled, ships behind it and
+// lands after it. The write used to be dirty-marked locally and its bit
+// then cleared by the frame's landing, leaving the pair PAIR, clean and
+// one write behind.
 TEST_F(FaultRecoveryTest, SyncWriteDuringResyncLandsAfterTheFrame) {
   auto [p, s] = MakeVolumes("v");
   PairId pair = MakeSyncPair(p, s);
   env_.RunFor(Milliseconds(20));
-  ASSERT_TRUE(engine_.SuspendSyncPair(pair).ok());
+  ASSERT_TRUE(engine_.SuspendGroup(GroupOf(pair)).ok());
   ASSERT_TRUE(main_.WriteSync(p, 3, BlockOf('a')).ok());
-  ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
-  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+  ASSERT_TRUE(engine_.ResyncGroup(GroupOf(pair)).ok());
+  EXPECT_FALSE(Stats(GroupOf(pair)).suspended);
 
   env_.RunFor(Milliseconds(1));  // The frame is on the wire until 5 ms.
   int acks = 0;
@@ -932,7 +939,7 @@ TEST_F(FaultRecoveryTest, LostSyncInitialCopyHitsItsDeadline) {
   EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 6u);
 
   to_backup_.SetConnected(true);
-  ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+  ASSERT_TRUE(engine_.ResyncGroup(GroupOf(pair)).ok());
   env_.RunFor(Milliseconds(20));
   EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
   EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 0u);
@@ -952,10 +959,10 @@ TEST_F(FaultRecoveryTest, SyncWriteInFlightLandsBeforeTheResyncFrame) {
     EXPECT_TRUE(r.status.ok()) << r.status;
     ++acks;
   });
-  ASSERT_TRUE(engine_.SuspendSyncPair(pair).ok());
+  ASSERT_TRUE(engine_.SuspendGroup(GroupOf(pair)).ok());
   ASSERT_TRUE(main_.WriteSync(p, 3, BlockOf('b')).ok());
   // The frame leaves at the same instant as the write: both arrive at 5 ms.
-  ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+  ASSERT_TRUE(engine_.ResyncGroup(GroupOf(pair)).ok());
   env_.RunFor(Milliseconds(30));
   EXPECT_EQ(acks, 1);
   EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
@@ -992,12 +999,12 @@ TEST_F(FaultRecoveryTest, BulkFramesAreBilledAtTheirFrameSize) {
   auto [sp, ss] = MakeVolumes("sync");
   PairId pair = MakeSyncPair(sp, ss);
   env_.RunFor(Milliseconds(20));
-  ASSERT_TRUE(engine_.SuspendSyncPair(pair).ok());
+  ASSERT_TRUE(engine_.SuspendGroup(GroupOf(pair)).ok());
   for (uint64_t lba = 0; lba < 3; ++lba) {
     ASSERT_TRUE(main_.WriteSync(sp, lba, noise()).ok());
   }
   const uint64_t fwd0 = to_backup_.bytes_sent();
-  ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+  ASSERT_TRUE(engine_.ResyncGroup(GroupOf(pair)).ok());
   EXPECT_GE(to_backup_.bytes_sent() - fwd0, 3 * block::kDefaultBlockSize);
   env_.RunFor(Milliseconds(50));
   EXPECT_TRUE(Converged(p, s));
@@ -1159,12 +1166,12 @@ TEST_F(FaultRecoveryTest, SyncPairResyncOntoFailedArrayLandsNothing) {
   auto [p, s] = MakeVolumes("v");
   PairId pair = MakeSyncPair(p, s);
   env_.RunFor(Milliseconds(20));
-  ASSERT_TRUE(engine_.SuspendSyncPair(pair).ok());
+  ASSERT_TRUE(engine_.SuspendGroup(GroupOf(pair)).ok());
   for (uint64_t lba = 0; lba < 3; ++lba) {
     ASSERT_TRUE(main_.WriteSync(p, lba, BlockOf('k' + lba)).ok());
   }
   backup_.SetFailed(true);
-  ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+  ASSERT_TRUE(engine_.ResyncGroup(GroupOf(pair)).ok());
   env_.RunFor(Milliseconds(10));  // Delivered at 5 ms.
   EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 3u);
   env_.RunFor(Milliseconds(50));  // Deadline at 5 + 50 ms.
@@ -1172,7 +1179,7 @@ TEST_F(FaultRecoveryTest, SyncPairResyncOntoFailedArrayLandsNothing) {
   EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 3u);
 
   backup_.SetFailed(false);
-  ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+  ASSERT_TRUE(engine_.ResyncGroup(GroupOf(pair)).ok());
   env_.RunFor(Milliseconds(20));
   EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
   EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 0u);
@@ -1188,12 +1195,12 @@ TEST_F(FaultRecoveryTest, SyncWriteBehindAnUnlandedResyncDoesNotLand) {
     auto [p, s] = MakeVolumes(drop_frame ? "dropped" : "failed");
     PairId pair = MakeSyncPair(p, s);
     env_.RunFor(Milliseconds(20));
-    ASSERT_TRUE(engine_.SuspendSyncPair(pair).ok());
+    ASSERT_TRUE(engine_.SuspendGroup(GroupOf(pair)).ok());
     for (uint64_t lba = 0; lba < 5; ++lba) {
       ASSERT_TRUE(main_.WriteSync(p, lba, BlockOf('a' + lba)).ok());
     }
     backup_.SetFailed(!drop_frame);
-    ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+    ASSERT_TRUE(engine_.ResyncGroup(GroupOf(pair)).ok());
     if (drop_frame) {
       Partition();
       Heal();
@@ -1213,7 +1220,7 @@ TEST_F(FaultRecoveryTest, SyncWriteBehindAnUnlandedResyncDoesNotLand) {
     EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kSuspended);
     EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 6u);
 
-    ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+    ASSERT_TRUE(engine_.ResyncGroup(GroupOf(pair)).ok());
     env_.RunFor(Milliseconds(20));
     EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
     EXPECT_TRUE(Converged(p, s));
@@ -1276,7 +1283,7 @@ TEST_F(FaultRecoveryTest, SyncWriteOntoFailedArrayIsNotAckedAsReplicated) {
   EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kSuspended);
   EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 1u);
 
-  ASSERT_TRUE(engine_.ResyncSyncPair(pair).ok());
+  ASSERT_TRUE(engine_.ResyncGroup(GroupOf(pair)).ok());
   env_.RunFor(Milliseconds(20));
   EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
   EXPECT_TRUE(Converged(p, s));

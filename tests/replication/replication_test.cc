@@ -69,6 +69,27 @@ class ReplicationTest : public ::testing::Test {
     return id.ok() ? *id : 0;
   }
 
+  // A synchronous pair in a group of its own, with auto-resync off: the
+  // tests resync by hand.
+  PairId MakeSyncPair(storage::VolumeId p, storage::VolumeId s,
+                      GroupId* group = nullptr) {
+    ConsistencyGroupConfig gcfg;
+    gcfg.name = "sync-cg";
+    gcfg.auto_resync = false;
+    auto g = engine_.CreateConsistencyGroup(gcfg);
+    EXPECT_TRUE(g.ok());
+    if (group != nullptr) *group = *g;
+    PairConfig cfg;
+    cfg.name = "sync";
+    cfg.primary = p;
+    cfg.secondary = s;
+    cfg.mode = ReplicationMode::kSynchronous;
+    cfg.group = *g;
+    auto id = engine_.CreatePair(cfg);
+    EXPECT_TRUE(id.ok()) << id.status();
+    return id.ok() ? *id : 0;
+  }
+
   bool Converged(storage::VolumeId p, storage::VolumeId s) {
     return main_.GetVolume(p)->ContentEquals(*backup_.GetVolume(s));
   }
@@ -104,11 +125,11 @@ TEST_F(ReplicationTest, InitialCopyTransfersExistingData) {
 
 // The initial copy carries the P-VOL's checksum sidecar to the S-VOL, so
 // latent rot in a P-VOL block stays detectable in the backup instead of
-// getting a fresh, valid checksum there. The group and the sync-pair copy
-// share this path.
+// getting a fresh, valid checksum there, for async and sync groups
+// alike.
 TEST_F(ReplicationTest, InitialCopyKeepsLatentRotDetectable) {
   for (const bool sync : {false, true}) {
-    SCOPED_TRACE(sync ? "sync pair" : "group pair");
+    SCOPED_TRACE(sync ? "sync group" : "async group");
     auto [p, s] = MakeVolumes(sync ? "sv" : "av");
     for (uint64_t lba = 0; lba < 8; ++lba) {
       ASSERT_TRUE(main_.WriteSync(p, lba,
@@ -120,14 +141,8 @@ TEST_F(ReplicationTest, InitialCopyKeepsLatentRotDetectable) {
     const uint64_t frozen_blocks = pstore.allocated_blocks();
     PairId pair = 0;
     if (sync) {
-      PairConfig cfg;
-      cfg.name = "sync";
-      cfg.primary = p;
-      cfg.secondary = s;
-      cfg.mode = ReplicationMode::kSynchronous;
-      auto id = engine_.CreatePair(cfg);
-      ASSERT_TRUE(id.ok()) << id.status();
-      pair = *id;
+      pair = MakeSyncPair(p, s);
+      ASSERT_NE(pair, 0u);
     } else {
       pair = MakeAsyncPair(p, s, MakeGroup());
     }
@@ -150,7 +165,7 @@ TEST_F(ReplicationTest, InitialCopyKeepsLatentRotDetectable) {
 // per written region of the 20 MiB volume, not the whole volume.
 TEST_F(ReplicationTest, InitialCopyOfASparsePvolKeepsItsSlabFootprint) {
   for (const bool sync : {false, true}) {
-    SCOPED_TRACE(sync ? "sync pair" : "group pair");
+    SCOPED_TRACE(sync ? "sync group" : "async group");
     auto [p, s] = MakeVolumes(sync ? "sv" : "av", 5120);
     for (const uint64_t lba : {0, 1, 2000, 5119}) {
       ASSERT_TRUE(main_.WriteSync(p, lba, BlockOf('f')).ok());
@@ -159,14 +174,8 @@ TEST_F(ReplicationTest, InitialCopyOfASparsePvolKeepsItsSlabFootprint) {
     ASSERT_EQ(pstore.slab_bytes(), 3u * 256 * 1024);
     PairId pair = 0;
     if (sync) {
-      PairConfig cfg;
-      cfg.name = "sync";
-      cfg.primary = p;
-      cfg.secondary = s;
-      cfg.mode = ReplicationMode::kSynchronous;
-      auto id = engine_.CreatePair(cfg);
-      ASSERT_TRUE(id.ok()) << id.status();
-      pair = *id;
+      pair = MakeSyncPair(p, s);
+      ASSERT_NE(pair, 0u);
     } else {
       pair = MakeAsyncPair(p, s, MakeGroup());
     }
@@ -182,36 +191,28 @@ TEST_F(ReplicationTest, InitialCopyOfASparsePvolKeepsItsSlabFootprint) {
 // A resync ships the P-VOL's sidecar CRCs with the blocks and the S-VOL
 // stores them, so a P-VOL block that rotted before the resync reads back
 // as kDataLoss on the S-VOL instead of getting a fresh, valid checksum
-// there. The group and the sync-pair resync share this path.
+// there, for async and sync groups alike.
 TEST_F(ReplicationTest, ResyncKeepsLatentRotDetectable) {
   for (const bool sync : {false, true}) {
-    SCOPED_TRACE(sync ? "sync pair" : "group pair");
+    SCOPED_TRACE(sync ? "sync group" : "async group");
     auto [p, s] = MakeVolumes(sync ? "sv" : "av");
     PairId pair = 0;
     GroupId g = 0;
     if (sync) {
-      PairConfig cfg;
-      cfg.name = "sync";
-      cfg.primary = p;
-      cfg.secondary = s;
-      cfg.mode = ReplicationMode::kSynchronous;
-      auto id = engine_.CreatePair(cfg);
-      ASSERT_TRUE(id.ok()) << id.status();
-      pair = *id;
-      ASSERT_TRUE(engine_.SuspendSyncPair(pair).ok());
+      pair = MakeSyncPair(p, s, &g);
+      ASSERT_NE(pair, 0u);
     } else {
       g = MakeGroup();
       pair = MakeAsyncPair(p, s, g);
-      ASSERT_TRUE(engine_.SuspendGroup(g).ok());
     }
+    ASSERT_TRUE(engine_.SuspendGroup(g).ok());
     for (uint64_t lba = 0; lba < 8; ++lba) {
       ASSERT_TRUE(main_.WriteSync(p, lba,
                                   BlockOf(static_cast<char>('a' + lba)))
                       .ok());
     }
     ASSERT_TRUE(main_.GetVolume(p)->store().FlipBit(3, 17));
-    ASSERT_TRUE(sync ? engine_.ResyncSyncPair(pair).ok()
-                     : engine_.ResyncGroup(g).ok());
+    ASSERT_TRUE(engine_.ResyncGroup(g).ok());
     env_.RunFor(Milliseconds(20));
     ASSERT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
     ASSERT_EQ(engine_.GetPair(pair)->dirty_blocks(), 0u);
@@ -369,13 +370,7 @@ TEST_F(ReplicationTest, DoubleProtectionRejected) {
 
 TEST_F(ReplicationTest, SyncPairAckWaitsForRoundTrip) {
   auto [p, s] = MakeVolumes("v");
-  PairConfig cfg;
-  cfg.name = "sync";
-  cfg.primary = p;
-  cfg.secondary = s;
-  cfg.mode = ReplicationMode::kSynchronous;
-  auto pair = engine_.CreatePair(cfg);
-  ASSERT_TRUE(pair.ok());
+  ASSERT_NE(MakeSyncPair(p, s), 0u);
   env_.RunFor(Milliseconds(10));  // Initial copy (empty -> instant-ish).
 
   const SimTime start = env_.now();
@@ -384,7 +379,7 @@ TEST_F(ReplicationTest, SyncPairAckWaitsForRoundTrip) {
     ASSERT_TRUE(r.status.ok());
     acked = env_.now();
   });
-  env_.RunUntilIdle();
+  env_.RunFor(Milliseconds(50));
   // 5 ms forward + 5 ms back (zero media latency on both arrays).
   EXPECT_EQ(acked - start, Milliseconds(10));
   EXPECT_TRUE(Converged(p, s));
@@ -392,62 +387,56 @@ TEST_F(ReplicationTest, SyncPairAckWaitsForRoundTrip) {
 
 TEST_F(ReplicationTest, SyncPairSuspendsWhenLinkDies) {
   auto [p, s] = MakeVolumes("v");
-  PairConfig cfg;
-  cfg.primary = p;
-  cfg.secondary = s;
-  cfg.mode = ReplicationMode::kSynchronous;
-  auto pair = engine_.CreatePair(cfg);
-  ASSERT_TRUE(pair.ok());
+  GroupId g = 0;
+  const PairId pair = MakeSyncPair(p, s, &g);
+  ASSERT_NE(pair, 0u);
   env_.RunFor(Milliseconds(10));
 
   to_backup_.SetConnected(false);
   Status acked = InternalError("no ack");
   main_.SubmitHostWrite(p, 2, BlockOf('d'),
                         [&](block::IoResult r) { acked = r.status; });
-  env_.RunUntilIdle();
+  env_.RunFor(Milliseconds(50));
   // Fence level "never": the host still gets its ack, the pair suspends.
   EXPECT_TRUE(acked.ok());
-  EXPECT_EQ(engine_.GetPair(*pair)->state(), PairState::kSuspended);
-  EXPECT_EQ(engine_.GetPair(*pair)->dirty_blocks(), 1u);
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kSuspended);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 1u);
 
   // Resync after the link returns.
   to_backup_.SetConnected(true);
-  ASSERT_TRUE(engine_.ResyncSyncPair(*pair).ok());
-  env_.RunUntilIdle();
-  EXPECT_EQ(engine_.GetPair(*pair)->state(), PairState::kPaired);
+  ASSERT_TRUE(engine_.ResyncGroup(g).ok());
+  env_.RunFor(Milliseconds(50));
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
   EXPECT_TRUE(Converged(p, s));
 }
 
-// A standalone sync pair resyncs through the same bulk frame as a group:
-// compressible dirty blocks cost the link far fewer bytes than raw, while
-// the logical count still carries every block.
+// A sync group resyncs through the same compressed bulk frame as an async
+// one: compressible dirty blocks cost the link far fewer bytes than raw,
+// while the logical count still carries every block.
 TEST_F(ReplicationTest, SyncPairResyncShipsACompressedFrame) {
   auto [p, s] = MakeVolumes("v");
-  PairConfig cfg;
-  cfg.primary = p;
-  cfg.secondary = s;
-  cfg.mode = ReplicationMode::kSynchronous;
-  auto pair = engine_.CreatePair(cfg);
-  ASSERT_TRUE(pair.ok());
+  GroupId g = 0;
+  const PairId pair = MakeSyncPair(p, s, &g);
+  ASSERT_NE(pair, 0u);
   env_.RunFor(Milliseconds(10));
 
-  ASSERT_TRUE(engine_.SuspendSyncPair(*pair).ok());
+  ASSERT_TRUE(engine_.SuspendGroup(g).ok());
   for (uint64_t lba = 0; lba < 8; ++lba) {
     ASSERT_TRUE(main_.WriteSync(p, lba, BlockOf('a' + lba)).ok());
   }
-  ASSERT_EQ(engine_.GetPair(*pair)->dirty_blocks(), 8u);
+  ASSERT_EQ(engine_.GetPair(pair)->dirty_blocks(), 8u);
 
   const uint64_t wire0 = to_backup_.bytes_sent();
   const uint64_t logical0 = to_backup_.logical_bytes_sent();
-  ASSERT_TRUE(engine_.ResyncSyncPair(*pair).ok());
-  env_.RunUntilIdle();
+  ASSERT_TRUE(engine_.ResyncGroup(g).ok());
+  env_.RunFor(Milliseconds(50));
   const uint64_t raw = 8 * block::kDefaultBlockSize;
   // One 8-block extent: its payload plus one journal-record header.
   EXPECT_EQ(to_backup_.logical_bytes_sent() - logical0,
             raw + journal::JournalRecord::kHeaderSize);
   EXPECT_LT(to_backup_.bytes_sent() - wire0, raw / 8);
-  EXPECT_EQ(engine_.GetPair(*pair)->state(), PairState::kPaired);
-  EXPECT_EQ(engine_.GetPair(*pair)->dirty_blocks(), 0u);
+  EXPECT_EQ(engine_.GetPair(pair)->state(), PairState::kPaired);
+  EXPECT_EQ(engine_.GetPair(pair)->dirty_blocks(), 0u);
   EXPECT_TRUE(Converged(p, s));
 }
 

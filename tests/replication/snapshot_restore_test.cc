@@ -1,6 +1,6 @@
 // A snapshot restore over a replicated volume takes the host write path:
 // the rewound blocks are journaled on an ADC P-VOL, dirty-marked while
-// the pair is suspended, shipped by an SDC pair, refused on an S-VOL that
+// the pair is suspended, shipped by an SDC group, refused on an S-VOL that
 // still receives replication and given back by failback on a promoted
 // S-VOL. Without that the backup keeps the pre-restore blocks while the
 // pair reports PAIR.
@@ -158,11 +158,14 @@ TEST_F(SnapshotRestoreTest, RestoreOnAGuardedSvolIsRefused) {
 }
 
 TEST_F(SnapshotRestoreTest, RestoreOverAnSdcPvolShipsWithoutAnInlineAck) {
+  auto g = engine_.CreateConsistencyGroup({.name = "sync-cg"});
+  ASSERT_TRUE(g.ok());
   PairConfig pcfg;
   pcfg.name = "sync";
   pcfg.primary = pvol_;
   pcfg.secondary = svol_;
   pcfg.mode = ReplicationMode::kSynchronous;
+  pcfg.group = *g;
   auto pair = engine_.CreatePair(pcfg);
   ASSERT_TRUE(pair.ok());
   env_.RunFor(Milliseconds(20));

@@ -114,10 +114,13 @@ TEST(QueueDepthTest, SdcHoldsSlotsAcrossTheRoundTrip) {
   auto p = main.CreateVolume("p", 1024);
   auto s = backup.CreateVolume("s", 1024);
   ASSERT_TRUE(p.ok() && s.ok());
+  auto g = engine.CreateConsistencyGroup({.name = "sync-cg"});
+  ASSERT_TRUE(g.ok());
   replication::PairConfig pc;
   pc.primary = *p;
   pc.secondary = *s;
   pc.mode = replication::ReplicationMode::kSynchronous;
+  pc.group = *g;
   ASSERT_TRUE(engine.CreatePair(pc).ok());
   env.RunFor(Milliseconds(20));
 

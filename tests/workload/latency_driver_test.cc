@@ -108,10 +108,13 @@ TEST(ClosedLoopDriverTest, SlowdownVisibleUnderSyncReplication) {
   }
 
   // With SDC: every ack pays 2 x 5 ms + the remote media write.
+  auto g = engine.CreateConsistencyGroup({.name = "sync-cg"});
+  ASSERT_TRUE(g.ok());
   replication::PairConfig pc;
   pc.primary = *p;
   pc.secondary = *s;
   pc.mode = replication::ReplicationMode::kSynchronous;
+  pc.group = *g;
   ASSERT_TRUE(engine.CreatePair(pc).ok());
   env.RunFor(Milliseconds(20));
   {
@@ -119,7 +122,7 @@ TEST(ClosedLoopDriverTest, SlowdownVisibleUnderSyncReplication) {
     driver.Start();
     env.RunFor(Milliseconds(200));
     driver.Stop();
-    env.RunUntilIdle();
+    env.RunFor(Milliseconds(50));  // Drains the last round trip.
     EXPECT_GE(driver.txn_latency().min(),
               static_cast<uint64_t>(Milliseconds(10)));
   }
